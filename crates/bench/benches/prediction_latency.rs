@@ -3,7 +3,7 @@
 //! and argues the CRF overhead of ≈0.2 ms is unnoticeable; Section 5.3),
 //! plus corpus serving throughput single- vs multi-threaded
 //! (`--threads N`, default: CPU count) through
-//! `SatoPredictor::predict_corpus_parallel`.
+//! `SatoPredictor::predict_corpus_parallel_batched`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sato::{SatoConfig, SatoModel, SatoVariant};
@@ -48,10 +48,19 @@ fn bench_prediction(c: &mut Criterion) {
         |b, corp| b.iter(|| predictor.predict_corpus(std::hint::black_box(corp))),
     );
     group.bench_with_input(
-        BenchmarkId::new("predict_corpus", format!("{}_threads", opts.threads)),
+        BenchmarkId::new(
+            "predict_corpus_parallel_batched",
+            format!("{}_threads", opts.threads),
+        ),
         &corpus,
         |b, corp| {
-            b.iter(|| predictor.predict_corpus_parallel(std::hint::black_box(corp), opts.threads))
+            b.iter(|| {
+                predictor.predict_corpus_parallel_batched(
+                    std::hint::black_box(corp),
+                    256,
+                    opts.threads,
+                )
+            })
         },
     );
     // Corpus-batched serving: one forward pass per micro-batch of columns.

@@ -3,16 +3,17 @@
 //! ("Structured") training costs reported separately, over repeated trials.
 //!
 //! Prediction timing uses the frozen [`sato::SatoPredictor`] serving
-//! artifact and reports per-table sequential, corpus-batched
-//! (`predict_corpus_batched`) and multi-threaded (`--threads N`, default:
-//! CPU count) serving throughput — the serving-side extension of the
-//! paper's efficiency study.
+//! artifact and reports per-table sequential (`predict_corpus`: a batch of
+//! one per table), corpus-batched (`predict_corpus_batched`) and
+//! multi-threaded batched (`--threads N`, default: CPU count) serving
+//! throughput — the serving-side extension of the paper's efficiency study.
 //!
 //! Besides the human-readable table, the run writes `BENCH_serving.json`
 //! (all single-threaded measurements, so the numbers are valid on a 1-CPU
-//! container): per-table vs batched serving throughput, single-pass vs
-//! reference (per-alphabet-character) feature extraction µs/column (with a
-//! per-group char/word/para/stat breakdown of the reference cost), the
+//! container): per-table (batch of one) vs batched serving throughput
+//! (`batched_speedup`), single-pass vs reference (per-alphabet-character)
+//! feature extraction µs/column (with a per-group char/word/para/stat
+//! breakdown of the reference cost), the
 //! `hashing` section — kernel-layer (prefix-extension) vs scalar
 //! (length-major) n-gram token hashing µs/token — scratch (streaming) vs
 //! reference (mega-string) LDA topic estimation µs/table, the `crf_decode`
@@ -124,8 +125,9 @@ fn main() {
                 "batched serving must reproduce per-table output exactly"
             );
 
-            let (parallel, secs) =
-                best_of(|| predictor.predict_corpus_parallel(&split.test, opts.threads));
+            let (parallel, secs) = best_of(|| {
+                predictor.predict_corpus_parallel_batched(&split.test, BATCH_COLS, opts.threads)
+            });
             parallel_times.push(secs);
             assert_eq!(
                 sequential, parallel,
@@ -149,7 +151,7 @@ fn main() {
         ));
     }
 
-    let threads_header = format!("predict {}T [s]", opts.threads);
+    let threads_header = format!("batched({BATCH_COLS}) {}T [s]", opts.threads);
     let batched_header = format!("batched({BATCH_COLS}) [s]");
     let mut table = TextTable::new(&[
         "model",

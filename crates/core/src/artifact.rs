@@ -453,29 +453,17 @@ impl SatoPredictor {
             }
             _ => None,
         };
-        let columnwise = match prebuilt {
-            Some(sampler) => FrozenColumnwise::from_state_with_sampler(
-                &meta.config,
-                meta.use_topic,
-                intent,
-                scalers,
-                meta.group_widths,
-                &net_state,
-                &head_state,
-                meta.sampler,
-                sampler,
-            )?,
-            None => FrozenColumnwise::from_state(
-                &meta.config,
-                meta.use_topic,
-                intent,
-                scalers,
-                meta.group_widths,
-                &net_state,
-                &head_state,
-                meta.sampler,
-            )?,
-        };
+        let columnwise = FrozenColumnwise::from_state(
+            &meta.config,
+            meta.use_topic,
+            intent,
+            scalers,
+            meta.group_widths,
+            &net_state,
+            &head_state,
+            meta.sampler,
+            prebuilt,
+        )?;
         // The content hash is taken over the exact bytes served from, not a
         // re-serialization: what was loaded is what the hash names.
         Ok(SatoPredictor::from_parts_hashed(

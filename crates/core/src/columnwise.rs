@@ -12,9 +12,11 @@
 //!
 //! The training and serving API surfaces are distinct: [`ColumnwiseTrainer`]
 //! is the `&mut self` fitting interface, [`ColumnwiseInference`] is the
-//! `&self` prediction interface, and a trained [`ColumnwiseModel`] can be
-//! [frozen](ColumnwiseModel::freeze) into an immutable [`FrozenColumnwise`]
-//! that drops all training-time state and serves predictions concurrently.
+//! `&self` per-table prediction interface of the live models, and a trained
+//! [`ColumnwiseModel`] can be [frozen](ColumnwiseModel::freeze) into an
+//! immutable [`FrozenColumnwise`] that drops all training-time state and
+//! serves every prediction through one batched engine (driven by
+//! `SatoPredictor`).
 
 use crate::config::SatoConfig;
 use crate::dataset::{Standardizer, TableInputs, TrainingData};
@@ -216,7 +218,7 @@ impl ColumnwiseModel {
     pub fn predict_proba_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
         let net = self.net.as_ref().expect("model must be trained first");
         let head = self.head.as_ref().expect("model must be trained first");
-        infer_proba(net, head, &self.scalers, self.use_topic, inputs)
+        infer_rows(net, Some(head), &self.scalers, self.use_topic, inputs)
     }
 
     /// Column embeddings (the final hidden representation before the output
@@ -224,7 +226,7 @@ impl ColumnwiseModel {
     pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
         let inputs = self.extract_inputs(table);
         let net = self.net.as_ref().expect("model must be trained first");
-        infer_embeddings(net, &self.scalers, self.use_topic, &inputs)
+        infer_rows(net, None, &self.scalers, self.use_topic, &inputs)
     }
 
     /// Snapshot the trained model into an immutable [`FrozenColumnwise`]
@@ -243,6 +245,7 @@ impl ColumnwiseModel {
             &net.state_dict(),
             &head.state_dict(),
             SamplerKind::Dense,
+            None,
         )
         .expect("snapshot of an identical architecture cannot fail")
     }
@@ -327,45 +330,14 @@ impl ColumnwiseInference for ColumnwiseModel {
     }
 }
 
-/// Evaluation-mode forward pass to the flat row-major probability matrix
-/// (one row per column), shared by the live [`ColumnwiseModel`] and its
-/// [`FrozenColumnwise`] snapshot so the two cannot drift apart (freeze
-/// parity is structural, not by convention).
-fn infer_proba_matrix(
+/// Evaluation-mode forward pass over one table's pre-extracted inputs: the
+/// allocating per-table path of the live [`ColumnwiseModel`] (and of
+/// [`FrozenColumnwise::predict_proba_from_inputs`]), kept independent of the
+/// batched serving engine so it can serve as its oracle. Returns the column
+/// embeddings, or the probability rows when `head` is given.
+fn infer_rows(
     net: &MultiInputNetwork,
-    head: &Sequential,
-    scalers: &[Standardizer],
-    use_topic: bool,
-    inputs: &TableInputs,
-) -> Matrix {
-    if inputs.columns.is_empty() {
-        return Matrix::zeros(0, NUM_TYPES);
-    }
-    let groups = inputs.to_matrices(use_topic);
-    let groups = Standardizer::transform_groups(scalers, &groups);
-    let embedding = net.infer(&groups);
-    let mut probs = head.infer(&embedding);
-    softmax_in_place(&mut probs);
-    probs
-}
-
-/// [`infer_proba_matrix`], split into per-column probability rows (the
-/// compatibility shape of [`ColumnwiseInference::predict_proba`]).
-fn infer_proba(
-    net: &MultiInputNetwork,
-    head: &Sequential,
-    scalers: &[Standardizer],
-    use_topic: bool,
-    inputs: &TableInputs,
-) -> Vec<Vec<f32>> {
-    let probs = infer_proba_matrix(net, head, scalers, use_topic, inputs);
-    (0..probs.rows()).map(|r| probs.row(r).to_vec()).collect()
-}
-
-/// Evaluation-mode forward pass to column embeddings (the final hidden
-/// representation before the output layer); see [`infer_proba`].
-fn infer_embeddings(
-    net: &MultiInputNetwork,
+    head: Option<&Sequential>,
     scalers: &[Standardizer],
     use_topic: bool,
     inputs: &TableInputs,
@@ -375,30 +347,38 @@ fn infer_embeddings(
     }
     let groups = inputs.to_matrices(use_topic);
     let groups = Standardizer::transform_groups(scalers, &groups);
-    let embedding: Matrix = net.infer(&groups);
-    (0..embedding.rows())
-        .map(|r| embedding.row(r).to_vec())
-        .collect()
+    let mut out = net.infer(&groups);
+    if let Some(head) = head {
+        out = head.infer(&out);
+        softmax_in_place(&mut out);
+    }
+    matrix_rows(&out)
 }
 
-/// Default capacity (distinct table ids) of the opt-in topic memo enabled
-/// by [`ServingScratch::with_topic_memo`].
+/// One `Vec` per row of a matrix.
+pub(crate) fn matrix_rows(m: &Matrix) -> Vec<Vec<f32>> {
+    (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
+}
+
+/// Default capacity (distinct table contents) of the opt-in topic memo
+/// enabled by [`ServingScratch::with_topic_memo`].
 pub const DEFAULT_TOPIC_MEMO_CAPACITY: usize = 4096;
 
-/// Bounded per-table-id topic cache: a hash map plus an insertion-order
-/// queue. When a new id would exceed the capacity, the **oldest inserted**
-/// id is evicted (FIFO — O(1), deterministic, no recency bookkeeping on the
-/// hit path). An unbounded memo would grow without limit on long-lived
-/// serving over ever-fresh table ids.
+/// Bounded topic cache keyed by table **content**: the table's encoded
+/// token ids, which are all the Gibbs estimate depends on (inference runs
+/// from a fixed seed). Entries are found by an FNV-1a hash of the ids and
+/// confirmed by comparing the stored ids, so a hit is exact. When a new
+/// entry would exceed the capacity, the **oldest inserted** one is evicted
+/// (FIFO — O(1), deterministic, no recency bookkeeping on the hit path).
 struct TopicMemo {
-    map: HashMap<u64, Vec<f32>>,
+    map: HashMap<u64, (Box<[usize]>, Vec<f32>)>,
     order: VecDeque<u64>,
     capacity: usize,
     /// Content hash of the artifact whose topic vectors are cached here
-    /// (`None` until the first serve). A table id alone does not identify a
-    /// cached vector — the same id yields different topics under different
-    /// artifacts — so entries cached under another artifact are cleared
-    /// rather than replayed (see [`ServingScratch::bind_artifact`]).
+    /// (`None` until the first serve). The same tokens yield different
+    /// topics under different artifacts, so entries cached under another
+    /// artifact are cleared rather than replayed (see
+    /// [`ServingScratch::bind_artifact`]).
     artifact: Option<u64>,
 }
 
@@ -412,20 +392,32 @@ impl TopicMemo {
         }
     }
 
-    fn get(&self, id: u64) -> Option<&Vec<f32>> {
-        self.map.get(&id)
+    fn key(tokens: &[usize]) -> u64 {
+        let mut hash = sato_kernels::Fnv1a::new();
+        for &token in tokens {
+            hash.write(&(token as u64).to_le_bytes());
+        }
+        hash.finish()
     }
 
-    fn insert(&mut self, id: u64, theta: Vec<f32>) {
-        if self.map.insert(id, theta).is_some() {
-            return; // refreshed an existing id; insertion order unchanged
+    fn get(&self, tokens: &[usize]) -> Option<&[f32]> {
+        match self.map.get(&Self::key(tokens)) {
+            Some((stored, theta)) if **stored == *tokens => Some(theta),
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, tokens: Box<[usize]>, theta: Vec<f32>) {
+        let key = Self::key(&tokens);
+        if self.map.insert(key, (tokens, theta)).is_some() {
+            return; // replaced an entry under this key; insertion order unchanged
         }
         if self.map.len() > self.capacity {
             if let Some(oldest) = self.order.pop_front() {
                 self.map.remove(&oldest);
             }
         }
-        self.order.push_back(id);
+        self.order.push_back(key);
     }
 }
 
@@ -443,7 +435,7 @@ pub struct ServingScratch {
     topic: TopicScratch,
     /// The current table's topic vector, reused across tables.
     topic_vec: Vec<f32>,
-    /// Opt-in bounded memo of table id → topic vector (see
+    /// Opt-in bounded memo of table content → topic vector (see
     /// [`Self::with_topic_memo`]).
     topic_memo: Option<TopicMemo>,
     net: MultiInferScratch,
@@ -465,60 +457,56 @@ impl ServingScratch {
         Self::default()
     }
 
-    /// Enable the per-table topic memo with the default capacity
-    /// ([`DEFAULT_TOPIC_MEMO_CAPACITY`] distinct ids): the topic vector of
-    /// every table id is cached in this scratch and reused when the same id
-    /// is served again, skipping the (comparatively expensive) LDA Gibbs
-    /// inference for repeated tables — the common shape of a serving loop
-    /// that re-predicts a slowly-changing corpus.
+    /// Enable the topic memo with the default capacity
+    /// ([`DEFAULT_TOPIC_MEMO_CAPACITY`] distinct tables): the topic vector
+    /// of every table is cached in this scratch and reused when a table with
+    /// the same content is served again, skipping the (comparatively
+    /// expensive) LDA Gibbs inference for repeated tables — the common shape
+    /// of a serving loop that re-predicts a slowly-changing corpus.
     ///
-    /// Within one artifact the memo is keyed by [`Table::id`], so it must
-    /// only be used where a table id uniquely identifies the table's
-    /// content — serving a *different* table under a previously seen id
-    /// would reuse the stale topic vector. Across artifacts the memo is
-    /// safe by construction: every batched entry point binds the memo to
-    /// the serving predictor's content hash first, clearing entries cached
-    /// under a different artifact (hot-swap, or one scratch shared across
-    /// predictors), so stale vectors are never replayed. The default (no
-    /// memo) has no requirement at all.
+    /// The memo is keyed by the table's encoded cell content, not its id, so
+    /// a hit returns exactly the vector a fresh estimate would. Every entry
+    /// point binds the memo to the serving predictor's content hash first,
+    /// clearing entries cached under a different artifact (hot-swap, or one
+    /// scratch shared across predictors).
     pub fn with_topic_memo(self) -> Self {
         self.with_topic_memo_capacity(DEFAULT_TOPIC_MEMO_CAPACITY)
     }
 
     /// [`Self::with_topic_memo`] with an explicit capacity (clamped to at
-    /// least 1). When a new table id would exceed it, the oldest *inserted*
-    /// id is evicted (FIFO), bounding memory on long-lived serving loops
-    /// that see an unbounded stream of distinct ids; evicted tables are
+    /// least 1). When a new table would exceed it, the oldest *inserted*
+    /// entry is evicted (FIFO), bounding memory on long-lived serving loops
+    /// that see an unbounded stream of distinct tables; evicted tables are
     /// simply re-estimated on their next serve.
     pub fn with_topic_memo_capacity(mut self, capacity: usize) -> Self {
         self.topic_memo = Some(TopicMemo::new(capacity));
         self
     }
 
-    /// Number of distinct table ids currently memoised (0 when the memo is
-    /// disabled).
+    /// Number of distinct table contents currently memoised (0 when the
+    /// memo is disabled).
     pub fn topic_memo_len(&self) -> usize {
         self.topic_memo.as_ref().map_or(0, |m| m.map.len())
     }
 
-    /// The memo's id capacity (0 when the memo is disabled).
+    /// The memo's entry capacity (0 when the memo is disabled).
     pub fn topic_memo_capacity(&self) -> usize {
         self.topic_memo.as_ref().map_or(0, |m| m.capacity)
     }
 
     /// The column embeddings of the **last batch** run through this
     /// scratch: one row per column, table after table in batch order (the
-    /// final hidden representation before the output layer). Valid after
-    /// any batched entry point — `SatoPredictor::predict_batch` computes
-    /// them on the way to its probabilities, so an annotate-and-index
-    /// pipeline reads them here without a second forward pass. An empty
-    /// batch leaves a 0-row matrix.
+    /// final hidden representation before the output layer). Predicting
+    /// computes them on the way to the probabilities, so an
+    /// annotate-and-index pipeline reads them here (from the batch observer
+    /// of `SatoPredictor::predict_tables_batched`) without a second forward
+    /// pass. An empty batch leaves a 0-row matrix.
     pub fn embeddings(&self) -> &Matrix {
         &self.embedding
     }
 
     /// Bind the topic memo to the artifact identified by `content_hash`
-    /// (called by every batched serving entry point before a batch runs):
+    /// (called by the batch former before a batch runs):
     /// entries cached under a **different** artifact are cleared, so a
     /// scratch that outlives a hot-swap — the long-lived worker shape of
     /// `sato-serve` — re-estimates every table under the new artifact
@@ -597,51 +585,40 @@ impl FrozenColumnwise {
         &self.group_widths
     }
 
-    /// Extract the network inputs for a table (features + topic vector,
-    /// estimated with the configured sampler).
-    pub fn extract_inputs(&self, table: &Table) -> TableInputs {
-        TableInputs::extract_sampled(table, &self.extractor, self.intent.as_ref(), &self.sampler)
-    }
-
-    /// Evaluation-mode forward pass on pre-extracted inputs.
+    /// Evaluation-mode forward pass on pre-extracted inputs (the allocating
+    /// per-table path; serving runs the batched engine instead).
     pub fn predict_proba_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
-        infer_proba(&self.net, &self.head, &self.scalers, self.use_topic, inputs)
-    }
-
-    /// Per-column class probabilities of one table as a flat row-major
-    /// matrix (one row per column, [`NUM_TYPES`] columns) — the hot-path
-    /// shape; [`ColumnwiseInference::predict_proba`] wraps it.
-    pub fn predict_proba_matrix(&self, table: &Table) -> Matrix {
-        let inputs = self.extract_inputs(table);
-        infer_proba_matrix(
+        infer_rows(
             &self.net,
-            &self.head,
+            Some(&self.head),
             &self.scalers,
             self.use_topic,
-            &inputs,
+            inputs,
         )
     }
 
-    /// Run the column-wise network over **many tables at once**: every
-    /// column of every table becomes one row of one input matrix per feature
-    /// group, the network runs a single forward pass, and
-    /// `scratch.probs` ends up holding one probability row per column, table
-    /// after table in order.
+    /// The batched inference engine: run the column-wise network over
+    /// **many tables at once**. Every column of every table becomes one row
+    /// of one input matrix per feature group, the trunk runs a single
+    /// forward pass into `scratch.embedding` (the column embeddings of
+    /// Section 5.6), and — when `head` is set — the classification head and
+    /// softmax leave one probability row per column in `scratch.probs`,
+    /// table after table in order. Without `head` the probabilities are
+    /// never computed.
     ///
     /// Row-major batching is exact: every stage of the eval-mode pipeline
     /// (standardisation, dense layers, ReLU, BatchNorm running statistics,
-    /// softmax) operates row-independently, so the batch output is
-    /// bit-identical to per-table inference.
+    /// softmax) operates row-independently, so a table's rows do not depend
+    /// on what else shares its batch.
     ///
-    /// Generic over any [`TableCells`] source — the seam that lets the
-    /// colstore serving path feed decoded frames straight into the batched
-    /// network without materializing `Table`s. Cells visit in the identical
-    /// column/row order for every source, so the probability rows are
-    /// bit-identical across sources describing the same table.
-    pub(crate) fn infer_batch_cells<T: TableCells + ?Sized>(
+    /// Generic over any [`TableCells`] source, so in-memory tables and
+    /// decoded colstore frames share this one code path; cells visit in the
+    /// identical column/row order for every source.
+    pub(crate) fn run_batch<S: TableCells>(
         &self,
-        tables: &[&T],
+        tables: &[S],
         scratch: &mut ServingScratch,
+        head: bool,
     ) {
         if !self.fill_batch_groups(tables, scratch) {
             scratch.embedding.resize(0, 0);
@@ -650,44 +627,18 @@ impl FrozenColumnwise {
         }
         self.net
             .infer_with(&scratch.groups, &mut scratch.net, &mut scratch.embedding);
-        self.head
-            .infer_with(&scratch.embedding, &mut scratch.head, &mut scratch.probs);
-        softmax_in_place(&mut scratch.probs);
-    }
-
-    /// Run the batched pipeline only as far as the **column embeddings**
-    /// (the final hidden representation before the output layer;
-    /// Section 5.6 / Figure 10): identical feature extraction, topic
-    /// estimation, standardisation and network trunk as
-    /// [`Self::infer_batch_cells`], but the classification head and
-    /// softmax never run. `scratch.embedding` ends up holding one
-    /// embedding row per column, table after table in order — the batched,
-    /// allocation-lean counterpart of [`Self::column_embeddings`], and
-    /// bit-identical to it row for row (the per-table path differs only in
-    /// buffer ownership; every numeric stage is shared).
-    pub(crate) fn embed_batch_cells<T: TableCells + ?Sized>(
-        &self,
-        tables: &[&T],
-        scratch: &mut ServingScratch,
-    ) {
-        if !self.fill_batch_groups(tables, scratch) {
-            scratch.embedding.resize(0, 0);
-            return;
+        if head {
+            self.head
+                .infer_with(&scratch.embedding, &mut scratch.head, &mut scratch.probs);
+            softmax_in_place(&mut scratch.probs);
         }
-        self.net
-            .infer_with(&scratch.groups, &mut scratch.net, &mut scratch.embedding);
     }
 
     /// Fill `scratch.groups` with one input-matrix row per column across
-    /// all `tables` (the shared front half of [`Self::infer_batch_cells`]
-    /// and [`Self::embed_batch_cells`]), then standardize in place.
-    /// Returns `false` — leaving the group matrices untouched — when the
-    /// batch carries no columns at all.
-    fn fill_batch_groups<T: TableCells + ?Sized>(
-        &self,
-        tables: &[&T],
-        scratch: &mut ServingScratch,
-    ) -> bool {
+    /// all `tables` (the front half of [`Self::run_batch`]), then
+    /// standardize in place. Returns `false` — leaving the group matrices
+    /// untouched — when the batch carries no columns at all.
+    fn fill_batch_groups<S: TableCells>(&self, tables: &[S], scratch: &mut ServingScratch) -> bool {
         let widths = &self.group_widths;
         let total_rows: usize = tables.iter().map(|t| t.cell_columns()).sum();
         if total_rows == 0 {
@@ -712,30 +663,7 @@ impl FrozenColumnwise {
             #[cfg(feature = "faults")]
             sato_faults::fire_panic("core.feature_extract", table.table_id());
             if self.use_topic {
-                let est = self
-                    .intent
-                    .as_ref()
-                    .expect("topic-aware model carries an intent estimator");
-                if let Some(hit) = scratch
-                    .topic_memo
-                    .as_ref()
-                    .and_then(|m| m.get(table.table_id()))
-                {
-                    scratch.topic_vec.clear();
-                    scratch.topic_vec.extend_from_slice(hit);
-                } else {
-                    scratch.topic_vec.clear();
-                    scratch.topic_vec.resize(est.num_topics(), 0.0);
-                    est.estimate_cells_into(
-                        *table,
-                        &self.sampler,
-                        &mut scratch.topic,
-                        &mut scratch.topic_vec,
-                    );
-                    if let Some(memo) = &mut scratch.topic_memo {
-                        memo.insert(table.table_id(), scratch.topic_vec.clone());
-                    }
-                }
+                self.estimate_topic(table, scratch);
             }
             for c in 0..table.cell_columns() {
                 let column = table.cells(c);
@@ -767,11 +695,33 @@ impl FrozenColumnwise {
         true
     }
 
-    /// Column embeddings (the final hidden representation before the output
-    /// layer; Section 5.6 / Figure 10).
-    pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
-        let inputs = self.extract_inputs(table);
-        infer_embeddings(&self.net, &self.scalers, self.use_topic, &inputs)
+    /// Estimate `table`'s topic vector into `scratch.topic_vec`, through the
+    /// scratch's topic memo when it has one.
+    fn estimate_topic<S: TableCells>(&self, table: &S, scratch: &mut ServingScratch) {
+        let est = self
+            .intent
+            .as_ref()
+            .expect("topic-aware model carries an intent estimator");
+        let ServingScratch {
+            topic,
+            topic_vec,
+            topic_memo,
+            ..
+        } = scratch;
+        topic_vec.clear();
+        topic_vec.resize(est.num_topics(), 0.0);
+        let Some(memo) = topic_memo else {
+            est.estimate_cells_into(table, &self.sampler, topic, topic_vec);
+            return;
+        };
+        let tokens = est.encode_cells(table, topic);
+        if let Some(hit) = memo.get(tokens) {
+            topic_vec.copy_from_slice(hit);
+            return;
+        }
+        let tokens = Box::from(tokens);
+        est.infer_encoded_into(&self.sampler, topic, topic_vec);
+        memo.insert(tokens, topic_vec.clone());
     }
 
     /// State dict of the multi-input network (for serialization).
@@ -790,9 +740,12 @@ impl FrozenColumnwise {
     }
 
     /// Rebuild a frozen core from its serialized parts: the architecture is
-    /// reconstructed from `config` + `group_widths`, the weights (and
-    /// BatchNorm running statistics) loaded from the state dicts, and the
-    /// sampler's pre-computed state rebuilt from its serialized kind.
+    /// reconstructed from `config` + `group_widths` and the weights (and
+    /// BatchNorm running statistics) loaded from the state dicts. `sampler`
+    /// is the ready-to-run sampler when the artifact carried one (a binary
+    /// artifact's alias-table section, which the caller vouches was built
+    /// from this very intent model); `None` rebuilds it from `sampler_kind`,
+    /// an `O(topics × vocabulary)` step for the alias-based samplers.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_state(
         config: &SatoConfig,
@@ -803,45 +756,12 @@ impl FrozenColumnwise {
         net_state: &StateDict,
         head_state: &StateDict,
         sampler_kind: SamplerKind,
+        sampler: Option<TopicSampler>,
     ) -> Result<Self, LoadError> {
         let (mut net, mut head) = build_network(config, &group_widths);
         net.load_state_dict(net_state)?;
         head.load_state_dict(head_state)?;
-        Ok(FrozenColumnwise {
-            use_topic,
-            extractor: FeatureExtractor::new(config.features.clone()),
-            intent,
-            net,
-            head,
-            scalers,
-            group_widths,
-            sampler_kind: SamplerKind::Dense,
-            sampler: TopicSampler::Dense,
-        }
-        .with_sampler_kind(sampler_kind))
-    }
-
-    /// [`Self::from_state`] with an **already-built** [`TopicSampler`]
-    /// (deserialized from a binary artifact's alias-table section), skipping
-    /// the `O(topics × vocabulary)` sampler rebuild that
-    /// [`Self::with_sampler_kind`] would perform. The caller vouches that
-    /// `sampler` was built from the very intent model being loaded.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_state_with_sampler(
-        config: &SatoConfig,
-        use_topic: bool,
-        intent: Option<TableIntentEstimator>,
-        scalers: Vec<Standardizer>,
-        group_widths: Vec<usize>,
-        net_state: &StateDict,
-        head_state: &StateDict,
-        sampler_kind: SamplerKind,
-        sampler: TopicSampler,
-    ) -> Result<Self, LoadError> {
-        let (mut net, mut head) = build_network(config, &group_widths);
-        net.load_state_dict(net_state)?;
-        head.load_state_dict(head_state)?;
-        Ok(FrozenColumnwise {
+        let frozen = FrozenColumnwise {
             use_topic,
             extractor: FeatureExtractor::new(config.features.clone()),
             intent,
@@ -850,15 +770,12 @@ impl FrozenColumnwise {
             scalers,
             group_widths,
             sampler_kind,
-            sampler,
+            sampler: TopicSampler::Dense,
+        };
+        Ok(match sampler {
+            Some(sampler) => FrozenColumnwise { sampler, ..frozen },
+            None => frozen.with_sampler_kind(sampler_kind),
         })
-    }
-}
-
-impl ColumnwiseInference for FrozenColumnwise {
-    fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
-        let inputs = self.extract_inputs(table);
-        self.predict_proba_from_inputs(&inputs)
     }
 }
 
@@ -955,17 +872,23 @@ mod tests {
     fn frozen_model_matches_source_bit_for_bit() {
         let (model, corpus) = train_small(true);
         let snapshot = model.freeze();
+        let embed = |frozen: &FrozenColumnwise, table: &Table| {
+            let mut scratch = ServingScratch::new();
+            frozen.run_batch(&[table], &mut scratch, false);
+            matrix_rows(scratch.embeddings())
+        };
         for table in corpus.iter().take(10) {
-            assert_eq!(model.predict_proba(table), snapshot.predict_proba(table));
+            let inputs = model.extract_inputs(table);
             assert_eq!(
-                model.column_embeddings(table),
-                snapshot.column_embeddings(table)
+                model.predict_proba(table),
+                snapshot.predict_proba_from_inputs(&inputs)
             );
+            assert_eq!(model.column_embeddings(table), embed(&snapshot, table));
         }
         // Consuming freeze agrees too (moves the very same weights).
         let frozen = model.into_frozen();
         let table = &corpus.tables[0];
-        assert_eq!(frozen.predict_proba(table), snapshot.predict_proba(table));
+        assert_eq!(embed(&frozen, table), embed(&snapshot, table));
         assert!(frozen.uses_topic());
         assert!(frozen.intent_estimator().is_some());
     }

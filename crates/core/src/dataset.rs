@@ -65,47 +65,17 @@ impl TableInputs {
 
     /// Extract the inputs of a table, reusing a feature-extraction workspace
     /// across its columns (and, in corpus loops, across tables). The topic
-    /// vector uses the dense sampler (training and analysis paths are
-    /// sampler-agnostic; serving threads its configured sampler through
-    /// [`Self::extract_sampled`]).
+    /// vector uses the dense sampler: training and analysis paths are
+    /// sampler-agnostic, and serving estimates topics in its batched engine.
     pub fn extract_with(
         table: &Table,
         extractor: &FeatureExtractor,
         intent: Option<&TableIntentEstimator>,
         scratch: &mut FeatureScratch,
     ) -> Self {
-        Self::extract_sampled_with(table, extractor, intent, &TopicSampler::Dense, scratch)
-    }
-
-    /// [`Self::extract`] with an explicit topic-sampling strategy — the
-    /// serving-side entry point; with [`TopicSampler::Dense`] the output is
-    /// bit-identical to [`Self::extract`].
-    pub fn extract_sampled(
-        table: &Table,
-        extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-        sampler: &TopicSampler,
-    ) -> Self {
-        Self::extract_sampled_with(
-            table,
-            extractor,
-            intent,
-            sampler,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`Self::extract_sampled`] reusing a feature-extraction workspace.
-    pub fn extract_sampled_with(
-        table: &Table,
-        extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-        sampler: &TopicSampler,
-        scratch: &mut FeatureScratch,
-    ) -> Self {
         TableInputs {
             columns: extractor.extract_table_with(table, scratch),
-            topic: intent.map(|est| est.estimate_sampled(table, sampler)),
+            topic: intent.map(|est| est.estimate_sampled(table, &TopicSampler::Dense)),
         }
     }
 

@@ -29,15 +29,24 @@
 //!   weights, optimiser state and activation caches behind `&mut self`.
 //! * **Serving** is immutable: a trained model **freezes** into a
 //!   [`SatoPredictor`] — via [`SatoModel::into_predictor`] (consuming,
-//!   zero-copy) or [`SatoModel::predictor`] (snapshot) — whose `predict` /
-//!   `predict_proba` / `column_embeddings` all take `&self`.
+//!   zero-copy) or [`SatoModel::predictor`] (snapshot) — whose entry points
+//!   all take `&self`.
 //!
 //! `SatoPredictor` is `Send + Sync` by construction (no RNG, no caches, no
 //! interior mutability), so one frozen artifact can serve any number of
-//! threads concurrently ([`SatoPredictor::predict_corpus_parallel`]), and it
-//! round-trips through JSON ([`SatoPredictor::to_json`] /
-//! [`SatoPredictor::from_json`]) as a deployable artifact that reproduces
-//! the saved predictions bit for bit.
+//! threads concurrently, and it round-trips through JSON
+//! ([`SatoPredictor::to_json`] / [`SatoPredictor::from_json`]) or the
+//! binary `SATOART1` form as a deployable artifact that reproduces the saved
+//! predictions bit for bit.
+//!
+//! Every entry point runs on **one batched engine**: a single batch former
+//! groups tables — a [`Corpus`](sato_tabular::table::Corpus), any table
+//! references ([`SatoPredictor::predict_tables_batched`], the `sato-serve`
+//! seam) or `SATOCOL1` bytes — into micro-batches of at least `batch_cols`
+//! columns, each run in one forward pass and then decoded per table (CRF or
+//! argmax) or read out as column embeddings. `predict`, `predict_proba` and
+//! `column_embeddings` are batches of one. Batching is exact, so every entry
+//! point returns the same bits at any `batch_cols`.
 //!
 //! ```no_run
 //! use sato::{SatoConfig, SatoModel, SatoPredictor, SatoVariant};
@@ -53,13 +62,18 @@
 //! let predictor = model.into_predictor();
 //! predictor.save("sato_full.json").unwrap();
 //!
-//! // ... and serve, sequentially or from many threads at once.
+//! // ... and serve: one table at a time, in column micro-batches, or from
+//! // many threads at once — all with the same output.
 //! let served = SatoPredictor::load("sato_full.json").unwrap();
 //! for table in split.test.iter().take(3) {
 //!     println!("table {} -> {:?}", table.id, served.predict(table));
 //! }
-//! let predictions = served.predict_corpus_parallel(&split.test, 8);
+//! let predictions = served.predict_corpus_batched(&split.test, 256);
 //! assert_eq!(predictions, served.predict_corpus(&split.test));
+//! assert_eq!(
+//!     predictions,
+//!     served.predict_corpus_parallel_batched(&split.test, 256, 8)
+//! );
 //! ```
 
 #![warn(missing_docs)]

@@ -8,7 +8,10 @@
 //! weights (with BatchNorm running statistics), the optional CRF layer and
 //! the configuration, exposes every prediction entry point by `&self`,
 //! round-trips through JSON as a deployable artifact, and fans a corpus out
-//! over scoped threads with [`SatoPredictor::predict_corpus_parallel`].
+//! over scoped threads with [`SatoPredictor::predict_corpus_parallel_batched`].
+//!
+//! Every entry point runs on one batched engine behind one batch former
+//! (see the [crate docs](crate)).
 //!
 //! ```no_run
 //! use sato::{SatoConfig, SatoModel, SatoVariant};
@@ -25,10 +28,10 @@
 //! );
 //! ```
 
-use crate::columnwise::{types_from_rows, ColumnwiseInference, FrozenColumnwise, ServingScratch};
+use crate::columnwise::{matrix_rows, types_from_rows, FrozenColumnwise, ServingScratch};
 use crate::config::SatoConfig;
 use crate::dataset::Standardizer;
-use crate::model::{gold_of, SatoVariant, TablePrediction};
+use crate::model::{SatoVariant, TablePrediction};
 use crate::structured::StructuredLayer;
 use sato_crf::LinearChainCrf;
 use sato_features::FeatureGroup;
@@ -38,6 +41,7 @@ use sato_tabular::table::{Corpus, Table, TableCells};
 use sato_tabular::types::SemanticType;
 use sato_topic::{SamplerKind, TableIntentEstimator};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Version tag written into serialized predictor artifacts.
 const FORMAT_VERSION: u64 = 1;
@@ -204,13 +208,7 @@ impl SatoPredictor {
         columnwise: FrozenColumnwise,
         crf: Option<LinearChainCrf>,
     ) -> Self {
-        let mut predictor = SatoPredictor {
-            variant,
-            config,
-            columnwise,
-            structured: crf.map(StructuredLayer::from_crf),
-            content_hash: 0,
-        };
+        let mut predictor = Self::from_parts_hashed(variant, config, columnwise, crf, 0);
         predictor.content_hash = predictor.canonical_hash();
         predictor
     }
@@ -325,29 +323,6 @@ impl SatoPredictor {
         &self.columnwise
     }
 
-    /// Per-column probability rows from the column-wise stage (before any
-    /// structured decoding).
-    pub fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
-        self.columnwise.predict_proba(table)
-    }
-
-    /// Predict the semantic type of every column of a table.
-    pub fn predict(&self, table: &Table) -> Vec<SemanticType> {
-        // The probability rows stay in one flat row-major matrix end to end
-        // (no per-column Vec<Vec<f32>> on this path).
-        let probs = self.columnwise.predict_proba_matrix(table);
-        match &self.structured {
-            Some(layer) => layer.decode_matrix(&probs),
-            None => types_from_rows(&probs, 0, probs.rows()),
-        }
-    }
-
-    /// Column embeddings (the final hidden representation before the output
-    /// layer; Section 5.6 / Figure 10).
-    pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
-        self.columnwise.column_embeddings(table)
-    }
-
     /// Width of the column-embedding space (the network's final hidden
     /// dimension) — the `dim` an ANN index over this predictor's
     /// embeddings must be created with.
@@ -355,41 +330,47 @@ impl SatoPredictor {
         self.config.network.hidden_dim
     }
 
+    /// Per-column probability rows from the column-wise stage (before any
+    /// structured decoding): a batch of one through the batched engine.
+    pub fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
+        let mut scratch = ServingScratch::new();
+        self.run_batch(&[table], &mut scratch, true);
+        matrix_rows(&scratch.probs)
+    }
+
+    /// Predict the semantic type of every column of a table: a batch of one
+    /// through the batched engine, decoded with the CRF (or argmax).
+    pub fn predict(&self, table: &Table) -> Vec<SemanticType> {
+        let mut scratch = ServingScratch::new();
+        self.run_batch(&[table], &mut scratch, true);
+        let ServingScratch { probs, unary, .. } = &mut scratch;
+        self.decode_rows(probs, 0, probs.rows(), unary)
+    }
+
+    /// Column embeddings (the final hidden representation before the output
+    /// layer; Section 5.6 / Figure 10), one row per column.
+    pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
+        matrix_rows(self.column_embeddings_into(table, &mut ServingScratch::new()))
+    }
+
     /// [`Self::column_embeddings`] through a caller-owned
     /// [`ServingScratch`]: the returned matrix (one row per column,
     /// [`Self::embedding_dim`] wide) borrows the scratch's reusable
     /// embedding buffer, so a warm loop extracts embeddings table after
-    /// table with **zero steady-state allocations** — and every row is
-    /// bit-identical to the allocating path.
+    /// table with **zero steady-state allocations**. The classification head
+    /// never runs.
     pub fn column_embeddings_into<'s>(
         &self,
         table: &Table,
         scratch: &'s mut ServingScratch,
     ) -> &'s sato_nn::Matrix {
-        self.embed_batch(&[table], scratch)
-    }
-
-    /// Run exactly one micro-batch to the **column embeddings** (no
-    /// classification head, no CRF): one row per column, table after table
-    /// in order, borrowed from the scratch. The batched counterpart of
-    /// [`Self::column_embeddings`] and the embedding sibling of
-    /// [`Self::predict_batch`] — same feature extraction, topic
-    /// estimation (memo included) and network trunk, so rows are
-    /// bit-identical to the per-table path. An empty batch yields a 0-row
-    /// matrix.
-    pub fn embed_batch<'s, T: TableCells + ?Sized>(
-        &self,
-        batch: &[&T],
-        scratch: &'s mut ServingScratch,
-    ) -> &'s sato_nn::Matrix {
-        scratch.bind_artifact(self.content_hash);
-        self.columnwise.embed_batch_cells(batch, scratch);
+        self.run_batch(&[table], scratch, false);
         scratch.embeddings()
     }
 
     /// Stream the column embeddings of a whole corpus in column
-    /// micro-batches (the same accumulation rule as
-    /// [`Self::predict_corpus_batched`]): `on_column` is called once per
+    /// micro-batches (the batch former of every batched entry point, with
+    /// the classification head skipped): `on_column` is called once per
     /// column, table after table in corpus order, with the owning table's
     /// id, the column position and the embedding row — the feed an ANN
     /// index build consumes without materializing a `Vec` per column.
@@ -400,252 +381,111 @@ impl SatoPredictor {
         scratch: &mut ServingScratch,
         mut on_column: impl FnMut(u64, u32, &[f32]),
     ) {
-        let batch_cols = batch_cols.max(1);
-        let mut batch: Vec<&Table> = Vec::new();
-        let mut pending_cols = 0usize;
-        for table in &corpus.tables {
-            batch.push(table);
-            pending_cols += table.num_columns();
-            if pending_cols >= batch_cols {
-                self.flush_embed_batch(&batch, scratch, &mut on_column);
-                batch.clear();
-                pending_cols = 0;
-            }
-        }
-        if !batch.is_empty() {
-            self.flush_embed_batch(&batch, scratch, &mut on_column);
-        }
+        let Ok(()) = self.form_batches(
+            batch_cols,
+            scratch,
+            false,
+            borrowed(&corpus.tables),
+            |batch, scratch| {
+                let mut row = 0usize;
+                for table in batch {
+                    for c in 0..table.num_columns() {
+                        on_column(table.id, c as u32, scratch.embedding.row(row));
+                        row += 1;
+                    }
+                }
+            },
+        );
     }
 
-    /// Embed one micro-batch and hand each row to `on_column` with its
-    /// `(table_id, col_idx)` identity.
-    fn flush_embed_batch<T: TableCells + ?Sized>(
-        &self,
-        batch: &[&T],
-        scratch: &mut ServingScratch,
-        on_column: &mut impl FnMut(u64, u32, &[f32]),
-    ) {
-        scratch.bind_artifact(self.content_hash);
-        self.columnwise.embed_batch_cells(batch, scratch);
-        let mut row = 0usize;
-        for table in batch {
-            for c in 0..table.cell_columns() {
-                on_column(table.table_id(), c as u32, scratch.embedding.row(row));
-                row += 1;
-            }
-        }
-    }
-
-    fn predict_table(&self, table: &Table) -> TablePrediction {
-        TablePrediction {
-            table_id: table.id,
-            gold: gold_of(table),
-            predicted: self.predict(table),
-        }
-    }
-
-    /// Predict every table of a corpus sequentially (see
+    /// Predict every table of a corpus, one table per micro-batch (see
     /// [`TablePrediction::gold`] for the empty-gold convention).
     pub fn predict_corpus(&self, corpus: &Corpus) -> Vec<TablePrediction> {
-        corpus.iter().map(|t| self.predict_table(t)).collect()
+        self.predict_corpus_batched(corpus, 1)
     }
 
-    /// Predict every table of a corpus in **column micro-batches**: tables
-    /// are accumulated until they carry at least `batch_cols` columns, the
-    /// whole micro-batch runs through the column-wise network in a single
-    /// forward pass (one input matrix per feature group, with per-table row
-    /// offsets), and the probability rows are split back per table for CRF
-    /// decoding.
-    ///
-    /// The output is exactly — bit for bit — the output of
-    /// [`Self::predict_corpus`]; only the wall-clock time changes. Batching
-    /// is exact because every eval-mode stage operates row-independently.
-    /// `batch_cols` is clamped to at least 1; `1` degenerates to one batch
-    /// per table, and a value larger than the corpus's total column count
-    /// runs the whole corpus as a single batch.
+    /// Predict every table of a corpus in **column micro-batches** (fresh
+    /// scratch); see [`Self::predict_tables_batched`].
     pub fn predict_corpus_batched(
         &self,
         corpus: &Corpus,
         batch_cols: usize,
     ) -> Vec<TablePrediction> {
-        self.predict_tables_batched(&corpus.tables, batch_cols, &mut ServingScratch::new())
+        self.predict_tables_batched(
+            &corpus.tables,
+            batch_cols,
+            &mut ServingScratch::new(),
+            |_, _| {},
+        )
     }
 
-    /// [`Self::predict_corpus_batched`] with a caller-owned
-    /// [`ServingScratch`]: a serving loop that predicts corpus after corpus
-    /// can keep one warm scratch and pay zero steady-state buffer
-    /// allocations across calls. Output is identical.
-    pub fn predict_corpus_batched_with(
+    /// Predict `tables` in **column micro-batches**: tables accumulate until
+    /// they carry at least `batch_cols` columns (clamped to 1), each batch
+    /// runs through the network in one forward pass, and its probability rows
+    /// are split back per table for decoding — one [`TablePrediction`] per
+    /// table, in order. Every eval-mode stage is row-independent, so the
+    /// output is the same bits at any `batch_cols`.
+    ///
+    /// This is the seam for *external batchers* such as `sato-serve`, which
+    /// coalesces tables from different requests: `tables` is any iterator
+    /// of table references, a warm `scratch` (optionally with a topic memo)
+    /// pays zero steady-state buffer allocations, and `on_batch` sees every
+    /// batch after it ran, its column embeddings still in
+    /// [`ServingScratch::embeddings`].
+    pub fn predict_tables_batched<'a, T: TableCells + ?Sized + 'a>(
         &self,
-        corpus: &Corpus,
+        tables: impl IntoIterator<Item = &'a T>,
         batch_cols: usize,
         scratch: &mut ServingScratch,
+        mut on_batch: impl FnMut(&[&'a T], &ServingScratch),
     ) -> Vec<TablePrediction> {
-        self.predict_tables_batched(&corpus.tables, batch_cols, scratch)
-    }
-
-    /// Batched prediction over a slice of tables, reusing one serving
-    /// scratch across all micro-batches (shared by the sequential and
-    /// parallel batched entry points).
-    fn predict_tables_batched(
-        &self,
-        tables: &[Table],
-        batch_cols: usize,
-        scratch: &mut ServingScratch,
-    ) -> Vec<TablePrediction> {
-        let batch_cols = batch_cols.max(1);
-        let mut out = Vec::with_capacity(tables.len());
-        let mut batch: Vec<&Table> = Vec::new();
-        let mut pending_cols = 0usize;
-        for table in tables {
-            batch.push(table);
-            pending_cols += table.num_columns();
-            if pending_cols >= batch_cols {
-                self.flush_batch(&batch, scratch, &mut out);
-                batch.clear();
-                pending_cols = 0;
-            }
-        }
-        if !batch.is_empty() {
-            self.flush_batch(&batch, scratch, &mut out);
-        }
-        out
-    }
-
-    /// Run one micro-batch through the network and split the probability
-    /// rows back per table for decoding. Generic over the cell source, so
-    /// in-memory tables and decoded colstore frames share one code path
-    /// (and therefore cannot drift): [`TableCells::gold_labels`] reproduces
-    /// the [`gold_of`] empty-gold convention exactly.
-    fn flush_batch<T: TableCells + ?Sized>(
-        &self,
-        batch: &[&T],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<TablePrediction>,
-    ) {
-        // A scratch's topic memo caches *this predictor's* topic vectors; if
-        // the scratch last served a different artifact (hot-swap, or a
-        // caller sharing one scratch across predictors), its entries are
-        // stale and must not be replayed.
-        scratch.bind_artifact(self.content_hash);
-        self.columnwise.infer_batch_cells(batch, scratch);
-        // Disjoint borrows: the probability matrix is read row-range by row
-        // range while the unary buffer is reused per table.
-        let ServingScratch { probs, unary, .. } = scratch;
-        let mut row = 0usize;
-        for table in batch {
-            let end = row + table.cell_columns();
-            let predicted = match &self.structured {
-                Some(layer) => layer.decode_rows(probs, row, end, unary),
-                None => types_from_rows(probs, row, end),
-            };
-            out.push(TablePrediction {
-                table_id: table.table_id(),
-                gold: table.gold_labels().to_vec(),
-                predicted,
-            });
-            row = end;
-        }
-    }
-
-    /// Run exactly **one micro-batch** through the column-wise network (a
-    /// single forward pass over every column of every table in `batch`) and
-    /// return one [`TablePrediction`] per table, in order.
-    ///
-    /// This is the public seam for *external batchers* — callers that form
-    /// their own micro-batches, like the `sato-serve` service coalescing
-    /// columns from different requests into one shared batch. Because every
-    /// eval-mode stage operates row-independently, any table-granularity
-    /// batching composition built on this method is bit-identical to
-    /// [`Self::predict_corpus`] (and therefore to
-    /// [`Self::predict_corpus_batched`] at any `batch_cols`).
-    ///
-    /// The scratch's topic memo (if enabled) is automatically invalidated
-    /// when the scratch last served a different artifact, so reusing one
-    /// warm scratch across a hot-swap cannot replay stale topic vectors.
-    pub fn predict_batch<T: TableCells + ?Sized>(
-        &self,
-        batch: &[&T],
-        scratch: &mut ServingScratch,
-    ) -> Vec<TablePrediction> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.flush_batch(batch, scratch, &mut out);
-        out
-    }
-
-    /// Serve a corpus **straight off its columnar on-disk form**: frames are
-    /// decoded one at a time into reusable [`TableBuf`]s (the column pool and
-    /// string arena warm up once and are recycled), accumulated into the same
-    /// column micro-batches as [`Self::predict_corpus_batched`] and fed to
-    /// the network without ever materializing a [`Table`].
-    ///
-    /// Batch boundaries follow the identical accumulate-until-`batch_cols`
-    /// rule, so the output is — bit for bit — what
-    /// [`Self::predict_corpus_batched`] produces on the decoded corpus.
-    pub fn predict_colstore<R: std::io::Read>(
-        &self,
-        reader: &mut ColStoreReader<R>,
-        batch_cols: usize,
-        scratch: &mut ServingScratch,
-    ) -> Result<Vec<TablePrediction>, ColStoreError> {
-        let batch_cols = batch_cols.max(1);
         let mut out = Vec::new();
-        // Decoded-frame pool: `used` buffers hold the pending micro-batch;
-        // buffers past `used` are warm spares from earlier batches.
-        let mut pool: Vec<TableBuf> = Vec::new();
-        let mut used = 0usize;
-        let mut pending_cols = 0usize;
-        loop {
-            if used == pool.len() {
-                pool.push(TableBuf::new());
-            }
-            if !reader.read_into(&mut pool[used])? {
-                break;
-            }
-            pending_cols += pool[used].num_columns();
-            used += 1;
-            if pending_cols >= batch_cols {
-                let batch: Vec<&TableBuf> = pool[..used].iter().collect();
-                self.flush_batch(&batch, scratch, &mut out);
-                used = 0;
-                pending_cols = 0;
-            }
-        }
-        if used > 0 {
-            let batch: Vec<&TableBuf> = pool[..used].iter().collect();
-            self.flush_batch(&batch, scratch, &mut out);
-        }
-        Ok(out)
+        let Ok(()) = self.form_batches(
+            batch_cols,
+            scratch,
+            true,
+            borrowed(tables),
+            |batch, scratch| {
+                self.decode_batch(batch, scratch, &mut out);
+                on_batch(batch, scratch);
+            },
+        );
+        out
     }
 
-    /// [`Self::predict_colstore`] over an in-memory colstore byte buffer
-    /// (fresh scratch) — the convenience shape for artifacts already read
-    /// or mapped into memory.
+    /// Serve a `SATOCOL1` corpus **straight off its columnar form**: frames
+    /// are decoded one at a time into recycled [`TableBuf`]s (the column
+    /// pool and string arena warm up once), formed into the same column
+    /// micro-batches as [`Self::predict_tables_batched`] and fed to the
+    /// network without ever materializing a [`Table`] — so the output is,
+    /// bit for bit, what the in-memory path produces on the decoded corpus.
     pub fn predict_colstore_bytes(
         &self,
         bytes: &[u8],
         batch_cols: usize,
     ) -> Result<Vec<TablePrediction>, ColStoreError> {
         let mut reader = ColStoreReader::new(bytes)?;
-        self.predict_colstore(&mut reader, batch_cols, &mut ServingScratch::new())
+        let mut out = Vec::new();
+        self.form_batches(
+            batch_cols,
+            &mut ServingScratch::new(),
+            true,
+            |pool: &mut Vec<TableBuf>, at| {
+                if at == pool.len() {
+                    pool.push(TableBuf::new());
+                }
+                reader.read_into(&mut pool[at])
+            },
+            |batch, scratch| self.decode_batch(batch, scratch, &mut out),
+        )?;
+        Ok(out)
     }
 
-    /// [`Self::predict_colstore`] over a colstore file on disk (buffered
-    /// reads, fresh scratch).
-    pub fn predict_colstore_path(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        batch_cols: usize,
-    ) -> Result<Vec<TablePrediction>, ColStoreError> {
-        let mut reader = sato_tabular::colstore::open_path(path)?;
-        self.predict_colstore(&mut reader, batch_cols, &mut ServingScratch::new())
-    }
-
-    /// Batched prediction sharded over `n_threads` scoped OS threads: each
-    /// thread serves a contiguous chunk of the corpus with
-    /// [`Self::predict_corpus_batched`]'s micro-batching and its own
-    /// scratch. Output is bit-identical to [`Self::predict_corpus`] (and
-    /// therefore to every other serving entry point), in corpus order.
+    /// Batched prediction sharded over `n_threads` scoped OS threads
+    /// sharing `self` by reference: each thread serves a contiguous chunk
+    /// of the corpus with [`Self::predict_tables_batched`] and its own
+    /// scratch. Output is bit-identical to every other entry point, in
+    /// corpus order. `n_threads` is clamped to at least 1.
     pub fn predict_corpus_parallel_batched(
         &self,
         corpus: &Corpus,
@@ -655,15 +495,22 @@ impl SatoPredictor {
         let n_threads = n_threads.max(1);
         let tables = &corpus.tables;
         if n_threads == 1 || tables.len() < 2 {
-            return self.predict_tables_batched(tables, batch_cols, &mut ServingScratch::new());
+            return self.predict_corpus_batched(corpus, batch_cols);
         }
+        // Contiguous chunks keep the output order: chunk i's results are
+        // appended before chunk i+1's.
         let chunk_size = tables.len().div_ceil(n_threads);
         std::thread::scope(|scope| {
             let handles: Vec<_> = tables
                 .chunks(chunk_size)
                 .map(|chunk| {
                     scope.spawn(move || {
-                        self.predict_tables_batched(chunk, batch_cols, &mut ServingScratch::new())
+                        self.predict_tables_batched(
+                            chunk,
+                            batch_cols,
+                            &mut ServingScratch::new(),
+                            |_, _| {},
+                        )
                     })
                 })
                 .collect();
@@ -674,44 +521,91 @@ impl SatoPredictor {
         })
     }
 
-    /// Predict every table of a corpus on `n_threads` scoped OS threads,
-    /// sharing `self` by reference. The output is exactly — bit for bit —
-    /// the output of [`Self::predict_corpus`], in the same order; only the
-    /// wall-clock time changes.
-    ///
-    /// `n_threads` is clamped to at least 1; with 1 thread (or at most one
-    /// table) this falls back to the sequential path.
-    pub fn predict_corpus_parallel(
+    /// The one batch former behind every batched entry point. `next` loads
+    /// the next table into `pool[at]` (growing the pool when
+    /// `at == pool.len()`) and returns `false` once the source is
+    /// exhausted. Tables accumulate until the pending batch carries at
+    /// least `batch_cols` columns (clamped to 1), with a final partial
+    /// batch; each batch makes one engine call — running the classification
+    /// head only for predict sinks (`head`) — and is then handed to `sink`
+    /// together with the scratch.
+    fn form_batches<S: TableCells, E>(
         &self,
-        corpus: &Corpus,
-        n_threads: usize,
-    ) -> Vec<TablePrediction> {
-        let n_threads = n_threads.max(1);
-        let tables = &corpus.tables;
-        if n_threads == 1 || tables.len() < 2 {
-            return self.predict_corpus(corpus);
+        batch_cols: usize,
+        scratch: &mut ServingScratch,
+        head: bool,
+        mut next: impl FnMut(&mut Vec<S>, usize) -> Result<bool, E>,
+        mut sink: impl FnMut(&[S], &mut ServingScratch),
+    ) -> Result<(), E> {
+        let batch_cols = batch_cols.max(1);
+        let mut flush = |batch: &[S], scratch: &mut ServingScratch| {
+            self.run_batch(batch, scratch, head);
+            sink(batch, scratch);
+        };
+        // `pool[..pending]` is the batch being formed; slots past it are
+        // spares a decoding source recycles.
+        let mut pool = Vec::new();
+        let (mut pending, mut cols) = (0usize, 0usize);
+        while next(&mut pool, pending)? {
+            cols += pool[pending].cell_columns();
+            pending += 1;
+            if cols >= batch_cols {
+                flush(&pool[..pending], scratch);
+                (pending, cols) = (0, 0);
+            }
         }
-        // Contiguous chunks keep the output order: chunk i's results are
-        // appended before chunk i+1's. Each thread borrows `self` — this is
-        // exactly the Send + Sync guarantee the frozen artifact exists for.
-        let chunk_size = tables.len().div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tables
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|t| self.predict_table(t))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("prediction thread panicked"))
-                .collect()
-        })
+        if pending > 0 {
+            flush(&pool[..pending], scratch);
+        }
+        Ok(())
+    }
+
+    /// The engine call: one forward pass over every column of `batch`,
+    /// through the classification head only when `head` is set.
+    fn run_batch<S: TableCells>(&self, batch: &[S], scratch: &mut ServingScratch, head: bool) {
+        // A scratch's topic memo caches *this predictor's* topic vectors; if
+        // the scratch last served a different artifact (hot-swap, or a
+        // caller sharing one scratch across predictors), its entries are
+        // stale and must not be replayed.
+        scratch.bind_artifact(self.content_hash);
+        self.columnwise.run_batch(batch, scratch, head);
+    }
+
+    /// The predict sink: split a batch's probability rows back per table
+    /// and decode each one. [`TableCells::gold_labels`] reproduces the
+    /// empty-gold convention of [`TablePrediction::gold`] for every source.
+    fn decode_batch<S: TableCells>(
+        &self,
+        batch: &[S],
+        scratch: &mut ServingScratch,
+        out: &mut Vec<TablePrediction>,
+    ) {
+        let ServingScratch { probs, unary, .. } = scratch;
+        let mut row = 0usize;
+        for table in batch {
+            let end = row + table.cell_columns();
+            out.push(TablePrediction {
+                table_id: table.table_id(),
+                gold: table.gold_labels().to_vec(),
+                predicted: self.decode_rows(probs, row, end, unary),
+            });
+            row = end;
+        }
+    }
+
+    /// Decode one table's probability rows `[start, end)`: CRF Viterbi when
+    /// the variant has the structured layer, row-wise argmax otherwise.
+    fn decode_rows(
+        &self,
+        probs: &sato_nn::Matrix,
+        start: usize,
+        end: usize,
+        unary: &mut Vec<f64>,
+    ) -> Vec<SemanticType> {
+        match &self.structured {
+            Some(layer) => layer.decode_rows(probs, start, end, unary),
+            None => types_from_rows(probs, start, end),
+        }
     }
 
     /// Serialize the whole predictor (config, weights, running statistics,
@@ -786,6 +680,7 @@ impl SatoPredictor {
             &artifact.net,
             &artifact.head,
             artifact.sampler,
+            None,
         )?;
         // `from_parts` computes the content hash over the canonical binary
         // form, so a JSON-loaded predictor hashes identically to the same
@@ -811,6 +706,18 @@ impl SatoPredictor {
     }
 }
 
+/// A batch-former source over borrowed tables (see
+/// [`SatoPredictor::form_batches`]).
+fn borrowed<'a, T: ?Sized + 'a>(
+    tables: impl IntoIterator<Item = &'a T>,
+) -> impl FnMut(&mut Vec<&'a T>, usize) -> Result<bool, Infallible> {
+    let mut tables = tables.into_iter();
+    move |pool, at| {
+        pool.truncate(at);
+        Ok(tables.next().map(|t| pool.push(t)).is_some())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,6 +737,15 @@ mod tests {
         config.lda.train_iterations = 20;
         config.crf.epochs = 3;
         config
+    }
+
+    /// Batched prediction of a whole corpus through a caller-owned scratch.
+    fn batched_with(
+        predictor: &SatoPredictor,
+        corpus: &Corpus,
+        scratch: &mut ServingScratch,
+    ) -> Vec<TablePrediction> {
+        predictor.predict_tables_batched(&corpus.tables, 64, scratch, |_, _| {})
     }
 
     #[test]
@@ -909,41 +825,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_prediction_matches_sequential_exactly() {
-        // All four variants, several micro-batch widths including the
-        // degenerate ones (1 column per batch, whole corpus in one batch).
-        let corpus = default_corpus(25, 9);
-        let total_cols: usize = corpus.iter().map(|t| t.num_columns()).sum();
-        for variant in SatoVariant::ALL {
-            let predictor = SatoModel::train(&corpus, tiny_config(), variant).into_predictor();
-            let sequential = predictor.predict_corpus(&corpus);
-            for batch_cols in [1, 3, 16, total_cols, total_cols + 100] {
-                let batched = predictor.predict_corpus_batched(&corpus, batch_cols);
-                assert_eq!(
-                    sequential,
-                    batched,
-                    "variant {} batch_cols {batch_cols}",
-                    variant.name()
-                );
-            }
-            // Batching composes with thread sharding.
-            assert_eq!(
-                sequential,
-                predictor.predict_corpus_parallel_batched(&corpus, 8, 3),
-                "variant {} parallel batched",
-                variant.name()
-            );
-        }
-    }
-
-    #[test]
     fn batched_prediction_handles_degenerate_corpora() {
-        use sato_tabular::table::{Column, Table};
+        use sato_tabular::table::Column;
         let corpus = default_corpus(20, 12);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
-        // Zero-column and single-column tables mixed between normal ones,
-        // plus an unlabelled table (empty-gold convention).
+        // Zero-column and single-column tables mixed between normal ones.
         let ragged = Corpus::new(vec![
             Table::unlabelled(900, vec![]),
             corpus.tables[0].clone(),
@@ -955,22 +842,26 @@ mod tests {
         // One warm caller-owned scratch across every batch width.
         let mut scratch = ServingScratch::new();
         for batch_cols in [1, 2, 1000] {
-            assert_eq!(
-                sequential,
-                predictor.predict_corpus_batched(&ragged, batch_cols),
-                "batch_cols {batch_cols}"
+            let warm = predictor.predict_tables_batched(
+                &ragged.tables,
+                batch_cols,
+                &mut scratch,
+                |_, _| {},
             );
-            assert_eq!(
-                sequential,
-                predictor.predict_corpus_batched_with(&ragged, batch_cols, &mut scratch),
-                "warm-scratch batch_cols {batch_cols}"
-            );
+            assert_eq!(sequential, warm, "warm-scratch batch_cols {batch_cols}");
         }
         assert!(sequential[0].predicted.is_empty());
         assert!(sequential[0].gold.is_empty());
-        // An entirely empty corpus also works.
+        // An entirely empty corpus also works, on every path.
         let empty = Corpus::new(vec![]);
         assert!(predictor.predict_corpus_batched(&empty, 8).is_empty());
+        assert!(predictor
+            .predict_colstore_bytes(&sato_tabular::colstore::corpus_to_bytes(&empty), 8)
+            .unwrap()
+            .is_empty());
+        assert!(predictor
+            .predict_corpus_parallel_batched(&empty, 8, 4)
+            .is_empty());
     }
 
     #[test]
@@ -1036,9 +927,12 @@ mod tests {
                 assert_eq!(bits(&got.2), bits(&want.2), "batch_cols {batch_cols}");
             }
         }
-        // An empty batch yields a 0-row matrix (and stays well-defined).
-        let none: [&Table; 0] = [];
-        assert_eq!(predictor.embed_batch(&none, &mut scratch).rows(), 0);
+        // A zero-column table yields a 0-row matrix (and stays well-defined).
+        let none = Table::unlabelled(902, vec![]);
+        assert_eq!(
+            predictor.column_embeddings_into(&none, &mut scratch).rows(),
+            0
+        );
     }
 
     #[test]
@@ -1054,11 +948,11 @@ mod tests {
             crate::columnwise::DEFAULT_TOPIC_MEMO_CAPACITY
         );
         // First serve fills the memo, later serves hit it — output must stay
-        // bit-identical to the per-table path every time.
+        // bit-identical to batches of one every time.
         for pass in 0..3 {
             assert_eq!(
                 sequential,
-                predictor.predict_corpus_batched_with(&corpus, 64, &mut scratch),
+                batched_with(&predictor, &corpus, &mut scratch),
                 "memoised serve diverged on pass {pass}"
             );
         }
@@ -1066,7 +960,7 @@ mod tests {
     }
 
     /// The topic memo is bounded: with capacity `c`, serving any number of
-    /// distinct table ids keeps at most `c` entries (oldest-inserted ids
+    /// distinct tables keeps at most `c` entries (oldest-inserted tables
     /// evicted first), and eviction never affects correctness — an evicted
     /// table is simply re-estimated on its next serve.
     #[test]
@@ -1080,7 +974,7 @@ mod tests {
         for pass in 0..3 {
             assert_eq!(
                 sequential,
-                predictor.predict_corpus_batched_with(&corpus, 64, &mut scratch),
+                batched_with(&predictor, &corpus, &mut scratch),
                 "bounded-memo serve diverged on pass {pass}"
             );
             assert_eq!(
@@ -1092,11 +986,33 @@ mod tests {
         // Capacity clamps to at least one entry.
         let mut tiny = ServingScratch::new().with_topic_memo_capacity(0);
         assert_eq!(tiny.topic_memo_capacity(), 1);
-        assert_eq!(
-            sequential,
-            predictor.predict_corpus_batched_with(&corpus, 64, &mut tiny)
-        );
+        assert_eq!(sequential, batched_with(&predictor, &corpus, &mut tiny));
         assert_eq!(tiny.topic_memo_len(), 1);
+    }
+
+    /// The memo is keyed by table content, not table id: two different
+    /// tables sent under one id must each get their own topic vector, so
+    /// both their types and their embeddings match the training-side model.
+    #[test]
+    fn topic_memo_is_keyed_by_content_not_table_id() {
+        let corpus = default_corpus(20, 8);
+        let model = SatoModel::train(&corpus, tiny_config(), SatoVariant::Full);
+        let predictor = model.predictor();
+        let reused_id = |t: &Table| Table { id: 7, ..t.clone() };
+        let pair = [reused_id(&corpus.tables[0]), reused_id(&corpus.tables[1])];
+        let mut scratch = ServingScratch::new().with_topic_memo();
+        for pass in 0..2 {
+            let mut embeddings = Vec::new();
+            let served = predictor.predict_tables_batched(&pair, 1, &mut scratch, |_, s| {
+                embeddings.push(matrix_rows(s.embeddings()))
+            });
+            for ((got, rows), table) in served.iter().zip(&embeddings).zip(&pair) {
+                assert_eq!(got.predicted, model.predict(table), "pass {pass}");
+                let want = model.columnwise().column_embeddings(table);
+                assert_eq!(*rows, want, "pass {pass}");
+            }
+        }
+        assert_eq!(scratch.topic_memo_len(), 2);
     }
 
     /// Satellite: the content hash is a stable identity — freezing, the
@@ -1152,7 +1068,7 @@ mod tests {
         };
         assert_ne!(a.content_hash(), b.content_hash());
         let mut scratch = ServingScratch::new().with_topic_memo();
-        let served_a = a.predict_corpus_batched_with(&corpus, 64, &mut scratch);
+        let served_a = batched_with(&a, &corpus, &mut scratch);
         assert_eq!(served_a, a.predict_corpus(&corpus));
         assert_eq!(scratch.topic_memo_len(), corpus.len());
         // Swap: serving even one table through B must clear A's cached
@@ -1160,7 +1076,7 @@ mod tests {
         // not A's entries plus one.
         let first = Corpus::new(vec![corpus.tables[0].clone()]);
         assert_eq!(
-            b.predict_corpus_batched_with(&first, 64, &mut scratch),
+            batched_with(&b, &first, &mut scratch),
             b.predict_corpus(&first)
         );
         assert_eq!(
@@ -1170,15 +1086,25 @@ mod tests {
         );
         // The full corpus under B is B's fresh predictions, end to end.
         assert_eq!(
-            b.predict_corpus_batched_with(&corpus, 64, &mut scratch),
+            batched_with(&b, &corpus, &mut scratch),
             b.predict_corpus(&corpus)
         );
         // Swapping back re-estimates under A again (the memo was rebound).
-        assert_eq!(
-            a.predict_corpus_batched_with(&corpus, 64, &mut scratch),
-            served_a
-        );
+        assert_eq!(batched_with(&a, &corpus, &mut scratch), served_a);
         assert_eq!(scratch.topic_memo_len(), corpus.len());
+    }
+
+    #[test]
+    fn parallel_prediction_matches_sequential_exactly() {
+        let corpus = default_corpus(30, 7);
+        let predictor =
+            SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
+        let sequential = predictor.predict_corpus(&corpus);
+        // 64 threads: more threads than tables must also work.
+        for n_threads in [1, 2, 3, 8, 64] {
+            let parallel = predictor.predict_corpus_parallel_batched(&corpus, 16, n_threads);
+            assert_eq!(sequential, parallel, "n_threads={n_threads}");
+        }
     }
 
     #[test]
@@ -1195,23 +1121,5 @@ mod tests {
         for table in corpus.iter().take(5) {
             assert_eq!(sparse.predict(table), loaded.predict(table));
         }
-    }
-
-    #[test]
-    fn parallel_prediction_matches_sequential_exactly() {
-        let corpus = default_corpus(30, 7);
-        let predictor =
-            SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
-        let sequential = predictor.predict_corpus(&corpus);
-        for n_threads in [1, 2, 3, 8, 64] {
-            let parallel = predictor.predict_corpus_parallel(&corpus, n_threads);
-            assert_eq!(sequential, parallel, "n_threads={n_threads}");
-        }
-        // More threads than tables must also work.
-        let small = sato_tabular::table::Corpus::new(corpus.tables[..2].to_vec());
-        assert_eq!(
-            predictor.predict_corpus(&small),
-            predictor.predict_corpus_parallel(&small, 16)
-        );
     }
 }

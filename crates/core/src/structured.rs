@@ -146,11 +146,6 @@ impl StructuredLayer {
             .collect()
     }
 
-    /// Joint MAP decoding of a whole flat probability matrix (one table).
-    pub fn decode_matrix(&self, proba: &sato_nn::Matrix) -> Vec<SemanticType> {
-        self.decode_rows(proba, 0, proba.rows(), &mut Vec::new())
-    }
-
     /// Predict the types of a table: column-wise scores followed by Viterbi.
     pub fn predict<P: ColumnwiseInference>(
         &self,

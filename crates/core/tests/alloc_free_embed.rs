@@ -1,10 +1,11 @@
 //! Allocation-count regression test for the warm embedding-extraction path.
 //!
 //! The ANN index build feeds on `SatoPredictor::column_embeddings_into` /
-//! `embed_batch`; the contract is that once a `ServingScratch` is warm,
-//! extracting the embeddings of already-seen table shapes performs **zero**
-//! heap allocations — features, topic estimation and the network trunk all
-//! run through reused buffers, and the result matrix is borrowed, not
+//! `embed_corpus_batched_with`, both run by the batched engine; the
+//! contract is that once a `ServingScratch` is warm, extracting the
+//! embeddings of already-seen table shapes performs **zero** heap
+//! allocations per batch — features, topic estimation and the network trunk
+//! all run through reused buffers, and the result matrix is borrowed, not
 //! built. A counting global allocator makes that a hard assertion, and the
 //! same pass re-checks bit-parity with the allocating
 //! `column_embeddings` path.
@@ -85,21 +86,27 @@ fn warm_embedding_extraction_allocates_nothing() {
         corpus.tables.len()
     );
 
-    // Same contract for an externally-formed micro-batch (the serve-hook
-    // shape: many tables, one forward pass).
-    let batch: Vec<&sato_tabular::table::Table> = corpus.tables.iter().take(6).collect();
-    predictor.embed_batch(&batch, &mut scratch);
+    // Same contract through the batch former, one micro-batch per table
+    // here: no batch allocates. The only allocation of a call is the
+    // former's list of pending table references, made once per call.
+    let mut rows = 0usize;
+    let mut embed = |scratch: &mut ServingScratch| {
+        predictor.embed_corpus_batched_with(&corpus, 1, scratch, |_, _, _| rows += 1)
+    };
+    embed(&mut scratch);
     let before = allocation_count();
     for _ in 0..5 {
-        predictor.embed_batch(&batch, &mut scratch);
+        embed(&mut scratch);
     }
     let after = allocation_count();
-    assert_eq!(
+    assert!(
+        after - before <= 5,
+        "warm embed_corpus_batched_with must not allocate per batch (got {} allocations \
+         over 5 calls of {} batches)",
         after - before,
-        0,
-        "warm embed_batch must not allocate (got {} allocations over 5 batches)",
-        after - before
+        corpus.tables.len()
     );
+    assert_eq!(rows, 6 * corpus.num_columns());
 
     // The warm rows are still bit-identical to the allocating path.
     for (table, want_rows) in corpus.iter().zip(&reference) {

@@ -92,10 +92,9 @@ pub struct ServiceConfig {
     /// Deadline applied to requests that do not carry their own. `None`
     /// means no deadline: requests wait as long as the queue takes.
     pub default_deadline: Option<Duration>,
-    /// Capacity of the worker's per-table topic memo (0 disables it). Only
-    /// enable when table ids uniquely identify table content — the memo is
-    /// keyed by id within an artifact (it is invalidated across hot-swaps
-    /// automatically).
+    /// Capacity of the worker's topic memo (0 disables it): topic vectors
+    /// cached by table content and reused when the same table is served
+    /// again (invalidated across hot-swaps automatically).
     pub topic_memo_capacity: usize,
     /// Opt-in **index-on-annotate**: when set, every column served by the
     /// batcher also has its embedding inserted into a shared in-process
@@ -930,11 +929,11 @@ fn quarantine(
 }
 
 /// Compute one round's predictions: coalesce the requests' tables into
-/// micro-batches of at least `target` columns (same accumulate-until rule
-/// as `predict_corpus_batched`, so outputs are bit-identical to it) and
-/// run each batch in one forward pass. Pure compute — nothing is sent to
-/// clients here, so the caller's `catch_unwind` can treat a panic as
-/// "nobody was answered".
+/// micro-batches of at least `target` columns with the predictor's batch
+/// former (so outputs are bit-identical to `predict_corpus_batched`), one
+/// forward pass per batch, and split the predictions back per request.
+/// Pure compute — nothing is sent to clients here, so the caller's
+/// `catch_unwind` can treat a panic as "nobody was answered".
 fn compute_outputs(
     shared: &Shared,
     predictor: &SatoPredictor,
@@ -948,44 +947,37 @@ fn compute_outputs(
     // round without blocking submitters.
     #[cfg(feature = "faults")]
     sato_faults::fire_panic("serve.round", live.len() as u64);
-    let mut outputs: Vec<Vec<TablePrediction>> = live
-        .iter()
-        .map(|r| Vec::with_capacity(r.tables.len()))
-        .collect();
+    let indexing = shared.config.index_on_annotate.is_some();
     let mut embeddings = PendingIndex::default();
-    let mut batch: Vec<(usize, usize)> = Vec::new(); // (request idx, table idx)
-    let mut pending = 0usize;
-    for (r, req) in live.iter().enumerate() {
-        for t in 0..req.tables.len() {
-            batch.push((r, t));
-            pending += req.tables[t].num_columns();
-            if pending >= target {
-                run_batch(
-                    shared,
-                    predictor,
-                    scratch,
-                    &mut batch,
-                    live,
-                    &mut outputs,
-                    &mut embeddings,
-                    pending,
-                    target,
-                );
-                pending = 0;
+    let tables = live.iter().flat_map(|req| &req.tables);
+    let mut predictions = predictor
+        .predict_tables_batched(tables, target, scratch, |batch, scratch| {
+            let cols = batch.iter().map(|t| t.num_columns()).sum();
+            shared.stats.record_batch(cols, target);
+            // Index-on-annotate capture: the batch's column embeddings (one
+            // row per column, in batch order) are still in the scratch — the
+            // head reads them without overwriting — so indexing costs a row
+            // copy, never a second forward pass.
+            if indexing {
+                let rows = scratch.embeddings();
+                embeddings.dim = rows.cols();
+                let keys = batch.iter().flat_map(|t| {
+                    (0..t.num_columns() as u32).map(|col_idx| ColumnRef {
+                        table_id: t.id,
+                        col_idx,
+                    })
+                });
+                for (row, key) in keys.enumerate() {
+                    embeddings.keys.push(key);
+                    embeddings.vecs.extend_from_slice(rows.row(row));
+                }
             }
-        }
-    }
-    run_batch(
-        shared,
-        predictor,
-        scratch,
-        &mut batch,
-        live,
-        &mut outputs,
-        &mut embeddings,
-        pending,
-        target,
-    );
+        })
+        .into_iter();
+    let outputs = live
+        .iter()
+        .map(|req| predictions.by_ref().take(req.tables.len()).collect())
+        .collect();
     (outputs, embeddings)
 }
 
@@ -1010,52 +1002,6 @@ fn respond(
             latency,
         }));
     }
-}
-
-/// Run one shared micro-batch (single forward pass) and distribute its
-/// per-table predictions back to their requests.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    shared: &Shared,
-    predictor: &SatoPredictor,
-    scratch: &mut ServingScratch,
-    batch: &mut Vec<(usize, usize)>,
-    live: &[QueuedRequest],
-    outputs: &mut [Vec<TablePrediction>],
-    embeddings: &mut PendingIndex,
-    cols: usize,
-    target: usize,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    let refs: Vec<&Table> = batch.iter().map(|&(r, t)| &live[r].tables[t]).collect();
-    let predictions = predictor.predict_batch(&refs, scratch);
-    shared.stats.record_batch(cols, target);
-    // Index-on-annotate capture: `predict_batch` leaves this micro-batch's
-    // column embeddings (one row per column, in batch order) sitting in the
-    // scratch — the head reads them without overwriting — so indexing costs
-    // a row copy, never a second forward pass.
-    if shared.config.index_on_annotate.is_some() {
-        let rows = scratch.embeddings();
-        embeddings.dim = rows.cols();
-        let mut row = 0usize;
-        for &(r, t) in batch.iter() {
-            let table = &live[r].tables[t];
-            for col in 0..table.num_columns() {
-                embeddings.keys.push(ColumnRef {
-                    table_id: table.id,
-                    col_idx: col as u32,
-                });
-                embeddings.vecs.extend_from_slice(rows.row(row));
-                row += 1;
-            }
-        }
-    }
-    for (&(r, _), prediction) in batch.iter().zip(predictions) {
-        outputs[r].push(prediction);
-    }
-    batch.clear();
 }
 
 /// The fixed table smoke-predicted on every [`SatoService::load_artifact`]

@@ -242,6 +242,29 @@ pub trait TableCells {
     }
 }
 
+impl<T: TableCells + ?Sized> TableCells for &T {
+    type Cells<'a>
+        = T::Cells<'a>
+    where
+        Self: 'a;
+
+    fn table_id(&self) -> u64 {
+        (**self).table_id()
+    }
+
+    fn cell_columns(&self) -> usize {
+        (**self).cell_columns()
+    }
+
+    fn cells(&self, c: usize) -> Self::Cells<'_> {
+        (**self).cells(c)
+    }
+
+    fn gold_labels(&self) -> &[SemanticType] {
+        (**self).gold_labels()
+    }
+}
+
 impl TableCells for Table {
     type Cells<'a> = &'a Column;
 

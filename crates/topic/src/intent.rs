@@ -132,14 +132,37 @@ impl TableIntentEstimator {
         scratch: &mut TopicScratch,
         out: &mut [f32],
     ) {
+        self.encode_cells(table, scratch);
+        self.infer_encoded_into(sampler, scratch, out);
+    }
+
+    /// The first half of [`Self::estimate_cells_into`]: encode the table's
+    /// cells into the scratch's token ids and return them. The estimate is
+    /// a function of these ids alone (inference runs from a fixed seed), so
+    /// they are an exact content key for caching topic vectors.
+    pub fn encode_cells<'s, T: TableCells + ?Sized>(
+        &self,
+        table: &T,
+        scratch: &'s mut TopicScratch,
+    ) -> &'s [usize] {
         let TopicScratch {
-            tokens,
-            token_buf,
-            infer,
+            tokens, token_buf, ..
         } = scratch;
         tokens.clear();
         let vocab = self.model.vocabulary();
         table.for_each_cell(|value| vocab.encode_value_into(value, token_buf, tokens));
+        tokens
+    }
+
+    /// The second half of [`Self::estimate_cells_into`]: Gibbs inference
+    /// over the tokens last encoded by [`Self::encode_cells`].
+    pub fn infer_encoded_into(
+        &self,
+        sampler: &TopicSampler,
+        scratch: &mut TopicScratch,
+        out: &mut [f32],
+    ) {
+        let TopicScratch { tokens, infer, .. } = scratch;
         self.model
             .infer_tokens_into(tokens, self.model.default_infer_seed(), sampler, infer, out);
     }

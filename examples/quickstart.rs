@@ -95,10 +95,10 @@ fn main() {
         println!("  {ty:<12} {p:.3}");
     }
 
-    // 6. Quick accuracy check on the held-out tables — served from four
-    //    threads at once; the frozen predictor guarantees the output is
-    //    identical to a sequential pass.
-    let predictions = predictor.predict_corpus_parallel(&split.test, 4);
+    // 6. Quick accuracy check on the held-out tables — served in column
+    //    micro-batches from four threads at once; the frozen predictor
+    //    guarantees the output is identical to a sequential pass.
+    let predictions = predictor.predict_corpus_parallel_batched(&split.test, 256, 4);
     let (mut correct, mut total) = (0usize, 0usize);
     for p in &predictions {
         correct += p

@@ -1,11 +1,16 @@
-//! Cross-crate parity tests for the corpus-batched serving pipeline:
-//! `SatoPredictor::predict_corpus_batched` (and its thread-sharded
-//! composition) must be bit-identical to the per-table `predict_corpus` for
-//! every model variant, every micro-batch width, and arbitrarily ragged
-//! corpora — including zero-column and single-column tables.
+//! The entry-point contract. Every `SatoPredictor` entry point and the
+//! `sato-serve` service run the same batch former and batched engine, so on
+//! any corpus — tables with zero, one or many columns, empty columns and
+//! blank cells — and at any micro-batch width they must all reproduce the
+//! training-side oracle, `SatoModel::predict_corpus` (and the live model's
+//! per-table probabilities and embeddings), bit for bit. With the
+//! approximate topic samplers there is no training-side oracle; there every
+//! entry point must agree with every other.
 
 use proptest::prelude::*;
-use sato::{SatoConfig, SatoModel, SatoPredictor, SatoVariant};
+use sato::{SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant, ServingScratch};
+use sato_serve::{RequestOptions, SatoService, ServiceConfig};
+use sato_tabular::colstore::corpus_to_bytes;
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
 use std::sync::OnceLock;
@@ -18,13 +23,16 @@ fn tiny_config() -> SatoConfig {
     config
 }
 
-/// One trained Full predictor (topic + CRF, the most complex pipeline),
-/// shared across the property cases so training cost is paid once.
-fn full_predictor() -> &'static SatoPredictor {
-    static PREDICTOR: OnceLock<SatoPredictor> = OnceLock::new();
-    PREDICTOR.get_or_init(|| {
+/// One trained model per variant, shared across the property cases so the
+/// training cost is paid once.
+fn models() -> &'static [SatoModel] {
+    static MODELS: OnceLock<Vec<SatoModel>> = OnceLock::new();
+    MODELS.get_or_init(|| {
         let corpus = default_corpus(30, 41);
-        SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor()
+        SatoVariant::ALL
+            .iter()
+            .map(|&variant| SatoModel::train(&corpus, tiny_config(), variant))
+            .collect()
     })
 }
 
@@ -69,53 +77,159 @@ fn ragged_corpus(shapes: &[Vec<usize>], salt: usize) -> Corpus {
     Corpus::new(tables)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+type Rows = Vec<Vec<f32>>;
 
-    /// Batched serving is bit-identical to per-table serving on arbitrarily
-    /// ragged corpora: tables with 0, 1 or many columns, columns with 0 to
-    /// several rows, any micro-batch width, with and without thread
-    /// sharding on top.
-    #[test]
-    fn batched_serving_parity_over_ragged_corpora(
-        shapes in proptest::collection::vec(
-            proptest::collection::vec(0usize..6, 0..5), 1..9),
-        batch_cols in 1usize..40,
-        threads in 1usize..5,
-        salt in 0usize..10_000,
-    ) {
-        let predictor = full_predictor();
-        let corpus = ragged_corpus(&shapes, salt);
-        let sequential = predictor.predict_corpus(&corpus);
-        let batched = predictor.predict_corpus_batched(&corpus, batch_cols);
-        prop_assert_eq!(&sequential, &batched);
-        let sharded = predictor.predict_corpus_parallel_batched(&corpus, batch_cols, threads);
-        prop_assert_eq!(&sequential, &sharded);
-        // Ragged or not, every table gets one prediction per column.
-        for (pred, table) in sequential.iter().zip(corpus.iter()) {
-            prop_assert_eq!(pred.predicted.len(), table.num_columns());
-            prop_assert!(pred.gold.is_empty(), "unlabelled tables have empty gold");
-        }
-    }
+/// Bit patterns, so embeddings compare exactly (and NaN-safely).
+fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|row| row.iter().map(|x| x.to_bits()).collect())
+        .collect()
 }
 
-/// Every variant agrees between the per-table and the batched path, for the
-/// boundary batch widths the issue calls out: one column per batch and a
-/// batch wider than the whole corpus.
-#[test]
-fn batched_parity_all_variants_boundary_batches() {
-    let corpus = default_corpus(18, 77);
-    let total_cols: usize = corpus.iter().map(|t| t.num_columns()).sum();
-    for variant in SatoVariant::ALL {
-        let predictor = SatoModel::train(&corpus, tiny_config(), variant).into_predictor();
-        let sequential = predictor.predict_corpus(&corpus);
-        for batch_cols in [1, total_cols + 1] {
+/// What every entry point of `predictor` produces on `corpus` at
+/// `batch_cols`, checked against each other; returns the batched
+/// predictions and the per-table probability and embedding rows.
+fn serve_every_way(
+    predictor: &SatoPredictor,
+    corpus: &Corpus,
+    batch_cols: usize,
+) -> (Vec<sato::TablePrediction>, Vec<Rows>, Vec<Rows>) {
+    let batched = predictor.predict_corpus_batched(corpus, batch_cols);
+    let label = |what: &str| format!("{what} at batch_cols {batch_cols}");
+
+    // Batches of one.
+    assert_eq!(
+        batched,
+        predictor.predict_corpus(corpus),
+        "{}",
+        label("predict_corpus")
+    );
+    for (table, want) in corpus.iter().zip(&batched) {
+        assert_eq!(
+            predictor.predict(table),
+            want.predicted,
+            "{}",
+            label("predict")
+        );
+    }
+    let proba: Vec<Rows> = corpus.iter().map(|t| predictor.predict_proba(t)).collect();
+    let embeddings: Vec<Rows> = corpus
+        .iter()
+        .map(|t| predictor.column_embeddings(t))
+        .collect();
+
+    // The batched paths, with and without the topic memo (the memo is
+    // filled on the first pass and replayed on the second).
+    let mut scratch = ServingScratch::new();
+    let mut memo = ServingScratch::new().with_topic_memo();
+    for pass in 0..2 {
+        for scratch in [&mut scratch, &mut memo] {
+            let served =
+                predictor.predict_tables_batched(&corpus.tables, batch_cols, scratch, |_, _| {});
             assert_eq!(
-                sequential,
-                predictor.predict_corpus_batched(&corpus, batch_cols),
-                "variant {} batch_cols {batch_cols}",
-                variant.name()
+                served,
+                batched,
+                "{} pass {pass}",
+                label("predict_tables_batched")
             );
+        }
+    }
+    let colstore = predictor
+        .predict_colstore_bytes(&corpus_to_bytes(corpus), batch_cols)
+        .expect("colstore bytes written by corpus_to_bytes");
+    assert_eq!(colstore, batched, "{}", label("predict_colstore_bytes"));
+    let parallel = predictor.predict_corpus_parallel_batched(corpus, batch_cols, 3);
+    assert_eq!(
+        parallel,
+        batched,
+        "{}",
+        label("predict_corpus_parallel_batched")
+    );
+
+    // The embedding stream: one row per column, in corpus order.
+    let mut streamed: Vec<Rows> = corpus.iter().map(|_| Vec::new()).collect();
+    let position = |id: u64| corpus.iter().position(|t| t.id == id).unwrap();
+    predictor.embed_corpus_batched_with(corpus, batch_cols, &mut memo, |id, c, row| {
+        let table = &mut streamed[position(id)];
+        assert_eq!(table.len(), c as usize, "columns stream in order");
+        table.push(row.to_vec());
+    });
+    for (got, want) in streamed.iter().zip(&embeddings) {
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "{}",
+            label("embed_corpus_batched_with")
+        );
+    }
+
+    // The service: tables from several requests coalesced into shared
+    // micro-batches.
+    let copy = SatoPredictor::from_bytes(&predictor.to_bytes()).expect("own artifact loads");
+    let service = SatoService::start(
+        copy,
+        ServiceConfig {
+            batch_cols,
+            ..ServiceConfig::default()
+        },
+    );
+    service.pause();
+    let handles: Vec<_> = corpus
+        .tables
+        .chunks(3)
+        .map(|chunk| {
+            service
+                .submit(chunk.to_vec(), RequestOptions::default())
+                .expect("admitted")
+        })
+        .collect();
+    service.resume();
+    let served: Vec<_> = handles
+        .into_iter()
+        .flat_map(|h| h.wait().expect("served").predictions)
+        .collect();
+    assert_eq!(served, batched, "{}", label("SatoService"));
+    service.shutdown();
+
+    (batched, proba, embeddings)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every entry point equals the oracle for all four variants, and
+    /// agrees with every other under the approximate samplers.
+    #[test]
+    fn every_entry_point_matches_the_oracle_on_ragged_corpora(
+        shapes in proptest::collection::vec(
+            proptest::collection::vec(0usize..6, 0..7), 1..9),
+        salt in 0usize..10_000,
+    ) {
+        let corpus = ragged_corpus(&shapes, salt);
+        let total_cols: usize = corpus.iter().map(|t| t.num_columns()).sum();
+        let oracle: Vec<_> = models().iter().map(|m| m.predict_corpus(&corpus)).collect();
+        for batch_cols in [1, 7, total_cols + 1] {
+            for (model, want) in models().iter().zip(&oracle) {
+                let (served, proba, embeddings) =
+                    serve_every_way(&model.predictor(), &corpus, batch_cols);
+                prop_assert_eq!(&served, want, "{}", model.variant().name());
+                for (i, table) in corpus.iter().enumerate() {
+                    prop_assert_eq!(&proba[i], &model.predict_proba(table));
+                    prop_assert_eq!(
+                        bits(&embeddings[i]),
+                        bits(&model.columnwise().column_embeddings(table))
+                    );
+                }
+            }
+            let full = models().iter().find(|m| m.variant() == SatoVariant::Full).unwrap();
+            for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
+                let predictor = full.predictor().with_sampler(kind);
+                let (served, proba, _) = serve_every_way(&predictor, &corpus, batch_cols);
+                for ((prediction, rows), table) in served.iter().zip(&proba).zip(corpus.iter()) {
+                    prop_assert_eq!(prediction.predicted.len(), table.num_columns());
+                    prop_assert_eq!(rows.len(), table.num_columns());
+                }
+            }
         }
     }
 }

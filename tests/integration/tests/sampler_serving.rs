@@ -196,14 +196,24 @@ fn approximate_serving_modes_are_consistent_across_entry_points() {
             for batch_cols in [1, 7, 1000] {
                 assert_eq!(
                     sequential,
-                    predictor.predict_corpus_batched_with(&corpus, batch_cols, &mut scratch),
+                    predictor.predict_tables_batched(
+                        &corpus.tables,
+                        batch_cols,
+                        &mut scratch,
+                        |_, _| {}
+                    ),
                     "variant {} / {} batch_cols {batch_cols}",
                     variant.name(),
                     kind.name()
                 );
                 assert_eq!(
                     sequential,
-                    predictor.predict_corpus_batched_with(&corpus, batch_cols, &mut memo_scratch),
+                    predictor.predict_tables_batched(
+                        &corpus.tables,
+                        batch_cols,
+                        &mut memo_scratch,
+                        |_, _| {}
+                    ),
                     "variant {} / {} batch_cols {batch_cols} (memoised)",
                     variant.name(),
                     kind.name()

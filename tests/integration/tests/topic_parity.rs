@@ -133,7 +133,7 @@ fn streaming_estimate_edge_cases_match_reference() {
 /// End to end, for **all four model variants**: the scratch/batched serving
 /// path (which runs the streaming topic estimate for topic-aware variants)
 /// must reproduce the per-table reference path bit for bit on a corpus laced
-/// with the topic edge cases — with and without the per-table topic memo.
+/// with the topic edge cases — with and without the topic memo.
 #[test]
 fn batched_topic_path_parity_all_variants_with_edge_tables() {
     let train = default_corpus(25, 13);
@@ -154,19 +154,38 @@ fn batched_topic_path_parity_all_variants_with_edge_tables() {
         for batch_cols in [1, 7, 1000] {
             assert_eq!(
                 reference,
-                predictor.predict_corpus_batched_with(&corpus, batch_cols, &mut scratch),
+                predictor.predict_tables_batched(
+                    &corpus.tables,
+                    batch_cols,
+                    &mut scratch,
+                    |_, _| {}
+                ),
                 "variant {} batch_cols {batch_cols}",
                 variant.name()
             );
             assert_eq!(
                 reference,
-                predictor.predict_corpus_batched_with(&corpus, batch_cols, &mut memo_scratch),
+                predictor.predict_tables_batched(
+                    &corpus.tables,
+                    batch_cols,
+                    &mut memo_scratch,
+                    |_, _| {}
+                ),
                 "variant {} batch_cols {batch_cols} (memoised)",
                 variant.name()
             );
         }
         if predictor.uses_topic() {
-            assert_eq!(memo_scratch.topic_memo_len(), corpus.len());
+            // The memo is keyed by content: tables whose cells encode to
+            // the same tokens (the empty and OOV-only tables) share one
+            // entry.
+            let est = predictor.columnwise().intent_estimator().unwrap();
+            let mut topic = TopicScratch::new();
+            let distinct: std::collections::HashSet<Vec<usize>> = corpus
+                .iter()
+                .map(|t| est.encode_cells(t, &mut topic).to_vec())
+                .collect();
+            assert_eq!(memo_scratch.topic_memo_len(), distinct.len());
         } else {
             assert_eq!(memo_scratch.topic_memo_len(), 0);
         }
