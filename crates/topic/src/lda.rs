@@ -73,8 +73,9 @@ impl LdaConfig {
     }
 }
 
-/// A trained LDA model: frozen topic–word counts plus the vocabulary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A trained LDA model: frozen topic–word counts plus the vocabulary, and
+/// the topic–word probabilities derived from them once at construction.
+#[derive(Debug, Clone)]
 pub struct LdaModel {
     config: LdaConfig,
     vocab: Vocabulary,
@@ -82,6 +83,40 @@ pub struct LdaModel {
     topic_word: Vec<u32>,
     /// `topic_totals[k]`: total tokens assigned to topic `k`.
     topic_totals: Vec<u32>,
+    /// `phi[w * K + t]`: topic–word probability, word-major so the `K`
+    /// lookups of one token are contiguous. Derived from the frozen counts
+    /// in [`LdaModel::from_parts`]; never serialized.
+    phi: Vec<f64>,
+}
+
+/// The persisted fields of [`LdaModel`]: its JSON shape, with the derived
+/// φ table left out.
+#[derive(Serialize, Deserialize)]
+struct LdaModelRepr {
+    config: LdaConfig,
+    vocab: Vocabulary,
+    topic_word: Vec<u32>,
+    topic_totals: Vec<u32>,
+}
+
+impl Serialize for LdaModel {
+    fn to_value(&self) -> serde::Value {
+        LdaModelRepr {
+            config: self.config.clone(),
+            vocab: self.vocab.clone(),
+            topic_word: self.topic_word.clone(),
+            topic_totals: self.topic_totals.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for LdaModel {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let repr = LdaModelRepr::from_value(v)?;
+        LdaModel::from_parts(repr.config, repr.vocab, repr.topic_word, repr.topic_totals)
+            .ok_or_else(|| serde::DeError("LDA count shapes do not match the config".into()))
+    }
 }
 
 impl LdaModel {
@@ -146,12 +181,8 @@ impl LdaModel {
             }
         }
 
-        LdaModel {
-            config,
-            vocab,
-            topic_word,
-            topic_totals,
-        }
+        LdaModel::from_parts(config, vocab, topic_word, topic_totals)
+            .expect("training builds counts of the configured shape")
     }
 
     /// Convenience: build the vocabulary and train in one call.
@@ -177,9 +208,15 @@ impl LdaModel {
 
     /// Topic–word probability `phi[k][w]`.
     pub fn phi(&self, topic: usize, word: usize) -> f64 {
-        let v = self.vocab.len().max(1);
-        (self.topic_word[topic * v + word] as f64 + self.config.beta)
-            / (self.topic_totals[topic] as f64 + self.config.beta * v as f64)
+        self.phi_row(word)[topic]
+    }
+
+    /// The contiguous `phi_w(·)` row of one word: its probability under
+    /// each of the `K` topics.
+    #[inline]
+    pub(crate) fn phi_row(&self, word: usize) -> &[f64] {
+        let k = self.config.num_topics;
+        &self.phi[word * k..(word + 1) * k]
     }
 
     /// The `top_n` most probable words of a topic (for interpretation, as in
@@ -204,9 +241,11 @@ impl LdaModel {
         &self.topic_totals
     }
 
-    /// Reassemble a model from its frozen parts (the binary-codec load
-    /// path). Returns `None` when the count buffers do not match the
-    /// `num_topics × vocabulary` shape the config implies.
+    /// Assemble a model from its frozen parts and derive the word-major φ
+    /// table from them. Every construction path goes through here:
+    /// training, the binary codec and JSON deserialization. Returns `None`
+    /// when the count buffers do not match the `num_topics × vocabulary`
+    /// shape the config implies, or that shape overflows.
     pub(crate) fn from_parts(
         config: LdaConfig,
         vocab: Vocabulary,
@@ -215,14 +254,25 @@ impl LdaModel {
     ) -> Option<Self> {
         let k = config.num_topics;
         let v = vocab.len().max(1);
-        if topic_word.len() != k * v || topic_totals.len() != k {
+        let cells = k.checked_mul(v)?;
+        if topic_word.len() != cells || topic_totals.len() != k {
             return None;
+        }
+        let beta = config.beta;
+        let v_beta = beta * v as f64;
+        let mut phi = vec![0.0f64; cells];
+        for (t, counts) in topic_word.chunks_exact(v).enumerate() {
+            let denom = topic_totals[t] as f64 + v_beta;
+            for (w, &n) in counts.iter().enumerate() {
+                phi[w * k + t] = (n as f64 + beta) / denom;
+            }
         }
         Some(LdaModel {
             config,
             vocab,
             topic_word,
             topic_totals,
+            phi,
         })
     }
 
@@ -249,10 +299,10 @@ impl LdaModel {
         self.infer_tokens(&tokens, seed)
     }
 
-    /// Build a ready-to-run [`TopicSampler`] for this model. `Dense` has no
-    /// state; `SparseAlias` pre-builds the per-word alias tables from the
-    /// frozen topic–word term (`O(K·V)`, once per frozen model — never on
-    /// the per-token hot path).
+    /// Build a ready-to-run [`TopicSampler`] for this model. `Dense` reads
+    /// the model's own φ table and has no state of its own; `SparseAlias`
+    /// pre-builds the per-word alias tables from the frozen topic–word term
+    /// (`O(K·V)`, once per frozen model — never on the per-token hot path).
     pub fn sampler(&self, kind: SamplerKind) -> TopicSampler {
         match kind {
             SamplerKind::Dense => TopicSampler::Dense,
@@ -321,7 +371,9 @@ impl LdaModel {
     }
 
     /// The collapsed dense sweep: `O(K)` per token, bit-identical to the
-    /// historical single-path implementation (the parity oracle).
+    /// historical single-path implementation. Per token it multiplies the
+    /// word's frozen φ row by the running `n_{d,t} + α` buffer; only the
+    /// two topics whose counts change are refreshed.
     fn infer_dense(
         &self,
         tokens: &[usize],
@@ -330,10 +382,7 @@ impl LdaModel {
         out: &mut [f32],
     ) {
         let k = self.config.num_topics;
-        let v = self.vocab.len().max(1);
         let alpha = self.config.alpha;
-        let beta = self.config.beta;
-        let v_beta = beta * v as f64;
         let mut rng = StdRng::seed_from_u64(seed);
 
         let LdaInferScratch {
@@ -341,6 +390,7 @@ impl LdaModel {
             assignments,
             weights,
             accum,
+            theta,
             ..
         } = scratch;
         doc_topic.clear();
@@ -350,6 +400,8 @@ impl LdaModel {
         for &z in assignments.iter() {
             doc_topic[z] += 1;
         }
+        theta.clear();
+        theta.extend(doc_topic.iter().map(|&n| n as f64 + alpha));
         weights.clear();
         weights.resize(k, 0.0);
         accum.clear();
@@ -361,21 +413,20 @@ impl LdaModel {
             for (i, &w) in tokens.iter().enumerate() {
                 let old = assignments[i];
                 doc_topic[old] -= 1;
+                theta[old] = doc_topic[old] as f64 + alpha;
                 let mut total = 0.0;
-                for (t, wt) in weights.iter_mut().enumerate() {
-                    let phi = (self.topic_word[t * v + w] as f64 + beta)
-                        / (self.topic_totals[t] as f64 + v_beta);
-                    let theta = doc_topic[t] as f64 + alpha;
-                    *wt = phi * theta;
+                for ((wt, &phi), &th) in weights.iter_mut().zip(self.phi_row(w)).zip(theta.iter()) {
+                    *wt = phi * th;
                     total += *wt;
                 }
                 let new = sample_discrete(weights, total, &mut rng);
                 assignments[i] = new;
                 doc_topic[new] += 1;
+                theta[new] = doc_topic[new] as f64 + alpha;
             }
             if iter >= burn_in {
-                for t in 0..k {
-                    accum[t] += (doc_topic[t] as f64 + alpha) / denom;
+                for (a, &th) in accum.iter_mut().zip(theta.iter()) {
+                    *a += th / denom;
                 }
             }
         }
@@ -408,6 +459,7 @@ impl LdaModel {
             accum,
             nz_topics,
             topic_pos,
+            ..
         } = scratch;
         doc_topic.clear();
         doc_topic.resize(k, 0);
@@ -667,12 +719,12 @@ fn finish_theta(config: &LdaConfig, num_tokens: usize, scratch: &LdaInferScratch
 }
 
 /// Caller-owned working buffers for [`LdaModel::infer_tokens_into`]: the
-/// document–topic counts, per-token assignments, full-conditional weights
-/// and the theta accumulator of one Gibbs inference run, plus the sparse
-/// count structures of the sparse/alias sampler (the list of topics present
-/// in the document and its positional index). Buffers keep their capacity
-/// between documents, so a warm inference allocates nothing with either
-/// sampler.
+/// document–topic counts, per-token assignments, full-conditional weights,
+/// the dense sampler's `n_{d,t} + α` buffer and the theta accumulator of
+/// one Gibbs inference run, plus the sparse count structures of the
+/// sparse/alias sampler (the list of topics present in the document and its
+/// positional index). Buffers keep their capacity between documents, so a
+/// warm inference allocates nothing with either sampler.
 #[derive(Debug, Clone, Default)]
 pub struct LdaInferScratch {
     /// `doc_topic[k]`: tokens of the document currently assigned to topic `k`.
@@ -684,6 +736,9 @@ pub struct LdaInferScratch {
     weights: Vec<f64>,
     /// Post-burn-in theta accumulator, one per topic.
     accum: Vec<f64>,
+    /// Dense sampler: `theta[t] = doc_topic[t] + α`, kept in step with
+    /// [`Self::doc_topic`].
+    theta: Vec<f64>,
     /// Sparse sampler: topics with a nonzero document count, unordered.
     nz_topics: Vec<usize>,
     /// Sparse sampler: `topic_pos[t]` is the position of `t` in
@@ -701,6 +756,7 @@ impl LdaInferScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Two clearly separated "themes" so a tiny LDA can recover structure.
     fn themed_documents() -> Vec<String> {
@@ -1103,5 +1159,164 @@ mod tests {
         let mut dense = vec![0.0f32; model.num_topics()];
         model.infer_tokens_into(&tokens, 3, &TopicSampler::Dense, &mut scratch, &mut dense);
         assert_eq!(out, dense);
+    }
+
+    /// The historical topic–word probability, `(n_wk + β) / (n_k + Vβ)`
+    /// straight from the frozen counts.
+    fn historical_phi(model: &LdaModel, topic: usize, word: usize) -> f64 {
+        let v = model.vocab.len().max(1);
+        let beta = model.config.beta;
+        (model.topic_word[topic * v + word] as f64 + beta)
+            / (model.topic_totals[topic] as f64 + beta * v as f64)
+    }
+
+    /// The historical dense sweep, kept as the parity oracle for
+    /// [`LdaModel::infer_dense`]: it recomputes [`historical_phi`] for every
+    /// topic of every token, and finishes the theta the way
+    /// [`finish_theta`] does.
+    fn infer_dense_oracle(model: &LdaModel, tokens: &[usize], seed: u64) -> Vec<f32> {
+        let k = model.config.num_topics;
+        if tokens.is_empty() {
+            return vec![1.0 / k as f32; k];
+        }
+        let alpha = model.config.alpha;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut assignments: Vec<usize> = tokens.iter().map(|_| rng.gen_range(0..k)).collect();
+        let mut doc_topic = vec![0u32; k];
+        for &z in &assignments {
+            doc_topic[z] += 1;
+        }
+        let mut weights = vec![0.0f64; k];
+        let mut accum = vec![0.0f64; k];
+        let denom = tokens.len() as f64 + alpha * k as f64;
+        let iterations = model.config.infer_iterations;
+        let burn_in = iterations / 2;
+        for iter in 0..iterations {
+            for (i, &w) in tokens.iter().enumerate() {
+                let old = assignments[i];
+                doc_topic[old] -= 1;
+                let mut total = 0.0;
+                for (t, wt) in weights.iter_mut().enumerate() {
+                    let theta = doc_topic[t] as f64 + alpha;
+                    *wt = historical_phi(model, t, w) * theta;
+                    total += *wt;
+                }
+                let new = sample_discrete(&weights, total, &mut rng);
+                assignments[i] = new;
+                doc_topic[new] += 1;
+            }
+            if iter >= burn_in {
+                for t in 0..k {
+                    accum[t] += (doc_topic[t] as f64 + alpha) / denom;
+                }
+            }
+        }
+        if iterations == 0 {
+            return doc_topic
+                .iter()
+                .map(|&d| ((d as f64 + alpha) / denom) as f32)
+                .collect();
+        }
+        let samples = (iterations - burn_in).max(1) as f64;
+        accum.iter().map(|&x| (x / samples) as f32).collect()
+    }
+
+    /// A 60-word corpus with overlapping word strides, so topics differ
+    /// without being trivially separable.
+    fn synthetic_model(num_topics: usize, infer_iterations: usize) -> LdaModel {
+        let docs: Vec<String> = (0..40usize)
+            .map(|d| {
+                (0..12usize)
+                    .map(|i| format!("w{}", (d * 7 + i * (d % 5 + 1)) % 60))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        let config = LdaConfig {
+            num_topics,
+            train_iterations: 10,
+            infer_iterations,
+            ..LdaConfig::tiny()
+        };
+        LdaModel::fit(&docs, 1, config)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The φ table holds the historical probabilities and the φ-table
+        /// dense sweep is the historical division-per-topic loop, bit for
+        /// bit: across topic counts, sweep counts, seeds, document shapes
+        /// (empty, one token, one word repeated, the last vocabulary id), a
+        /// warm reused scratch, and models rebuilt from JSON or the binary
+        /// codec.
+        #[test]
+        fn dense_sampler_matches_the_historical_oracle(
+            topics in 0usize..3,
+            sweeps in 0usize..3,
+            shape in 0usize..5,
+            round_trip in 0usize..3,
+            seed in 0u64..u64::MAX,
+            picks in proptest::collection::vec(0usize..10_000, 0..48)
+        ) {
+            let k = [2, 8, 64][topics];
+            let model = synthetic_model(k, [0, 1, 20][sweeps]);
+            let v = model.vocabulary().len();
+            let first = picks.first().map_or(0, |&p| p % v);
+            let tokens: Vec<usize> = match shape {
+                0 => Vec::new(),
+                1 => vec![first],
+                2 => vec![first; picks.len().max(2)],
+                3 => picks.iter().map(|&p| p % v).chain([v - 1]).collect(),
+                _ => picks.iter().map(|&p| p % v).collect(),
+            };
+            let served = match round_trip {
+                0 => model.clone(),
+                1 => serde_json::from_str(&serde_json::to_string(&model).unwrap()).unwrap(),
+                _ => {
+                    let mut bytes = Vec::new();
+                    model.write_bytes(&mut bytes);
+                    LdaModel::from_bytes(&bytes).unwrap()
+                }
+            };
+            for w in 0..v {
+                for t in 0..k {
+                    prop_assert_eq!(
+                        served.phi(t, w).to_bits(),
+                        historical_phi(&model, t, w).to_bits()
+                    );
+                }
+            }
+
+            let mut scratch = LdaInferScratch::new();
+            let mut out = vec![0.0f32; k];
+            // Warm the scratch on a different document first, so stale
+            // buffer state would show.
+            let warm: Vec<usize> = tokens.iter().rev().map(|&w| (w + 1) % v).collect();
+            served.infer_tokens_into(&warm, seed ^ 1, &TopicSampler::Dense, &mut scratch, &mut out);
+            served.infer_tokens_into(&tokens, seed, &TopicSampler::Dense, &mut scratch, &mut out);
+            prop_assert_eq!(bits(&out), bits(&infer_dense_oracle(&model, &tokens, seed)));
+        }
+    }
+
+    /// The φ table is derived, not persisted: the JSON form carries exactly
+    /// the four count fields, and counts that disagree with the config's
+    /// shape are a decode error rather than a later out-of-bounds panic.
+    #[test]
+    fn json_form_persists_counts_only_and_rejects_bad_shapes() {
+        let model = synthetic_model(8, 4);
+        let serde::Value::Map(fields) = model.to_value() else {
+            panic!("model JSON is not an object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["config", "vocab", "topic_word", "topic_totals"]);
+
+        let json = serde_json::to_string(&model).unwrap();
+        assert!(json.starts_with("{\"config\":{\"num_topics\":8,"));
+        let json = json.replacen("\"num_topics\":8", "\"num_topics\":9", 1);
+        assert!(serde_json::from_str::<LdaModel>(&json).is_err());
     }
 }

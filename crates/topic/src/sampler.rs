@@ -6,10 +6,12 @@
 //! counts (only the document–topic counts change between sweeps). Two
 //! strategies implement that draw:
 //!
-//! * [`TopicSampler::Dense`] — the collapsed dense sweep: recompute all `K`
-//!   weights per token, `O(K)` per token. Bit-identical to the historical
-//!   implementation; it is the parity oracle every other sampler is
-//!   measured against.
+//! * [`TopicSampler::Dense`] — the collapsed dense sweep: per token,
+//!   multiply the word's frozen φ row (a contiguous row of the word-major
+//!   table the [`LdaModel`] builds once at load, `K·V·8` bytes) by the
+//!   document's `n_{d,t} + α` buffer, `O(K)` per token. Bit-identical to
+//!   the historical division-per-topic implementation; it is the parity
+//!   oracle every other sampler is measured against.
 //! * [`TopicSampler::SparseAlias`] — a SparseLDA/alias-table hybrid. The
 //!   conditional splits into a *static* part `α · phi_w(t)` (frozen, so it
 //!   is pre-built into one Walker alias table per word at predictor freeze
@@ -71,7 +73,8 @@ impl SamplerKind {
 /// mutability).
 #[derive(Debug, Clone)]
 pub enum TopicSampler {
-    /// The dense parity oracle (no pre-built state).
+    /// The dense parity oracle: reads the frozen φ rows the [`LdaModel`]
+    /// itself builds once at load, so it carries no state of its own.
     Dense,
     /// Sparse/alias sampling against pre-built per-word tables.
     SparseAlias(Box<SparseAliasTables>),
@@ -119,7 +122,7 @@ impl SparseAliasTables {
         let k = model.num_topics();
         let v = model.vocabulary().len();
         let alpha = model.config().alpha;
-        let mut phi = vec![0.0f64; v * k];
+        let mut phi = Vec::with_capacity(v * k);
         let mut alias_prob = vec![0.0f64; v * k];
         let mut alias = vec![0u32; v * k];
         let mut static_mass = vec![0.0f64; v];
@@ -128,11 +131,13 @@ impl SparseAliasTables {
         let mut small: Vec<u32> = Vec::with_capacity(k);
         let mut large: Vec<u32> = Vec::with_capacity(k);
         for w in 0..v {
-            let row = &mut phi[w * k..(w + 1) * k];
+            // The model's own φ row, copied as-is (one φ formula in the
+            // crate).
+            let row = model.phi_row(w);
+            phi.extend_from_slice(row);
             let mut sum = 0.0;
-            for (t, p) in row.iter_mut().enumerate() {
-                *p = model.phi(t, w);
-                sum += *p;
+            for &p in row {
+                sum += p;
             }
             static_mass[w] = alpha * sum;
             // Walker/Vose construction over p_t = phi_w(t) / sum.

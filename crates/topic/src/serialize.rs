@@ -190,8 +190,10 @@ impl LdaModel {
             tokens.push(token.to_string());
         }
         let vocab = Vocabulary::from_id_tokens(tokens);
-        let v = vocab.len().max(1);
-        let topic_word = r.u32_vec(num_topics * v, "topic-word counts")?;
+        let cells = num_topics
+            .checked_mul(vocab.len().max(1))
+            .ok_or(TopicBytesError::Corrupt("count shapes"))?;
+        let topic_word = r.u32_vec(cells, "topic-word counts")?;
         let topic_totals = r.u32_vec(num_topics, "topic totals")?;
         r.finish("trailing bytes after LDA model")?;
         LdaModel::from_parts(config, vocab, topic_word, topic_totals)
@@ -342,6 +344,29 @@ mod tests {
             LdaModel::from_bytes(&bytes),
             Err(TopicBytesError::Corrupt(_))
         ));
+    }
+
+    /// Regression: a hostile header whose `num_topics × vocabulary` shape
+    /// overflows `usize` panicked in debug builds (and wrapped in release)
+    /// instead of failing as a corrupt payload.
+    #[test]
+    fn overflowing_count_shape_header_is_corrupt() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(1u64 << 63).to_le_bytes()); // num_topics
+        bytes.extend_from_slice(&0.1f64.to_le_bytes()); // alpha
+        bytes.extend_from_slice(&0.01f64.to_le_bytes()); // beta
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // train_iterations
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // infer_iterations
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // seed
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // vocabulary length
+        for offset in [0u32, 1, 2] {
+            bytes.extend_from_slice(&offset.to_le_bytes());
+        }
+        bytes.extend_from_slice(b"ab");
+        assert_eq!(
+            LdaModel::from_bytes(&bytes).unwrap_err(),
+            TopicBytesError::Corrupt("count shapes")
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The serving hot path relies on `LdaModel::infer_tokens_into` (and the
 //! streaming `TableIntentEstimator::estimate_into` built on it) performing
 //! **zero** heap allocations once the scratch buffers are warm — no fresh
-//! `doc_topic`/`assignments`/`weights`/`accum` per table, no `as_document`
+//! `doc_topic`/`assignments`/`weights`/`theta`/`accum` per table, no `as_document`
 //! mega-string, no per-token `String`. A counting global allocator makes
 //! that a hard assertion rather than a code-review convention, mirroring
 //! `crates/nn/tests/alloc_free_infer.rs`.
