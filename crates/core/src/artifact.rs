@@ -3,11 +3,12 @@
 //! [`SatoPredictor::to_json`](crate::SatoPredictor::to_json) stays the
 //! debug/interchange format; this module is the deployment format: the
 //! already-flat buffers a predictor is made of (network weights and running
-//! statistics, per-group scaler moments, the LDA topic–word counts, the CRF
-//! pairwise table and — for the sparse sampler — the pre-built per-word
-//! alias tables) laid out as little-endian sections behind a header, so
-//! loading is section framing plus `memcpy`-shaped bulk reads instead of
-//! parsing hundreds of thousands of JSON number literals.
+//! statistics, per-group scaler moments, the LDA topic–word counts and the
+//! CRF pairwise table) laid out as little-endian sections behind a header,
+//! so loading is section framing plus `memcpy`-shaped bulk reads instead of
+//! parsing hundreds of thousands of JSON number literals. Only primary
+//! state is stored: the LDA model's φ table and the sparse/MH samplers'
+//! per-word alias tables are derived from `LDAM` at every load.
 //!
 //! ## Layout
 //!
@@ -33,7 +34,10 @@
 //! | `HEAD` | classification-head state dict                                |
 //! | `LDAM` | LDA model (topic-aware variants only)                         |
 //! | `CRFP` | CRF pairwise potentials (structured variants only)            |
-//! | `ALIA` | pre-built Walker alias tables (sparse-alias sampler only)     |
+//!
+//! Artifacts written before the alias tables became derived state may
+//! still carry an `ALIA` section; like any unknown id it is ignored, and
+//! the tables are rebuilt from `LDAM`, deterministically and bit-exactly.
 //!
 //! `META` nests the one irregular, schema-shaped piece (the configuration)
 //! as JSON inside the binary envelope — artifacts stay self-describing
@@ -48,7 +52,7 @@ use crate::predictor::{PredictorError, SatoPredictor};
 use sato_crf::LinearChainCrf;
 use sato_features::FeatureGroup;
 use sato_nn::serialize::StateDict;
-use sato_topic::{LdaModel, SamplerKind, SparseAliasTables, TableIntentEstimator, TopicSampler};
+use sato_topic::{LdaModel, SamplerKind, TableIntentEstimator};
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every binary predictor artifact.
@@ -69,7 +73,6 @@ const SEC_NETW: [u8; 4] = *b"NETW";
 const SEC_HEAD: [u8; 4] = *b"HEAD";
 const SEC_LDAM: [u8; 4] = *b"LDAM";
 const SEC_CRFP: [u8; 4] = *b"CRFP";
-const SEC_ALIA: [u8; 4] = *b"ALIA";
 
 /// FNV-1a 64-bit checksum — the shared kernel-layer implementation
 /// (`sato_kernels::fnv1a64`, 8-byte chunked, bit-identical to the
@@ -172,7 +175,6 @@ fn section_name(id: [u8; 4]) -> &'static str {
         SEC_HEAD => "HEAD",
         SEC_LDAM => "LDAM",
         SEC_CRFP => "CRFP",
-        SEC_ALIA => "ALIA",
         _ => "unknown section",
     }
 }
@@ -343,7 +345,7 @@ impl SatoPredictor {
             sampler: columnwise.sampler_kind(),
             group_widths: columnwise.group_widths().to_vec(),
         };
-        let mut sections: Vec<([u8; 4], Vec<u8>)> = Vec::with_capacity(7);
+        let mut sections: Vec<([u8; 4], Vec<u8>)> = Vec::with_capacity(6);
         sections.push((
             SEC_META,
             serde_json::to_string(&meta)
@@ -369,22 +371,14 @@ impl SatoPredictor {
             encode_crf(crf, &mut crfp);
             sections.push((SEC_CRFP, crfp));
         }
-        match columnwise.sampler() {
-            TopicSampler::SparseAlias(tables) | TopicSampler::MetropolisHastings(tables) => {
-                let mut alia = Vec::new();
-                tables.write_bytes(&mut alia);
-                sections.push((SEC_ALIA, alia));
-            }
-            TopicSampler::Dense => {}
-        }
         assemble(&sections)
     }
 
     /// Rebuild a predictor from a `SATOART1` binary artifact written by
     /// [`Self::to_bytes`]. The loaded predictor reproduces the predictions
-    /// of the saved one bit for bit; for sparse-alias artifacts the
-    /// pre-built Walker tables load straight from their section, skipping
-    /// the `O(topics × vocabulary)` rebuild.
+    /// of the saved one bit for bit; the sampler recorded in `META` is
+    /// rebuilt from the `LDAM` model (an `O(topics × vocabulary)` step for
+    /// the alias-based samplers).
     ///
     /// Errors are typed, never panics: truncation, bad magic, version skew,
     /// per-section checksum mismatches, missing required sections,
@@ -427,32 +421,6 @@ impl SatoPredictor {
             None => None,
         };
 
-        // Sparse-alias artifacts carry their pre-built tables; load them
-        // directly instead of rebuilding. Artifacts without the section
-        // (always possible: the build is deterministic) rebuild from the
-        // LDA model via the ordinary freeze path.
-        let prebuilt = match (meta.sampler, &intent, sections.get(SEC_ALIA)) {
-            (
-                kind @ (SamplerKind::SparseAlias | SamplerKind::MetropolisHastings),
-                Some(est),
-                Some(payload),
-            ) => {
-                let tables = SparseAliasTables::from_bytes(payload)?;
-                if tables.num_topics() != est.num_topics()
-                    || tables.vocab_size() != est.model().vocabulary().len()
-                {
-                    return Err(PredictorError::Corrupt(
-                        "alias tables were built for a different topic model".to_string(),
-                    ));
-                }
-                let boxed = Box::new(tables);
-                Some(match kind {
-                    SamplerKind::MetropolisHastings => TopicSampler::MetropolisHastings(boxed),
-                    _ => TopicSampler::SparseAlias(boxed),
-                })
-            }
-            _ => None,
-        };
         let columnwise = FrozenColumnwise::from_state(
             &meta.config,
             meta.use_topic,
@@ -462,7 +430,6 @@ impl SatoPredictor {
             &net_state,
             &head_state,
             meta.sampler,
-            prebuilt,
         )?;
         // The content hash is taken over the exact bytes served from, not a
         // re-serialization: what was loaded is what the hash names.
@@ -554,31 +521,38 @@ mod tests {
         }
     }
 
+    /// Artifacts written while the alias tables were still persisted carry
+    /// an `ALIA` section. Whatever its payload, loading ignores it and
+    /// rebuilds the sampler from `LDAM`: predictions match the in-memory
+    /// predictor bit for bit, and re-serializing drops the section.
     #[test]
-    fn sparse_alias_artifact_loads_prebuilt_tables_and_rebuilds_without_them() {
-        let sparse = fresh_copy().with_sampler(SamplerKind::SparseAlias);
-        let bytes = sparse.to_bytes();
-        let sections = Sections::parse(&bytes).unwrap();
-        assert!(
-            sections.get(SEC_ALIA).is_some(),
-            "sparse-alias artifact must carry its alias tables"
-        );
-        let loaded = SatoPredictor::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded.sampler_kind(), SamplerKind::SparseAlias);
-        // Stripping the ALIA section forces the deterministic rebuild path;
-        // predictions must not change either way.
-        let stripped_sections: Vec<([u8; 4], Vec<u8>)> = sections
-            .entries
-            .iter()
-            .filter(|(id, _)| *id != SEC_ALIA)
-            .map(|(id, payload)| (*id, payload.to_vec()))
-            .collect();
-        let rebuilt = SatoPredictor::from_bytes(&assemble(&stripped_sections)).unwrap();
-        assert_eq!(rebuilt.sampler_kind(), SamplerKind::SparseAlias);
-        for table in corpus().iter().take(6) {
-            let expected = sparse.predict_proba(table);
-            assert_eq!(expected, loaded.predict_proba(table));
-            assert_eq!(expected, rebuilt.predict_proba(table));
+    fn legacy_alia_section_is_ignored_and_sampler_is_rebuilt() {
+        let bits = |proba: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            proba
+                .iter()
+                .map(|row| row.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
+            let fresh = fresh_copy().with_sampler(kind);
+            let bytes = fresh.to_bytes();
+            let mut sections: Vec<([u8; 4], Vec<u8>)> = Sections::parse(&bytes)
+                .unwrap()
+                .entries
+                .iter()
+                .map(|(id, payload)| (*id, payload.to_vec()))
+                .collect();
+            assert!(sections.iter().all(|(id, _)| id != b"ALIA"));
+            sections.push((*b"ALIA", vec![0xFF; 64 * 1024]));
+            let loaded = SatoPredictor::from_bytes(&assemble(&sections)).unwrap();
+            assert_eq!(loaded.sampler_kind(), kind);
+            for table in corpus().iter().take(6) {
+                assert_eq!(
+                    bits(fresh.predict_proba(table)),
+                    bits(loaded.predict_proba(table))
+                );
+            }
+            assert_eq!(loaded.to_bytes(), bytes, "{} re-serialization", kind.name());
         }
     }
 

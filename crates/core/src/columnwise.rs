@@ -245,7 +245,6 @@ impl ColumnwiseModel {
             &net.state_dict(),
             &head.state_dict(),
             SamplerKind::Dense,
-            None,
         )
         .expect("snapshot of an identical architecture cannot fail")
     }
@@ -741,11 +740,10 @@ impl FrozenColumnwise {
 
     /// Rebuild a frozen core from its serialized parts: the architecture is
     /// reconstructed from `config` + `group_widths` and the weights (and
-    /// BatchNorm running statistics) loaded from the state dicts. `sampler`
-    /// is the ready-to-run sampler when the artifact carried one (a binary
-    /// artifact's alias-table section, which the caller vouches was built
-    /// from this very intent model); `None` rebuilds it from `sampler_kind`,
-    /// an `O(topics × vocabulary)` step for the alias-based samplers.
+    /// BatchNorm running statistics) loaded from the state dicts. The
+    /// sampler is always built from `sampler_kind` against `intent`'s own
+    /// model, so it cannot disagree with it (an `O(topics × vocabulary)`
+    /// step for the alias-based samplers).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_state(
         config: &SatoConfig,
@@ -756,12 +754,11 @@ impl FrozenColumnwise {
         net_state: &StateDict,
         head_state: &StateDict,
         sampler_kind: SamplerKind,
-        sampler: Option<TopicSampler>,
     ) -> Result<Self, LoadError> {
         let (mut net, mut head) = build_network(config, &group_widths);
         net.load_state_dict(net_state)?;
         head.load_state_dict(head_state)?;
-        let frozen = FrozenColumnwise {
+        Ok(FrozenColumnwise {
             use_topic,
             extractor: FeatureExtractor::new(config.features.clone()),
             intent,
@@ -771,11 +768,8 @@ impl FrozenColumnwise {
             group_widths,
             sampler_kind,
             sampler: TopicSampler::Dense,
-        };
-        Ok(match sampler {
-            Some(sampler) => FrozenColumnwise { sampler, ..frozen },
-            None => frozen.with_sampler_kind(sampler_kind),
-        })
+        }
+        .with_sampler_kind(sampler_kind))
     }
 }
 

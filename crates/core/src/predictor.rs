@@ -680,7 +680,6 @@ impl SatoPredictor {
             &artifact.net,
             &artifact.head,
             artifact.sampler,
-            None,
         )?;
         // `from_parts` computes the content hash over the canonical binary
         // form, so a JSON-loaded predictor hashes identically to the same

@@ -211,7 +211,12 @@ pub fn scoped() -> FaultGuard {
 pub fn fire(site: &str, key: u64) -> bool {
     let action = {
         let mut reg = registry();
-        let state = reg.entry(site.to_string()).or_default();
+        // Allocate the key only on a site's first hit, so a warm
+        // instrumented path stays allocation-free.
+        if !reg.contains_key(site) {
+            reg.insert(site.to_string(), SiteState::default());
+        }
+        let state = reg.get_mut(site).expect("site inserted above");
         state.hits += 1;
         let Some(plan) = &state.plan else {
             return false;

@@ -299,10 +299,11 @@ impl LdaModel {
         self.infer_tokens(&tokens, seed)
     }
 
-    /// Build a ready-to-run [`TopicSampler`] for this model. `Dense` reads
-    /// the model's own φ table and has no state of its own; `SparseAlias`
-    /// pre-builds the per-word alias tables from the frozen topic–word term
-    /// (`O(K·V)`, once per frozen model — never on the per-token hot path).
+    /// Build a ready-to-run [`TopicSampler`] for this model. Every sampler
+    /// reads φ from the model's own table; `Dense` has no state of its own,
+    /// while `SparseAlias` and `MetropolisHastings` pre-build the per-word
+    /// static masses and Walker alias tables from it (`O(K·V)`, once per
+    /// frozen model — never on the per-token hot path).
     pub fn sampler(&self, kind: SamplerKind) -> TopicSampler {
         match kind {
             SamplerKind::Dense => TopicSampler::Dense,
@@ -498,7 +499,7 @@ impl LdaModel {
                     topic_pos[old] = 0;
                 }
                 // Document part: O(k_d) fused weight fill + mass.
-                let phi_row = tables.phi_row(w);
+                let phi_row = self.phi_row(w);
                 let mut r = 0.0;
                 for (slot, &t) in nz_topics.iter().enumerate() {
                     let wt = doc_topic[t] as f64 * phi_row[t];
@@ -624,7 +625,7 @@ impl LdaModel {
                     }
                     topic_pos[old] = 0;
                 }
-                let phi_row = tables.phi_row(w);
+                let phi_row = self.phi_row(w);
                 let mut s = old;
 
                 for _ in 0..MH_CYCLES {
@@ -1299,6 +1300,66 @@ mod tests {
             served.infer_tokens_into(&warm, seed ^ 1, &TopicSampler::Dense, &mut scratch, &mut out);
             served.infer_tokens_into(&tokens, seed, &TopicSampler::Dense, &mut scratch, &mut out);
             prop_assert_eq!(bits(&out), bits(&infer_dense_oracle(&model, &tokens, seed)));
+        }
+    }
+
+    /// FNV-1a 64 over the little-endian bits of `thetas`, in order.
+    fn fnv1a_theta_bits(thetas: &[f32]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in thetas.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Sparse and MH thetas are pinned bit for bit to values recorded
+    /// before the samplers read φ from the model instead of from their own
+    /// copy. The digest streams every theta of every document × seed,
+    /// through one warm scratch, including the empty, one-token and
+    /// repeated-word documents.
+    #[test]
+    fn sparse_and_mh_thetas_match_pinned_digests() {
+        // Digests per model, in `[SparseAlias, MetropolisHastings]` order.
+        let cases = [
+            (
+                synthetic_model(64, 20),
+                [0x45a2_13ae_fd87_4b0d, 0xcce2_e2ff_e90e_4d01],
+            ),
+            (
+                LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny()),
+                [0x11ea_2b75_da67_b65c, 0xb909_d66c_8345_6c5c],
+            ),
+        ];
+        let kinds = [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings];
+        for (model, digests) in &cases {
+            for (kind, &expected) in kinds.into_iter().zip(digests) {
+                let v = model.vocabulary().len();
+                let docs: [Vec<usize>; 5] = [
+                    Vec::new(),
+                    vec![v / 2],
+                    vec![3 % v; 17],
+                    (0..40).map(|i| (i * 7 + 1) % v).collect(),
+                    (0..v).rev().collect(),
+                ];
+                let sampler = model.sampler(kind);
+                let mut scratch = LdaInferScratch::new();
+                let mut out = vec![0.0f32; model.num_topics()];
+                let mut thetas = Vec::new();
+                for doc in &docs {
+                    for seed in [0u64, 7, 12_345, u64::MAX] {
+                        model.infer_tokens_into(doc, seed, &sampler, &mut scratch, &mut out);
+                        thetas.extend_from_slice(&out);
+                    }
+                }
+                assert_eq!(
+                    fnv1a_theta_bits(&thetas),
+                    expected,
+                    "model with {} topics, {} sampler",
+                    model.num_topics(),
+                    kind.name()
+                );
+            }
         }
     }
 

@@ -95,18 +95,17 @@ impl TopicSampler {
 }
 
 /// The frozen topic–word term of one [`LdaModel`], pre-processed for
-/// `O(k_d)`-per-token sampling: word-major `phi`, the static mass
-/// `s_w = α · Σ_t phi_w(t)` and one Walker alias table per word over the
-/// normalized static distribution.
+/// `O(k_d)`-per-token sampling: the static mass `s_w = α · Σ_t phi_w(t)`
+/// and one Walker alias table per word over the normalized static
+/// distribution. Purely derived state: the samplers read φ rows from the
+/// model itself, and the tables are never persisted — every artifact load
+/// rebuilds them from the model's counts.
 #[derive(Debug, Clone)]
 pub struct SparseAliasTables {
     /// Number of topics.
     k: usize,
     /// Vocabulary size the tables were built for.
     v: usize,
-    /// `phi[w * k + t]`: topic–word probability, word-major so one token's
-    /// lookups are contiguous.
-    phi: Vec<f64>,
     /// Walker acceptance probability per `(word, slot)`.
     alias_prob: Vec<f64>,
     /// Walker alias index per `(word, slot)`.
@@ -122,7 +121,6 @@ impl SparseAliasTables {
         let k = model.num_topics();
         let v = model.vocabulary().len();
         let alpha = model.config().alpha;
-        let mut phi = Vec::with_capacity(v * k);
         let mut alias_prob = vec![0.0f64; v * k];
         let mut alias = vec![0u32; v * k];
         let mut static_mass = vec![0.0f64; v];
@@ -131,10 +129,7 @@ impl SparseAliasTables {
         let mut small: Vec<u32> = Vec::with_capacity(k);
         let mut large: Vec<u32> = Vec::with_capacity(k);
         for w in 0..v {
-            // The model's own φ row, copied as-is (one φ formula in the
-            // crate).
             let row = model.phi_row(w);
-            phi.extend_from_slice(row);
             let mut sum = 0.0;
             for &p in row {
                 sum += p;
@@ -175,66 +170,10 @@ impl SparseAliasTables {
         SparseAliasTables {
             k,
             v,
-            phi,
             alias_prob,
             alias,
             static_mass,
         }
-    }
-
-    /// Number of topics the tables were built for.
-    pub fn num_topics(&self) -> usize {
-        self.k
-    }
-
-    /// Vocabulary size the tables were built for.
-    pub fn vocab_size(&self) -> usize {
-        self.v
-    }
-
-    /// Reassemble pre-built tables from their parts (the binary-codec load
-    /// path, which is what lets an artifact skip the `O(K·V)` rebuild).
-    /// Returns `None` when the buffer shapes are inconsistent or an alias
-    /// index is out of range.
-    pub(crate) fn from_parts(
-        k: usize,
-        v: usize,
-        phi: Vec<f64>,
-        alias_prob: Vec<f64>,
-        alias: Vec<u32>,
-        static_mass: Vec<f64>,
-    ) -> Option<Self> {
-        if k == 0
-            || phi.len() != v * k
-            || alias_prob.len() != v * k
-            || alias.len() != v * k
-            || static_mass.len() != v
-            || alias.iter().any(|&t| t as usize >= k)
-        {
-            return None;
-        }
-        Some(SparseAliasTables {
-            k,
-            v,
-            phi,
-            alias_prob,
-            alias,
-            static_mass,
-        })
-    }
-
-    /// Borrow all parts in [`Self::from_parts`] order (the binary-codec
-    /// write path).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts(&self) -> (usize, usize, &[f64], &[f64], &[u32], &[f64]) {
-        (
-            self.k,
-            self.v,
-            &self.phi,
-            &self.alias_prob,
-            &self.alias,
-            &self.static_mass,
-        )
     }
 
     /// Panic unless the tables were built for a model of this shape (they
@@ -243,13 +182,6 @@ impl SparseAliasTables {
     pub(crate) fn assert_matches(&self, k: usize, v: usize) {
         assert_eq!(self.k, k, "sampler built for a different topic count");
         assert_eq!(self.v, v, "sampler built for a different vocabulary");
-    }
-
-    /// The contiguous `phi_w(·)` row of one word (hoists the row base out
-    /// of the per-topic loop).
-    #[inline]
-    pub(crate) fn phi_row(&self, word: usize) -> &[f64] {
-        &self.phi[word * self.k..(word + 1) * self.k]
     }
 
     /// Total mass of the static part for `word`.
@@ -419,9 +351,10 @@ mod tests {
         }
     }
 
-    /// The static mass recorded per word is `α · Σ_t phi_w(t)`, and the
-    /// alias slot probabilities are a valid Walker table (each slot in
-    /// `[0, 1]`, aliases in range).
+    /// Against the model's own φ rows: the static mass recorded per word is
+    /// `α · Σ_t phi_w(t)`, the alias slot probabilities form a valid Walker
+    /// table (each slot in `[0, 1]`, aliases in range), and the table
+    /// spreads exactly the normalized row's mass over the topics.
     #[test]
     fn table_invariants_hold() {
         let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
@@ -429,16 +362,27 @@ mod tests {
         let k = model.num_topics();
         let alpha = model.config().alpha;
         for w in 0..model.vocabulary().len() {
-            let sum: f64 = (0..k).map(|t| model.phi(t, w)).sum();
+            let row = model.phi_row(w);
+            let sum: f64 = row.iter().sum();
             assert!(
                 (tables.static_mass(w) - alpha * sum).abs() < 1e-12,
                 "static mass of word {w}"
             );
+            let mut mass = vec![0.0f64; k];
             for t in 0..k {
-                assert!((model.phi(t, w) - tables.phi_row(w)[t]).abs() < 1e-15);
                 let slot = tables.alias_prob[w * k + t];
+                let alias = tables.alias[w * k + t] as usize;
                 assert!((0.0..=1.0 + 1e-9).contains(&slot), "slot prob {slot}");
-                assert!((tables.alias[w * k + t] as usize) < k);
+                assert!(alias < k);
+                mass[t] += slot.min(1.0);
+                mass[alias] += 1.0 - slot.min(1.0);
+            }
+            for (t, &m) in mass.iter().enumerate() {
+                let expected = row[t] / sum * k as f64;
+                assert!(
+                    (m - expected).abs() < 1e-9,
+                    "word {w} topic {t}: table mass {m}, row mass {expected}"
+                );
             }
         }
     }

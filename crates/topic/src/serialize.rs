@@ -1,20 +1,20 @@
-//! Flat binary codecs for the frozen topic-model state: the [`LdaModel`]
-//! (config scalars, vocabulary, topic–word counts) and the pre-built
-//! per-word Walker alias tables of [`SparseAliasTables`].
+//! Flat binary codec for the frozen topic-model state: the [`LdaModel`]
+//! (config scalars, vocabulary, topic–word counts). Everything derived from
+//! those counts — the φ table and the samplers' per-word alias tables — is
+//! rebuilt at load, never persisted.
 //!
-//! These produce the raw *section payloads* of the `sato-core` binary
+//! This produces the raw `LDAM` *section payload* of the `sato-core` binary
 //! predictor artifact; the section framing (magic, section table,
 //! checksums, alignment) lives there. Everything is little-endian, and the
-//! heavy buffers are laid out exactly as they sit in memory (`u32`/`f64`
-//! runs), so loading is a bounds check plus one pass of
-//! `from_le_bytes` per element — no tree of JSON values, no per-token
-//! re-hashing beyond rebuilding the vocabulary map.
+//! count buffers are laid out exactly as they sit in memory (`u32` runs),
+//! so loading is a bounds check plus one pass of `from_le_bytes` per
+//! element — no tree of JSON values, no per-token re-hashing beyond
+//! rebuilding the vocabulary map.
 //!
 //! JSON (through the serde derives on the same types) remains the
 //! debug/interchange representation; both decode to bit-identical models.
 
 use crate::lda::{LdaConfig, LdaModel};
-use crate::sampler::SparseAliasTables;
 use crate::vocab::Vocabulary;
 use std::fmt;
 
@@ -92,17 +92,6 @@ impl<'a> ByteReader<'a> {
             .collect())
     }
 
-    fn f64_vec(&mut self, len: usize, what: &'static str) -> Result<Vec<f64>, TopicBytesError> {
-        let bytes = self.take(
-            len.checked_mul(8).ok_or(TopicBytesError::Corrupt(what))?,
-            what,
-        )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     fn finish(self, what: &'static str) -> Result<(), TopicBytesError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -114,13 +103,6 @@ impl<'a> ByteReader<'a> {
 
 fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
     out.reserve(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn push_f64s(out: &mut Vec<u8>, values: &[f64]) {
-    out.reserve(values.len() * 8);
     for &v in values {
         out.extend_from_slice(&v.to_le_bytes());
     }
@@ -201,43 +183,9 @@ impl LdaModel {
     }
 }
 
-impl SparseAliasTables {
-    /// Append the pre-built tables' flat binary form to `out`. Storing them
-    /// lets an artifact load skip the `O(K·V)` Walker rebuild entirely.
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        let (k, v, phi, alias_prob, alias, static_mass) = self.parts();
-        out.extend_from_slice(&(k as u64).to_le_bytes());
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-        push_f64s(out, phi);
-        push_f64s(out, alias_prob);
-        push_u32s(out, alias);
-        push_f64s(out, static_mass);
-    }
-
-    /// Decode tables written by [`Self::write_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TopicBytesError> {
-        let mut r = ByteReader::new(bytes);
-        let k = usize::try_from(r.u64("topic count")?)
-            .map_err(|_| TopicBytesError::Corrupt("topic count"))?;
-        let v = usize::try_from(r.u64("vocabulary size")?)
-            .map_err(|_| TopicBytesError::Corrupt("vocabulary size"))?;
-        let cells = v
-            .checked_mul(k)
-            .ok_or(TopicBytesError::Corrupt("table shape overflow"))?;
-        let phi = r.f64_vec(cells, "phi table")?;
-        let alias_prob = r.f64_vec(cells, "alias probabilities")?;
-        let alias = r.u32_vec(cells, "alias indices")?;
-        let static_mass = r.f64_vec(v, "static mass")?;
-        r.finish("trailing bytes after alias tables")?;
-        SparseAliasTables::from_parts(k, v, phi, alias_prob, alias, static_mass)
-            .ok_or(TopicBytesError::Corrupt("alias table shapes"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{SamplerKind, TopicSampler};
 
     fn themed_documents() -> Vec<String> {
         (0..30)
@@ -276,25 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_tables_round_trip_bit_identically() {
-        let model = trained();
-        let built = match model.sampler(SamplerKind::SparseAlias) {
-            TopicSampler::SparseAlias(t) => t,
-            _ => unreachable!(),
-        };
-        let mut bytes = Vec::new();
-        built.write_bytes(&mut bytes);
-        let back = SparseAliasTables::from_bytes(&bytes).unwrap();
-        let (k, v, phi, alias_prob, alias, static_mass) = built.parts();
-        let (k2, v2, phi2, alias_prob2, alias2, static_mass2) = back.parts();
-        assert_eq!((k, v), (k2, v2));
-        assert_eq!(phi, phi2);
-        assert_eq!(alias_prob, alias_prob2);
-        assert_eq!(alias, alias2);
-        assert_eq!(static_mass, static_mass2);
-    }
-
-    #[test]
     fn truncation_is_reported_at_every_prefix() {
         let model = trained();
         let mut bytes = Vec::new();
@@ -307,17 +236,6 @@ mod tests {
                 ),
                 "cut at {cut} not reported as truncation"
             );
-        }
-        let mut alias_bytes = Vec::new();
-        match model.sampler(SamplerKind::SparseAlias) {
-            TopicSampler::SparseAlias(t) => t.write_bytes(&mut alias_bytes),
-            _ => unreachable!(),
-        }
-        for cut in [0, 8, alias_bytes.len() - 1] {
-            assert!(matches!(
-                SparseAliasTables::from_bytes(&alias_bytes[..cut]),
-                Err(TopicBytesError::Truncated(_))
-            ));
         }
     }
 
@@ -367,24 +285,5 @@ mod tests {
             LdaModel::from_bytes(&bytes).unwrap_err(),
             TopicBytesError::Corrupt("count shapes")
         );
-    }
-
-    #[test]
-    fn out_of_range_alias_index_is_corrupt() {
-        let model = trained();
-        let built = match model.sampler(SamplerKind::SparseAlias) {
-            TopicSampler::SparseAlias(t) => t,
-            _ => unreachable!(),
-        };
-        let mut bytes = Vec::new();
-        built.write_bytes(&mut bytes);
-        let (k, v, ..) = built.parts();
-        // First alias index lives after k,v and the two f64 tables.
-        let alias_offset = 16 + 2 * (v * k) * 8;
-        bytes[alias_offset..alias_offset + 4].copy_from_slice(&(k as u32).to_le_bytes());
-        assert!(matches!(
-            SparseAliasTables::from_bytes(&bytes),
-            Err(TopicBytesError::Corrupt(_))
-        ));
     }
 }
