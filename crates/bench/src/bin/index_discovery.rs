@@ -15,7 +15,9 @@
 //!   averaged over held-out query columns that are *not* in the index.
 //!
 //! It also round-trips the index through its `SATOIDX1` sidecar file to
-//! time save/load, then writes everything to `BENCH_index.json`.
+//! time save/load, then writes everything to `BENCH_index.json`, with the
+//! machine's `available_parallelism` next to the one thread (`threads`)
+//! every figure is measured on.
 //!
 //! Options: the standard experiment flags (`--tables`, `--seed`, `--fast`,
 //! ...) plus `--lake-cols N` (target lake size in columns, default 100000)
@@ -24,7 +26,7 @@
 //! recall@10 ≥ 0.9 at ≥ 10x query speedup over brute force.
 
 use sato::{SatoModel, SatoVariant, ServingScratch};
-use sato_bench::{banner, ExperimentOptions};
+use sato_bench::{banner, default_threads, ExperimentOptions};
 use sato_index::{ColumnRef, HnswConfig, HnswIndex};
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::Corpus;
@@ -197,7 +199,8 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"sato-bench/index-v1\",\n  \"single_threaded\": true,\n  \"model\": \"Sato (Full)\",\n  \"smoke\": {smoke},\n  \"lake_tables\": {},\n  \"lake_columns\": {lake_cols},\n  \"embedding_dim\": {dim},\n  \"hnsw\": {{\n    \"m\": {},\n    \"ef_construction\": {},\n    \"ef_search\": {},\n    \"seed\": {},\n    \"top_level\": {}\n  }},\n  \"build_s\": {:.3},\n  \"embed_s\": {:.3},\n  \"graph_insert_s\": {:.3},\n  \"build_cols_per_s\": {build_cols_per_s:.1},\n  \"queries\": {},\n  \"k\": {K},\n  \"recall_at_10\": {recall:.4},\n  \"ann_queries_per_s\": {ann_qps:.1},\n  \"bruteforce_queries_per_s\": {bf_qps:.1},\n  \"speedup_vs_bruteforce\": {speedup:.2},\n  \"sidecar_bytes\": {sidecar_bytes},\n  \"sidecar_save_s\": {save_s:.4},\n  \"sidecar_load_s\": {load_s:.4}\n}}\n",
+        "{{\n  \"schema\": \"sato-bench/index-v2\",\n  \"available_parallelism\": {},\n  \"threads\": 1,\n  \"model\": \"Sato (Full)\",\n  \"smoke\": {smoke},\n  \"lake_tables\": {},\n  \"lake_columns\": {lake_cols},\n  \"embedding_dim\": {dim},\n  \"hnsw\": {{\n    \"m\": {},\n    \"ef_construction\": {},\n    \"ef_search\": {},\n    \"seed\": {},\n    \"top_level\": {}\n  }},\n  \"build_s\": {:.3},\n  \"embed_s\": {:.3},\n  \"graph_insert_s\": {:.3},\n  \"build_cols_per_s\": {build_cols_per_s:.1},\n  \"queries\": {},\n  \"k\": {K},\n  \"recall_at_10\": {recall:.4},\n  \"ann_queries_per_s\": {ann_qps:.1},\n  \"bruteforce_queries_per_s\": {bf_qps:.1},\n  \"speedup_vs_bruteforce\": {speedup:.2},\n  \"sidecar_bytes\": {sidecar_bytes},\n  \"sidecar_save_s\": {save_s:.4},\n  \"sidecar_load_s\": {load_s:.4}\n}}\n",
+        default_threads(),
         lake.len(),
         config.m,
         config.ef_construction,

@@ -22,7 +22,7 @@
 //! bit-identical and correctly artifact-tagged.
 
 use sato::{SatoModel, SatoVariant};
-use sato_bench::{banner, ExperimentOptions};
+use sato_bench::{banner, default_threads, ExperimentOptions};
 use sato_serve::{RequestOptions, SatoService, ServiceConfig, ServiceStats};
 use sato_tabular::split::train_test_split;
 use sato_tabular::table::Table;
@@ -281,8 +281,9 @@ fn run_load_point(
 }
 
 /// Emit `BENCH_service.json`: the machine-readable saturation sweep of the
-/// annotation service (all numbers from a single-worker service on one
-/// core).
+/// annotation service. The service runs inference on its one batcher
+/// thread, so `threads` is 1 whatever `available_parallelism` the machine
+/// reports.
 fn write_service_json(
     opts: &ExperimentOptions,
     smoke: bool,
@@ -317,7 +318,8 @@ fn write_service_json(
         ));
     }
     let json = format!(
-        "{{\n  \"schema\": \"sato-bench/service-v1\",\n  \"single_threaded\": true,\n  \"model\": \"Sato (Full)\",\n  \"smoke\": {smoke},\n  \"chaos\": {chaos},\n  \"sampler\": \"{}\",\n  \"service\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"queue_depth\": {QUEUE_DEPTH},\n    \"deadline_ms\": {},\n    \"calibrated_capacity_rps\": {capacity_rps:.2}\n  }},\n  \"load_points\": [\n{body}  ]\n}}\n",
+        "{{\n  \"schema\": \"sato-bench/service-v2\",\n  \"available_parallelism\": {},\n  \"threads\": 1,\n  \"model\": \"Sato (Full)\",\n  \"smoke\": {smoke},\n  \"chaos\": {chaos},\n  \"sampler\": \"{}\",\n  \"service\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"queue_depth\": {QUEUE_DEPTH},\n    \"deadline_ms\": {},\n    \"calibrated_capacity_rps\": {capacity_rps:.2}\n  }},\n  \"load_points\": [\n{body}  ]\n}}\n",
+        default_threads(),
         opts.sampler.name(),
         DEADLINE.as_millis(),
     );

@@ -8,10 +8,12 @@
 //! multi-threaded batched (`--threads N`, default: CPU count) serving
 //! throughput — the serving-side extension of the paper's efficiency study.
 //!
-//! Besides the human-readable table, the run writes `BENCH_serving.json`
-//! (all single-threaded measurements, so the numbers are valid on a 1-CPU
-//! container): per-table (batch of one) vs batched serving throughput
-//! (`batched_speedup`), single-pass vs reference (per-alphabet-character)
+//! Besides the human-readable table, the run writes `BENCH_serving.json`,
+//! which records the machine's `available_parallelism` and the `threads`
+//! of the parallel serving pass (`parallel_batched_tables_per_sec`); every
+//! other figure in it is measured on one thread. It holds: per-table
+//! (batch of one) vs batched serving throughput (`batched_speedup`),
+//! single-pass vs reference (per-alphabet-character)
 //! feature extraction µs/column (with a per-group char/word/para/stat
 //! breakdown of the reference cost), the
 //! `hashing` section — kernel-layer (prefix-extension) vs scalar
@@ -30,7 +32,7 @@
 //! measures all three).
 
 use sato::{SamplerKind, SatoModel, SatoPredictor, SatoVariant, TopicSampler};
-use sato_bench::{banner, ExperimentOptions};
+use sato_bench::{banner, default_threads, ExperimentOptions};
 use sato_eval::metrics::mean_and_ci95;
 use sato_eval::report::TextTable;
 use sato_features::{reference, FeatureExtractor, FeatureScratch};
@@ -89,6 +91,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut full_predict_times = Vec::new();
     let mut full_batched_times = Vec::new();
+    let mut full_parallel_times = Vec::new();
     let mut full_predictor: Option<SatoPredictor> = None;
     for variant in [SatoVariant::Base, SatoVariant::Full] {
         let mut feature_times = Vec::new();
@@ -140,6 +143,7 @@ fn main() {
         if variant == SatoVariant::Full {
             full_predict_times.clone_from(&predict_times);
             full_batched_times.clone_from(&batched_times);
+            full_parallel_times.clone_from(&parallel_times);
         }
         rows.push((
             variant,
@@ -285,6 +289,7 @@ fn main() {
         &split.test,
         &full_predict_times,
         &full_batched_times,
+        &full_parallel_times,
         &features_bench,
         (hashing_kernel_us, hashing_scalar_us),
         topic_scratch_us,
@@ -651,13 +656,14 @@ fn time_artifacts(predictor: &SatoPredictor, test: &Corpus) -> ArtifactBench {
 }
 
 /// Emit `BENCH_serving.json`: the machine-readable perf trajectory of the
-/// serving path (all single-threaded numbers).
+/// serving path (single-threaded numbers, except the parallel pass).
 #[allow(clippy::too_many_arguments)]
 fn write_serving_json(
     opts: &ExperimentOptions,
     test: &Corpus,
     per_table_secs: &[f64],
     batched_secs: &[f64],
+    parallel_secs: &[f64],
     features: &FeatureBench,
     (hashing_kernel_us, hashing_scalar_us): (f64, f64),
     topic_scratch_us: f64,
@@ -670,9 +676,12 @@ fn write_serving_json(
     let columns: usize = test.iter().map(|t| t.num_columns()).sum();
     let per_table = mean(per_table_secs);
     let batched = mean(batched_secs);
+    let parallel_tps = tables / mean(parallel_secs).max(1e-12);
+    let available = default_threads();
+    let threads = opts.threads;
     let (single_pass_us, baseline_us) = (features.single_pass_us, features.baseline_us);
     let json = format!(
-        "{{\n  \"schema\": \"sato-bench/serving-v1\",\n  \"single_threaded\": true,\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"sato-bench/serving-v2\",\n  \"available_parallelism\": {available},\n  \"threads\": {threads},\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"parallel_batched_tables_per_sec\": {parallel_tps:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
         test.len(),
         columns,
         opts.seed,

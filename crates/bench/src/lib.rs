@@ -14,7 +14,7 @@
 //! --epochs E    column-wise network training epochs        (default 40)
 //! --trials T    repetitions for timing / permutation runs  (default 3)
 //! --threads N   serving threads for parallel prediction    (default: CPU count)
-//! --sampler S   serving topic sampler: dense | sparse | mh (default dense)
+//! --sampler S   serving topic sampler: dense | sparse | mh (default sparse)
 //! --fast        shrink everything for a quick smoke run
 //! ```
 
@@ -64,7 +64,7 @@ impl Default for ExperimentOptions {
             epochs: 40,
             trials: 3,
             threads: default_threads(),
-            sampler: SamplerKind::Dense,
+            sampler: SamplerKind::default(),
             fast: false,
         }
     }
@@ -234,8 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn sampler_defaults_to_dense_and_parses_both_spellings() {
-        assert_eq!(ExperimentOptions::default().sampler, SamplerKind::Dense);
+    fn sampler_defaults_to_sparse_alias_and_parses_both_spellings() {
+        assert_eq!(
+            ExperimentOptions::default().sampler,
+            SamplerKind::SparseAlias
+        );
         for (flag, kind) in [
             ("dense", SamplerKind::Dense),
             ("sparse", SamplerKind::SparseAlias),

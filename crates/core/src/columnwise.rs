@@ -231,6 +231,7 @@ impl ColumnwiseModel {
 
     /// Snapshot the trained model into an immutable [`FrozenColumnwise`]
     /// without consuming it (parameters and running statistics are copied).
+    /// The snapshot serves [`SamplerKind::default`].
     ///
     /// Panics if the model has not been trained.
     pub fn freeze(&self) -> FrozenColumnwise {
@@ -244,13 +245,14 @@ impl ColumnwiseModel {
             self.group_widths.clone(),
             &net.state_dict(),
             &head.state_dict(),
-            SamplerKind::Dense,
+            SamplerKind::default(),
         )
         .expect("snapshot of an identical architecture cannot fail")
     }
 
     /// Consume the trained model into an immutable [`FrozenColumnwise`],
-    /// moving the network weights instead of copying them.
+    /// moving the network weights instead of copying them. The frozen model
+    /// serves [`SamplerKind::default`].
     ///
     /// Panics if the model has not been trained.
     pub fn into_frozen(self) -> FrozenColumnwise {
@@ -267,6 +269,7 @@ impl ColumnwiseModel {
             sampler_kind: SamplerKind::Dense,
             sampler: TopicSampler::Dense,
         }
+        .with_sampler_kind(SamplerKind::default())
     }
 }
 
@@ -865,7 +868,9 @@ mod tests {
     #[test]
     fn frozen_model_matches_source_bit_for_bit() {
         let (model, corpus) = train_small(true);
-        let snapshot = model.freeze();
+        // The live model's topic features come from the dense sweep, so
+        // the snapshot serves the same sampler to match it bit for bit.
+        let snapshot = model.freeze().with_sampler_kind(SamplerKind::Dense);
         let embed = |frozen: &FrozenColumnwise, table: &Table| {
             let mut scratch = ServingScratch::new();
             frozen.run_batch(&[table], &mut scratch, false);
@@ -879,8 +884,11 @@ mod tests {
             );
             assert_eq!(model.column_embeddings(table), embed(&snapshot, table));
         }
-        // Consuming freeze agrees too (moves the very same weights).
+        // Consuming freeze agrees too (moves the very same weights); it
+        // serves the default sampler until told otherwise.
         let frozen = model.into_frozen();
+        assert_eq!(frozen.sampler_kind(), SamplerKind::default());
+        let frozen = frozen.with_sampler_kind(SamplerKind::Dense);
         let table = &corpus.tables[0];
         assert_eq!(embed(&frozen, table), embed(&snapshot, table));
         assert!(frozen.uses_topic());

@@ -30,7 +30,10 @@
 //! * **Serving** is immutable: a trained model **freezes** into a
 //!   [`SatoPredictor`] — via [`SatoModel::into_predictor`] (consuming,
 //!   zero-copy) or [`SatoModel::predictor`] (snapshot) — whose entry points
-//!   all take `&self`.
+//!   all take `&self`. A frozen predictor estimates table topics with the
+//!   default [`SamplerKind::SparseAlias`] sampler;
+//!   [`SatoPredictor::with_sampler`]`(SamplerKind::Dense)` makes it
+//!   bit-identical to the training-side model.
 //!
 //! `SatoPredictor` is `Send + Sync` by construction (no RNG, no caches, no
 //! interior mutability), so one frozen artifact can serve any number of

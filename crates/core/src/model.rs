@@ -201,7 +201,10 @@ impl SatoModel {
 
     /// Freeze this trained model into an immutable, `Send + Sync`
     /// [`SatoPredictor`] serving artifact, consuming the model (the weights
-    /// are moved, not copied).
+    /// are moved, not copied). The predictor serves the default topic
+    /// sampler ([`SamplerKind::SparseAlias`](sato_topic::SamplerKind)); this
+    /// model's own predictions use the exact dense sweep, which
+    /// `with_sampler(SamplerKind::Dense)` reproduces bit for bit.
     pub fn into_predictor(self) -> SatoPredictor {
         SatoPredictor::from_parts(
             self.variant,
@@ -213,7 +216,8 @@ impl SatoModel {
 
     /// Snapshot this trained model into a [`SatoPredictor`] without
     /// consuming it (weights and running statistics are copied), e.g. to
-    /// keep training while a frozen snapshot serves traffic.
+    /// keep training while a frozen snapshot serves traffic. Like
+    /// [`Self::into_predictor`], it serves the default topic sampler.
     pub fn predictor(&self) -> SatoPredictor {
         SatoPredictor::from_parts(
             self.variant,

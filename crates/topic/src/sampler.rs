@@ -3,7 +3,7 @@
 //!
 //! Serving inference samples each token's topic from the full conditional
 //! `p(z = t) ∝ phi_w(t) · (n_{d,t} + α)` against **frozen** topic–word
-//! counts (only the document–topic counts change between sweeps). Two
+//! counts (only the document–topic counts change between sweeps). Three
 //! strategies implement that draw:
 //!
 //! * [`TopicSampler::Dense`] — the collapsed dense sweep: per token,
@@ -12,10 +12,10 @@
 //!   document's `n_{d,t} + α` buffer, `O(K)` per token. Bit-identical to
 //!   the historical division-per-topic implementation; it is the parity
 //!   oracle every other sampler is measured against.
-//! * [`TopicSampler::SparseAlias`] — a SparseLDA/alias-table hybrid. The
-//!   conditional splits into a *static* part `α · phi_w(t)` (frozen, so it
-//!   is pre-built into one Walker alias table per word at predictor freeze
-//!   time and sampled in `O(1)`) and a *document* part
+//! * [`TopicSampler::SparseAlias`] — the default: a SparseLDA/alias-table
+//!   hybrid. The conditional splits into a *static* part `α · phi_w(t)`
+//!   (frozen, so it is pre-built into one Walker alias table per word at
+//!   predictor freeze time and sampled in `O(1)`) and a *document* part
 //!   `n_{d,t} · phi_w(t)` that only ranges over the topics actually
 //!   present in the document — `O(k_d)` per token, `k_d ≤ min(len, K)`.
 //!   Same target distribution, different floating-point/RNG consumption,
@@ -43,12 +43,24 @@ use serde::{Deserialize, Serialize};
 /// *configuration* side of the sampler layer: it is `Copy`, serializable
 /// (stored in predictor artifacts) and turned into a ready-to-run
 /// [`TopicSampler`] with [`LdaModel::sampler`].
+///
+/// The default is [`SamplerKind::SparseAlias`], which every freshly frozen
+/// predictor serves: topic estimation is the largest serving stage, and
+/// the sparse/alias draw runs it about twice as fast as the dense sweep at
+/// `K = 64` (never slower at any `K` measured) with no measurable change in
+/// annotation quality. [`SamplerKind::Dense`] stays the exact oracle: the
+/// training-side model uses it, legacy artifacts (a JSON artifact without
+/// a `sampler` field, or a binary one whose metadata names `Dense`) load
+/// as it, and `with_sampler(SamplerKind::Dense)` switches a predictor back
+/// to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SamplerKind {
-    /// Exact dense sweep, bit-identical to the historical implementation.
-    #[default]
+    /// Exact dense sweep, bit-identical to the historical implementation:
+    /// the parity oracle.
     Dense,
-    /// Sparse document part + per-word alias tables for the static part.
+    /// Sparse document part + per-word alias tables for the static part
+    /// (the default).
+    #[default]
     SparseAlias,
     /// LightLDA-style cycle Metropolis–Hastings: alternating word/doc
     /// proposals with `O(1)` accept/reject steps per token.
@@ -255,8 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_round_trips_through_json_and_defaults_to_dense() {
-        assert_eq!(SamplerKind::default(), SamplerKind::Dense);
+    fn kind_round_trips_through_json_and_defaults_to_sparse_alias() {
+        assert_eq!(SamplerKind::default(), SamplerKind::SparseAlias);
         for kind in [
             SamplerKind::Dense,
             SamplerKind::SparseAlias,

@@ -3,9 +3,10 @@
 //! any corpus — tables with zero, one or many columns, empty columns and
 //! blank cells — and at any micro-batch width they must all reproduce the
 //! training-side oracle, `SatoModel::predict_corpus` (and the live model's
-//! per-table probabilities and embeddings), bit for bit. With the
-//! approximate topic samplers there is no training-side oracle; there every
-//! entry point must agree with every other.
+//! per-table probabilities and embeddings), bit for bit, when they serve the
+//! dense sampler the oracle uses. Under the approximate topic samplers —
+//! the default sparse/alias one included — there is no training-side
+//! oracle; there every entry point must agree with every other.
 
 use proptest::prelude::*;
 use sato::{SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant, ServingScratch};
@@ -197,8 +198,9 @@ fn serve_every_way(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every entry point equals the oracle for all four variants, and
-    /// agrees with every other under the approximate samplers.
+    /// Every entry point equals the oracle for all four variants under the
+    /// dense sampler, and agrees with every other under the default
+    /// predictor and under Metropolis–Hastings.
     #[test]
     fn every_entry_point_matches_the_oracle_on_ragged_corpora(
         shapes in proptest::collection::vec(
@@ -210,8 +212,8 @@ proptest! {
         let oracle: Vec<_> = models().iter().map(|m| m.predict_corpus(&corpus)).collect();
         for batch_cols in [1, 7, total_cols + 1] {
             for (model, want) in models().iter().zip(&oracle) {
-                let (served, proba, embeddings) =
-                    serve_every_way(&model.predictor(), &corpus, batch_cols);
+                let dense = model.predictor().with_sampler(SamplerKind::Dense);
+                let (served, proba, embeddings) = serve_every_way(&dense, &corpus, batch_cols);
                 prop_assert_eq!(&served, want, "{}", model.variant().name());
                 for (i, table) in corpus.iter().enumerate() {
                     prop_assert_eq!(&proba[i], &model.predict_proba(table));
@@ -220,15 +222,25 @@ proptest! {
                         bits(&model.columnwise().column_embeddings(table))
                     );
                 }
-            }
-            let full = models().iter().find(|m| m.variant() == SatoVariant::Full).unwrap();
-            for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
-                let predictor = full.predictor().with_sampler(kind);
-                let (served, proba, _) = serve_every_way(&predictor, &corpus, batch_cols);
+                // The default predictor; without a topic estimator the
+                // sampler has no effect, so it still equals the oracle.
+                let default = model.predictor();
+                prop_assert_eq!(default.sampler_kind(), SamplerKind::SparseAlias);
+                let (served, proba, _) = serve_every_way(&default, &corpus, batch_cols);
+                if !default.uses_topic() {
+                    prop_assert_eq!(&served, want, "{}", model.variant().name());
+                }
                 for ((prediction, rows), table) in served.iter().zip(&proba).zip(corpus.iter()) {
                     prop_assert_eq!(prediction.predicted.len(), table.num_columns());
                     prop_assert_eq!(rows.len(), table.num_columns());
                 }
+            }
+            let full = models().iter().find(|m| m.variant() == SatoVariant::Full).unwrap();
+            let mh = full.predictor().with_sampler(SamplerKind::MetropolisHastings);
+            let (served, proba, _) = serve_every_way(&mh, &corpus, batch_cols);
+            for ((prediction, rows), table) in served.iter().zip(&proba).zip(corpus.iter()) {
+                prop_assert_eq!(prediction.predicted.len(), table.num_columns());
+                prop_assert_eq!(rows.len(), table.num_columns());
             }
         }
     }

@@ -6,7 +6,7 @@
 //! `batched_serving.rs`.)
 
 use proptest::prelude::*;
-use sato::{PredictorError, SatoConfig, SatoModel, SatoPredictor, SatoVariant};
+use sato::{PredictorError, SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant};
 use sato_tabular::corpus::default_corpus;
 
 /// Compile-time assertion: the frozen serving artifact is `Send + Sync`.
@@ -91,7 +91,8 @@ fn frozen_predictor_serves_identically_from_many_threads() {
     let corpus = default_corpus(30, 17);
     let model = SatoModel::train(&corpus, tiny_config(17), SatoVariant::Full);
     let expected: Vec<_> = corpus.iter().map(|t| model.predict(t)).collect();
-    let predictor = model.into_predictor();
+    // The live model is the dense oracle, so the predictor serves dense too.
+    let predictor = model.into_predictor().with_sampler(SamplerKind::Dense);
 
     // A shared borrow serves concurrent ad-hoc requests with the same
     // answers the mutable-era API produced.

@@ -3,7 +3,8 @@
 //! internally consistent across every serving entry point, quantifiably
 //! close to the dense parity oracle, and faithfully round-tripped through
 //! the predictor artifact (including artifacts that predate the sampler
-//! field).
+//! field, which keep serving the dense sweep while fresh predictors serve
+//! the sparse/alias default).
 
 use proptest::prelude::*;
 use sato::{SamplerKind, SatoConfig, SatoModel, SatoVariant, ServingScratch};
@@ -238,7 +239,9 @@ fn sampler_choice_affects_only_topic_aware_variants() {
     let train = default_corpus(25, 13);
     let corpus = default_corpus(10, 55);
     // Topic-free: identical predictions under any sampler.
-    let base = SatoModel::train(&train, tiny_config(), SatoVariant::Base).into_predictor();
+    let base = SatoModel::train(&train, tiny_config(), SatoVariant::Base)
+        .into_predictor()
+        .with_sampler(SamplerKind::Dense);
     let base_dense = base.predict_corpus(&corpus);
     let base_sparse = base.with_sampler(SamplerKind::SparseAlias);
     assert_eq!(base_dense, base_sparse.predict_corpus(&corpus));
@@ -246,7 +249,9 @@ fn sampler_choice_affects_only_topic_aware_variants() {
     assert_eq!(base_dense, base_mh.predict_corpus(&corpus));
     // Topic-aware: the probability rows must differ somewhere (thetas are
     // close but not bit-identical, and the network consumes them).
-    let full = SatoModel::train(&train, tiny_config(), SatoVariant::Full).into_predictor();
+    let full = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
+        .into_predictor()
+        .with_sampler(SamplerKind::Dense);
     let dense_probs: Vec<_> = corpus.iter().map(|t| full.predict_proba(t)).collect();
     let full_sparse = full.with_sampler(SamplerKind::SparseAlias);
     let sparse_probs: Vec<_> = corpus
@@ -301,7 +306,9 @@ fn sampler_artifact_versioning() {
     assert_eq!(mh_expected, loaded.predict_corpus(&corpus));
 
     // Pre-sampler-era artifact (no sampler field at all) → Dense.
-    let dense = SatoModel::train(&train, tiny_config(), SatoVariant::Full).into_predictor();
+    let dense = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
+        .into_predictor()
+        .with_sampler(SamplerKind::Dense);
     let dense_json = dense.to_json();
     let legacy = dense_json.replacen("\"sampler\":\"Dense\",", "", 1);
     assert!(!legacy.contains("\"sampler\""), "field not stripped");
@@ -325,5 +332,70 @@ fn sampler_artifact_versioning() {
         }
         Err(other) => panic!("expected a JSON load error, got: {other}"),
         Ok(_) => panic!("unknown sampler kind must fail to load"),
+    }
+}
+
+/// Bit patterns of per-column probability rows, so they compare exactly.
+fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|row| row.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// Moving the default to SparseAlias leaves every legacy artifact on the
+/// dense sweep: a JSON artifact without a `sampler` key and a `SATOART1`
+/// artifact whose `META` names `Dense` both load as Dense and serve bit for
+/// bit like `.with_sampler(SamplerKind::Dense)` and the live model. A
+/// missing key must map to Dense itself, not to `SamplerKind::default()`.
+/// Freshly frozen predictors, by contrast, serve the default.
+#[test]
+fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
+    use sato::SatoPredictor;
+    let train = default_corpus(25, 13);
+    let corpus = default_corpus(8, 99);
+    let model = SatoModel::train(&train, tiny_config(), SatoVariant::Full);
+    let probs = |p: &SatoPredictor| -> Vec<_> {
+        corpus.iter().map(|t| bits(&p.predict_proba(t))).collect()
+    };
+    let oracle: Vec<_> = corpus
+        .iter()
+        .map(|t| bits(&model.predict_proba(t)))
+        .collect();
+
+    let snapshot = model.predictor();
+    assert_eq!(snapshot.sampler_kind(), SamplerKind::SparseAlias);
+    let fresh = model.into_predictor();
+    assert_eq!(fresh.sampler_kind(), SamplerKind::SparseAlias);
+    assert_eq!(probs(&fresh), probs(&snapshot));
+    assert_ne!(
+        probs(&fresh),
+        oracle,
+        "the default must differ from dense for this test to tell them apart"
+    );
+
+    let dense = fresh.with_sampler(SamplerKind::Dense);
+    assert_eq!(probs(&dense), oracle);
+    let json = dense.to_json();
+    let legacy_json = json.replacen("\"sampler\":\"Dense\",", "", 1);
+    assert!(!legacy_json.contains("\"sampler\""), "field not stripped");
+    let legacy = [
+        (
+            "JSON without sampler",
+            SatoPredictor::from_json(&legacy_json).unwrap(),
+        ),
+        (
+            "SATOART1 naming Dense",
+            SatoPredictor::from_bytes(&dense.to_bytes()).unwrap(),
+        ),
+    ];
+    for (format, loaded) in legacy {
+        assert_eq!(loaded.sampler_kind(), SamplerKind::Dense, "{format}");
+        assert_eq!(loaded.content_hash(), dense.content_hash(), "{format}");
+        assert_eq!(probs(&loaded), oracle, "{format}");
+        assert_eq!(
+            loaded.predict_corpus(&corpus),
+            dense.predict_corpus(&corpus),
+            "{format}"
+        );
     }
 }
