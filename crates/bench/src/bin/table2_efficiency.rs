@@ -21,15 +21,15 @@
 //! reference (mega-string) LDA topic estimation µs/table, the `crf_decode`
 //! section — kernel-layer (row-major `relax_max_argmax`) vs reference
 //! (destination-major loop) Viterbi decode µs/chain — the `gibbs_sampler`
-//! section — dense vs sparse/alias vs Metropolis–Hastings topic sampling
-//! µs/table with the mean L1 theta drift of each approximate sampler — and
+//! section — dense vs sparse/alias topic sampling µs/table with the mean L1
+//! theta drift of the sparse/alias sampler — and
 //! the `artifact` section — JSON vs SATOART1 binary predictor artifact size
 //! and load time, plus a cold serve straight off the columnar (colstore)
 //! corpus bytes — each with its speedup recorded from the same run.
 //!
-//! `--sampler {dense,sparse,mh}` selects the topic sampler the serving
+//! `--sampler {dense,sparse}` selects the topic sampler the serving
 //! throughput measurements run with (the sampler comparison section always
-//! measures all three).
+//! measures both).
 
 use sato::{SamplerKind, SatoModel, SatoPredictor, SatoVariant, TopicSampler};
 use sato_bench::{banner, default_threads, ExperimentOptions};
@@ -245,19 +245,16 @@ fn main() {
         crf_reference_us / crf_kernel_us.max(1e-12)
     );
 
-    // Dense vs sparse/alias vs Metropolis–Hastings Gibbs sampling on the
-    // same intent estimator and held-out tables: µs/table for each sampler
-    // plus the mean L1 theta drift each approximate sampler introduces.
+    // Dense vs sparse/alias Gibbs sampling on the same intent estimator and
+    // held-out tables: µs/table for each sampler plus the mean L1 theta
+    // drift the sparse/alias sampler introduces.
     let gibbs = time_gibbs_samplers(intent, &split.test, opts.trials);
     println!(
-        "gibbs sampler: dense {:.1} µs/table vs sparse-alias {:.1} µs/table ({:.2}x, L1 drift {:.4}) vs MH {:.1} µs/table ({:.2}x over sparse, L1 drift {:.4})",
+        "gibbs sampler: dense {:.1} µs/table vs sparse-alias {:.1} µs/table ({:.2}x, L1 drift {:.4})",
         gibbs.dense_us,
         gibbs.sparse_us,
         gibbs.dense_us / gibbs.sparse_us.max(1e-9),
-        gibbs.mean_l1_drift,
-        gibbs.mh_us,
-        gibbs.sparse_us / gibbs.mh_us.max(1e-9),
-        gibbs.mh_l1_drift
+        gibbs.mean_l1_drift
     );
 
     // Artifact formats: JSON vs SATOART1 binary size and load time, plus a
@@ -514,8 +511,8 @@ fn time_topic_estimation(
     (mean(&scratch_times), mean(&reference_times))
 }
 
-/// Dense vs sparse/alias vs Metropolis–Hastings sampler comparison recorded
-/// in the `gibbs_sampler` section of `BENCH_serving.json`.
+/// Dense vs sparse/alias sampler comparison recorded in the `gibbs_sampler`
+/// section of `BENCH_serving.json`.
 struct GibbsSamplerBench {
     /// Mean µs/table of the dense sampler (scratch path).
     dense_us: f64,
@@ -525,11 +522,6 @@ struct GibbsSamplerBench {
     /// Mean (over tables) L1 distance between the dense and sparse thetas —
     /// the quantified approximation cost of the fast sampler.
     mean_l1_drift: f64,
-    /// Mean µs/table of the Metropolis–Hastings cycle sampler (scratch
-    /// path; reuses the same pre-built alias tables).
-    mh_us: f64,
-    /// Mean (over tables) L1 distance between the dense and MH thetas.
-    mh_l1_drift: f64,
 }
 
 /// Mean (over tables) L1 distance between two theta corpora.
@@ -546,10 +538,10 @@ fn mean_l1(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
         / a.len().max(1) as f64
 }
 
-/// Time the dense, sparse/alias and Metropolis–Hastings topic samplers over
-/// every table of `corpus` through one warm scratch each, and measure the
-/// mean L1 theta drift of each approximate sampler against dense; returns
-/// mean µs/table per sampler, over `trials` repetitions.
+/// Time the dense and sparse/alias topic samplers over every table of
+/// `corpus` through one warm scratch each, and measure the mean L1 theta
+/// drift of the sparse/alias sampler against dense; returns mean µs/table
+/// per sampler, over `trials` repetitions.
 fn time_gibbs_samplers(
     intent: &TableIntentEstimator,
     corpus: &Corpus,
@@ -557,18 +549,14 @@ fn time_gibbs_samplers(
 ) -> GibbsSamplerBench {
     let tables = corpus.len().max(1) as f64;
     let sparse = intent.build_sampler(SamplerKind::SparseAlias);
-    let mh = intent.build_sampler(SamplerKind::MetropolisHastings);
     let mut scratch = TopicScratch::new();
 
     let dense_thetas = intent.estimate_corpus_with(corpus, &TopicSampler::Dense, &mut scratch);
     let sparse_thetas = intent.estimate_corpus_with(corpus, &sparse, &mut scratch);
-    let mh_thetas = intent.estimate_corpus_with(corpus, &mh, &mut scratch);
     let mean_l1_drift = mean_l1(&dense_thetas, &sparse_thetas);
-    let mh_l1_drift = mean_l1(&dense_thetas, &mh_thetas);
 
     let mut dense_times = Vec::new();
     let mut sparse_times = Vec::new();
-    let mut mh_times = Vec::new();
     for _ in 0..trials.max(1) {
         let start = Instant::now();
         black_box(intent.estimate_corpus_with(
@@ -581,17 +569,11 @@ fn time_gibbs_samplers(
         let start = Instant::now();
         black_box(intent.estimate_corpus_with(black_box(corpus), &sparse, &mut scratch));
         sparse_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
-
-        let start = Instant::now();
-        black_box(intent.estimate_corpus_with(black_box(corpus), &mh, &mut scratch));
-        mh_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
     }
     GibbsSamplerBench {
         dense_us: mean(&dense_times),
         sparse_us: mean(&sparse_times),
         mean_l1_drift,
-        mh_us: mean(&mh_times),
-        mh_l1_drift,
     }
 }
 
@@ -681,7 +663,7 @@ fn write_serving_json(
     let threads = opts.threads;
     let (single_pass_us, baseline_us) = (features.single_pass_us, features.baseline_us);
     let json = format!(
-        "{{\n  \"schema\": \"sato-bench/serving-v2\",\n  \"available_parallelism\": {available},\n  \"threads\": {threads},\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"parallel_batched_tables_per_sec\": {parallel_tps:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"mh_sampler\": {{\n    \"mh_us_per_table\": {:.2},\n    \"mh_speedup\": {:.3},\n    \"mh_speedup_vs_dense\": {:.3},\n    \"mh_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"sato-bench/serving-v3\",\n  \"available_parallelism\": {available},\n  \"threads\": {threads},\n  \"model\": \"Sato (Full)\",\n  \"corpus\": {{ \"tables\": {}, \"columns\": {}, \"seed\": {}, \"trials\": {} }},\n  \"serving\": {{\n    \"batch_cols\": {BATCH_COLS},\n    \"sampler\": \"{}\",\n    \"per_table_secs\": {per_table:.6},\n    \"batched_secs\": {batched:.6},\n    \"per_table_tables_per_sec\": {:.2},\n    \"batched_tables_per_sec\": {:.2},\n    \"parallel_batched_tables_per_sec\": {parallel_tps:.2},\n    \"batched_speedup\": {:.3}\n  }},\n  \"feature_extraction\": {{\n    \"single_pass_us_per_column\": {single_pass_us:.2},\n    \"baseline_us_per_column\": {baseline_us:.2},\n    \"single_pass_speedup\": {:.3},\n    \"reference_groups_us_per_column\": {{\n      \"char\": {:.2},\n      \"word\": {:.2},\n      \"para\": {:.2},\n      \"stat\": {:.2}\n    }}\n  }},\n  \"hashing\": {{\n    \"kernel_us_per_token\": {hashing_kernel_us:.4},\n    \"scalar_us_per_token\": {hashing_scalar_us:.4},\n    \"hashing_speedup\": {:.3}\n  }},\n  \"topic_estimation\": {{\n    \"scratch_us_per_table\": {topic_scratch_us:.2},\n    \"reference_us_per_table\": {topic_reference_us:.2},\n    \"topic_speedup\": {:.3}\n  }},\n  \"crf_decode\": {{\n    \"kernel_us_per_chain\": {crf_kernel_us:.2},\n    \"reference_us_per_chain\": {crf_reference_us:.2},\n    \"crf_decode_speedup\": {:.3}\n  }},\n  \"gibbs_sampler\": {{\n    \"dense_us_per_table\": {:.2},\n    \"sparse_us_per_table\": {:.2},\n    \"sparse_speedup\": {:.3},\n    \"mean_l1_drift_vs_dense\": {:.4}\n  }},\n  \"artifact\": {{\n    \"json_bytes\": {},\n    \"binary_bytes\": {},\n    \"binary_size_ratio\": {:.3},\n    \"json_load_us\": {:.2},\n    \"binary_load_us\": {:.2},\n    \"binary_load_speedup\": {:.3},\n    \"colstore_bytes\": {},\n    \"colstore_cold_serve_secs\": {:.6},\n    \"colstore_cold_tables_per_sec\": {:.2}\n  }}\n}}\n",
         test.len(),
         columns,
         opts.seed,
@@ -702,10 +684,6 @@ fn write_serving_json(
         gibbs.sparse_us,
         gibbs.dense_us / gibbs.sparse_us.max(1e-9),
         gibbs.mean_l1_drift,
-        gibbs.mh_us,
-        gibbs.sparse_us / gibbs.mh_us.max(1e-9),
-        gibbs.dense_us / gibbs.mh_us.max(1e-9),
-        gibbs.mh_l1_drift,
         artifact.json_bytes,
         artifact.binary_bytes,
         artifact.json_bytes as f64 / artifact.binary_bytes.max(1) as f64,

@@ -14,7 +14,7 @@
 //! --epochs E    column-wise network training epochs        (default 40)
 //! --trials T    repetitions for timing / permutation runs  (default 3)
 //! --threads N   serving threads for parallel prediction    (default: CPU count)
-//! --sampler S   serving topic sampler: dense | sparse | mh (default sparse)
+//! --sampler S   serving topic sampler: dense | sparse | sparse-alias (default sparse)
 //! --fast        shrink everything for a quick smoke run
 //! ```
 
@@ -41,7 +41,7 @@ pub struct ExperimentOptions {
     pub trials: usize,
     /// Number of serving threads for parallel prediction benchmarks.
     pub threads: usize,
-    /// Serving-time topic sampler (`--sampler dense|sparse|mh`).
+    /// Serving-time topic sampler (`--sampler dense|sparse|sparse-alias`).
     pub sampler: SamplerKind,
     /// Whether `--fast` was passed.
     pub fast: bool,
@@ -105,14 +105,15 @@ impl ExperimentOptions {
                     opts.sampler = match iter.next().as_deref() {
                         Some("dense") => SamplerKind::Dense,
                         Some("sparse") | Some("sparse-alias") => SamplerKind::SparseAlias,
-                        Some("mh") | Some("metropolis-hastings") => SamplerKind::MetropolisHastings,
-                        other => panic!("--sampler expects dense|sparse|mh (got {other:?})"),
+                        other => {
+                            panic!("--sampler expects dense|sparse|sparse-alias (got {other:?})")
+                        }
                     }
                 }
                 "--fast" => opts.fast = true,
                 "--help" | "-h" if !lenient => {
                     println!(
-                        "options: --tables N --seed S --folds F --topics K --epochs E --trials T --threads N --sampler dense|sparse|mh --fast"
+                        "options: --tables N --seed S --folds F --topics K --epochs E --trials T --threads N --sampler dense|sparse|sparse-alias --fast"
                     );
                     std::process::exit(0);
                 }
@@ -243,8 +244,6 @@ mod tests {
             ("dense", SamplerKind::Dense),
             ("sparse", SamplerKind::SparseAlias),
             ("sparse-alias", SamplerKind::SparseAlias),
-            ("mh", SamplerKind::MetropolisHastings),
-            ("metropolis-hastings", SamplerKind::MetropolisHastings),
         ] {
             let opts = ExperimentOptions::parse(args(&["--sampler", flag]));
             assert_eq!(opts.sampler, kind, "flag {flag}");
@@ -252,9 +251,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--sampler expects dense|sparse|mh")]
+    #[should_panic(expected = "--sampler expects dense|sparse|sparse-alias")]
     fn unknown_sampler_panics() {
-        ExperimentOptions::parse(args(&["--sampler", "turbo"]));
+        ExperimentOptions::parse(args(&["--sampler", "mh"]));
     }
 
     #[test]

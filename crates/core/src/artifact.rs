@@ -7,7 +7,7 @@
 //! CRF pairwise table) laid out as little-endian sections behind a header,
 //! so loading is section framing plus `memcpy`-shaped bulk reads instead of
 //! parsing hundreds of thousands of JSON number literals. Only primary
-//! state is stored: the LDA model's φ table and the sparse/MH samplers'
+//! state is stored: the LDA model's φ table and the sparse/alias sampler's
 //! per-word alias tables are derived from `LDAM` at every load.
 //!
 //! ## Layout
@@ -378,7 +378,7 @@ impl SatoPredictor {
     /// [`Self::to_bytes`]. The loaded predictor reproduces the predictions
     /// of the saved one bit for bit; the sampler recorded in `META` is
     /// rebuilt from the `LDAM` model (an `O(topics × vocabulary)` step for
-    /// the alias-based samplers).
+    /// the sparse/alias sampler).
     ///
     /// Errors are typed, never panics: truncation, bad magic, version skew,
     /// per-section checksum mismatches, missing required sections,
@@ -533,7 +533,7 @@ mod tests {
                 .map(|row| row.iter().map(|p| p.to_bits()).collect())
                 .collect()
         };
-        for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
+        for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
             let fresh = fresh_copy().with_sampler(kind);
             let bytes = fresh.to_bytes();
             let mut sections: Vec<([u8; 4], Vec<u8>)> = Sections::parse(&bytes)
@@ -553,6 +553,40 @@ mod tests {
                 );
             }
             assert_eq!(loaded.to_bytes(), bytes, "{} re-serialization", kind.name());
+        }
+    }
+
+    /// A `META` naming a sampler this build does not have (the removed
+    /// Metropolis–Hastings sampler) is a typed JSON error naming the kind,
+    /// not a silent remap onto another sampler.
+    #[test]
+    fn meta_naming_an_unknown_sampler_is_a_typed_error() {
+        let bytes = full_predictor().to_bytes();
+        let sections: Vec<([u8; 4], Vec<u8>)> = Sections::parse(&bytes)
+            .unwrap()
+            .entries
+            .iter()
+            .map(|(id, payload)| {
+                if *id != SEC_META {
+                    return (*id, payload.to_vec());
+                }
+                let meta = std::str::from_utf8(payload).unwrap();
+                let kind = format!("\"sampler\":\"{:?}\"", full_predictor().sampler_kind());
+                assert!(meta.contains(&kind), "META does not name its sampler");
+                let renamed = meta.replacen(&kind, "\"sampler\":\"MetropolisHastings\"", 1);
+                (*id, renamed.into_bytes())
+            })
+            .collect();
+        match SatoPredictor::from_bytes(&assemble(&sections)) {
+            Err(PredictorError::Json(e)) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("unknown SamplerKind variant"),
+                    "error should name the bad sampler kind, got: {msg}"
+                );
+            }
+            Err(other) => panic!("expected a JSON load error, got: {other}"),
+            Ok(_) => panic!("an unknown sampler kind must fail to load"),
         }
     }
 

@@ -569,10 +569,9 @@ impl FrozenColumnwise {
 
     /// Reconfigure the topic-sampler axis, rebuilding whatever pre-computed
     /// state the strategy needs (per-word alias tables for
-    /// [`SamplerKind::SparseAlias`] and [`SamplerKind::MetropolisHastings`])
-    /// from the frozen intent model. For models without a topic estimator
-    /// the kind is recorded (and serialized) but has no effect on
-    /// predictions.
+    /// [`SamplerKind::SparseAlias`]) from the frozen intent model. For
+    /// models without a topic estimator the kind is recorded (and
+    /// serialized) but has no effect on predictions.
     pub(crate) fn with_sampler_kind(mut self, kind: SamplerKind) -> Self {
         self.sampler_kind = kind;
         self.sampler = self
@@ -746,7 +745,7 @@ impl FrozenColumnwise {
     /// BatchNorm running statistics) loaded from the state dicts. The
     /// sampler is always built from `sampler_kind` against `intent`'s own
     /// model, so it cannot disagree with it (an `O(topics × vocabulary)`
-    /// step for the alias-based samplers).
+    /// step for the sparse/alias sampler).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_state(
         config: &SatoConfig,

@@ -299,11 +299,6 @@ impl SatoPredictor {
     ///   `sampler` field, `SATOART1` whose `META` names `Dense`) serves
     ///   it. `predictor.with_sampler(SamplerKind::Dense)` switches back to
     ///   it.
-    /// * [`SamplerKind::MetropolisHastings`] — `O(1)`-amortized-per-token
-    ///   LightLDA-style cycle proposals (alias word proposal + assignment
-    ///   array doc proposal, each with a Metropolis–Hastings accept step).
-    ///   Reuses the same pre-built alias tables; statistically close but
-    ///   not bit-identical.
     ///
     /// The choice is respected by every serving entry point (`predict`,
     /// `predict_corpus`, `predict_corpus_batched`,

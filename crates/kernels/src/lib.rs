@@ -4,30 +4,27 @@
 //! hashing (`sato-features`), CRF flat-DP decode (`sato-crf`), warm NN
 //! forward accumulation (`sato-nn`), artifact/colstore checksums
 //! (`sato-core`/`sato-tabular`) — bottoms out in a handful of fixed-width
-//! primitives. This crate implements each primitive **once**, in up to
-//! three forms:
+//! primitives. This crate implements each primitive **once**, in two
+//! forms:
 //!
-//! * a **scalar** reference implementation (`scalar::*`) — the oracle every
-//!   other form is parity-tested against, and the baseline the benchmarks
+//! * a **scalar** reference implementation (`scalar::*`) — the oracle the
+//!   chunked form is parity-tested against, and the baseline the benchmarks
 //!   measure speedups from;
 //! * a **chunked** form (the default export) — restructured into fixed-width
 //!   chunks with independent accumulators so the stable autovectorizer can
-//!   lift it, without changing the documented exactness contract;
-//! * an opt-in **`std::simd`** form behind the non-default `simd` feature
-//!   (nightly only) — explicit portable-SIMD lanes for the kernels where
-//!   they pay.
+//!   lift it, without changing the documented exactness contract.
 //!
 //! # Exactness contract
 //!
-//! | Kernel | chunked vs scalar | `simd` vs scalar |
-//! |---|---|---|
-//! | [`fnv1a64`] / [`Fnv1a`] | bit-identical | (no simd form) |
-//! | [`log_sum_exp`], [`log_sum_exp3`] | bit-identical¹ | (no simd form) |
-//! | [`max_argmax`], [`relax_max_argmax`], [`max_add_update`], [`exp_sum_update`], [`lse_finish`] | bit-identical¹ | bit-identical¹ |
-//! | [`axpy`], [`add_assign`], [`scale`] | bit-identical | bit-identical |
-//! | [`dot`] | ULP-bounded (reassociated partial sums) | ULP-bounded |
-//! | [`squared_l2`] | ULP-bounded (reassociated partial sums) | (no simd form) |
-//! | [`lut_histogram`] | exact (integer counts) | (no simd form) |
+//! | Kernel | chunked vs scalar |
+//! |---|---|
+//! | [`fnv1a64`] / [`Fnv1a`] | bit-identical |
+//! | [`log_sum_exp`], [`log_sum_exp3`] | bit-identical¹ |
+//! | [`max_argmax`], [`relax_max_argmax`], [`max_add_update`], [`exp_sum_update`], [`lse_finish`] | bit-identical¹ |
+//! | [`axpy`], [`add_assign`], [`scale`] | bit-identical |
+//! | [`dot`] | ULP-bounded (reassociated partial sums) |
+//! | [`squared_l2`] | ULP-bounded (reassociated partial sums) |
+//! | [`lut_histogram`] | exact (integer counts) |
 //!
 //! ¹ for NaN-free inputs; max reductions are reassociated, which is exact
 //! for `f64::max` up to the sign of a `±0.0` maximum — and every consumer
@@ -40,14 +37,10 @@
 //! results, and the CRF keeps the dense serving path bit-identical to its
 //! historical implementation.
 
-#![cfg_attr(feature = "simd", feature(portable_simd))]
-
 pub mod fnv;
 pub mod hist;
 pub mod linalg;
 pub mod reduce;
-#[cfg(feature = "simd")]
-pub mod simd;
 
 pub use fnv::{fnv1a64, fnv1a64_seeded, Fnv1a};
 pub use hist::{lut_histogram, HIST_SKIP};

@@ -1,52 +1,31 @@
 //! `f32` vector primitives for the warm NN forward (and backward) path.
 
-/// `y[i] += a * x[i]`. Element-wise (no reassociation), so every form is
+/// `y[i] += a * x[i]`. Element-wise (no reassociation), so both forms are
 /// bit-identical. The NN matmul calls this once per nonzero left-hand
 /// element; callers keep their zero-skip (`a * 0.0` adds can flip `-0.0`).
 #[inline]
 pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::axpy(a, x, y);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        for (o, &b) in y.iter_mut().zip(x.iter()) {
-            *o += a * b;
-        }
+    for (o, &b) in y.iter_mut().zip(x.iter()) {
+        *o += a * b;
     }
 }
 
 /// `y[i] += x[i]` (row-broadcast bias add). Element-wise, bit-identical in
-/// every form.
+/// both forms.
 #[inline]
 pub fn add_assign(x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "add_assign length mismatch");
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::add_assign(x, y);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        for (o, &b) in y.iter_mut().zip(x.iter()) {
-            *o += b;
-        }
+    for (o, &b) in y.iter_mut().zip(x.iter()) {
+        *o += b;
     }
 }
 
-/// `v[i] *= s`. Element-wise, bit-identical in every form.
+/// `v[i] *= s`. Element-wise, bit-identical in both forms.
 #[inline]
 pub fn scale(v: &mut [f32], s: f32) {
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::scale(v, s);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        for x in v.iter_mut() {
-            *x *= s;
-        }
+    for x in v.iter_mut() {
+        *x *= s;
     }
 }
 
@@ -57,14 +36,20 @@ pub fn scale(v: &mut [f32], s: f32) {
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::dot(x, y)
+    let mut cx = x.chunks_exact(4);
+    let mut cy = y.chunks_exact(4);
+    let mut acc = [0.0f32; 4];
+    for (a, b) in (&mut cx).zip(&mut cy) {
+        acc[0] += a[0] * b[0];
+        acc[1] += a[1] * b[1];
+        acc[2] += a[2] * b[2];
+        acc[3] += a[3] * b[3];
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        chunked_dot(x, y)
+    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (&a, &b) in cx.remainder().iter().zip(cy.remainder()) {
+        s += a * b;
     }
+    s
 }
 
 /// Squared Euclidean distance `Σ (x[i] - y[i])²` over four independent
@@ -72,8 +57,7 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// partial sums are reassociated; slices shorter than a chunk stay in
 /// order). This is the ANN index's distance reduction — nearest-neighbor
 /// *ranking* tolerates reassociation, and the recall oracle uses the same
-/// form on both sides so rankings agree bit-for-bit. No `simd` form: the
-/// chunked loop autovectorizes and the index is not on the bit-parity path.
+/// form on both sides so rankings agree bit-for-bit.
 #[inline]
 pub fn squared_l2(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "squared_l2 length mismatch");
@@ -94,25 +78,6 @@ pub fn squared_l2(x: &[f32], y: &[f32]) -> f32 {
     for (&a, &b) in cx.remainder().iter().zip(cy.remainder()) {
         let d = a - b;
         s += d * d;
-    }
-    s
-}
-
-#[cfg_attr(feature = "simd", allow(dead_code))]
-#[inline]
-pub(crate) fn chunked_dot(x: &[f32], y: &[f32]) -> f32 {
-    let mut cx = x.chunks_exact(4);
-    let mut cy = y.chunks_exact(4);
-    let mut acc = [0.0f32; 4];
-    for (a, b) in (&mut cx).zip(&mut cy) {
-        acc[0] += a[0] * b[0];
-        acc[1] += a[1] * b[1];
-        acc[2] += a[2] * b[2];
-        acc[3] += a[3] * b[3];
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&a, &b) in cx.remainder().iter().zip(cy.remainder()) {
-        s += a * b;
     }
     s
 }

@@ -98,25 +98,6 @@ pub fn max_argmax(values: &[f64]) -> (f64, usize) {
 /// destination-major strict-`>` scan bit for bit (first source wins ties).
 #[inline]
 pub fn relax_max_argmax(base: f64, row: &[f64], best: &mut [f64], arg: &mut [u32], src: u32) {
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::relax_max_argmax(base, row, best, arg, src);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        chunked_relax_max_argmax(base, row, best, arg, src);
-    }
-}
-
-#[cfg_attr(feature = "simd", allow(dead_code))]
-#[inline]
-pub(crate) fn chunked_relax_max_argmax(
-    base: f64,
-    row: &[f64],
-    best: &mut [f64],
-    arg: &mut [u32],
-    src: u32,
-) {
     let n = row.len();
     assert!(best.len() == n && arg.len() == n, "relax length mismatch");
     for j in 0..n {
@@ -133,19 +114,6 @@ pub(crate) fn chunked_relax_max_argmax(
 /// order matches the historical `fold(-inf, f64::max)` sequence.
 #[inline]
 pub fn max_add_update(base: f64, row: &[f64], best: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::max_add_update(base, row, best);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        chunked_max_add_update(base, row, best);
-    }
-}
-
-#[cfg_attr(feature = "simd", allow(dead_code))]
-#[inline]
-pub(crate) fn chunked_max_add_update(base: f64, row: &[f64], best: &mut [f64]) {
     let n = row.len();
     assert_eq!(best.len(), n, "max_add_update length mismatch");
     for j in 0..n {

@@ -1,6 +1,6 @@
-//! Property-based parity suite: every kernel's default (chunked, or SIMD
-//! when the `simd` feature is on) form against its scalar reference, over
-//! ragged / empty / unaligned-length inputs.
+//! Property-based parity suite: every kernel's default (chunked) form
+//! against its scalar reference, over ragged / empty / unaligned-length
+//! inputs.
 //!
 //! The scalar forms are the oracle. Kernels documented bit-identical are
 //! compared by bits; `dot` (reassociated) is compared with a relative

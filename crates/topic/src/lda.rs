@@ -301,17 +301,14 @@ impl LdaModel {
 
     /// Build a ready-to-run [`TopicSampler`] for this model. Every sampler
     /// reads φ from the model's own table; `Dense` has no state of its own,
-    /// while `SparseAlias` and `MetropolisHastings` pre-build the per-word
-    /// static masses and Walker alias tables from it (`O(K·V)`, once per
-    /// frozen model — never on the per-token hot path).
+    /// while `SparseAlias` pre-builds the per-word static masses and Walker
+    /// alias tables from it (`O(K·V)`, once per frozen model — never on the
+    /// per-token hot path).
     pub fn sampler(&self, kind: SamplerKind) -> TopicSampler {
         match kind {
             SamplerKind::Dense => TopicSampler::Dense,
             SamplerKind::SparseAlias => {
                 TopicSampler::SparseAlias(Box::new(SparseAliasTables::build(self)))
-            }
-            SamplerKind::MetropolisHastings => {
-                TopicSampler::MetropolisHastings(Box::new(SparseAliasTables::build(self)))
             }
         }
     }
@@ -364,9 +361,6 @@ impl LdaModel {
             TopicSampler::Dense => self.infer_dense(tokens, seed, scratch, out),
             TopicSampler::SparseAlias(tables) => {
                 self.infer_sparse_alias(tokens, seed, tables, scratch, out)
-            }
-            TopicSampler::MetropolisHastings(tables) => {
-                self.infer_mh(tokens, seed, tables, scratch, out)
             }
         }
     }
@@ -526,158 +520,6 @@ impl LdaModel {
                 // Sparse accumulation: only topics present in the document
                 // contribute beyond the constant `α / denom`, which is added
                 // for all `K` topics once at the end.
-                sampled_sweeps += 1;
-                for &t in nz_topics.iter() {
-                    accum[t] += doc_topic[t] as f64 / denom;
-                }
-            }
-        }
-        if self.config.infer_iterations == 0 {
-            finish_theta(&self.config, tokens.len(), scratch, out);
-            return;
-        }
-        let samples = f64::from(sampled_sweeps.max(1));
-        let alpha_share = alpha / denom;
-        for (o, &x) in out.iter_mut().zip(scratch.accum.iter()) {
-            *o = ((x / samples) + alpha_share) as f32;
-        }
-    }
-
-    /// The LightLDA-style cycle Metropolis–Hastings sweep: per token, one
-    /// *word proposal* (an `O(1)` alias draw from `q_w(t) ∝ phi_w(t)`) and
-    /// one *doc proposal* (an `O(1)` draw from `q_d(t) ∝ ñ_{d,t} + α`,
-    /// taken directly off the assignment array), each followed by an
-    /// accept/reject step against the target
-    /// `π(t) ∝ phi_w(t) · (n^{-i}_{d,t} + α)`.
-    ///
-    /// For the word proposal the `phi` factors cancel, leaving
-    /// `A = (n^{-i}_{t'} + α) / (n^{-i}_{s} + α)`. For the doc proposal the
-    /// proposal counts `ñ` include the token's **current** cycle state `s`
-    /// (that is the distribution the assignment-array draw actually
-    /// samples), giving
-    /// `A = [phi(t')·(n^{-i}_{t'} + α)·(ñ_s + α)] /
-    ///      [phi(s) ·(n^{-i}_{s}  + α)·(ñ_{t'} + α)]`.
-    ///
-    /// No per-token walk of any kind remains — amortized `O(1)` per token
-    /// versus `O(K)` dense and `O(k_d)` sparse/alias. [`MH_CYCLES`]
-    /// word+doc cycles run per token to keep the chain mixing close to the
-    /// exact Gibbs conditional.
-    fn infer_mh(
-        &self,
-        tokens: &[usize],
-        seed: u64,
-        tables: &SparseAliasTables,
-        scratch: &mut LdaInferScratch,
-        out: &mut [f32],
-    ) {
-        /// Word+doc proposal cycles per token per sweep — one cycle is
-        /// LightLDA's canonical two MH steps (one word proposal + one doc
-        /// proposal); still O(1) per token.
-        const MH_CYCLES: usize = 1;
-        let k = self.config.num_topics;
-        tables.assert_matches(k, self.vocab.len());
-        let alpha = self.config.alpha;
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        let LdaInferScratch {
-            doc_topic,
-            assignments,
-            accum,
-            nz_topics,
-            topic_pos,
-            ..
-        } = scratch;
-        doc_topic.clear();
-        doc_topic.resize(k, 0);
-        topic_pos.clear();
-        topic_pos.resize(k, 0);
-        nz_topics.clear();
-        nz_topics.reserve(k);
-        // Identical initial-assignment RNG consumption to the other
-        // samplers, so a zero-sweep inference is bit-identical to Dense.
-        assignments.clear();
-        assignments.extend(tokens.iter().map(|_| rng.gen_range(0..k)));
-        for &z in assignments.iter() {
-            if doc_topic[z] == 0 {
-                topic_pos[z] = nz_topics.len() as u32 + 1;
-                nz_topics.push(z);
-            }
-            doc_topic[z] += 1;
-        }
-        accum.clear();
-        accum.resize(k, 0.0);
-        let len = tokens.len() as f64;
-        let denom = len + alpha * k as f64;
-        let doc_proposal_mass = len + alpha * k as f64;
-        let burn_in = self.config.infer_iterations / 2;
-
-        let mut sampled_sweeps = 0u32;
-        for iter in 0..self.config.infer_iterations {
-            for (i, &w) in tokens.iter().enumerate() {
-                let old = assignments[i];
-                // Remove the token from the sparse document counts (n^{-i}).
-                doc_topic[old] -= 1;
-                if doc_topic[old] == 0 {
-                    let pos = (topic_pos[old] - 1) as usize;
-                    nz_topics.swap_remove(pos);
-                    if let Some(&moved) = nz_topics.get(pos) {
-                        topic_pos[moved] = pos as u32 + 1;
-                    }
-                    topic_pos[old] = 0;
-                }
-                let phi_row = self.phi_row(w);
-                let mut s = old;
-
-                for _ in 0..MH_CYCLES {
-                    // Word proposal: q_w(t) ∝ phi_w(t), one alias-table
-                    // draw. The phi factors of target and proposal cancel.
-                    let t_prop = tables.sample_alias(w, rng.gen_range(0.0..1.0));
-                    if t_prop != s {
-                        let accept =
-                            (doc_topic[t_prop] as f64 + alpha) / (doc_topic[s] as f64 + alpha);
-                        if accept >= 1.0 || rng.gen_range(0.0..1.0) < accept {
-                            s = t_prop;
-                        }
-                    }
-
-                    // Doc proposal: q_d(t'|s) ∝ ñ_t' + α where ñ counts the
-                    // token's current cycle state `s` — exactly what drawing
-                    // a slot off the assignment array (with slot `i` read as
-                    // `s`) samples. The α·K tail mass maps onto a uniform
-                    // topic. For t' ≠ s the forward draw has probability
-                    // ∝ n^{-i}_{t'} + α and the reverse move (from a chain
-                    // sitting at `t'`, whose slot `i` would read `t'`)
-                    // proposes `s` with probability ∝ n^{-i}_s + α, so both
-                    // count factors cancel against the target and the
-                    // acceptance ratio reduces to phi(t')/phi(s).
-                    let u = rng.gen_range(0.0..doc_proposal_mass);
-                    let t_prop = if u < len {
-                        let idx = (u as usize).min(tokens.len() - 1);
-                        if idx == i {
-                            s
-                        } else {
-                            assignments[idx]
-                        }
-                    } else {
-                        (((u - len) / alpha) as usize).min(k - 1)
-                    };
-                    if t_prop != s {
-                        let accept = phi_row[t_prop] / phi_row[s];
-                        if accept >= 1.0 || rng.gen_range(0.0..1.0) < accept {
-                            s = t_prop;
-                        }
-                    }
-                }
-
-                assignments[i] = s;
-                if doc_topic[s] == 0 {
-                    topic_pos[s] = nz_topics.len() as u32 + 1;
-                    nz_topics.push(s);
-                }
-                doc_topic[s] += 1;
-            }
-            if iter >= burn_in {
-                // Same sparse accumulation as the sparse/alias sweep.
                 sampled_sweeps += 1;
                 for &t in nz_topics.iter() {
                     accum[t] += doc_topic[t] as f64 / denom;
@@ -1054,114 +896,6 @@ mod tests {
         assert_eq!(out, dense);
     }
 
-    #[test]
-    fn mh_sampler_is_deterministic_under_seed() {
-        let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
-        let sampler = model.sampler(SamplerKind::MetropolisHastings);
-        let tokens = model
-            .vocabulary()
-            .encode("rock jazz blues artist album city");
-        let mut scratch = LdaInferScratch::new();
-        let mut a = vec![0.0f32; model.num_topics()];
-        let mut b = vec![0.0f32; model.num_topics()];
-        for seed in [0u64, 7, 12345] {
-            model.infer_tokens_into(&tokens, seed, &sampler, &mut scratch, &mut a);
-            model.infer_tokens_into(&tokens, seed, &sampler, &mut scratch, &mut b);
-            assert_eq!(a, b, "MH sampler not deterministic for seed {seed}");
-        }
-        // A rebuilt sampler (fresh alias tables from the same frozen counts)
-        // reproduces the same proposal/accept chain.
-        let rebuilt = model.sampler(SamplerKind::MetropolisHastings);
-        model.infer_tokens_into(&tokens, 7, &rebuilt, &mut scratch, &mut b);
-        model.infer_tokens_into(&tokens, 7, &sampler, &mut scratch, &mut a);
-        assert_eq!(a, b, "rebuilt MH tables diverged");
-    }
-
-    #[test]
-    fn mh_sampler_returns_valid_distributions() {
-        let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
-        let sampler = model.sampler(SamplerKind::MetropolisHastings);
-        let mut scratch = LdaInferScratch::new();
-        let mut out = vec![0.0f32; model.num_topics()];
-        let docs = [
-            "rock jazz blues artist album",
-            "warsaw", // one-token document
-            "",       // empty document → uniform
-            "warsaw london paris rock jazz city country guitar",
-        ];
-        for doc in docs {
-            let tokens = model.vocabulary().encode(doc);
-            model.infer_tokens_into(&tokens, 7, &sampler, &mut scratch, &mut out);
-            let sum: f32 = out.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-3, "{doc:?}: sum={sum}");
-            assert!(out.iter().all(|&x| x >= 0.0), "{doc:?}: negative theta");
-        }
-        // Empty document is exactly uniform, like the dense sampler.
-        let k = model.num_topics() as f32;
-        model.infer_tokens_into(&[], 7, &sampler, &mut scratch, &mut out);
-        assert!(out.iter().all(|&x| (x - 1.0 / k).abs() < 1e-6));
-    }
-
-    /// The MH cycle targets the exact per-token conditional
-    /// `π(t) ∝ phi_w(t) · (n^{-i}_{d,t} + α)`, so after burn-in its thetas
-    /// must land statistically close to the dense Gibbs sweep — about as
-    /// close as Dense is to itself under a different seed.
-    #[test]
-    fn mh_sampler_is_close_to_dense() {
-        let model = LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny());
-        let sampler = model.sampler(SamplerKind::MetropolisHastings);
-        let mut scratch = LdaInferScratch::new();
-        let k = model.num_topics();
-        let (mut dense, mut mh) = (vec![0.0f32; k], vec![0.0f32; k]);
-        let tokens = model
-            .vocabulary()
-            .encode("rock jazz blues artist album guitar song");
-        let mut l1 = 0.0f32;
-        let seeds = [1u64, 2, 3, 4, 5];
-        for &seed in &seeds {
-            model.infer_tokens_into(
-                &tokens,
-                seed,
-                &TopicSampler::Dense,
-                &mut scratch,
-                &mut dense,
-            );
-            model.infer_tokens_into(&tokens, seed, &sampler, &mut scratch, &mut mh);
-            l1 += dense
-                .iter()
-                .zip(&mh)
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f32>();
-        }
-        let mean_l1 = l1 / seeds.len() as f32;
-        assert!(
-            mean_l1 < 0.8,
-            "MH sampler drifted from dense: mean L1 = {mean_l1}"
-        );
-    }
-
-    #[test]
-    fn mh_zero_infer_iterations_matches_dense_exactly() {
-        let cfg = LdaConfig {
-            infer_iterations: 0,
-            ..LdaConfig::tiny()
-        };
-        let model = LdaModel::fit(&themed_documents(), 1, cfg);
-        let sampler = model.sampler(SamplerKind::MetropolisHastings);
-        let tokens = model.vocabulary().encode("rock jazz album");
-        let mut scratch = LdaInferScratch::new();
-        let mut out = vec![0.0f32; model.num_topics()];
-        model.infer_tokens_into(&tokens, 3, &sampler, &mut scratch, &mut out);
-        let sum: f32 = out.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-3, "theta does not sum to one: {sum}");
-        assert!(out.iter().all(|&x| x > 0.0), "theta has zero entries");
-        // With zero sweeps only the (identically seeded) initial assignment
-        // matters, so MH and Dense agree bit-for-bit.
-        let mut dense = vec![0.0f32; model.num_topics()];
-        model.infer_tokens_into(&tokens, 3, &TopicSampler::Dense, &mut scratch, &mut dense);
-        assert_eq!(out, dense);
-    }
-
     /// The historical topic–word probability, `(n_wk + β) / (n_k + Vβ)`
     /// straight from the frozen counts.
     fn historical_phi(model: &LdaModel, topic: usize, word: usize) -> f64 {
@@ -1313,53 +1047,45 @@ mod tests {
         hash
     }
 
-    /// Sparse and MH thetas are pinned bit for bit to values recorded
-    /// before the samplers read φ from the model instead of from their own
+    /// Sparse/alias thetas are pinned bit for bit to values recorded
+    /// before the sampler read φ from the model instead of from its own
     /// copy. The digest streams every theta of every document × seed,
     /// through one warm scratch, including the empty, one-token and
     /// repeated-word documents.
     #[test]
-    fn sparse_and_mh_thetas_match_pinned_digests() {
-        // Digests per model, in `[SparseAlias, MetropolisHastings]` order.
+    fn sparse_thetas_match_pinned_digests() {
         let cases = [
-            (
-                synthetic_model(64, 20),
-                [0x45a2_13ae_fd87_4b0d, 0xcce2_e2ff_e90e_4d01],
-            ),
+            (synthetic_model(64, 20), 0x45a2_13ae_fd87_4b0d),
             (
                 LdaModel::fit(&themed_documents(), 1, LdaConfig::tiny()),
-                [0x11ea_2b75_da67_b65c, 0xb909_d66c_8345_6c5c],
+                0x11ea_2b75_da67_b65c,
             ),
         ];
-        let kinds = [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings];
-        for (model, digests) in &cases {
-            for (kind, &expected) in kinds.into_iter().zip(digests) {
-                let v = model.vocabulary().len();
-                let docs: [Vec<usize>; 5] = [
-                    Vec::new(),
-                    vec![v / 2],
-                    vec![3 % v; 17],
-                    (0..40).map(|i| (i * 7 + 1) % v).collect(),
-                    (0..v).rev().collect(),
-                ];
-                let sampler = model.sampler(kind);
-                let mut scratch = LdaInferScratch::new();
-                let mut out = vec![0.0f32; model.num_topics()];
-                let mut thetas = Vec::new();
-                for doc in &docs {
-                    for seed in [0u64, 7, 12_345, u64::MAX] {
-                        model.infer_tokens_into(doc, seed, &sampler, &mut scratch, &mut out);
-                        thetas.extend_from_slice(&out);
-                    }
+        for (model, expected) in &cases {
+            let v = model.vocabulary().len();
+            let docs: [Vec<usize>; 5] = [
+                Vec::new(),
+                vec![v / 2],
+                vec![3 % v; 17],
+                (0..40).map(|i| (i * 7 + 1) % v).collect(),
+                (0..v).rev().collect(),
+            ];
+            let sampler = model.sampler(SamplerKind::SparseAlias);
+            let mut scratch = LdaInferScratch::new();
+            let mut out = vec![0.0f32; model.num_topics()];
+            let mut thetas = Vec::new();
+            for doc in &docs {
+                for seed in [0u64, 7, 12_345, u64::MAX] {
+                    model.infer_tokens_into(doc, seed, &sampler, &mut scratch, &mut out);
+                    thetas.extend_from_slice(&out);
                 }
-                assert_eq!(
-                    fnv1a_theta_bits(&thetas),
-                    expected,
-                    "model with {} topics, {} sampler",
-                    model.num_topics(),
-                    kind.name()
-                );
             }
+            assert_eq!(
+                fnv1a_theta_bits(&thetas),
+                *expected,
+                "model with {} topics",
+                model.num_topics()
+            );
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Serving inference samples each token's topic from the full conditional
 //! `p(z = t) ∝ phi_w(t) · (n_{d,t} + α)` against **frozen** topic–word
-//! counts (only the document–topic counts change between sweeps). Three
+//! counts (only the document–topic counts change between sweeps). Two
 //! strategies implement that draw:
 //!
 //! * [`TopicSampler::Dense`] — the collapsed dense sweep: per token,
@@ -11,7 +11,7 @@
 //!   table the [`LdaModel`] builds once at load, `K·V·8` bytes) by the
 //!   document's `n_{d,t} + α` buffer, `O(K)` per token. Bit-identical to
 //!   the historical division-per-topic implementation; it is the parity
-//!   oracle every other sampler is measured against.
+//!   oracle the sparse/alias sampler is measured against.
 //! * [`TopicSampler::SparseAlias`] — the default: a SparseLDA/alias-table
 //!   hybrid. The conditional splits into a *static* part `α · phi_w(t)`
 //!   (frozen, so it is pre-built into one Walker alias table per word at
@@ -21,14 +21,6 @@
 //!   Same target distribution, different floating-point/RNG consumption,
 //!   so outputs are statistically close but **not** bit-identical to
 //!   Dense.
-//! * [`TopicSampler::MetropolisHastings`] — LightLDA-style cycle
-//!   Metropolis–Hastings over the same target: each token alternates a
-//!   *word proposal* (an `O(1)` alias draw from `q_w ∝ phi_w`, reusing the
-//!   same pre-built [`SparseAliasTables`]) with a *doc proposal* (an `O(1)`
-//!   draw from `q_d ∝ n_{d,·} + α` taken directly off the assignment
-//!   array), each followed by an accept/reject step whose ratio needs only
-//!   a handful of multiplies. `O(1)` amortized per token with **no**
-//!   per-token walk at all — not even the sparse `O(k_d)` document scan.
 //!
 //! The sampler is an enum-dispatched strategy (not `dyn`) so the per-token
 //! hot loops stay monomorphized; the serialized artifact only records the
@@ -62,9 +54,6 @@ pub enum SamplerKind {
     /// (the default).
     #[default]
     SparseAlias,
-    /// LightLDA-style cycle Metropolis–Hastings: alternating word/doc
-    /// proposals with `O(1)` accept/reject steps per token.
-    MetropolisHastings,
 }
 
 impl SamplerKind {
@@ -73,7 +62,6 @@ impl SamplerKind {
         match self {
             SamplerKind::Dense => "dense",
             SamplerKind::SparseAlias => "sparse-alias",
-            SamplerKind::MetropolisHastings => "mh",
         }
     }
 }
@@ -90,9 +78,6 @@ pub enum TopicSampler {
     Dense,
     /// Sparse/alias sampling against pre-built per-word tables.
     SparseAlias(Box<SparseAliasTables>),
-    /// Cycle Metropolis–Hastings; the word proposal draws from the same
-    /// pre-built per-word alias tables as [`TopicSampler::SparseAlias`].
-    MetropolisHastings(Box<SparseAliasTables>),
 }
 
 impl TopicSampler {
@@ -101,7 +86,6 @@ impl TopicSampler {
         match self {
             TopicSampler::Dense => SamplerKind::Dense,
             TopicSampler::SparseAlias(_) => SamplerKind::SparseAlias,
-            TopicSampler::MetropolisHastings(_) => SamplerKind::MetropolisHastings,
         }
     }
 }
@@ -269,11 +253,7 @@ mod tests {
     #[test]
     fn kind_round_trips_through_json_and_defaults_to_sparse_alias() {
         assert_eq!(SamplerKind::default(), SamplerKind::SparseAlias);
-        for kind in [
-            SamplerKind::Dense,
-            SamplerKind::SparseAlias,
-            SamplerKind::MetropolisHastings,
-        ] {
+        for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
             let json = serde_json::to_string(&kind).unwrap();
             let back: SamplerKind = serde_json::from_str(&json).unwrap();
             assert_eq!(kind, back);
@@ -281,7 +261,6 @@ mod tests {
         assert!(serde_json::from_str::<SamplerKind>("\"Turbo\"").is_err());
         assert_eq!(SamplerKind::Dense.name(), "dense");
         assert_eq!(SamplerKind::SparseAlias.name(), "sparse-alias");
-        assert_eq!(SamplerKind::MetropolisHastings.name(), "mh");
     }
 
     #[test]
@@ -406,10 +385,6 @@ mod tests {
         assert_eq!(
             model.sampler(SamplerKind::SparseAlias).kind(),
             SamplerKind::SparseAlias
-        );
-        assert_eq!(
-            model.sampler(SamplerKind::MetropolisHastings).kind(),
-            SamplerKind::MetropolisHastings
         );
         assert!(matches!(
             model.sampler(SamplerKind::Dense),

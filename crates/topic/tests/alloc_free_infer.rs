@@ -109,26 +109,6 @@ fn warm_topic_inference_allocates_nothing() {
         "sparse sampler must stay deterministic"
     );
 
-    // Metropolis–Hastings sampler: same zero-allocation contract once warm.
-    // The cycle proposals draw straight off the pre-built alias tables and
-    // the in-scratch assignment array — no per-token structures at all.
-    let mh = model.sampler(SamplerKind::MetropolisHastings);
-    model.infer_tokens_into(&tokens, 7, &mh, &mut scratch, &mut out);
-    model.infer_tokens_into(&tokens, 7, &mh, &mut scratch, &mut out);
-    let mh_expected = out.clone();
-    let before = allocation_count();
-    for _ in 0..20 {
-        model.infer_tokens_into(&tokens, 7, &mh, &mut scratch, &mut out);
-    }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "warm MH LdaModel::infer_tokens_into must not allocate (got {} allocations over 20 calls)",
-        after - before
-    );
-    assert_eq!(out, mh_expected, "MH sampler must stay deterministic");
-
     // Same contract one level up: the streaming table estimate (visitor over
     // cell values + `&str` vocabulary lookups + scratch inference).
     let estimator = TableIntentEstimator::from_model(model);

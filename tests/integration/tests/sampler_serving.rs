@@ -1,10 +1,10 @@
 //! Serving-level tests of the pluggable topic-sampler layer: the
-//! sparse/alias and Metropolis–Hastings samplers must be deterministic,
-//! internally consistent across every serving entry point, quantifiably
-//! close to the dense parity oracle, and faithfully round-tripped through
-//! the predictor artifact (including artifacts that predate the sampler
-//! field, which keep serving the dense sweep while fresh predictors serve
-//! the sparse/alias default).
+//! sparse/alias sampler must be deterministic, internally consistent
+//! across every serving entry point, quantifiably close to the dense
+//! parity oracle, and faithfully round-tripped through the predictor
+//! artifact (including artifacts that predate the sampler field, which
+//! keep serving the dense sweep while fresh predictors serve the
+//! sparse/alias default).
 
 use proptest::prelude::*;
 use sato::{SamplerKind, SatoConfig, SatoModel, SatoVariant, ServingScratch};
@@ -70,11 +70,10 @@ fn ragged_corpus(shapes: &[Vec<usize>], salt: usize) -> Corpus {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// All three samplers yield valid probability distributions
-    /// (non-negative, summing to one) over arbitrarily ragged corpora —
-    /// zero-column tables, OOV-only documents and one-token documents
-    /// included — and the approximate samplers are deterministic across
-    /// repeated estimates.
+    /// Both samplers yield valid probability distributions (non-negative,
+    /// summing to one) over arbitrarily ragged corpora — zero-column
+    /// tables, OOV-only documents and one-token documents included — and
+    /// the sparse/alias sampler is deterministic across repeated estimates.
     #[test]
     fn all_samplers_yield_valid_distributions_on_ragged_corpora(
         shapes in proptest::collection::vec(
@@ -83,11 +82,10 @@ proptest! {
     ) {
         let est = estimator();
         let sparse = est.build_sampler(SamplerKind::SparseAlias);
-        let mh = est.build_sampler(SamplerKind::MetropolisHastings);
         let corpus = ragged_corpus(&shapes, salt);
         let mut scratch = TopicScratch::new();
         for table in corpus.iter() {
-            for sampler in [&TopicSampler::Dense, &sparse, &mh] {
+            for sampler in [&TopicSampler::Dense, &sparse] {
                 let theta = est.estimate_with(table, sampler, &mut scratch);
                 prop_assert_eq!(theta.len(), est.num_topics());
                 let sum: f32 = theta.iter().sum();
@@ -99,11 +97,9 @@ proptest! {
                 prop_assert!(theta.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
             }
             // Determinism under the fixed serving seed.
-            for sampler in [&sparse, &mh] {
-                let a = est.estimate_with(table, sampler, &mut scratch);
-                prop_assert_eq!(&a, &est.estimate_with(table, sampler, &mut scratch));
-                prop_assert_eq!(&a, &est.estimate_sampled(table, sampler));
-            }
+            let a = est.estimate_with(table, &sparse, &mut scratch);
+            prop_assert_eq!(&a, &est.estimate_with(table, &sparse, &mut scratch));
+            prop_assert_eq!(&a, &est.estimate_sampled(table, &sparse));
         }
     }
 }
@@ -136,37 +132,10 @@ fn sparse_sampler_thetas_are_statistically_close_to_dense() {
     assert_ne!(dense_thetas, sparse_thetas);
 }
 
-/// The Metropolis–Hastings sampler targets the same per-token conditional
-/// through cycle proposals, so its thetas must stay within the same
-/// Monte-Carlo band of the dense oracle. The tolerance is looser than the
-/// sparse sampler's: MH resolves each token with accept/reject noise on
-/// top of the shared proposal tables, so per-seed drift sits closer to the
-/// dense sampler's own seed-to-seed spread.
-#[test]
-fn mh_sampler_thetas_are_statistically_close_to_dense() {
-    let est = estimator();
-    let mh = est.build_sampler(SamplerKind::MetropolisHastings);
-    let corpus = default_corpus(40, 77);
-    let mut scratch = TopicScratch::new();
-    let dense_thetas = est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch);
-    let mh_thetas = est.estimate_corpus_with(&corpus, &mh, &mut scratch);
-    let mean_l1 = dense_thetas
-        .iter()
-        .zip(&mh_thetas)
-        .map(|(a, b)| a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f32>())
-        .sum::<f32>()
-        / corpus.len() as f32;
-    assert!(
-        mean_l1 < 0.8,
-        "MH sampler drifted from dense: mean L1 = {mean_l1}"
-    );
-    assert_ne!(dense_thetas, mh_thetas);
-}
-
-/// The approximate samplers are *serving modes*: every serving entry point
-/// of a `with_sampler(SparseAlias)` or `with_sampler(MetropolisHastings)`
-/// predictor agrees with every other — for all four variants — and
-/// repeated serves are deterministic.
+/// Both samplers are *serving modes*: every serving entry point of a
+/// `with_sampler(Dense)` or `with_sampler(SparseAlias)` predictor agrees
+/// with every other — for all four variants — and repeated serves are
+/// deterministic.
 #[test]
 fn approximate_serving_modes_are_consistent_across_entry_points() {
     let train = default_corpus(25, 13);
@@ -181,7 +150,7 @@ fn approximate_serving_modes_are_consistent_across_entry_points() {
     ));
     for variant in SatoVariant::ALL {
         let mut predictor = SatoModel::train(&train, tiny_config(), variant).into_predictor();
-        for kind in [SamplerKind::SparseAlias, SamplerKind::MetropolisHastings] {
+        for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
             predictor = predictor.with_sampler(kind);
             assert_eq!(predictor.sampler_kind(), kind);
             let sequential = predictor.predict_corpus(&corpus);
@@ -245,8 +214,6 @@ fn sampler_choice_affects_only_topic_aware_variants() {
     let base_dense = base.predict_corpus(&corpus);
     let base_sparse = base.with_sampler(SamplerKind::SparseAlias);
     assert_eq!(base_dense, base_sparse.predict_corpus(&corpus));
-    let base_mh = base_sparse.with_sampler(SamplerKind::MetropolisHastings);
-    assert_eq!(base_dense, base_mh.predict_corpus(&corpus));
     // Topic-aware: the probability rows must differ somewhere (thetas are
     // close but not bit-identical, and the network consumes them).
     let full = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
@@ -261,16 +228,6 @@ fn sampler_choice_affects_only_topic_aware_variants() {
     assert_ne!(
         dense_probs, sparse_probs,
         "sparse sampler did not change the topic inputs of a topic-aware model"
-    );
-    let full_mh = full_sparse.with_sampler(SamplerKind::MetropolisHastings);
-    let mh_probs: Vec<_> = corpus.iter().map(|t| full_mh.predict_proba(t)).collect();
-    assert_ne!(
-        dense_probs, mh_probs,
-        "MH sampler did not change the topic inputs of a topic-aware model"
-    );
-    assert_ne!(
-        sparse_probs, mh_probs,
-        "MH serving must be a distinct mode, not an alias of sparse"
     );
 }
 
@@ -296,15 +253,6 @@ fn sampler_artifact_versioning() {
     assert_eq!(loaded.sampler_kind(), SamplerKind::SparseAlias);
     assert_eq!(expected, loaded.predict_corpus(&corpus));
 
-    // The Metropolis–Hastings kind round-trips the same way.
-    let mh = predictor.with_sampler(SamplerKind::MetropolisHastings);
-    let mh_expected = mh.predict_corpus(&corpus);
-    let mh_json = mh.to_json();
-    assert!(mh_json.contains("\"sampler\":\"MetropolisHastings\""));
-    let loaded = SatoPredictor::from_json(&mh_json).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::MetropolisHastings);
-    assert_eq!(mh_expected, loaded.predict_corpus(&corpus));
-
     // Pre-sampler-era artifact (no sampler field at all) → Dense.
     let dense = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
         .into_predictor()
@@ -320,18 +268,26 @@ fn sampler_artifact_versioning() {
         "legacy artifact must serve bit-identically to its dense author"
     );
 
-    // Unknown sampler kind → descriptive load error.
-    let unknown = dense_json.replacen("\"sampler\":\"Dense\"", "\"sampler\":\"Turbo\"", 1);
-    match SatoPredictor::from_json(&unknown) {
-        Err(PredictorError::Json(e)) => {
-            let msg = e.to_string();
-            assert!(
-                msg.contains("unknown SamplerKind variant"),
-                "error should name the bad sampler kind, got: {msg}"
-            );
+    // Unknown sampler kind → descriptive load error. The removed
+    // Metropolis–Hastings sampler is unknown too: its old artifacts fail
+    // to load instead of being silently served by another sampler.
+    for name in ["Turbo", "MetropolisHastings"] {
+        let unknown = dense_json.replacen(
+            "\"sampler\":\"Dense\"",
+            &format!("\"sampler\":\"{name}\""),
+            1,
+        );
+        match SatoPredictor::from_json(&unknown) {
+            Err(PredictorError::Json(e)) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("unknown SamplerKind variant"),
+                    "error should name the bad sampler kind, got: {msg}"
+                );
+            }
+            Err(other) => panic!("expected a JSON load error for {name}, got: {other}"),
+            Ok(_) => panic!("unknown sampler kind {name} must fail to load"),
         }
-        Err(other) => panic!("expected a JSON load error, got: {other}"),
-        Ok(_) => panic!("unknown sampler kind must fail to load"),
     }
 }
 

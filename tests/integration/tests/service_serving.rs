@@ -3,7 +3,7 @@
 //! batch widths and mid-stream artifact hot-swaps must return responses
 //! **bit-identical** to a sequential `predict_corpus_batched` pass on
 //! whichever artifact the service says served them — for all four model
-//! variants and all three topic samplers. Plus direct regressions for the
+//! variants and both topic samplers. Plus direct regressions for the
 //! queue's failure modes: admission-control rejection, deadline expiry, and
 //! colstore submissions.
 
@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn concurrent_interleavings_with_racing_hot_swap_serve_bit_identically(
         variant_idx in 0usize..4,
-        sampler_idx in 0usize..3,
+        sampler_idx in 0usize..2,
         batch_cols in 1usize..48,
         shapes in proptest::collection::vec(
             proptest::collection::vec(0usize..4, 0..4), 2..8),
@@ -135,11 +135,7 @@ proptest! {
         swap_after in 0usize..8,
         memo in 0usize..2,
     ) {
-        let sampler = [
-            SamplerKind::Dense,
-            SamplerKind::SparseAlias,
-            SamplerKind::MetropolisHastings,
-        ][sampler_idx];
+        let sampler = [SamplerKind::Dense, SamplerKind::SparseAlias][sampler_idx];
         let a = predictor(variant_idx, sampler, false);
         let b = predictor(variant_idx, sampler, true);
         prop_assert_ne!(a.content_hash(), b.content_hash());
@@ -226,11 +222,7 @@ proptest! {
 fn all_variants_and_samplers_serve_bit_identically_across_a_hot_swap() {
     let batch_cols = 7;
     for variant_idx in 0..4 {
-        for sampler in [
-            SamplerKind::Dense,
-            SamplerKind::SparseAlias,
-            SamplerKind::MetropolisHastings,
-        ] {
+        for sampler in [SamplerKind::Dense, SamplerKind::SparseAlias] {
             let a = predictor(variant_idx, sampler, false);
             let b = predictor(variant_idx, sampler, true);
             let requests: Vec<Vec<Table>> = (0..4)
