@@ -19,13 +19,15 @@
 //! machine's `available_parallelism` next to the one thread (`threads`)
 //! every figure is measured on.
 //!
-//! Options: the standard experiment flags (`--tables`, `--seed`, `--fast`,
-//! ...) plus `--lake-cols N` (target lake size in columns, default 100000)
-//! and `--smoke` (tiny lake, assertions off — CI uses it to validate the
-//! harness and the JSON shape, not the numbers). The standard run asserts
-//! recall@10 ≥ 0.9 at ≥ 10x query speedup over brute force.
+//! Options: `--lake-cols N` (target lake size in columns, default 100000)
+//! and `--smoke` (tiny lake, recall and speedup floors off — CI uses it to
+//! validate the harness and the schema, not the numbers), plus the standard
+//! experiment flags (`--tables`, `--seed`, `--fast`, ...), parsed strictly:
+//! `--help` prints usage and an unknown option panics. The standard run
+//! asserts recall@10 ≥ 0.9 at ≥ 10x query speedup over brute force.
 
 use sato::{SatoModel, SatoVariant, ServingScratch};
+use sato_bench::schema::{self, HnswParams, IndexBench, INDEX_SCHEMA};
 use sato_bench::{banner, default_threads, ExperimentOptions};
 use sato_index::{ColumnRef, HnswConfig, HnswIndex};
 use sato_tabular::corpus::default_corpus;
@@ -40,16 +42,22 @@ const BATCH_COLS: usize = 256;
 const K: usize = 10;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Take this binary's own options out, then parse the rest strictly.
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("index_discovery options: --smoke --lake-cols N, plus the standard");
+    }
     let smoke = args.iter().any(|a| a == "--smoke");
+    args.retain(|a| a != "--smoke");
     let mut lake_cols_target: usize = 100_000;
     if let Some(pos) = args.iter().position(|a| a == "--lake-cols") {
         lake_cols_target = args
             .get(pos + 1)
             .and_then(|v| v.parse().ok())
             .expect("--lake-cols expects an integer value");
+        args.drain(pos..pos + 2);
     }
-    let opts = ExperimentOptions::parse_lenient(args);
+    let opts = ExperimentOptions::parse(args);
     if smoke {
         lake_cols_target = lake_cols_target.min(1_500);
     }
@@ -181,10 +189,6 @@ fn main() {
         assert_eq!(reloaded.search_knn(q, K), index.search_knn(q, K));
     }
     let _ = std::fs::remove_file(&sidecar);
-    println!(
-        "sidecar: {sidecar_bytes} bytes, save {:.3}s, load {:.3}s (query-identical after reload)",
-        save_s, load_s
-    );
 
     if !smoke {
         assert!(
@@ -198,22 +202,36 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"schema\": \"sato-bench/index-v2\",\n  \"available_parallelism\": {},\n  \"threads\": 1,\n  \"model\": \"Sato (Full)\",\n  \"smoke\": {smoke},\n  \"lake_tables\": {},\n  \"lake_columns\": {lake_cols},\n  \"embedding_dim\": {dim},\n  \"hnsw\": {{\n    \"m\": {},\n    \"ef_construction\": {},\n    \"ef_search\": {},\n    \"seed\": {},\n    \"top_level\": {}\n  }},\n  \"build_s\": {:.3},\n  \"embed_s\": {:.3},\n  \"graph_insert_s\": {:.3},\n  \"build_cols_per_s\": {build_cols_per_s:.1},\n  \"queries\": {},\n  \"k\": {K},\n  \"recall_at_10\": {recall:.4},\n  \"ann_queries_per_s\": {ann_qps:.1},\n  \"bruteforce_queries_per_s\": {bf_qps:.1},\n  \"speedup_vs_bruteforce\": {speedup:.2},\n  \"sidecar_bytes\": {sidecar_bytes},\n  \"sidecar_save_s\": {save_s:.4},\n  \"sidecar_load_s\": {load_s:.4}\n}}\n",
-        default_threads(),
-        lake.len(),
-        config.m,
-        config.ef_construction,
-        config.ef_search,
-        config.seed,
-        index.top_level(),
-        build_time.as_secs_f64(),
-        embed_time.as_secs_f64(),
-        insert_time.as_secs_f64(),
-        queries.len(),
-    );
-    std::fs::write("BENCH_index.json", &json).expect("write BENCH_index.json");
-    println!("wrote BENCH_index.json:\n{json}");
+    schema::write(&IndexBench {
+        schema: INDEX_SCHEMA.to_string(),
+        available_parallelism: default_threads(),
+        threads: 1,
+        model: "Sato (Full)".to_string(),
+        smoke,
+        lake_tables: lake.len(),
+        lake_columns: lake_cols,
+        embedding_dim: dim,
+        hnsw: HnswParams {
+            m: config.m,
+            ef_construction: config.ef_construction,
+            ef_search: config.ef_search,
+            seed: config.seed,
+            top_level: index.top_level(),
+        },
+        build_s: build_time.as_secs_f64(),
+        embed_s: embed_time.as_secs_f64(),
+        graph_insert_s: insert_time.as_secs_f64(),
+        build_cols_per_s,
+        queries: queries.len(),
+        k: K,
+        recall_at_10: recall,
+        ann_queries_per_s: ann_qps,
+        bruteforce_queries_per_s: bf_qps,
+        speedup_vs_bruteforce: speedup,
+        sidecar_bytes,
+        sidecar_save_s: save_s,
+        sidecar_load_s: load_s,
+    });
 }
 
 /// Generate the synthetic lake: enough default-shaped tables to reach

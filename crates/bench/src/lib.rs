@@ -1,8 +1,10 @@
 //! # sato-bench
 //!
 //! The benchmark harness of the Sato reproduction: one binary per table and
-//! figure of the paper's evaluation (see DESIGN.md §4 for the index), plus
-//! Criterion micro-benchmarks of the hot paths.
+//! figure of the paper's evaluation (`src/bin/` is the index), plus
+//! Criterion micro-benchmarks of the hot paths. The [`schema`] module
+//! defines the committed `BENCH_*.json` files. End-to-end throughput and
+//! latency are measured by `satobench` (see `BENCHMARK.json`), not here.
 //!
 //! Every binary accepts the same command-line options:
 //!
@@ -19,6 +21,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod schema;
 
 use sato::{SamplerKind, SatoConfig, SatoVariant};
 use sato_tabular::corpus::default_corpus;

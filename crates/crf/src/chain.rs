@@ -284,8 +284,8 @@ impl LinearChainCrf {
     }
 
     /// The historical destination-major Viterbi loop (stride-`k` pairwise
-    /// reads, per-destination scalar scans). Kept as the parity oracle and
-    /// the `table2_efficiency` decode baseline.
+    /// reads, per-destination scalar scans). Kept as the parity oracle of
+    /// [`Self::viterbi_flat`].
     pub fn viterbi_flat_reference(&self, unary: &[f64]) -> Vec<usize> {
         let k = self.num_states;
         assert!(!unary.is_empty(), "empty chain");

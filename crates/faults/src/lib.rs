@@ -3,9 +3,10 @@
 //! Production crates declare *named injection points* — `serve.round`,
 //! `core.artifact_load`, `tabular.colstore_decode`, … — behind their own
 //! `faults` cargo feature, so the sites compile to nothing in ordinary
-//! builds. With the feature on, a test (or the `service_load --chaos`
-//! bench) arms a site with a [`FaultSpec`] and the next matching execution
-//! deterministically panics, returns an injected error, or stalls.
+//! builds. With the feature on, a test (such as the `chaos_serving`
+//! integration suite) arms a site with a [`FaultSpec`] and the next
+//! matching execution deterministically panics, returns an injected error,
+//! or stalls.
 //!
 //! The registry is process-global and intentionally tiny: chaos tests that
 //! share a binary serialize themselves (see the integration suite) and use

@@ -136,8 +136,8 @@ fn accumulate_ngrams(chars: &[char], ngram_range: (usize, usize), seed: u64, out
 }
 
 /// The historical length-major n-gram loop: for each `n`, hash every
-/// `n`-char window from scratch. Kept as the parity oracle and the
-/// `table2_efficiency` hashing baseline.
+/// `n`-char window from scratch. Kept as the parity oracle of the
+/// prefix-extension loop.
 pub fn accumulate_ngrams_scalar(
     chars: &[char],
     ngram_range: (usize, usize),
@@ -164,7 +164,7 @@ pub fn accumulate_ngrams_scalar(
 }
 
 /// Reference form of [`hash_token_into`] built on the length-major scalar
-/// loop — used by the parity tests and the benchmark baseline.
+/// loop — used by the parity tests.
 pub fn hash_token_into_scalar(
     token: &str,
     ngram_range: (usize, usize),

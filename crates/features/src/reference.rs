@@ -2,15 +2,11 @@
 //!
 //! These are the original multi-pass extractors: `char` re-lowercases every
 //! cell once per alphabet character, `word` allocates a `String` per token
-//! and a fresh embedding `Vec` per hash call. They are kept verbatim for two
-//! jobs:
-//!
-//! 1. **Correctness oracle** — the optimised single-pass extractors must
-//!    reproduce them bit for bit (asserted by the `single_pass_parity`
-//!    tests), so a serving artifact trained before the optimisation predicts
-//!    identically after it.
-//! 2. **Benchmark baseline** — `table2_efficiency` times them against the
-//!    single-pass path and records the speedup in `BENCH_serving.json`.
+//! and a fresh embedding `Vec` per hash call. They are kept verbatim as the
+//! **correctness oracle**: the optimised single-pass extractors must
+//! reproduce them bit for bit (asserted by the `single_pass_parity` tests),
+//! so a serving artifact trained before the optimisation predicts
+//! identically after it.
 //!
 //! Nothing in the serving or training path calls into this module.
 

@@ -75,8 +75,8 @@ fn elapsed_us(since: Instant) -> u64 {
 }
 
 /// Tuning knobs of a [`SatoService`]. The defaults are a reasonable
-/// starting point for a single-worker, CPU-bound deployment; the
-/// `service_load` bench sweeps them.
+/// starting point for a single-worker, CPU-bound deployment; the `satobench`
+/// `serve` workload measures the defaults.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Target columns per shared micro-batch: the batcher keeps pulling
