@@ -19,13 +19,14 @@ use crate::config::SatoConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sato_features::hashing::{hash_token, l2_normalize, tokenize};
+use sato_features::hashing::{hash_token, l2_normalize};
 use sato_nn::layers::{Dense, Dropout, Layer, ReLU};
 use sato_nn::loss::{softmax, softmax_cross_entropy};
 use sato_nn::network::Sequential;
 use sato_nn::optim::Adam;
 use sato_nn::Matrix;
 use sato_tabular::table::{Column, Corpus, Table};
+use sato_tabular::text::tokenize;
 use sato_tabular::types::NUM_TYPES;
 
 /// Hash seed of the raw-text encoder (distinct from the Word/Para groups).

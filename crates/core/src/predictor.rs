@@ -826,6 +826,49 @@ mod tests {
         ));
     }
 
+    /// A JSON vocabulary persists only its token list, and loading rebuilds
+    /// the token → id map from it. A `token_to_id` map carried by an older
+    /// or tampered artifact is ignored: an out-of-range or swapped id can
+    /// neither panic `predict` nor change its output under an unchanged
+    /// content hash.
+    #[test]
+    fn tampered_vocabulary_map_is_ignored_not_trusted() {
+        let corpus = default_corpus(30, 6);
+        let predictor =
+            SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
+        let json = predictor.to_json();
+        assert!(!json.contains("token_to_id"));
+        // Tokens are alphanumeric runs, so no token contains `]` or `"`.
+        let list = "\"id_to_token\":[";
+        let start = json.find(list).unwrap() + list.len() - 1;
+        let end = start + json[start..].find(']').unwrap() + 1;
+        let tokens: Vec<String> = serde_json::from_str(&json[start..end]).unwrap();
+        assert!(tokens.len() >= 2, "vocabulary too small to swap ids");
+        let (a, b) = (&tokens[0], &tokens[1]);
+        let bits = |p: &SatoPredictor| -> Vec<Vec<u32>> {
+            corpus
+                .iter()
+                .flat_map(|t| p.predict_proba(t))
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let honest = bits(&predictor);
+        for map in [
+            format!("{{\"{a}\":999999}}"),
+            format!("{{\"{a}\":1,\"{b}\":0}}"),
+        ] {
+            let tampered = json.replacen(list, &format!("\"token_to_id\":{map},{list}"), 1);
+            assert_ne!(tampered, json);
+            let loaded = SatoPredictor::from_json(&tampered).unwrap();
+            assert_eq!(loaded.content_hash(), predictor.content_hash());
+            assert_eq!(
+                bits(&loaded),
+                honest,
+                "tampered map {map} changed predictions"
+            );
+        }
+    }
+
     #[test]
     fn batched_prediction_handles_degenerate_corpora() {
         use sato_tabular::table::Column;

@@ -7,46 +7,10 @@
 //! with pseudo-random signs, summed and normalised. Similar strings share
 //! n-grams and therefore land near each other — the distributional property
 //! the downstream classifier actually exploits.
-
-/// Streaming FNV-1a state, so n-gram windows can be hashed char by char
-/// without materialising the gram as a `String` first. Thin wrapper over
-/// [`sato_kernels::Fnv1a`] keeping this crate's historical seeded
-/// constructor name.
-#[derive(Clone, Copy)]
-pub struct Fnv1a(sato_kernels::Fnv1a);
-
-impl Fnv1a {
-    /// Start a seeded hash stream.
-    #[inline]
-    pub fn new(seed: u64) -> Self {
-        Fnv1a(sato_kernels::Fnv1a::with_seed(seed))
-    }
-
-    /// Absorb raw bytes.
-    #[inline]
-    pub fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-    }
-
-    /// Absorb a character's UTF-8 encoding (identical to hashing the bytes
-    /// of a string containing it).
-    #[inline]
-    pub fn write_char(&mut self, c: char) {
-        self.0.write_char(c);
-    }
-
-    /// The accumulated hash value.
-    #[inline]
-    pub fn finish(self) -> u64 {
-        self.0.finish()
-    }
-}
-
-/// A simple, stable 64-bit FNV-1a hash (so features do not depend on the
-/// platform's `DefaultHasher` seed and stay identical across runs).
-pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    sato_kernels::fnv1a64_seeded(bytes, seed)
-}
+//!
+//! The hashers take tokens as they are given: the Word and Para groups get
+//! their lower-cased tokens from [`sato_tabular::text`], the one tokenizer
+//! of the workspace.
 
 /// Hash a token's character n-grams into a `dim`-bucket signed vector.
 ///
@@ -54,24 +18,21 @@ pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
 /// * `seed` decorrelates different embedding spaces (the word and paragraph
 ///   groups use different seeds so they are not identical features).
 ///
-/// Convenience wrapper around [`hash_token_into`] that allocates the output
-/// and its window buffer; hot paths should reuse both.
+/// The token is lower-cased first ([`sato_tabular::text::push_lowercase`]).
+/// Convenience wrapper around [`hash_token_into`] that allocates the output,
+/// the folded token and its window buffer; hot paths should reuse them.
 pub fn hash_token(token: &str, dim: usize, ngram_range: (usize, usize), seed: u64) -> Vec<f32> {
     let mut v = vec![0.0f32; dim];
-    let mut chars = Vec::new();
-    hash_token_into(token, ngram_range, seed, &mut chars, &mut v);
+    let mut lower = String::with_capacity(token.len());
+    sato_tabular::text::push_lowercase(token, &mut lower);
+    hash_token_into(&lower, ngram_range, seed, &mut Vec::new(), &mut v);
     v
 }
 
 /// Hash a token's character n-grams into `out` (one bucket per element),
 /// reusing `chars_buf` for the `<token>` character window.
 ///
-/// Case is folded per character (no lower-cased `String` copy of the token,
-/// no `format!` for the boundary marks). Per-character folding matches
-/// `str::to_lowercase` except for context-sensitive mappings (the Greek
-/// final sigma is the only one), so tokens containing a non-ASCII uppercase
-/// character take a rare exact-fold fallback — keeping the output
-/// bit-identical to the reference implementation for every input.
+/// The token is hashed as given: callers pass it already lower-cased.
 pub fn hash_token_into(
     token: &str,
     ngram_range: (usize, usize),
@@ -84,19 +45,7 @@ pub fn hash_token_into(
     out.fill(0.0);
     chars_buf.clear();
     chars_buf.push('<');
-    if token.chars().any(|c| !c.is_ascii() && c.is_uppercase()) {
-        // Context-sensitive case mapping possible: defer to the exact
-        // whole-string fold.
-        chars_buf.extend(token.to_lowercase().chars());
-    } else {
-        for c in token.chars() {
-            if c.is_ascii() {
-                chars_buf.push(c.to_ascii_lowercase());
-            } else {
-                chars_buf.extend(c.to_lowercase());
-            }
-        }
-    }
+    chars_buf.extend(token.chars());
     chars_buf.push('>');
     accumulate_ngrams(chars_buf, ngram_range, seed, out);
     l2_normalize(out);
@@ -151,7 +100,7 @@ pub fn accumulate_ngrams_scalar(
             continue;
         }
         for window in chars.windows(n) {
-            let mut hasher = Fnv1a::new(seed);
+            let mut hasher = sato_kernels::Fnv1a::with_seed(seed);
             for &c in window {
                 hasher.write_char(c);
             }
@@ -176,64 +125,10 @@ pub fn hash_token_into_scalar(
     out.fill(0.0);
     chars_buf.clear();
     chars_buf.push('<');
-    if token.chars().any(|c| !c.is_ascii() && c.is_uppercase()) {
-        chars_buf.extend(token.to_lowercase().chars());
-    } else {
-        for c in token.chars() {
-            if c.is_ascii() {
-                chars_buf.push(c.to_ascii_lowercase());
-            } else {
-                chars_buf.extend(c.to_lowercase());
-            }
-        }
-    }
+    chars_buf.extend(token.chars());
     chars_buf.push('>');
     accumulate_ngrams_scalar(chars_buf, ngram_range, seed, out);
     l2_normalize(out);
-}
-
-/// Visit every word token of a cell (maximal alphanumeric runs) without
-/// allocating per-token `String`s. Tokens are passed through in their
-/// original case; the n-gram hasher folds case per character.
-#[inline]
-pub fn for_each_token(cell: &str, mut f: impl FnMut(&str)) {
-    for token in cell.split(|c: char| !c.is_alphanumeric()) {
-        if !token.is_empty() {
-            f(token);
-        }
-    }
-}
-
-/// Visit every **lower-cased** word token of a cell, folding each token into
-/// the reusable `buf` instead of allocating a `String` per token.
-///
-/// The tokens handed to `f` are bit-identical to [`tokenize`]'s output:
-/// case is folded per character (which matches `str::to_lowercase` except
-/// for context-sensitive mappings), and tokens containing a non-ASCII
-/// uppercase character take the rare exact whole-string fold, exactly as in
-/// [`hash_token_into`]. `sato_topic::vocab::for_each_token_lower` carries
-/// the same fold logic (that crate cannot depend on this one); a Unicode
-/// fix here must be mirrored there.
-#[inline]
-pub fn for_each_token_lower(cell: &str, buf: &mut String, mut f: impl FnMut(&str)) {
-    for token in cell.split(|c: char| !c.is_alphanumeric()) {
-        if token.is_empty() {
-            continue;
-        }
-        buf.clear();
-        if token.chars().any(|c| !c.is_ascii() && c.is_uppercase()) {
-            buf.push_str(&token.to_lowercase());
-        } else {
-            for c in token.chars() {
-                if c.is_ascii() {
-                    buf.push(c.to_ascii_lowercase());
-                } else {
-                    buf.extend(c.to_lowercase());
-                }
-            }
-        }
-        f(buf.as_str());
-    }
 }
 
 /// Normalise a vector to unit L2 norm in place (no-op for the zero vector).
@@ -244,14 +139,6 @@ pub fn l2_normalize(v: &mut [f32]) {
             *x /= norm;
         }
     }
-}
-
-/// Split a cell into word tokens (alphanumeric runs).
-pub fn tokenize(cell: &str) -> Vec<String> {
-    cell.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .collect()
 }
 
 /// Cosine similarity between two equal-length vectors.
@@ -310,34 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn tokenize_splits_on_non_alphanumerics() {
-        assert_eq!(tokenize("Warsaw, Poland"), vec!["warsaw", "poland"]);
-        assert_eq!(tokenize("3.5 MB"), vec!["3", "5", "mb"]);
-        assert!(tokenize("--- ").is_empty());
-    }
-
-    #[test]
-    fn streaming_lowercase_tokens_match_tokenize_bit_for_bit() {
-        let cases = [
-            "Warsaw, Poland",
-            "3.5 MB",
-            "--- ",
-            "",
-            "MiXeD CaSe ALLCAPS 123-456",
-            "Kelvin \u{212A} \u{00C9}clair na\u{00EF}ve",
-            // Word-final Greek capital sigma: the one context-sensitive
-            // lower-case mapping (Σ → ς at word end).
-            "ΟΔΟΣ Οδός ΣΟΦΙΑ",
-        ];
-        let mut buf = String::new();
-        for cell in cases {
-            let mut streamed = Vec::new();
-            for_each_token_lower(cell, &mut buf, |t| streamed.push(t.to_string()));
-            assert_eq!(streamed, tokenize(cell), "tokens diverged on {cell:?}");
-        }
-    }
-
-    #[test]
     fn cosine_bounds() {
         let a = [1.0, 0.0];
         let b = [0.0, 1.0];
@@ -348,8 +207,9 @@ mod tests {
 
     #[test]
     fn fnv_differs_across_seeds_and_inputs() {
-        assert_ne!(fnv1a(b"abc", 0), fnv1a(b"abd", 0));
-        assert_ne!(fnv1a(b"abc", 0), fnv1a(b"abc", 1));
+        use sato_kernels::fnv1a64_seeded;
+        assert_ne!(fnv1a64_seeded(b"abc", 0), fnv1a64_seeded(b"abd", 0));
+        assert_ne!(fnv1a64_seeded(b"abc", 0), fnv1a64_seeded(b"abc", 1));
     }
 
     /// The start-major prefix-extension loop must reproduce the historical

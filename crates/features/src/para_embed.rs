@@ -7,9 +7,10 @@
 //! captures column-level co-occurrence information that the per-token Word
 //! group does not, which is the role the Para group plays in Sherlock.
 
-use crate::hashing::{fnv1a, for_each_token_lower, l2_normalize};
+use crate::hashing::l2_normalize;
 use crate::scratch::{FeatureScratch, ParaEntry};
 use sato_tabular::table::{CellSource, Column};
+use sato_tabular::text::for_each_token_lower;
 
 /// Hash seed that defines the paragraph-embedding space.
 pub const PARA_EMBED_SEED: u64 = 0x5a70_0002;
@@ -70,16 +71,16 @@ pub fn para_features_from_cells<'a>(
         para_entries,
         para_arena,
         para_order,
-        para_token,
+        token,
         ..
     } = scratch;
     para_map.clear();
     para_entries.clear();
     para_arena.clear();
     for cell in cells {
-        for_each_token_lower(cell, para_token, |token| {
+        for_each_token_lower(cell, token, |token| {
             let bytes = token.as_bytes();
-            let hash = fnv1a(bytes, PARA_EMBED_SEED);
+            let hash = sato_kernels::fnv1a64_seeded(bytes, PARA_EMBED_SEED);
             // Open-address on the map key: on the (astronomically rare)
             // 64-bit hash collision between distinct tokens, step to the
             // next key instead of merging their counts.

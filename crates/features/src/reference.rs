@@ -11,11 +11,13 @@
 //! Nothing in the serving or training path calls into this module.
 
 use crate::char_dist::{CHARSET, CHAR_FEATURE_DIM, STATS_PER_CHAR};
-use crate::hashing::{fnv1a, l2_normalize, tokenize};
+use crate::hashing::l2_normalize;
 use crate::para_embed::PARA_EMBED_SEED;
 use crate::stats::STAT_FEATURE_DIM;
 use crate::word_embed::WORD_EMBED_SEED;
+use sato_kernels::fnv1a64_seeded;
 use sato_tabular::table::Column;
+use sato_tabular::text::tokenize;
 use std::collections::HashMap;
 
 /// Reference Char features: one pass over the column *per alphabet
@@ -167,7 +169,7 @@ pub fn hash_token(token: &str, dim: usize, ngram_range: (usize, usize), seed: u6
         }
         for window in chars.windows(n) {
             let gram: String = window.iter().collect();
-            let h = fnv1a(gram.as_bytes(), seed);
+            let h = fnv1a64_seeded(gram.as_bytes(), seed);
             let bucket = (h % dim as u64) as usize;
             let sign = if (h >> 63) & 1 == 0 { 1.0 } else { -1.0 };
             v[bucket] += sign;
@@ -226,7 +228,7 @@ pub fn para_features(column: &Column, dim: usize) -> Vec<f32> {
     let mut term_freq: Vec<(String, usize)> = term_freq.into_iter().collect();
     term_freq.sort_unstable();
     for (token, tf) in term_freq {
-        let h = fnv1a(token.as_bytes(), PARA_EMBED_SEED);
+        let h = fnv1a64_seeded(token.as_bytes(), PARA_EMBED_SEED);
         let bucket = (h % dim as u64) as usize;
         let sign = if (h >> 63) & 1 == 0 { 1.0 } else { -1.0 };
         out[bucket] += sign * (1.0 + tf as f32).ln();
@@ -321,6 +323,41 @@ mod single_pass_parity {
             assert_eq!(
                 crate::para_embed::para_features(column, 32),
                 para_features(column, 32)
+            );
+        }
+    }
+
+    /// Generated-cell alphabet: ASCII letters and digits, separators,
+    /// whitespace and NUL, plus the case-mapping corner cases of the
+    /// tokenizer's own generated tests (`sato_tabular::text`).
+    const ALPHABET: &[char] = &[
+        'a', 'Z', 'q', 'M', 'k', 'K', '0', '7', ',', '.', '-', ' ', '\t', '\n', '\0', 'Σ', 'σ',
+        'ς', '\u{212A}', '\u{0130}', 'ß', '\u{1E9E}', '\u{01C5}', '\u{0345}', '\u{0307}', 'Ⅰ',
+        '中', 'א',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_and_para_match_reference_on_generated_columns(
+            cells in proptest::collection::vec(
+                proptest::collection::vec(0..ALPHABET.len(), 0..12),
+                0..6,
+            ),
+        ) {
+            let column = Column::new(
+                cells
+                    .iter()
+                    .map(|cell| cell.iter().map(|&i| ALPHABET[i]).collect::<String>()),
+            );
+            proptest::prop_assert_eq!(
+                crate::word_embed::word_features(&column, 16),
+                word_features(&column, 16)
+            );
+            proptest::prop_assert_eq!(
+                crate::para_embed::para_features(&column, 32),
+                para_features(&column, 32)
             );
         }
     }

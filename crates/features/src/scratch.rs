@@ -120,8 +120,8 @@ pub struct FeatureScratch {
     /// Para group: entry indices sorted by token bytes for the deterministic
     /// drain.
     pub(crate) para_order: Vec<u32>,
-    /// Para group: reusable lower-cased token buffer.
-    pub(crate) para_token: String,
+    /// Word and Para groups: reusable lower-cased token buffer.
+    pub(crate) token: String,
 }
 
 /// Term-frequency entry of one distinct Para token: its lower-cased bytes

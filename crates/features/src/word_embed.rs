@@ -7,9 +7,10 @@
 //! element-wise mean and standard deviation of the token vectors, matching
 //! Sherlock's mean/std aggregation.
 
-use crate::hashing::{for_each_token, hash_token_into};
+use crate::hashing::hash_token_into;
 use crate::scratch::FeatureScratch;
 use sato_tabular::table::{CellSource, Column};
+use sato_tabular::text::for_each_token_lower;
 
 /// Hash seed that defines the word-embedding space.
 pub const WORD_EMBED_SEED: u64 = 0x5a70_0001;
@@ -30,7 +31,7 @@ pub fn word_features(column: &Column, dim: usize) -> Vec<f32> {
 }
 
 /// Compute the Word features into `out` (length `2 * dim`), reusing
-/// `scratch` for the per-token embedding buffers.
+/// `scratch` for the lower-cased token and per-token embedding buffers.
 ///
 /// The output slice doubles as the accumulator — `out[..dim]` holds the
 /// running sum and `out[dim..]` the running sum of squares until the final
@@ -44,19 +45,19 @@ pub fn word_features_into<C: CellSource + ?Sized>(
 ) {
     assert_eq!(out.len(), 2 * dim, "Word output width mismatch");
     out.fill(0.0);
-    scratch.token_vec.resize(dim, 0.0);
+    let FeatureScratch {
+        token,
+        token_chars,
+        token_vec,
+        ..
+    } = scratch;
+    token_vec.resize(dim, 0.0);
     let mut count = 0usize;
     for i in 0..column.num_cells() {
-        for_each_token(column.cell(i), |token| {
-            hash_token_into(
-                token,
-                (3, 5),
-                WORD_EMBED_SEED,
-                &mut scratch.token_chars,
-                &mut scratch.token_vec,
-            );
+        for_each_token_lower(column.cell(i), token, |token| {
+            hash_token_into(token, (3, 5), WORD_EMBED_SEED, token_chars, token_vec);
             let (sum, sum_sq) = out.split_at_mut(dim);
-            for (i, &v) in scratch.token_vec.iter().enumerate() {
+            for (i, &v) in token_vec.iter().enumerate() {
                 sum[i] += v;
                 sum_sq[i] += v * v;
             }

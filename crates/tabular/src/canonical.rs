@@ -15,10 +15,9 @@ use crate::types::SemanticType;
 ///
 /// The transformation is:
 /// 1. drop any content inside parentheses (including nested/unbalanced ones),
-/// 2. split into words on whitespace, underscores, hyphens and other
-///    non-alphanumeric separators,
-/// 3. lower-case every word, then capitalize the first letter of every word
-///    except the first,
+/// 2. split into lower-cased words on whitespace, underscores, hyphens and
+///    other non-alphanumeric separators ([`crate::text::tokenize`]),
+/// 3. capitalize the first letter of every word except the first,
 /// 4. concatenate.
 ///
 /// ```
@@ -42,11 +41,7 @@ pub fn canonicalize_header(raw: &str) -> String {
         prev_lower_or_digit = c.is_lowercase() || c.is_ascii_digit();
         spaced.push(c);
     }
-    let words: Vec<String> = spaced
-        .split(|c: char| !c.is_alphanumeric())
-        .filter(|w| !w.is_empty())
-        .map(|w| w.to_lowercase())
-        .collect();
+    let words = crate::text::tokenize(&spaced);
 
     let mut out = String::with_capacity(trimmed.len());
     for (i, word) in words.iter().enumerate() {

@@ -13,7 +13,9 @@
 //! * co-occurrence statistics used for Figure 6 and for initialising the CRF
 //!   pairwise potentials ([`cooccurrence`]),
 //! * table-level train/test splitting and k-fold cross-validation ([`split`]),
-//! * small CSV import/export utilities ([`csv`]).
+//! * small CSV import/export utilities ([`csv`]),
+//! * the one tokenizer every consumer of cell text uses: alphanumeric runs,
+//!   lower-cased ([`text`]).
 //!
 //! ## Quickstart
 //!
@@ -38,6 +40,7 @@ pub mod hierarchy;
 pub mod intents;
 pub mod split;
 pub mod table;
+pub mod text;
 pub mod types;
 pub mod values;
 

@@ -134,8 +134,9 @@ impl Table {
     ///
     /// This is the visitor the streaming topic encoder walks instead of
     /// building the [`Self::as_document`] mega-string: cell boundaries act as
-    /// token separators (exactly like the space `as_document` inserts), so a
-    /// per-value tokenizer sees the identical token stream.
+    /// token separators (exactly like the space `as_document` inserts), so
+    /// the per-value tokenizer ([`crate::text`]) sees the identical token
+    /// stream.
     pub fn for_each_value(&self, mut f: impl FnMut(&str)) {
         for column in &self.columns {
             for value in column.iter() {

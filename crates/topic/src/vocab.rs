@@ -5,68 +5,41 @@
 //! any headers or semantic annotation. We convert numerical values into
 //! strings and then concatenate all values in the table sequentially to form
 //! a 'document' for each table."*
+//!
+//! A document's tokens are the lower-cased alphanumeric runs of
+//! [`sato_tabular::text`], so numeric cells become numeric tokens, exactly
+//! as the paper converts numbers to strings.
 
+use sato_tabular::text::{for_each_token_lower, tokenize};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A token-to-id mapping with document-frequency based pruning.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Only the token list is persisted: the JSON form is
+/// `{"id_to_token": [...]}`, and the token → id map is rebuilt from it on
+/// load (a `token_to_id` field written by older artifacts is ignored).
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     token_to_id: HashMap<String, usize>,
     id_to_token: Vec<String>,
 }
 
-/// Tokenize a table "document": lower-cased alphanumeric runs. Numeric cells
-/// become numeric tokens, exactly as the paper converts numbers to strings.
-pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .collect()
+impl Serialize for Vocabulary {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![("id_to_token".into(), self.id_to_token.to_value())])
+    }
 }
 
-/// Visit the lower-cased tokens of `text` without allocating a `String` per
-/// token: each alphanumeric run is case-folded into the reusable `buf` and
-/// handed to `f` as a `&str`.
-///
-/// The token stream is bit-identical to [`tokenize`]. Case is folded per
-/// character (ASCII fast path, `char::to_lowercase` expansion otherwise);
-/// per-character folding matches `str::to_lowercase` except for
-/// context-sensitive mappings (the Greek final sigma is the only one), so
-/// tokens containing a non-ASCII uppercase character take a rare exact-fold
-/// fallback.
-///
-/// The fold logic is deliberately identical to
-/// `sato_features::hashing::for_each_token_lower` / `hash_token_into`
-/// (this crate cannot depend on `sato-features`); a Unicode fix in one
-/// copy must be mirrored in the others or the streaming-vs-reference
-/// bit-parity contracts break.
-pub fn for_each_token_lower(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
-    for token in text.split(|c: char| !c.is_alphanumeric()) {
-        if token.is_empty() {
-            continue;
-        }
-        buf.clear();
-        if token.chars().any(|c| !c.is_ascii() && c.is_uppercase()) {
-            // Context-sensitive case mapping possible: defer to the exact
-            // whole-string fold.
-            buf.push_str(&token.to_lowercase());
-        } else {
-            for c in token.chars() {
-                if c.is_ascii() {
-                    buf.push(c.to_ascii_lowercase());
-                } else {
-                    buf.extend(c.to_lowercase());
-                }
-            }
-        }
-        f(buf.as_str());
+impl Deserialize for Vocabulary {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Vec::<String>::from_value(v.field("id_to_token")?).map(Vocabulary::from_id_tokens)
     }
 }
 
 impl Vocabulary {
-    /// Rebuild a vocabulary from its tokens in id order (the binary-codec
-    /// load path; ids are assigned densely in slice order).
+    /// Rebuild a vocabulary from its tokens in id order (the load path of
+    /// both artifact codecs; ids are assigned densely in slice order).
     pub(crate) fn from_id_tokens(tokens: Vec<String>) -> Self {
         let token_to_id = tokens
             .iter()
@@ -94,14 +67,7 @@ impl Vocabulary {
             .collect();
         // Sort for determinism (HashMap iteration order is randomised).
         kept.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        let mut vocab = Vocabulary::default();
-        for (token, _) in kept {
-            let id = vocab.id_to_token.len();
-            vocab.token_to_id.insert(token.clone(), id);
-            vocab.id_to_token.push(token);
-        }
-        vocab
+        Vocabulary::from_id_tokens(kept.into_iter().map(|(token, _)| token).collect())
     }
 
     /// Number of distinct tokens.
@@ -154,15 +120,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tokenize_lowercases_and_splits() {
-        assert_eq!(
-            tokenize("Warsaw, 1,777,972"),
-            vec!["warsaw", "1", "777", "972"]
-        );
-        assert!(tokenize("--").is_empty());
-    }
-
-    #[test]
     fn build_respects_min_count() {
         let docs = ["rock rock jazz", "rock blues"];
         let vocab = Vocabulary::build(docs.iter().copied(), 2);
@@ -201,27 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_tokenizer_matches_tokenize_bit_for_bit() {
-        let cases = [
-            "Warsaw, 1,777,972",
-            "",
-            "--",
-            "MiXeD CaSe ALLCAPS",
-            "Kelvin \u{212A} \u{00C9}clair na\u{00EF}ve",
-            // Greek capital sigma: the one context-sensitive lower-case
-            // mapping in Unicode (word-final Σ folds to ς, not σ).
-            "ΟΔΟΣ Οδός ΣΟΦΙΑ",
-            "3.5 MB $12.50",
-        ];
-        let mut buf = String::new();
-        for text in cases {
-            let mut streamed = Vec::new();
-            for_each_token_lower(text, &mut buf, |t| streamed.push(t.to_string()));
-            assert_eq!(streamed, tokenize(text), "tokens diverged on {text:?}");
-        }
-    }
-
-    #[test]
     fn encode_value_into_matches_encode() {
         let vocab = Vocabulary::build(["warsaw london 12 οδος rock"].iter().copied(), 1);
         let mut buf = String::new();
@@ -237,6 +173,22 @@ mod tests {
             vocab.encode_value_into(v, &mut buf, &mut streamed);
         }
         assert_eq!(streamed, vocab.encode("Warsaw rock London"));
+    }
+
+    /// JSON carries the token list only; loading rebuilds the map from it
+    /// and ignores any `token_to_id` an older artifact wrote.
+    #[test]
+    fn json_persists_the_token_list_and_rebuilds_the_map() {
+        let vocab = Vocabulary::build(["rock rock jazz blues"].iter().copied(), 1);
+        let json = serde_json::to_string(&vocab).unwrap();
+        assert_eq!(json, r#"{"id_to_token":["rock","blues","jazz"]}"#);
+        let legacy = r#"{"token_to_id":{"rock":999999,"blues":2,"jazz":1},"id_to_token":["rock","blues","jazz"]}"#;
+        for text in [json.as_str(), legacy] {
+            let loaded: Vocabulary = serde_json::from_str(text).unwrap();
+            assert_eq!(loaded.id_to_token, vocab.id_to_token);
+            assert_eq!(loaded.token_to_id, vocab.token_to_id);
+        }
+        assert!(serde_json::from_str::<Vocabulary>(r#"{"token_to_id":{}}"#).is_err());
     }
 
     #[test]
