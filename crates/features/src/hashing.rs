@@ -196,6 +196,59 @@ mod tests {
         assert!(v.iter().any(|&x| x != 0.0));
     }
 
+    /// The Word and Para groups hash the tokens of
+    /// [`sato_tabular::text::tokenize`]; case is folded before hashing.
+    #[test]
+    fn tokenize_splits_on_non_alphanumerics() {
+        use sato_tabular::text::tokenize;
+        assert_eq!(tokenize("Warsaw, Poland"), vec!["warsaw", "poland"]);
+        assert_eq!(tokenize("3.5 MB"), vec!["3", "5", "mb"]);
+        assert!(tokenize("--- ").is_empty());
+        assert_eq!(
+            hash_token("MB", 32, (3, 5), 0),
+            hash_token("mb", 32, (3, 5), 0)
+        );
+    }
+
+    /// Hashing the streamed lower-case tokens with [`hash_token_into`]
+    /// gives bit for bit the vectors [`hash_token`] gives for the
+    /// original-case tokens, which it folds itself.
+    #[test]
+    fn streaming_lowercase_tokens_match_tokenize_bit_for_bit() {
+        use sato_tabular::text::{for_each_token_lower, tokenize};
+        let cases = [
+            "Warsaw, Poland",
+            "3.5 MB",
+            "--- ",
+            "",
+            "MiXeD CaSe ALLCAPS 123-456",
+            "Kelvin \u{212A} \u{00C9}clair na\u{00EF}ve",
+            // Word-final Greek capital sigma: the one context-sensitive
+            // lower-case mapping (Σ → ς at word end).
+            "ΟΔΟΣ Οδός ΣΟΦΙΑ",
+        ];
+        let mut buf = String::new();
+        let mut chars = Vec::new();
+        for cell in cases {
+            let raw: Vec<&str> = cell
+                .split(|c: char| !c.is_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .collect();
+            let mut streamed = Vec::new();
+            let mut hashed = Vec::new();
+            for_each_token_lower(cell, &mut buf, |t| {
+                streamed.push(t.to_string());
+                let mut v = vec![0.0f32; 64];
+                hash_token_into(t, (3, 5), 7, &mut chars, &mut v);
+                hashed.push(v);
+            });
+            assert_eq!(streamed, tokenize(cell), "tokens diverged on {cell:?}");
+            let expected: Vec<Vec<f32>> =
+                raw.iter().map(|t| hash_token(t, 64, (3, 5), 7)).collect();
+            assert_eq!(hashed, expected, "hashes diverged on {cell:?}");
+        }
+    }
+
     #[test]
     fn cosine_bounds() {
         let a = [1.0, 0.0];

@@ -120,6 +120,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn tokenize_lowercases_and_splits() {
+        assert_eq!(
+            tokenize("Warsaw, 1,777,972"),
+            vec!["warsaw", "1", "777", "972"]
+        );
+        assert!(tokenize("--").is_empty());
+        let vocab = Vocabulary::build(["Warsaw, 1,777,972"].iter().copied(), 1);
+        assert_eq!(vocab.len(), 4);
+        assert!(vocab.id("warsaw").is_some());
+        assert!(vocab.id("Warsaw").is_none());
+    }
+
+    #[test]
+    fn streaming_tokenizer_matches_tokenize_bit_for_bit() {
+        let cases = [
+            "Warsaw, 1,777,972",
+            "",
+            "--",
+            "MiXeD CaSe ALLCAPS",
+            "Kelvin \u{212A} \u{00C9}clair na\u{00EF}ve",
+            // Greek capital sigma: the one context-sensitive lower-case
+            // mapping in Unicode (word-final Σ folds to ς, not σ).
+            "ΟΔΟΣ Οδός ΣΟΦΙΑ",
+            "3.5 MB $12.50",
+        ];
+        let mut buf = String::new();
+        for text in cases {
+            let mut streamed = Vec::new();
+            for_each_token_lower(text, &mut buf, |t| streamed.push(t.to_string()));
+            assert_eq!(streamed, tokenize(text), "tokens diverged on {text:?}");
+        }
+    }
+
+    #[test]
     fn build_respects_min_count() {
         let docs = ["rock rock jazz", "rock blues"];
         let vocab = Vocabulary::build(docs.iter().copied(), 2);
