@@ -306,4 +306,30 @@ mod tests {
         assert_eq!(preds[0].predicted.len(), 1, "predictions still per-column");
         assert_eq!(preds[1].gold, corpus.tables[0].labels);
     }
+
+    /// Training is deterministic down to the bit: every variant trained on
+    /// a fixed corpus and configuration freezes to the same artifact, under
+    /// the default sampler and under the dense one. A change to how
+    /// training rows, CRF unaries or weights are computed shows up here.
+    #[test]
+    fn trained_artifact_hashes_are_pinned() {
+        use sato_topic::SamplerKind;
+        let mut config = SatoConfig::fast();
+        config.network.epochs = 5;
+        config.lda.train_iterations = 15;
+        config.crf.epochs = 3;
+        let corpus = default_corpus(30, 41);
+        for (variant, served, dense) in [
+            (SatoVariant::Base, 0x3cefe5e47ef20f82, 0xa7b61d0a8396cca5),
+            (SatoVariant::Full, 0x4578b63703449285, 0xb5eeac8e396bd1fb),
+            (SatoVariant::SatoNoStruct, 0x38b21278d75f6819, 0xc8b76cdc41dd0159),
+            (SatoVariant::SatoNoTopic, 0x9b27444bfd998400, 0xf277719c32d5ccac),
+        ] {
+            let model = SatoModel::train(&corpus, config.clone(), variant);
+            let snapshot = model.predictor().with_sampler(SamplerKind::Dense);
+            assert_eq!(snapshot.content_hash(), dense, "{} dense", variant.name());
+            let frozen = model.into_predictor();
+            assert_eq!(frozen.content_hash(), served, "{} served", variant.name());
+        }
+    }
 }
