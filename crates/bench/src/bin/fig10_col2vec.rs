@@ -25,7 +25,7 @@ fn collect_embeddings(model: &SatoModel, test: &Corpus) -> (Vec<Vec<f32>>, Vec<S
     let mut embeddings = Vec::new();
     let mut labels = Vec::new();
     for table in test.iter() {
-        let embs = model.columnwise().column_embeddings(table);
+        let embs = model.column_embeddings(table);
         for (emb, label) in embs.into_iter().zip(&table.labels) {
             if FIG10_TYPES.contains(label) {
                 embeddings.push(emb);

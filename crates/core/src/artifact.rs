@@ -49,6 +49,7 @@ use crate::config::SatoConfig;
 use crate::dataset::Standardizer;
 use crate::model::SatoVariant;
 use crate::predictor::{PredictorError, SatoPredictor};
+use crate::structured::StructuredLayer;
 use sato_crf::LinearChainCrf;
 use sato_features::FeatureGroup;
 use sato_nn::serialize::StateDict;
@@ -437,7 +438,7 @@ impl SatoPredictor {
             meta.variant,
             meta.config,
             columnwise,
-            crf,
+            crf.map(StructuredLayer::from_crf),
             fnv1a64(bytes),
         ))
     }

@@ -11,12 +11,13 @@
 //! 78-way output layer with softmax.
 //!
 //! The training and serving API surfaces are distinct: [`ColumnwiseTrainer`]
-//! is the `&mut self` fitting interface, [`ColumnwiseInference`] is the
-//! `&self` per-table prediction interface of the live models, and a trained
-//! [`ColumnwiseModel`] can be [frozen](ColumnwiseModel::freeze) into an
-//! immutable [`FrozenColumnwise`] that drops all training-time state and
-//! serves every prediction through one batched engine (driven by
-//! `SatoPredictor`).
+//! is the `&mut self` fitting interface and [`ColumnwiseInference`] the
+//! `&self` per-table prediction interface. Fitting a [`ColumnwiseModel`]
+//! ends in an immutable [`FrozenColumnwise`] that holds no training-time
+//! state and serves every prediction through one batched engine (driven
+//! by `SatoPredictor`); the same engine's fill stage builds the training
+//! rows. [`FrozenColumnwise::extract_inputs`] and the `*_from_inputs`
+//! methods are its per-table oracle.
 
 use crate::config::SatoConfig;
 use crate::dataset::{Standardizer, TableInputs, TrainingData};
@@ -100,7 +101,7 @@ pub(crate) fn build_network(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut branches = Vec::new();
     let mut concat_dim = 0usize;
-    // Branch order mirrors TrainingData: Char, Word, Para, Stat [, Topic].
+    // Branch order mirrors fill_batch_groups: Char, Word, Para, Stat [, Topic].
     for (i, &w) in widths.iter().enumerate() {
         let is_stat = i == FeatureGroup::ALL.len() - 1; // Stat is the 4th group
         if is_stat {
@@ -138,20 +139,14 @@ pub(crate) fn build_network(
     (MultiInputNetwork::new(branches, trunk), head)
 }
 
-/// The Sherlock/Sato column-wise neural model (training-capable).
+/// The Sherlock/Sato column-wise neural model (training-capable). Fitting
+/// ends in a [`FrozenColumnwise`] serving the dense topic sampler the
+/// network was trained with, and every prediction runs through it.
 pub struct ColumnwiseModel {
     config: SatoConfig,
     use_topic: bool,
-    extractor: FeatureExtractor,
-    intent: Option<TableIntentEstimator>,
-    /// Branch subnetworks + primary trunk (everything up to the last hidden
-    /// representation, i.e. the *column embedding* of Section 5.6).
-    net: Option<MultiInputNetwork>,
-    /// Final classification layer on top of the trunk.
-    head: Option<Sequential>,
-    /// Per-group feature standardizers fitted on the training data.
-    scalers: Vec<Standardizer>,
-    group_widths: Vec<usize>,
+    /// The trained model (`None` until [`ColumnwiseTrainer::fit`]).
+    trained: Option<FrozenColumnwise>,
     loss_history: Vec<f32>,
 }
 
@@ -167,16 +162,10 @@ impl ColumnwiseModel {
     }
 
     fn new(config: SatoConfig, use_topic: bool) -> Self {
-        let extractor = FeatureExtractor::new(config.features.clone());
         ColumnwiseModel {
             config,
             use_topic,
-            extractor,
-            intent: None,
-            net: None,
-            head: None,
-            scalers: Vec::new(),
-            group_widths: Vec::new(),
+            trained: None,
             loss_history: Vec::new(),
         }
     }
@@ -188,7 +177,7 @@ impl ColumnwiseModel {
 
     /// Whether the model has been trained.
     pub fn is_trained(&self) -> bool {
-        self.net.is_some()
+        self.trained.is_some()
     }
 
     /// Mean training loss per epoch (available after [`ColumnwiseTrainer::fit`]).
@@ -196,37 +185,22 @@ impl ColumnwiseModel {
         &self.loss_history
     }
 
-    /// The feature extractor used by this model.
-    pub fn extractor(&self) -> &FeatureExtractor {
-        &self.extractor
-    }
-
     /// The table intent estimator (present after training a topic-aware model).
     pub fn intent_estimator(&self) -> Option<&TableIntentEstimator> {
-        self.intent.as_ref()
+        self.trained.as_ref()?.intent_estimator()
     }
 
-    /// Extract the network inputs for a table (features + topic vector).
-    /// Exposed so the permutation-importance experiment can shuffle feature
-    /// groups before calling [`Self::predict_proba_from_inputs`].
-    pub fn extract_inputs(&self, table: &Table) -> TableInputs {
-        TableInputs::extract(table, &self.extractor, self.intent.as_ref())
-    }
-
-    /// Immutable forward pass (evaluation mode) on pre-extracted inputs,
-    /// returning the per-column probability rows.
-    pub fn predict_proba_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
-        let net = self.net.as_ref().expect("model must be trained first");
-        let head = self.head.as_ref().expect("model must be trained first");
-        infer_rows(net, Some(head), &self.scalers, self.use_topic, inputs)
+    fn trained(&self) -> &FrozenColumnwise {
+        self.trained.as_ref().expect("model must be trained first")
     }
 
     /// Column embeddings (the final hidden representation before the output
-    /// layer), used by the Col2Vec analysis of Section 5.6 / Figure 10.
+    /// layer), used by the Col2Vec analysis of Section 5.6 / Figure 10: a
+    /// batch of one through the batched engine.
     pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
-        let inputs = self.extract_inputs(table);
-        let net = self.net.as_ref().expect("model must be trained first");
-        infer_rows(net, None, &self.scalers, self.use_topic, &inputs)
+        let mut scratch = ServingScratch::new();
+        self.trained().run_batch(&[table], &mut scratch, false);
+        matrix_rows(scratch.embeddings())
     }
 
     /// Snapshot the trained model into an immutable [`FrozenColumnwise`]
@@ -235,19 +209,8 @@ impl ColumnwiseModel {
     ///
     /// Panics if the model has not been trained.
     pub fn freeze(&self) -> FrozenColumnwise {
-        let net = self.net.as_ref().expect("model must be trained first");
-        let head = self.head.as_ref().expect("model must be trained first");
-        FrozenColumnwise::from_state(
-            &self.config,
-            self.use_topic,
-            self.intent.clone(),
-            self.scalers.clone(),
-            self.group_widths.clone(),
-            &net.state_dict(),
-            &head.state_dict(),
-            SamplerKind::default(),
-        )
-        .expect("snapshot of an identical architecture cannot fail")
+        self.trained()
+            .snapshot(&self.config, SamplerKind::default())
     }
 
     /// Consume the trained model into an immutable [`FrozenColumnwise`],
@@ -256,20 +219,14 @@ impl ColumnwiseModel {
     ///
     /// Panics if the model has not been trained.
     pub fn into_frozen(self) -> FrozenColumnwise {
-        let net = self.net.expect("model must be trained first");
-        let head = self.head.expect("model must be trained first");
-        FrozenColumnwise {
-            use_topic: self.use_topic,
-            extractor: self.extractor,
-            intent: self.intent,
-            net,
-            head,
-            scalers: self.scalers,
-            group_widths: self.group_widths,
-            sampler_kind: SamplerKind::Dense,
-            sampler: TopicSampler::Dense,
-        }
-        .with_sampler_kind(SamplerKind::default())
+        self.into_trained()
+            .with_sampler_kind(SamplerKind::default())
+    }
+
+    /// Consume the trained model into the [`FrozenColumnwise`] it predicts
+    /// through, which serves the dense sampler it was trained with.
+    pub(crate) fn into_trained(self) -> FrozenColumnwise {
+        self.trained.expect("model must be trained first")
     }
 }
 
@@ -278,23 +235,18 @@ impl ColumnwiseTrainer for ColumnwiseModel {
     /// estimator (LDA) is pre-trained on the same corpus first, using only
     /// cell values.
     fn fit(&mut self, corpus: &Corpus) -> &[f32] {
-        if self.use_topic {
-            let estimator = TableIntentEstimator::fit(corpus, self.config.lda.clone());
-            self.intent = Some(estimator);
-        }
-        let mut data = TrainingData::build(corpus, &self.extractor, self.intent.as_ref());
+        let extractor = FeatureExtractor::new(self.config.features.clone());
+        let intent = self
+            .use_topic
+            .then(|| TableIntentEstimator::fit(corpus, self.config.lda.clone()));
+        let mut data = TrainingData::build(corpus, &extractor, intent.as_ref());
         assert!(!data.is_empty(), "cannot train on an empty corpus");
         // Standardise every feature group (Sherlock-style preprocessing); the
         // fitted scalers are reused at prediction time.
-        self.scalers = Standardizer::fit_groups(&data.groups);
-        data.groups = Standardizer::transform_groups(&self.scalers, &data.groups);
-        let widths = data.group_widths();
-        let (net, head) = build_network(&self.config, &widths);
-        self.net = Some(net);
-        self.head = Some(head);
-        self.group_widths = widths;
-        let net = self.net.as_mut().expect("network just built");
-        let head = self.head.as_mut().expect("head just built");
+        let scalers = Standardizer::fit_groups(&data.groups);
+        Standardizer::transform_groups_in_place(&scalers, &mut data.groups);
+        let group_widths = data.group_widths();
+        let (mut net, mut head) = build_network(&self.config, &group_widths);
 
         let cfg = &self.config.network;
         let mut adam = Adam::new(cfg.learning_rate, cfg.weight_decay);
@@ -321,22 +273,31 @@ impl ColumnwiseTrainer for ColumnwiseModel {
             }
             self.loss_history.push(epoch_loss / batches.max(1) as f32);
         }
+        self.trained = Some(FrozenColumnwise {
+            use_topic: self.use_topic,
+            extractor,
+            intent,
+            net,
+            head,
+            scalers,
+            group_widths,
+            sampler_kind: SamplerKind::Dense,
+            sampler: TopicSampler::Dense,
+        });
         &self.loss_history
     }
 }
 
 impl ColumnwiseInference for ColumnwiseModel {
     fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
-        let inputs = self.extract_inputs(table);
-        self.predict_proba_from_inputs(&inputs)
+        self.trained().predict_proba(table)
     }
 }
 
 /// Evaluation-mode forward pass over one table's pre-extracted inputs: the
-/// allocating per-table path of the live [`ColumnwiseModel`] (and of
-/// [`FrozenColumnwise::predict_proba_from_inputs`]), kept independent of the
-/// batched serving engine so it can serve as its oracle. Returns the column
-/// embeddings, or the probability rows when `head` is given.
+/// allocating per-table path behind [`FrozenColumnwise`]'s oracle methods,
+/// kept independent of the batched engine so it can check it. Returns the
+/// column embeddings, or the probability rows when `head` is given.
 fn infer_rows(
     net: &MultiInputNetwork,
     head: Option<&Sequential>,
@@ -347,8 +308,8 @@ fn infer_rows(
     if inputs.columns.is_empty() {
         return Vec::new();
     }
-    let groups = inputs.to_matrices(use_topic);
-    let groups = Standardizer::transform_groups(scalers, &groups);
+    let mut groups = inputs.to_matrices(use_topic);
+    Standardizer::transform_groups_in_place(scalers, &mut groups);
     let mut out = net.infer(&groups);
     if let Some(head) = head {
         out = head.infer(&out);
@@ -442,7 +403,9 @@ pub struct ServingScratch {
     topic_memo: Option<TopicMemo>,
     net: MultiInferScratch,
     head: InferScratch,
-    groups: Vec<Matrix>,
+    /// Per-group network input rows of the last batch (see
+    /// [`fill_batch_groups`]).
+    pub(crate) groups: Vec<Matrix>,
     /// Row-major column embeddings of the last batch (one row per column
     /// across all tables of the batch; the head reads it, never writes it).
     pub(crate) embedding: Matrix,
@@ -586,8 +549,26 @@ impl FrozenColumnwise {
         &self.group_widths
     }
 
-    /// Evaluation-mode forward pass on pre-extracted inputs (the allocating
-    /// per-table path; serving runs the batched engine instead).
+    /// The per-table oracle's first half: extract a table's network inputs
+    /// (features + topic vector, estimated with this model's own sampler)
+    /// into per-column vectors. With [`Self::predict_proba_from_inputs`] or
+    /// [`Self::column_embeddings_from_inputs`] it is an allocating
+    /// per-table path independent of the batched engine, which parity tests
+    /// check the engine against; the permutation-importance analysis
+    /// shuffles feature groups between the two calls.
+    pub fn extract_inputs(&self, table: &Table) -> TableInputs {
+        TableInputs {
+            columns: self.extractor.extract_table(table),
+            topic: self
+                .intent
+                .as_ref()
+                .map(|est| est.estimate_sampled(table, &self.sampler)),
+        }
+    }
+
+    /// Evaluation-mode forward pass on pre-extracted inputs, returning the
+    /// per-column probability rows (the per-table oracle; serving runs the
+    /// batched engine instead).
     pub fn predict_proba_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
         infer_rows(
             &self.net,
@@ -598,14 +579,20 @@ impl FrozenColumnwise {
         )
     }
 
+    /// The column embeddings of pre-extracted inputs: the per-table oracle
+    /// counterpart of [`Self::predict_proba_from_inputs`].
+    pub fn column_embeddings_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
+        infer_rows(&self.net, None, &self.scalers, self.use_topic, inputs)
+    }
+
     /// The batched inference engine: run the column-wise network over
     /// **many tables at once**. Every column of every table becomes one row
-    /// of one input matrix per feature group, the trunk runs a single
-    /// forward pass into `scratch.embedding` (the column embeddings of
-    /// Section 5.6), and — when `head` is set — the classification head and
-    /// softmax leave one probability row per column in `scratch.probs`,
-    /// table after table in order. Without `head` the probabilities are
-    /// never computed.
+    /// of one input matrix per feature group ([`fill_batch_groups`]), the
+    /// rows are standardized in place, the trunk runs a single forward pass
+    /// into `scratch.embedding` (the column embeddings of Section 5.6),
+    /// and — when `head` is set — the classification head and softmax
+    /// leave one probability row per column in `scratch.probs`, table after
+    /// table in order. Without `head` the probabilities are never computed.
     ///
     /// Row-major batching is exact: every stage of the eval-mode pipeline
     /// (standardisation, dense layers, ReLU, BatchNorm running statistics,
@@ -621,11 +608,19 @@ impl FrozenColumnwise {
         scratch: &mut ServingScratch,
         head: bool,
     ) {
-        if !self.fill_batch_groups(tables, scratch) {
+        let topic = self.use_topic.then(|| {
+            let intent = self.intent.as_ref();
+            (
+                intent.expect("topic-aware model carries an intent estimator"),
+                &self.sampler,
+            )
+        });
+        if !fill_batch_groups(&self.extractor, topic, &self.group_widths, tables, scratch) {
             scratch.embedding.resize(0, 0);
             scratch.probs.resize(0, NUM_TYPES);
             return;
         }
+        Standardizer::transform_groups_in_place(&self.scalers, &mut scratch.groups);
         self.net
             .infer_with(&scratch.groups, &mut scratch.net, &mut scratch.embedding);
         if head {
@@ -635,94 +630,20 @@ impl FrozenColumnwise {
         }
     }
 
-    /// Fill `scratch.groups` with one input-matrix row per column across
-    /// all `tables` (the front half of [`Self::run_batch`]), then
-    /// standardize in place. Returns `false` — leaving the group matrices
-    /// untouched — when the batch carries no columns at all.
-    fn fill_batch_groups<S: TableCells>(&self, tables: &[S], scratch: &mut ServingScratch) -> bool {
-        let widths = &self.group_widths;
-        let total_rows: usize = tables.iter().map(|t| t.cell_columns()).sum();
-        if total_rows == 0 {
-            return false;
-        }
-        scratch.groups.resize_with(widths.len(), Matrix::default);
-        for (group, &w) in scratch.groups.iter_mut().zip(widths) {
-            group.resize(total_rows, w);
-        }
-
-        // Fill the batch matrices: features are extracted straight into the
-        // matrix rows (no per-column feature vectors), the table's topic
-        // vector is estimated through the scratch (streaming encoder + Gibbs
-        // buffers, bit-identical to `TableIntentEstimator::estimate`) and
-        // replicated across its rows.
-        let mut row = 0usize;
-        for table in tables {
-            // Named injection point `core.feature_extract`, keyed by table
-            // id (chaos builds only). There is no error channel this deep
-            // in a prediction, so an armed Error escalates to a panic —
-            // the serving layer contains it and quarantines the culprit.
-            #[cfg(feature = "faults")]
-            sato_faults::fire_panic("core.feature_extract", table.table_id());
-            if self.use_topic {
-                self.estimate_topic(table, scratch);
-            }
-            for c in 0..table.cell_columns() {
-                let column = table.cells(c);
-                let (feature_groups, topic_group) =
-                    scratch.groups.split_at_mut(FeatureGroup::ALL.len());
-                let [g_char, g_word, g_para, g_stat] = feature_groups else {
-                    unreachable!("batch matrices cover the four feature groups");
-                };
-                self.extractor.extract_column_into(
-                    &column,
-                    &mut scratch.features,
-                    g_char.row_mut(row),
-                    g_word.row_mut(row),
-                    g_para.row_mut(row),
-                    g_stat.row_mut(row),
-                );
-                if self.use_topic {
-                    topic_group[0]
-                        .row_mut(row)
-                        .copy_from_slice(&scratch.topic_vec);
-                }
-                row += 1;
-            }
-        }
-
-        for (scaler, group) in self.scalers.iter().zip(scratch.groups.iter_mut()) {
-            scaler.transform_in_place(group);
-        }
-        true
-    }
-
-    /// Estimate `table`'s topic vector into `scratch.topic_vec`, through the
-    /// scratch's topic memo when it has one.
-    fn estimate_topic<S: TableCells>(&self, table: &S, scratch: &mut ServingScratch) {
-        let est = self
-            .intent
-            .as_ref()
-            .expect("topic-aware model carries an intent estimator");
-        let ServingScratch {
-            topic,
-            topic_vec,
-            topic_memo,
-            ..
-        } = scratch;
-        topic_vec.clear();
-        topic_vec.resize(est.num_topics(), 0.0);
-        let Some(memo) = topic_memo else {
-            est.estimate_cells_into(table, &self.sampler, topic, topic_vec);
-            return;
-        };
-        let tokens = est.encode_cells(table, topic);
-        if let Some(hit) = memo.get(tokens) {
-            topic_vec.copy_from_slice(hit);
-            return;
-        }
-        let tokens = Box::from(tokens);
-        est.infer_encoded_into(&self.sampler, topic, topic_vec);
-        memo.insert(tokens, topic_vec.clone());
+    /// A copy of this model (parameters and running statistics copied
+    /// through their state dicts) serving `sampler_kind`.
+    pub(crate) fn snapshot(&self, config: &SatoConfig, sampler_kind: SamplerKind) -> Self {
+        Self::from_state(
+            config,
+            self.use_topic,
+            self.intent.clone(),
+            self.scalers.clone(),
+            self.group_widths.clone(),
+            &self.net_state(),
+            &self.head_state(),
+            sampler_kind,
+        )
+        .expect("snapshot of an identical architecture cannot fail")
     }
 
     /// State dict of the multi-input network (for serialization).
@@ -773,6 +694,111 @@ impl FrozenColumnwise {
         }
         .with_sampler_kind(sampler_kind))
     }
+}
+
+impl ColumnwiseInference for FrozenColumnwise {
+    /// A batch of one through the batched engine.
+    fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
+        let mut scratch = ServingScratch::new();
+        self.run_batch(&[table], &mut scratch, true);
+        matrix_rows(&scratch.probs)
+    }
+}
+
+/// The fill stage: the one code path that turns tables into network input
+/// rows. Fills `scratch.groups` (one matrix per width of `widths`) with one
+/// unstandardized row per column across all `tables`, the topic vector —
+/// when `topic` names an estimator and its sampler — replicated across
+/// each table's rows. Serving standardizes the rows next
+/// ([`FrozenColumnwise::run_batch`]); training fits its standardizers on
+/// them first ([`TrainingData::build`]). Returns `false` — leaving the
+/// group matrices untouched — when the batch carries no columns at all.
+pub(crate) fn fill_batch_groups<S: TableCells>(
+    extractor: &FeatureExtractor,
+    topic: Option<(&TableIntentEstimator, &TopicSampler)>,
+    widths: &[usize],
+    tables: &[S],
+    scratch: &mut ServingScratch,
+) -> bool {
+    let total_rows: usize = tables.iter().map(|t| t.cell_columns()).sum();
+    if total_rows == 0 {
+        return false;
+    }
+    scratch.groups.resize_with(widths.len(), Matrix::default);
+    for (group, &w) in scratch.groups.iter_mut().zip(widths) {
+        group.resize(total_rows, w);
+    }
+
+    // Features are extracted straight into the matrix rows (no per-column
+    // feature vectors), the table's topic vector is estimated through the
+    // scratch (streaming encoder + Gibbs buffers, bit-identical to
+    // `TableIntentEstimator::estimate` under the dense sampler) and
+    // replicated across its rows.
+    let mut row = 0usize;
+    for table in tables {
+        // Named injection point `core.feature_extract`, keyed by table
+        // id (chaos builds only). There is no error channel this deep
+        // in a prediction, so an armed Error escalates to a panic —
+        // the serving layer contains it and quarantines the culprit.
+        #[cfg(feature = "faults")]
+        sato_faults::fire_panic("core.feature_extract", table.table_id());
+        if let Some((est, sampler)) = topic {
+            estimate_topic(est, sampler, table, scratch);
+        }
+        for c in 0..table.cell_columns() {
+            let column = table.cells(c);
+            let (feature_groups, topic_group) =
+                scratch.groups.split_at_mut(FeatureGroup::ALL.len());
+            let [g_char, g_word, g_para, g_stat] = feature_groups else {
+                unreachable!("batch matrices cover the four feature groups");
+            };
+            extractor.extract_column_into(
+                &column,
+                &mut scratch.features,
+                g_char.row_mut(row),
+                g_word.row_mut(row),
+                g_para.row_mut(row),
+                g_stat.row_mut(row),
+            );
+            if topic.is_some() {
+                topic_group[0]
+                    .row_mut(row)
+                    .copy_from_slice(&scratch.topic_vec);
+            }
+            row += 1;
+        }
+    }
+    true
+}
+
+/// Estimate `table`'s topic vector into `scratch.topic_vec`, through the
+/// scratch's topic memo when it has one.
+fn estimate_topic<S: TableCells>(
+    est: &TableIntentEstimator,
+    sampler: &TopicSampler,
+    table: &S,
+    scratch: &mut ServingScratch,
+) {
+    let ServingScratch {
+        topic,
+        topic_vec,
+        topic_memo,
+        ..
+    } = scratch;
+    topic_vec.clear();
+    topic_vec.resize(est.num_topics(), 0.0);
+    let Some(memo) = topic_memo else {
+        est.estimate_cells_into(table, sampler, topic, topic_vec);
+        return;
+    };
+    let tokens = est.encode_cells(table, topic);
+    if let Some(hit) = memo.get(tokens) {
+        topic_vec.copy_from_slice(hit);
+        return;
+    }
+    let tokens = Box::from(tokens);
+    est.infer_encoded_into(sampler, topic, topic_vec);
+    memo.insert(tokens, topic_vec.clone());
 }
 
 #[cfg(test)]
@@ -867,7 +893,7 @@ mod tests {
     #[test]
     fn frozen_model_matches_source_bit_for_bit() {
         let (model, corpus) = train_small(true);
-        // The live model's topic features come from the dense sweep, so
+        // The trained model's topic features come from the dense sweep, so
         // the snapshot serves the same sampler to match it bit for bit.
         let snapshot = model.freeze().with_sampler_kind(SamplerKind::Dense);
         let embed = |frozen: &FrozenColumnwise, table: &Table| {
@@ -876,7 +902,7 @@ mod tests {
             matrix_rows(scratch.embeddings())
         };
         for table in corpus.iter().take(10) {
-            let inputs = model.extract_inputs(table);
+            let inputs = snapshot.extract_inputs(table);
             assert_eq!(
                 model.predict_proba(table),
                 snapshot.predict_proba_from_inputs(&inputs)

@@ -6,7 +6,8 @@
 //! the `table_of_row` index lets table-level consumers (the CRF layer,
 //! permutation-importance analysis) recover which rows belong together.
 
-use sato_features::{ColumnFeatures, FeatureExtractor, FeatureGroup, FeatureScratch};
+use crate::columnwise::{fill_batch_groups, ServingScratch};
+use sato_features::{ColumnFeatures, FeatureExtractor, FeatureGroup};
 use sato_nn::Matrix;
 use sato_tabular::table::{Corpus, Table};
 use sato_topic::{TableIntentEstimator, TopicSampler};
@@ -54,31 +55,6 @@ pub struct TableInputs {
 }
 
 impl TableInputs {
-    /// Extract the inputs of a table (topic vector via the dense sampler).
-    pub fn extract(
-        table: &Table,
-        extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-    ) -> Self {
-        Self::extract_with(table, extractor, intent, &mut FeatureScratch::new())
-    }
-
-    /// Extract the inputs of a table, reusing a feature-extraction workspace
-    /// across its columns (and, in corpus loops, across tables). The topic
-    /// vector uses the dense sampler: training and analysis paths are
-    /// sampler-agnostic, and serving estimates topics in its batched engine.
-    pub fn extract_with(
-        table: &Table,
-        extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
-        scratch: &mut FeatureScratch,
-    ) -> Self {
-        TableInputs {
-            columns: extractor.extract_table_with(table, scratch),
-            topic: intent.map(|est| est.estimate_sampled(table, &TopicSampler::Dense)),
-        }
-    }
-
     /// Number of columns.
     pub fn num_columns(&self) -> usize {
         self.columns.len()
@@ -201,14 +177,13 @@ impl Standardizer {
         groups.iter().map(Standardizer::fit).collect()
     }
 
-    /// Transform each group with its own standardizer.
-    pub fn transform_groups(scalers: &[Standardizer], groups: &[Matrix]) -> Vec<Matrix> {
+    /// Transform each group in place with its own standardizer — the step
+    /// after the fill stage on the training and the serving side alike.
+    pub fn transform_groups_in_place(scalers: &[Standardizer], groups: &mut [Matrix]) {
         assert_eq!(scalers.len(), groups.len(), "one scaler per group required");
-        scalers
-            .iter()
-            .zip(groups)
-            .map(|(s, g)| s.transform(g))
-            .collect()
+        for (scaler, group) in scalers.iter().zip(groups) {
+            scaler.transform_in_place(group);
+        }
     }
 }
 
@@ -227,48 +202,37 @@ pub struct TrainingData {
 }
 
 impl TrainingData {
-    /// Build training data from a labelled corpus.
+    /// Build training data from a labelled corpus: the labelled tables run
+    /// through the batched engine's fill stage in one batch, with topic
+    /// vectors from the dense sampler. The rows are not standardized.
     pub fn build(
         corpus: &Corpus,
         extractor: &FeatureExtractor,
         intent: Option<&TableIntentEstimator>,
     ) -> Self {
-        let include_topic = intent.is_some();
-        let mut per_group_rows: Vec<Vec<f32>> = Vec::new();
-        let mut widths: Vec<usize> = Vec::new();
+        let (table_ids, tables): (Vec<usize>, Vec<&Table>) = corpus
+            .iter()
+            .enumerate()
+            .filter(|(_, table)| table.is_labelled())
+            .unzip();
+        let mut widths: Vec<usize> = extractor.group_dims().iter().map(|&(_, w)| w).collect();
+        widths.extend(intent.map(TableIntentEstimator::num_topics));
+        let topic = intent.map(|est| (est, &TopicSampler::Dense));
+        let mut scratch = ServingScratch::new();
+        fill_batch_groups(extractor, topic, &widths, &tables, &mut scratch);
         let mut labels = Vec::new();
         let mut table_of_row = Vec::new();
-
-        let mut scratch = FeatureScratch::new();
-        for (t_idx, table) in corpus.iter().enumerate() {
-            if !table.is_labelled() {
-                continue;
-            }
-            let inputs = TableInputs::extract_with(table, extractor, intent, &mut scratch);
-            let matrices = inputs.to_matrices(include_topic);
-            if widths.is_empty() {
-                widths = matrices.iter().map(Matrix::cols).collect();
-                per_group_rows = vec![Vec::new(); matrices.len()];
-            }
-            for (g, m) in matrices.iter().enumerate() {
-                per_group_rows[g].extend_from_slice(m.data());
-            }
+        for (&t_idx, table) in table_ids.iter().zip(&tables) {
             for label in &table.labels {
                 labels.push(label.index());
                 table_of_row.push(t_idx);
             }
         }
-        let rows = labels.len();
-        let groups = per_group_rows
-            .into_iter()
-            .zip(&widths)
-            .map(|(data, &w)| Matrix::from_vec(rows, w, data))
-            .collect();
         TrainingData {
-            groups,
+            groups: scratch.groups,
             labels,
             table_of_row,
-            has_topic: include_topic,
+            has_topic: intent.is_some(),
         }
     }
 
@@ -321,7 +285,10 @@ mod tests {
     fn table_inputs_have_one_feature_set_per_column() {
         let (corpus, extractor, intent) = small_setup();
         let table = &corpus.tables[0];
-        let inputs = TableInputs::extract(table, &extractor, Some(&intent));
+        let inputs = TableInputs {
+            columns: extractor.extract_table(table),
+            topic: Some(intent.estimate(table)),
+        };
         assert_eq!(inputs.num_columns(), table.num_columns());
         assert!(inputs.topic.is_some());
         let matrices = inputs.to_matrices(true);
@@ -333,7 +300,10 @@ mod tests {
     #[should_panic(expected = "topic vector required")]
     fn topic_matrices_require_topic_vector() {
         let (corpus, extractor, _) = small_setup();
-        let inputs = TableInputs::extract(&corpus.tables[0], &extractor, None);
+        let inputs = TableInputs {
+            columns: extractor.extract_table(&corpus.tables[0]),
+            topic: None,
+        };
         inputs.to_matrices(true);
     }
 
@@ -400,7 +370,8 @@ mod tests {
         let (corpus, extractor, _) = small_setup();
         let data = TrainingData::build(&corpus, &extractor, None);
         let scalers = Standardizer::fit_groups(&data.groups);
-        let transformed = Standardizer::transform_groups(&scalers, &data.groups);
+        let mut transformed = data.groups.clone();
+        Standardizer::transform_groups_in_place(&scalers, &mut transformed);
         assert_eq!(transformed.len(), data.groups.len());
         for (t, g) in transformed.iter().zip(&data.groups) {
             assert_eq!(t.shape(), g.shape());

@@ -27,13 +27,18 @@
 //! * **Training** is mutable: [`SatoModel::train`] (or the
 //!   [`ColumnwiseTrainer`] trait for pluggable single-column models) fits
 //!   weights, optimiser state and activation caches behind `&mut self`.
+//!   Its training rows come out of the batched engine's fill stage, and
+//!   it ends in a [`FrozenColumnwise`]: the trained model predicts — and
+//!   produces the CRF's unary potentials — through the same engine as
+//!   every frozen predictor, with the dense topic sampler its network was
+//!   trained on.
 //! * **Serving** is immutable: a trained model **freezes** into a
 //!   [`SatoPredictor`] — via [`SatoModel::into_predictor`] (consuming,
 //!   zero-copy) or [`SatoModel::predictor`] (snapshot) — whose entry points
 //!   all take `&self`. A frozen predictor estimates table topics with the
 //!   default [`SamplerKind::SparseAlias`] sampler;
 //!   [`SatoPredictor::with_sampler`]`(SamplerKind::Dense)` makes it
-//!   bit-identical to the training-side model.
+//!   bit-identical to the trained model.
 //!
 //! `SatoPredictor` is `Send + Sync` by construction (no RNG, no caches, no
 //! interior mutability), so one frozen artifact can serve any number of

@@ -8,12 +8,13 @@
 //! | `SatoNoTopic`          | no  | yes |
 //! | `Full` (Sato)          | yes | yes |
 
-use crate::columnwise::{ColumnwiseInference, ColumnwiseModel, ColumnwiseTrainer};
+use crate::columnwise::{ColumnwiseModel, ColumnwiseTrainer, FrozenColumnwise};
 use crate::config::SatoConfig;
 use crate::predictor::SatoPredictor;
 use crate::structured::StructuredLayer;
 use sato_tabular::table::{Corpus, Table};
 use sato_tabular::types::SemanticType;
+use sato_topic::SamplerKind;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -72,13 +73,12 @@ pub struct TrainTimings {
     pub crf_secs: f64,
 }
 
-/// A trained Sato model (one of the four variants).
+/// A trained Sato model (one of the four variants): the frozen predictor
+/// that training ends in, serving the dense topic sampler the network was
+/// trained with, plus the training cost.
 pub struct SatoModel {
-    variant: SatoVariant,
-    columnwise: ColumnwiseModel,
-    structured: Option<StructuredLayer>,
+    predictor: SatoPredictor,
     timings: TrainTimings,
-    config: SatoConfig,
 }
 
 /// Predictions for one table.
@@ -99,17 +99,6 @@ pub struct TablePrediction {
     pub predicted: Vec<SemanticType>,
 }
 
-/// Gold labels of a table under the empty-gold convention: a clone of the
-/// labels when the table is fully labelled, and an empty vector otherwise
-/// (no allocation, no clone for unlabelled tables).
-pub(crate) fn gold_of(table: &Table) -> Vec<SemanticType> {
-    if table.is_labelled() {
-        table.labels.clone()
-    } else {
-        Vec::new()
-    }
-}
-
 impl SatoModel {
     /// Train the requested variant on a labelled corpus.
     pub fn train(corpus: &Corpus, config: SatoConfig, variant: SatoVariant) -> Self {
@@ -122,34 +111,36 @@ impl SatoModel {
         columnwise.fit(corpus);
         let columnwise_secs = start.elapsed().as_secs_f64();
 
-        let (structured, crf_secs) = if variant.uses_structure() {
-            let start = Instant::now();
-            let layer = StructuredLayer::fit(&columnwise, corpus, &config);
-            (Some(layer), start.elapsed().as_secs_f64())
-        } else {
-            (None, 0.0)
-        };
+        let start = Instant::now();
+        let structured = variant
+            .uses_structure()
+            .then(|| StructuredLayer::fit(&columnwise, corpus, &config));
+        let crf_secs = structured
+            .as_ref()
+            .map_or(0.0, |_| start.elapsed().as_secs_f64());
 
         SatoModel {
-            variant,
-            columnwise,
-            structured,
+            predictor: SatoPredictor::from_parts(
+                variant,
+                config,
+                columnwise.into_trained(),
+                structured,
+            ),
             timings: TrainTimings {
                 columnwise_secs,
                 crf_secs,
             },
-            config,
         }
     }
 
     /// The variant this model was trained as.
     pub fn variant(&self) -> SatoVariant {
-        self.variant
+        self.predictor.variant()
     }
 
     /// The configuration used for training.
     pub fn config(&self) -> &SatoConfig {
-        &self.config
+        self.predictor.config()
     }
 
     /// Wall-clock training cost breakdown (Table 2).
@@ -157,61 +148,49 @@ impl SatoModel {
         self.timings
     }
 
-    /// Borrow the column-wise model (e.g. for column embeddings or for the
-    /// permutation-importance analysis). All inference entry points take
-    /// `&self`; mutable access is deliberately not exposed.
-    pub fn columnwise(&self) -> &ColumnwiseModel {
-        &self.columnwise
+    /// Borrow the trained column-wise model (e.g. for the per-table oracle
+    /// of the permutation-importance analysis). All inference entry points
+    /// take `&self`; mutable access is deliberately not exposed.
+    pub fn columnwise(&self) -> &FrozenColumnwise {
+        self.predictor.columnwise()
     }
 
     /// Borrow the CRF layer, if the variant has one.
     pub fn structured(&self) -> Option<&StructuredLayer> {
-        self.structured.as_ref()
+        self.predictor.structured()
     }
 
     /// Per-column probability rows from the column-wise stage (before any
     /// structured decoding).
     pub fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
-        self.columnwise.predict_proba(table)
+        self.predictor.predict_proba(table)
     }
 
     /// Predict the semantic type of every column of a table.
     pub fn predict(&self, table: &Table) -> Vec<SemanticType> {
-        match &self.structured {
-            Some(layer) => {
-                let proba = self.columnwise.predict_proba(table);
-                layer.decode_proba(&proba)
-            }
-            None => self.columnwise.predict_types(table),
-        }
+        self.predictor.predict(table)
+    }
+
+    /// Column embeddings (the final hidden representation before the output
+    /// layer; Section 5.6 / Figure 10), one row per column.
+    pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
+        self.predictor.column_embeddings(table)
     }
 
     /// Predict every table of a corpus, pairing predictions with gold labels
     /// (see [`TablePrediction::gold`] for the empty-gold convention).
     pub fn predict_corpus(&self, corpus: &Corpus) -> Vec<TablePrediction> {
-        corpus
-            .iter()
-            .map(|table| TablePrediction {
-                table_id: table.id,
-                gold: gold_of(table),
-                predicted: self.predict(table),
-            })
-            .collect()
+        self.predictor.predict_corpus(corpus)
     }
 
     /// Freeze this trained model into an immutable, `Send + Sync`
     /// [`SatoPredictor`] serving artifact, consuming the model (the weights
     /// are moved, not copied). The predictor serves the default topic
-    /// sampler ([`SamplerKind::SparseAlias`](sato_topic::SamplerKind)); this
-    /// model's own predictions use the exact dense sweep, which
-    /// `with_sampler(SamplerKind::Dense)` reproduces bit for bit.
+    /// sampler ([`SamplerKind::SparseAlias`]); this model's own predictions
+    /// use the exact dense sweep, which `with_sampler(SamplerKind::Dense)`
+    /// reproduces bit for bit.
     pub fn into_predictor(self) -> SatoPredictor {
-        SatoPredictor::from_parts(
-            self.variant,
-            self.config,
-            self.columnwise.into_frozen(),
-            self.structured.map(StructuredLayer::into_crf),
-        )
+        self.predictor.with_sampler(SamplerKind::default())
     }
 
     /// Snapshot this trained model into a [`SatoPredictor`] without
@@ -219,18 +198,14 @@ impl SatoModel {
     /// keep training while a frozen snapshot serves traffic. Like
     /// [`Self::into_predictor`], it serves the default topic sampler.
     pub fn predictor(&self) -> SatoPredictor {
-        SatoPredictor::from_parts(
-            self.variant,
-            self.config.clone(),
-            self.columnwise.freeze(),
-            self.structured.as_ref().map(|s| s.crf().clone()),
-        )
+        self.predictor.snapshot(SamplerKind::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnwise::ColumnwiseInference;
     use sato_tabular::corpus::default_corpus;
     use sato_tabular::split::train_test_split;
 
@@ -313,7 +288,6 @@ mod tests {
     /// training rows, CRF unaries or weights are computed shows up here.
     #[test]
     fn trained_artifact_hashes_are_pinned() {
-        use sato_topic::SamplerKind;
         let mut config = SatoConfig::fast();
         config.network.epochs = 5;
         config.lda.train_iterations = 15;
@@ -322,8 +296,16 @@ mod tests {
         for (variant, served, dense) in [
             (SatoVariant::Base, 0x3cefe5e47ef20f82, 0xa7b61d0a8396cca5),
             (SatoVariant::Full, 0x4578b63703449285, 0xb5eeac8e396bd1fb),
-            (SatoVariant::SatoNoStruct, 0x38b21278d75f6819, 0xc8b76cdc41dd0159),
-            (SatoVariant::SatoNoTopic, 0x9b27444bfd998400, 0xf277719c32d5ccac),
+            (
+                SatoVariant::SatoNoStruct,
+                0x38b21278d75f6819,
+                0xc8b76cdc41dd0159,
+            ),
+            (
+                SatoVariant::SatoNoTopic,
+                0x9b27444bfd998400,
+                0xf277719c32d5ccac,
+            ),
         ] {
             let model = SatoModel::train(&corpus, config.clone(), variant);
             let snapshot = model.predictor().with_sampler(SamplerKind::Dense);

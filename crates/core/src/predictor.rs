@@ -28,7 +28,9 @@
 //! );
 //! ```
 
-use crate::columnwise::{matrix_rows, types_from_rows, FrozenColumnwise, ServingScratch};
+use crate::columnwise::{
+    matrix_rows, types_from_rows, ColumnwiseInference, FrozenColumnwise, ServingScratch,
+};
 use crate::config::SatoConfig;
 use crate::dataset::Standardizer;
 use crate::model::{SatoVariant, TablePrediction};
@@ -206,9 +208,9 @@ impl SatoPredictor {
         variant: SatoVariant,
         config: SatoConfig,
         columnwise: FrozenColumnwise,
-        crf: Option<LinearChainCrf>,
+        structured: Option<StructuredLayer>,
     ) -> Self {
-        let mut predictor = Self::from_parts_hashed(variant, config, columnwise, crf, 0);
+        let mut predictor = Self::from_parts_hashed(variant, config, columnwise, structured, 0);
         predictor.content_hash = predictor.canonical_hash();
         predictor
     }
@@ -220,16 +222,27 @@ impl SatoPredictor {
         variant: SatoVariant,
         config: SatoConfig,
         columnwise: FrozenColumnwise,
-        crf: Option<LinearChainCrf>,
+        structured: Option<StructuredLayer>,
         content_hash: u64,
     ) -> Self {
         SatoPredictor {
             variant,
             config,
             columnwise,
-            structured: crf.map(StructuredLayer::from_crf),
+            structured,
             content_hash,
         }
+    }
+
+    /// A copy of this predictor (weights and running statistics copied)
+    /// serving `sampler_kind`.
+    pub(crate) fn snapshot(&self, sampler_kind: SamplerKind) -> Self {
+        Self::from_parts(
+            self.variant,
+            self.config.clone(),
+            self.columnwise.snapshot(&self.config, sampler_kind),
+            self.structured.clone(),
+        )
     }
 
     /// The content hash of this predictor's canonical binary form.
@@ -319,6 +332,11 @@ impl SatoPredictor {
         self.structured.as_ref().map(|s| s.crf())
     }
 
+    /// The structured layer wrapping [`Self::crf`].
+    pub(crate) fn structured(&self) -> Option<&StructuredLayer> {
+        self.structured.as_ref()
+    }
+
     /// The frozen column-wise inference core.
     pub fn columnwise(&self) -> &FrozenColumnwise {
         &self.columnwise
@@ -334,9 +352,7 @@ impl SatoPredictor {
     /// Per-column probability rows from the column-wise stage (before any
     /// structured decoding): a batch of one through the batched engine.
     pub fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
-        let mut scratch = ServingScratch::new();
-        self.run_batch(&[table], &mut scratch, true);
-        matrix_rows(&scratch.probs)
+        self.columnwise.predict_proba(table)
     }
 
     /// Predict the semantic type of every column of a table: a batch of one
@@ -690,7 +706,7 @@ impl SatoPredictor {
             artifact.variant,
             artifact.config,
             columnwise,
-            artifact.crf,
+            artifact.crf.map(StructuredLayer::from_crf),
         ))
     }
 
@@ -1037,7 +1053,8 @@ mod tests {
 
     /// The memo is keyed by table content, not table id: two different
     /// tables sent under one id must each get their own topic vector, so
-    /// both their types and their embeddings match the training-side model.
+    /// their types match the trained model and their embeddings the
+    /// per-table oracle.
     #[test]
     fn topic_memo_is_keyed_by_content_not_table_id() {
         let corpus = default_corpus(20, 8);
@@ -1054,7 +1071,8 @@ mod tests {
             });
             for ((got, rows), table) in served.iter().zip(&embeddings).zip(&pair) {
                 assert_eq!(got.predicted, model.predict(table), "pass {pass}");
-                let want = model.columnwise().column_embeddings(table);
+                let oracle = model.columnwise();
+                let want = oracle.column_embeddings_from_inputs(&oracle.extract_inputs(table));
                 assert_eq!(*rows, want, "pass {pass}");
             }
         }

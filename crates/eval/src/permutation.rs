@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use sato::dataset::TableInputs;
 use sato::{types_from_proba, InputGroup, SatoModel};
 use sato_features::FeatureGroup;
-use sato_tabular::table::Corpus;
+use sato_tabular::table::{Corpus, TableCells};
 use sato_tabular::types::SemanticType;
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +90,9 @@ fn permute_group(inputs: &[TableInputs], group: InputGroup, rng: &mut StdRng) ->
 }
 
 /// Run the permutation-importance analysis of a trained model on a test
-/// corpus with `trials` random shuffles per group.
+/// corpus with `trials` random shuffles per group. Tables without gold
+/// labels are skipped (the empty-gold convention of
+/// [`TablePrediction::gold`](sato::TablePrediction::gold)).
 pub fn permutation_importance(
     model: &SatoModel,
     test: &Corpus,
@@ -98,11 +100,11 @@ pub fn permutation_importance(
     seed: u64,
 ) -> ImportanceReport {
     let uses_topic = model.columnwise().uses_topic();
-    let inputs: Vec<TableInputs> = test
+    let (inputs, gold): (Vec<TableInputs>, Vec<Vec<SemanticType>>) = test
         .iter()
-        .map(|t| model.columnwise().extract_inputs(t))
-        .collect();
-    let gold: Vec<Vec<SemanticType>> = test.iter().map(|t| t.labels.clone()).collect();
+        .filter(|t| !t.gold_labels().is_empty())
+        .map(|t| (model.columnwise().extract_inputs(t), t.labels.clone()))
+        .unzip();
 
     let baseline = evaluate_with_inputs(model, &inputs, &gold);
     let groups = InputGroup::order(uses_topic)
@@ -170,6 +172,22 @@ mod tests {
             assert!(g.weighted_f1_drop >= 0.0);
             assert!(g.macro_f1_drop <= 1.0);
         }
+    }
+
+    #[test]
+    fn unlabelled_tables_leave_the_report_unchanged() {
+        use sato_tabular::table::{Column, Table};
+        let corpus = default_corpus(60, 23);
+        let split = train_test_split(&corpus, 0.3, 1);
+        let model = SatoModel::train(&split.train, SatoConfig::fast(), SatoVariant::Base);
+        let report = permutation_importance(&model, &split.test, 2, 9);
+        let mut lake = split.test.clone();
+        lake.tables.push(Table::unlabelled(
+            9_999,
+            vec![Column::new(["Warsaw", "London"])],
+        ));
+        let with_unlabelled = permutation_importance(&model, &lake, 2, 9);
+        assert_eq!(format!("{with_unlabelled:?}"), format!("{report:?}"));
     }
 
     #[test]

@@ -81,12 +81,12 @@ impl TableIntentEstimator {
     }
 
     /// Estimate the topic vector of a table with an explicit sampling
-    /// strategy (allocating convenience over [`Self::estimate_into`]).
+    /// strategy (allocating convenience over [`Self::estimate_cells_into`]).
     /// With [`TopicSampler::Dense`] the output is bit-identical to
     /// [`Self::estimate`].
     pub fn estimate_sampled(&self, table: &Table, sampler: &TopicSampler) -> Vec<f32> {
         let mut out = vec![0.0f32; self.num_topics()];
-        self.estimate_into(table, sampler, &mut TopicScratch::new(), &mut out);
+        self.estimate_cells_into(table, sampler, &mut TopicScratch::new(), &mut out);
         out
     }
 
@@ -103,28 +103,16 @@ impl TableIntentEstimator {
         scratch: &mut TopicScratch,
     ) -> Vec<f32> {
         let mut out = vec![0.0f32; self.num_topics()];
-        self.estimate_into(table, sampler, scratch, &mut out);
+        self.estimate_cells_into(table, sampler, scratch, &mut out);
         out
     }
 
-    /// [`Self::estimate_with`] writing into a caller-provided slice of
-    /// length [`Self::num_topics`]: a warm call performs zero heap
-    /// allocations for either sampler (rare exact-case-fold fallback
-    /// aside).
-    pub fn estimate_into(
-        &self,
-        table: &Table,
-        sampler: &TopicSampler,
-        scratch: &mut TopicScratch,
-        out: &mut [f32],
-    ) {
-        self.estimate_cells_into(table, sampler, scratch, out);
-    }
-
-    /// [`Self::estimate_into`] over any [`TableCells`] source: the cells of
-    /// an in-memory [`Table`] and of a decoded colstore frame visit in the
-    /// identical column order, so the two inputs produce bit-identical
-    /// topic vectors.
+    /// [`Self::estimate_with`] over any [`TableCells`] source, writing into
+    /// a caller-provided slice of length [`Self::num_topics`]: a warm call
+    /// performs zero heap allocations for either sampler (rare
+    /// exact-case-fold fallback aside). The cells of an in-memory [`Table`]
+    /// and of a decoded colstore frame visit in the identical column order,
+    /// so the two inputs produce bit-identical topic vectors.
     pub fn estimate_cells_into<T: TableCells + ?Sized>(
         &self,
         table: &T,

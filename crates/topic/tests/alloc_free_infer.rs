@@ -1,7 +1,7 @@
 //! Allocation-count regression test for warm LDA topic inference.
 //!
 //! The serving hot path relies on `LdaModel::infer_tokens_into` (and the
-//! streaming `TableIntentEstimator::estimate_into` built on it) performing
+//! streaming `TableIntentEstimator::estimate_cells_into` built on it) performing
 //! **zero** heap allocations once the scratch buffers are warm — no fresh
 //! `doc_topic`/`assignments`/`weights`/`theta`/`accum` per table, no `as_document`
 //! mega-string, no per-token `String`. A counting global allocator makes
@@ -121,37 +121,37 @@ fn warm_topic_inference_allocates_nothing() {
     );
     let mut topic_scratch = TopicScratch::new();
     let mut theta = vec![0.0f32; estimator.num_topics()];
-    estimator.estimate_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
-    estimator.estimate_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+    estimator.estimate_cells_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+    estimator.estimate_cells_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
     let reference = estimator.estimate(&table);
     assert_eq!(theta, reference, "streaming estimate must match the oracle");
 
     let before = allocation_count();
     for _ in 0..20 {
-        estimator.estimate_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+        estimator.estimate_cells_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
     }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
-        "warm dense TableIntentEstimator::estimate_into must not allocate (got {} allocations over 20 calls)",
+        "warm dense TableIntentEstimator::estimate_cells_into must not allocate (got {} allocations over 20 calls)",
         after - before
     );
     assert_eq!(theta, reference);
 
     // And the estimator-level sparse path.
-    estimator.estimate_into(&table, &sparse, &mut topic_scratch, &mut theta);
-    estimator.estimate_into(&table, &sparse, &mut topic_scratch, &mut theta);
+    estimator.estimate_cells_into(&table, &sparse, &mut topic_scratch, &mut theta);
+    estimator.estimate_cells_into(&table, &sparse, &mut topic_scratch, &mut theta);
     let sparse_theta = theta.clone();
     let before = allocation_count();
     for _ in 0..20 {
-        estimator.estimate_into(&table, &sparse, &mut topic_scratch, &mut theta);
+        estimator.estimate_cells_into(&table, &sparse, &mut topic_scratch, &mut theta);
     }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
-        "warm sparse-alias TableIntentEstimator::estimate_into must not allocate (got {} allocations over 20 calls)",
+        "warm sparse-alias TableIntentEstimator::estimate_cells_into must not allocate (got {} allocations over 20 calls)",
         after - before
     );
     assert_eq!(theta, sparse_theta);

@@ -1,19 +1,24 @@
-//! The entry-point contract. Every `SatoPredictor` entry point and the
-//! `sato-serve` service run the same batch former and batched engine, so on
-//! any corpus — tables with zero, one or many columns, empty columns and
-//! blank cells — and at any micro-batch width they must all reproduce the
-//! training-side oracle, `SatoModel::predict_corpus` (and the live model's
-//! per-table probabilities and embeddings), bit for bit, when they serve the
-//! dense sampler the oracle uses. Under the approximate topic samplers —
-//! the default sparse/alias one included — there is no training-side
-//! oracle; there every entry point must agree with every other.
+//! The entry-point contract. Every `SatoPredictor` entry point, the trained
+//! `SatoModel` and the `sato-serve` service run the same batch former and
+//! batched engine, so on any corpus — tables with zero, one or many
+//! columns, empty columns and blank cells — and at any micro-batch width
+//! they must all agree with each other and reproduce the per-table oracle
+//! bit for bit. The oracle is independent of the engine: the frozen model's
+//! `extract_inputs` (per-column feature vectors, the topic vector from the
+//! model's own sampler) followed by `predict_proba_from_inputs` or
+//! `column_embeddings_from_inputs` and a per-table decode. It checks the
+//! trained model's dense predictor and the default (sparse/alias) one
+//! alike.
 
 use proptest::prelude::*;
-use sato::{SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant, ServingScratch};
+use sato::{
+    types_from_proba, FrozenColumnwise, SamplerKind, SatoConfig, SatoModel, SatoPredictor,
+    SatoVariant, ServingScratch, StructuredLayer, TablePrediction,
+};
 use sato_serve::{RequestOptions, SatoService, ServiceConfig};
 use sato_tabular::colstore::corpus_to_bytes;
 use sato_tabular::corpus::default_corpus;
-use sato_tabular::table::{Column, Corpus, Table};
+use sato_tabular::table::{Column, Corpus, Table, TableCells};
 use std::sync::OnceLock;
 
 fn tiny_config() -> SatoConfig {
@@ -87,6 +92,34 @@ fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// The per-table oracle of a frozen column-wise model and its optional CRF
+/// layer: predictions, probability rows and embedding rows of every table,
+/// each through the allocating per-table path rather than the batched
+/// engine.
+fn per_table_oracle(
+    columnwise: &FrozenColumnwise,
+    structured: Option<&StructuredLayer>,
+    corpus: &Corpus,
+) -> (Vec<TablePrediction>, Vec<Rows>, Vec<Rows>) {
+    let mut predictions = Vec::new();
+    let (mut proba, mut embeddings) = (Vec::new(), Vec::new());
+    for table in corpus.iter() {
+        let inputs = columnwise.extract_inputs(table);
+        let rows = columnwise.predict_proba_from_inputs(&inputs);
+        predictions.push(TablePrediction {
+            table_id: table.id,
+            gold: table.gold_labels().to_vec(),
+            predicted: match structured {
+                Some(layer) => layer.decode_proba(&rows),
+                None => types_from_proba(&rows),
+            },
+        });
+        proba.push(rows);
+        embeddings.push(columnwise.column_embeddings_from_inputs(&inputs));
+    }
+    (predictions, proba, embeddings)
+}
+
 /// What every entry point of `predictor` produces on `corpus` at
 /// `batch_cols`, checked against each other; returns the batched
 /// predictions and the per-table probability and embedding rows.
@@ -94,7 +127,7 @@ fn serve_every_way(
     predictor: &SatoPredictor,
     corpus: &Corpus,
     batch_cols: usize,
-) -> (Vec<sato::TablePrediction>, Vec<Rows>, Vec<Rows>) {
+) -> (Vec<TablePrediction>, Vec<Rows>, Vec<Rows>) {
     let batched = predictor.predict_corpus_batched(corpus, batch_cols);
     let label = |what: &str| format!("{what} at batch_cols {batch_cols}");
 
@@ -198,9 +231,9 @@ fn serve_every_way(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every entry point equals the oracle for all four variants under the
-    /// dense sampler, and agrees with every other under the default
-    /// (sparse/alias) predictor.
+    /// Every entry point equals the per-table oracle for all four
+    /// variants, under the trained model's dense sampler and under the
+    /// default (sparse/alias) predictor.
     #[test]
     fn every_entry_point_matches_the_oracle_on_ragged_corpora(
         shapes in proptest::collection::vec(
@@ -209,24 +242,32 @@ proptest! {
     ) {
         let corpus = ragged_corpus(&shapes, salt);
         let total_cols: usize = corpus.iter().map(|t| t.num_columns()).sum();
-        let oracle: Vec<_> = models().iter().map(|m| m.predict_corpus(&corpus)).collect();
+        let oracle: Vec<_> = models()
+            .iter()
+            .map(|m| per_table_oracle(m.columnwise(), m.structured(), &corpus))
+            .collect();
         for batch_cols in [1, 7, total_cols + 1] {
-            for (model, want) in models().iter().zip(&oracle) {
+            for (model, (want, want_proba, want_embeddings)) in models().iter().zip(&oracle) {
+                prop_assert_eq!(&model.predict_corpus(&corpus), want, "{}", model.variant().name());
                 let dense = model.predictor().with_sampler(SamplerKind::Dense);
                 let (served, proba, embeddings) = serve_every_way(&dense, &corpus, batch_cols);
                 prop_assert_eq!(&served, want, "{}", model.variant().name());
                 for (i, table) in corpus.iter().enumerate() {
-                    prop_assert_eq!(&proba[i], &model.predict_proba(table));
-                    prop_assert_eq!(
-                        bits(&embeddings[i]),
-                        bits(&model.columnwise().column_embeddings(table))
-                    );
+                    prop_assert_eq!(&proba[i], &want_proba[i]);
+                    prop_assert_eq!(&model.predict_proba(table), &want_proba[i]);
+                    prop_assert_eq!(bits(&embeddings[i]), bits(&want_embeddings[i]));
                 }
-                // The default predictor; without a topic estimator the
-                // sampler has no effect, so it still equals the oracle.
+                // The default predictor against its own oracle; without a
+                // topic estimator the sampler has no effect, so it also
+                // equals the dense oracle.
                 let default = model.predictor();
                 prop_assert_eq!(default.sampler_kind(), SamplerKind::SparseAlias);
                 let (served, proba, _) = serve_every_way(&default, &corpus, batch_cols);
+                let layer = default.crf().cloned().map(StructuredLayer::from_crf);
+                let (own, own_proba, _) =
+                    per_table_oracle(default.columnwise(), layer.as_ref(), &corpus);
+                prop_assert_eq!(&served, &own, "{} default", model.variant().name());
+                prop_assert_eq!(&proba, &own_proba, "{} default", model.variant().name());
                 if !default.uses_topic() {
                     prop_assert_eq!(&served, want, "{}", model.variant().name());
                 }
