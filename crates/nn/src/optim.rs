@@ -96,13 +96,20 @@ impl Adam {
                 m.len(),
                 "parameter shape changed between Adam steps"
             );
-            for i in 0..p.value.data().len() {
-                let g = p.grad.data()[i] + self.weight_decay * p.value.data()[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-                let m_hat = m[i] / bias1;
-                let v_hat = v[i] / bias2;
-                p.value.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            let Param { value, grad } = &mut **p;
+            for (((x, &g), m), v) in value
+                .data_mut()
+                .iter_mut()
+                .zip(grad.data())
+                .zip(m.iter_mut())
+                .zip(v.iter_mut())
+            {
+                let g = g + self.weight_decay * *x;
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *x -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
             p.zero_grad();
         }

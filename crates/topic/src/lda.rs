@@ -130,7 +130,10 @@ impl LdaModel {
         // Encode documents.
         let docs: Vec<Vec<usize>> = documents.iter().map(|d| vocab.encode(d)).collect();
 
-        let mut topic_word = vec![0u32; k * v];
+        // Training keeps the counts word-major (`word_topic[w * K + t]`), so
+        // the `K` counts one token reads are contiguous; they are transposed
+        // once into the topic-major layout `from_parts` takes.
+        let mut word_topic = vec![0u32; v * k];
         let mut topic_totals = vec![0u32; k];
         let mut doc_topic: Vec<Vec<u32>> = docs.iter().map(|_| vec![0u32; k]).collect();
         let mut assignments: Vec<Vec<usize>> = docs
@@ -142,7 +145,7 @@ impl LdaModel {
         for (d, doc) in docs.iter().enumerate() {
             for (i, &w) in doc.iter().enumerate() {
                 let z = assignments[d][i];
-                topic_word[z * v + w] += 1;
+                word_topic[w * k + z] += 1;
                 topic_totals[z] += 1;
                 doc_topic[d][z] += 1;
             }
@@ -155,32 +158,47 @@ impl LdaModel {
 
         for _ in 0..config.train_iterations {
             for (d, doc) in docs.iter().enumerate() {
+                let dt = &mut doc_topic[d];
                 for (i, &w) in doc.iter().enumerate() {
                     let old = assignments[d][i];
+                    let wt_row = &mut word_topic[w * k..(w + 1) * k];
                     // Remove the token from the counts.
-                    topic_word[old * v + w] -= 1;
+                    wt_row[old] -= 1;
                     topic_totals[old] -= 1;
-                    doc_topic[d][old] -= 1;
+                    dt[old] -= 1;
 
-                    // Full conditional P(z = k | rest).
-                    let mut total = 0.0;
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        let phi = (topic_word[t * v + w] as f64 + beta)
-                            / (topic_totals[t] as f64 + v_beta);
-                        let theta = doc_topic[d][t] as f64 + alpha;
+                    // Full conditional P(z = k | rest): the weights in one
+                    // zipped pass, then their sum in topic order.
+                    for (((wt, &n_wt), &n_t), &n_dt) in weights
+                        .iter_mut()
+                        .zip(wt_row.iter())
+                        .zip(&topic_totals)
+                        .zip(dt.iter())
+                    {
+                        let phi = (n_wt as f64 + beta) / (n_t as f64 + v_beta);
+                        let theta = n_dt as f64 + alpha;
                         *wt = phi * theta;
-                        total += *wt;
+                    }
+                    let mut total = 0.0;
+                    for &wt in &weights {
+                        total += wt;
                     }
                     let new = sample_discrete(&weights, total, &mut rng);
 
                     assignments[d][i] = new;
-                    topic_word[new * v + w] += 1;
+                    wt_row[new] += 1;
                     topic_totals[new] += 1;
-                    doc_topic[d][new] += 1;
+                    dt[new] += 1;
                 }
             }
         }
 
+        let mut topic_word = vec![0u32; k * v];
+        for (w, row) in word_topic.chunks_exact(k).enumerate() {
+            for (t, &n) in row.iter().enumerate() {
+                topic_word[t * v + w] = n;
+            }
+        }
         LdaModel::from_parts(config, vocab, topic_word, topic_totals)
             .expect("training builds counts of the configured shape")
     }
