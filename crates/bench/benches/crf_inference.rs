@@ -1,11 +1,12 @@
-//! Criterion micro-benchmark: linear-chain CRF inference over the 78-type
-//! state space (forward–backward for training, Viterbi for prediction) as a
-//! function of the number of table columns.
+//! Criterion micro-benchmark: the linear-chain CRF over the 78-type state
+//! space as a function of the number of table columns — Viterbi (prediction),
+//! the log-domain forward–backward oracle, and one training epoch of
+//! `train_crf` (the scaled forward–backward that training runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sato_crf::LinearChainCrf;
+use sato_crf::{train_crf, CrfExample, CrfTrainConfig, LinearChainCrf};
 use sato_tabular::types::NUM_TYPES;
 
 fn random_unary(columns: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
@@ -31,6 +32,27 @@ fn bench_crf(c: &mut Criterion) {
             BenchmarkId::new("forward_backward", columns),
             &unary,
             |b, u| b.iter(|| crf.marginals(std::hint::black_box(u))),
+        );
+    }
+    group.finish();
+
+    // One epoch over 10 chains: one Adam step of the default batch size.
+    let config = CrfTrainConfig {
+        epochs: 1,
+        ..CrfTrainConfig::default()
+    };
+    let mut group = c.benchmark_group("crf_78_states_training");
+    for columns in [2usize, 4, 8] {
+        let examples: Vec<CrfExample> = (0..config.batch_size)
+            .map(|_| CrfExample {
+                unary: random_unary(columns, &mut rng),
+                labels: (0..columns).map(|_| rng.gen_range(0..NUM_TYPES)).collect(),
+            })
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("train_epoch", columns),
+            &examples,
+            |b, ex| b.iter(|| train_crf(crf.clone(), std::hint::black_box(ex), &config)),
         );
     }
     group.finish();

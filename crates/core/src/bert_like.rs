@@ -77,6 +77,13 @@ impl BertLikeConfig {
         }
     }
 
+    /// Panic unless the optimiser settings are usable: at least one column
+    /// per mini-batch and a positive finite learning rate. The message
+    /// names the field.
+    pub fn validate(&self) {
+        crate::config::validate_minibatch(self.batch_size, self.learning_rate);
+    }
+
     /// Derive a BERT-like configuration from a Sato configuration so the two
     /// models train for comparable budgets in the Section 6 experiment.
     pub fn from_sato(config: &SatoConfig) -> Self {
@@ -142,6 +149,7 @@ impl BertLikeModel {
 impl ColumnwiseTrainer for BertLikeModel {
     /// Train on a labelled corpus.
     fn fit(&mut self, corpus: &Corpus) -> &[f32] {
+        self.config.validate();
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for table in corpus.iter() {
@@ -285,6 +293,26 @@ mod tests {
         let corpus = default_corpus(3, 1);
         let model = BertLikeModel::new(BertLikeConfig::fast());
         model.predict_proba(&corpus.tables[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size")]
+    fn zero_batch_size_panics_naming_the_field() {
+        let config = BertLikeConfig {
+            batch_size: 0,
+            ..BertLikeConfig::fast()
+        };
+        BertLikeModel::new(config).fit(&default_corpus(4, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "learning_rate")]
+    fn zero_learning_rate_panics_naming_the_field() {
+        let config = BertLikeConfig {
+            learning_rate: 0.0,
+            ..BertLikeConfig::fast()
+        };
+        BertLikeModel::new(config).fit(&default_corpus(4, 1));
     }
 
     #[test]

@@ -235,6 +235,7 @@ impl ColumnwiseTrainer for ColumnwiseModel {
     /// estimator (LDA) is pre-trained on the same corpus first, using only
     /// cell values.
     fn fit(&mut self, corpus: &Corpus) -> &[f32] {
+        self.config.network.validate();
         let extractor = FeatureExtractor::new(self.config.features.clone());
         let intent = self
             .use_topic
@@ -829,6 +830,14 @@ mod tests {
         assert!(model.is_trained());
         assert!(!model.uses_topic());
         assert!(model.intent_estimator().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size")]
+    fn zero_batch_size_panics_naming_the_field() {
+        let mut config = SatoConfig::fast();
+        config.network.batch_size = 0;
+        ColumnwiseModel::base(config).fit(&default_corpus(4, 1));
     }
 
     #[test]

@@ -45,6 +45,25 @@ impl Default for NetworkConfig {
     }
 }
 
+impl NetworkConfig {
+    /// Panic unless the optimiser settings are usable: at least one column
+    /// per mini-batch and a positive finite learning rate. The message
+    /// names the field.
+    pub fn validate(&self) {
+        validate_minibatch(self.batch_size, self.learning_rate);
+    }
+}
+
+/// Shared check of the network trainers' mini-batch size and Adam learning
+/// rate (see [`NetworkConfig::validate`]).
+pub(crate) fn validate_minibatch(batch_size: usize, learning_rate: f32) {
+    assert!(batch_size >= 1, "batch_size must be at least 1 (got 0)");
+    assert!(
+        learning_rate.is_finite() && learning_rate > 0.0,
+        "learning_rate must be positive and finite (got {learning_rate})"
+    );
+}
+
 /// Full Sato configuration: feature extraction, topic model, column-wise
 /// network and CRF training.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -199,6 +218,26 @@ mod tests {
         assert_eq!(cfg.seed, 99);
         assert_eq!(cfg.epochs, params.epochs);
         assert_eq!(cfg.batch_size, params.batch_size);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size")]
+    fn zero_network_batch_size_panics_naming_the_field() {
+        NetworkConfig {
+            batch_size: 0,
+            ..NetworkConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "learning_rate")]
+    fn nan_network_learning_rate_panics_naming_the_field() {
+        NetworkConfig {
+            learning_rate: f32::NAN,
+            ..NetworkConfig::default()
+        }
+        .validate();
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
         let corpus = default_corpus(30, 41);
         for (variant, served, dense) in [
             (SatoVariant::Base, 0x3cefe5e47ef20f82, 0xa7b61d0a8396cca5),
-            (SatoVariant::Full, 0x4578b63703449285, 0xb5eeac8e396bd1fb),
+            (SatoVariant::Full, 0x1bce385b861e1cf7, 0x1423fcd27aa6c10d),
             (
                 SatoVariant::SatoNoStruct,
                 0x38b21278d75f6819,
@@ -303,8 +303,8 @@ mod tests {
             ),
             (
                 SatoVariant::SatoNoTopic,
-                0x9b27444bfd998400,
-                0xf277719c32d5ccac,
+                0xe7d141ee9d8c4e15,
+                0x71100e3a59959e21,
             ),
         ] {
             let model = SatoModel::train(&corpus, config.clone(), variant);
