@@ -306,16 +306,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "learning_rate")]
-    fn zero_learning_rate_panics_naming_the_field() {
-        let config = BertLikeConfig {
-            learning_rate: 0.0,
-            ..BertLikeConfig::fast()
-        };
-        BertLikeModel::new(config).fit(&default_corpus(4, 1));
-    }
-
-    #[test]
     fn config_derives_from_sato_config() {
         let sato = SatoConfig::fast();
         let bert = BertLikeConfig::from_sato(&sato);

@@ -221,16 +221,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch_size")]
-    fn zero_network_batch_size_panics_naming_the_field() {
-        NetworkConfig {
-            batch_size: 0,
-            ..NetworkConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
     #[should_panic(expected = "learning_rate")]
     fn nan_network_learning_rate_panics_naming_the_field() {
         NetworkConfig {

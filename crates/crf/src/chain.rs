@@ -10,7 +10,9 @@
 //! `P(t | c) ∝ exp( Σ ψ_UNI(t_i, c_i) + Σ ψ_PAIR(t_i, t_{i+1}) )`,
 //! the partition function is computed with the forward algorithm in log
 //! space, marginals with forward–backward, and the MAP labelling with
-//! Viterbi — exactly the machinery the paper describes.
+//! Viterbi — exactly the machinery the paper describes. Training computes
+//! its expected transition counts with a scaled forward–backward of its own
+//! (see [`crate::train`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -148,6 +150,13 @@ impl LinearChainCrf {
     }
 
     /// Forward–backward: node and edge marginals plus `log Z`.
+    ///
+    /// Runs in log space: three `exp`/`log` passes over the `k × k`
+    /// pairwise entries at every edge, and a fresh `k × k` buffer per edge
+    /// marginal. Training does not call it: [`crate::train_crf`] runs a
+    /// scaled probability-domain forward–backward with no transcendental
+    /// per pairwise entry, and this routine is the oracle that one is
+    /// tested against.
     ///
     /// The forward/backward message tables are flat `m × k` buffers (one
     /// allocation each, not one per position).
