@@ -192,7 +192,8 @@ fn mean_l1(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
 /// `corpus` through one warm scratch each (the alias tables are built
 /// outside the timed loop, as at freeze time), and measure the mean L1
 /// theta drift of the sparse/alias sampler against dense; µs/table are
-/// means over `trials` repetitions.
+/// means over `trials` repetitions, and the speed-up is the ratio of those
+/// means with the smallest and largest ratio of a single trial beside it.
 fn time_gibbs_samplers(
     intent: &TableIntentEstimator,
     corpus: &Corpus,
@@ -222,10 +223,13 @@ fn time_gibbs_samplers(
         sparse_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
     }
     let (dense_us_per_table, sparse_us_per_table) = (mean(&dense_times), mean(&sparse_times));
+    let ratios = dense_times.iter().zip(&sparse_times).map(|(d, s)| d / s);
     GibbsSampler {
         dense_us_per_table,
         sparse_us_per_table,
         sparse_speedup: dense_us_per_table / sparse_us_per_table,
+        sparse_speedup_min: ratios.clone().fold(f64::INFINITY, f64::min),
+        sparse_speedup_max: ratios.fold(0.0, f64::max),
         mean_l1_drift_vs_dense,
     }
 }

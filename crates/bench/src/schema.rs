@@ -25,7 +25,7 @@ pub trait BenchFile: Serialize + Deserialize {
 }
 
 /// Schema tag of [`ServingBench`].
-pub const SERVING_SCHEMA: &str = "sato-bench/serving-v4";
+pub const SERVING_SCHEMA: &str = "sato-bench/serving-v5";
 
 /// `BENCH_serving.json`, written by `table2_efficiency`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,6 +94,10 @@ pub struct GibbsSampler {
     pub sparse_us_per_table: f64,
     /// `dense_us_per_table / sparse_us_per_table`.
     pub sparse_speedup: f64,
+    /// Smallest dense/sparse ratio of a single trial.
+    pub sparse_speedup_min: f64,
+    /// Largest dense/sparse ratio of a single trial.
+    pub sparse_speedup_max: f64,
     /// Mean L1 distance between the dense and sparse/alias thetas.
     pub mean_l1_drift_vs_dense: f64,
 }
@@ -139,12 +143,25 @@ impl BenchFile for ServingBench {
             ("full.predict_secs", t.full.predict_secs),
             ("dense_us_per_table", g.dense_us_per_table),
             ("sparse_us_per_table", g.sparse_us_per_table),
+            ("sparse_speedup_min", g.sparse_speedup_min),
+            ("sparse_speedup_max", g.sparse_speedup_max),
             ("json_load_us", a.json_load_us),
             ("binary_load_us", a.binary_load_us),
         ])?;
         // L1 between two probability distributions is at most 2.
         let drift = g.mean_l1_drift_vs_dense;
         ensure((0.0..=2.0).contains(&drift), "mean_l1_drift_vs_dense")?;
+        // The ratio of the means is a weighted mean of the per-trial ratios,
+        // so it lies between their extremes (up to the 5-digit rounding).
+        let ratio = g.sparse_speedup;
+        ensure(
+            g.sparse_speedup_min <= ratio * (1.0 + DERIVED_TOLERANCE),
+            "sparse_speedup_min",
+        )?;
+        ensure(
+            g.sparse_speedup_max >= ratio * (1.0 - DERIVED_TOLERANCE),
+            "sparse_speedup_max",
+        )?;
         let sparse = g.dense_us_per_table / g.sparse_us_per_table;
         let size = a.json_bytes as f64 / a.binary_bytes as f64;
         let load = a.json_load_us / a.binary_load_us;

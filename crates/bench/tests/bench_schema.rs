@@ -41,6 +41,16 @@ fn committed_serving_bench_matches_its_schema_and_broken_copies_do_not() {
     ratio.artifact.binary_size_ratio *= 1.01;
     rejects(ratio, "binary_size_ratio");
 
+    // The ratio of the mean timings lies within the per-trial spread.
+    let g = &bench.gibbs_sampler;
+    assert!(g.sparse_speedup_min <= g.sparse_speedup_max);
+    let mut low = bench.clone();
+    low.gibbs_sampler.sparse_speedup_min = g.sparse_speedup * 1.01;
+    rejects(low, "sparse_speedup_min");
+    let mut high = bench.clone();
+    high.gibbs_sampler.sparse_speedup_max = g.sparse_speedup * 0.99;
+    rejects(high, "sparse_speedup_max");
+
     let mut base_crf = bench.clone();
     base_crf.table2.base.train_crf_secs = Some(1.0);
     rejects(base_crf, "base.train_crf_secs");

@@ -201,7 +201,7 @@ impl ColumnwiseTrainer for BertLikeModel {
                 let y: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
                 let logits = net.forward(&x, true);
                 let out = softmax_cross_entropy(&logits, &y);
-                net.backward(&out.grad_logits);
+                net.backward_params(&out.grad_logits);
                 adam.step(&mut net.params_mut());
                 epoch_loss += out.loss;
                 batches += 1;

@@ -235,6 +235,15 @@ impl ColumnwiseTrainer for ColumnwiseModel {
     /// estimator (LDA) is pre-trained on the same corpus first, using only
     /// cell values.
     fn fit(&mut self, corpus: &Corpus) -> &[f32] {
+        self.fit_rows(corpus);
+        &self.loss_history
+    }
+}
+
+impl ColumnwiseModel {
+    /// [`ColumnwiseTrainer::fit`], returning the standardised training rows
+    /// the network was fitted on.
+    pub(crate) fn fit_rows(&mut self, corpus: &Corpus) -> TrainingData {
         self.config.network.validate();
         let extractor = FeatureExtractor::new(self.config.features.clone());
         let intent = self
@@ -285,7 +294,7 @@ impl ColumnwiseTrainer for ColumnwiseModel {
             sampler_kind: SamplerKind::Dense,
             sampler: TopicSampler::Dense,
         });
-        &self.loss_history
+        data
     }
 }
 
@@ -629,6 +638,15 @@ impl FrozenColumnwise {
                 .infer_with(&scratch.embedding, &mut scratch.head, &mut scratch.probs);
             softmax_in_place(&mut scratch.probs);
         }
+    }
+
+    /// Probability rows of already standardised network inputs: rows are
+    /// independent, so each equals the row [`Self::run_batch`] gives the
+    /// same column.
+    pub(crate) fn proba_of_standardized(&self, groups: &[Matrix]) -> Matrix {
+        let mut probs = self.head.infer(&self.net.infer(groups));
+        softmax_in_place(&mut probs);
+        probs
     }
 
     /// A copy of this model (parameters and running statistics copied

@@ -8,7 +8,7 @@
 //! | `SatoNoTopic`          | no  | yes |
 //! | `Full` (Sato)          | yes | yes |
 
-use crate::columnwise::{ColumnwiseModel, ColumnwiseTrainer, FrozenColumnwise};
+use crate::columnwise::{ColumnwiseModel, FrozenColumnwise};
 use crate::config::SatoConfig;
 use crate::predictor::SatoPredictor;
 use crate::structured::StructuredLayer;
@@ -108,24 +108,22 @@ impl SatoModel {
         } else {
             ColumnwiseModel::base(config.clone())
         };
-        columnwise.fit(corpus);
+        let data = columnwise.fit_rows(corpus);
+        let trained = columnwise.into_trained();
         let columnwise_secs = start.elapsed().as_secs_f64();
 
+        // The CRF unaries are the trained network's probabilities for its
+        // own training rows.
         let start = Instant::now();
         let structured = variant
             .uses_structure()
-            .then(|| StructuredLayer::fit(&columnwise, corpus, &config));
+            .then(|| StructuredLayer::fit_from_rows(&trained, data, corpus, &config));
         let crf_secs = structured
             .as_ref()
             .map_or(0.0, |_| start.elapsed().as_secs_f64());
 
         SatoModel {
-            predictor: SatoPredictor::from_parts(
-                variant,
-                config,
-                columnwise.into_trained(),
-                structured,
-            ),
+            predictor: SatoPredictor::from_parts(variant, config, trained, structured),
             timings: TrainTimings {
                 columnwise_secs,
                 crf_secs,

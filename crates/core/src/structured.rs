@@ -6,9 +6,11 @@
 //! adjacent-column co-occurrence matrix of the training corpus (Section 4.3)
 //! and then trained by maximising the table-level conditional log-likelihood.
 
-use crate::columnwise::ColumnwiseInference;
+use crate::columnwise::{ColumnwiseInference, FrozenColumnwise};
 use crate::config::SatoConfig;
+use crate::dataset::TrainingData;
 use sato_crf::{train_crf, CrfExample, LinearChainCrf};
+use sato_nn::Matrix;
 use sato_tabular::cooccurrence::CooccurrenceMatrix;
 use sato_tabular::table::{Corpus, Table};
 use sato_tabular::types::{SemanticType, NUM_TYPES};
@@ -45,26 +47,55 @@ impl StructuredLayer {
         corpus: &Corpus,
         config: &SatoConfig,
     ) -> Self {
+        let examples = crf_examples(corpus, |_, table| {
+            let proba = predictor.predict_proba(table);
+            proba.iter().map(|p| unary_from_proba(p)).collect()
+        });
+        Self::fit_examples(corpus, &examples, config)
+    }
+
+    /// Train the CRF layer on the probabilities `trained` gives the
+    /// standardised rows it was trained on, `data`: equal to [`Self::fit`]
+    /// with `trained` as the predictor, without extracting features and
+    /// inferring topics per table a second time. The rows are dropped
+    /// before the CRF epochs.
+    pub(crate) fn fit_from_rows(
+        trained: &FrozenColumnwise,
+        data: TrainingData,
+        corpus: &Corpus,
+        config: &SatoConfig,
+    ) -> Self {
+        // A table's rows are contiguous, in corpus order.
+        let mut first_row = vec![usize::MAX; corpus.len()];
+        for (row, &t) in data.table_of_row.iter().enumerate().rev() {
+            first_row[t] = row;
+        }
+        let examples = crf_examples(corpus, |t, table| {
+            let start = first_row[t];
+            assert_ne!(start, usize::MAX, "table {t} has no training rows");
+            let rows: Vec<usize> = (start..start + table.num_columns()).collect();
+            let groups: Vec<Matrix> = data.groups.iter().map(|g| g.select_rows(&rows)).collect();
+            let proba = trained.proba_of_standardized(&groups);
+            (0..proba.rows())
+                .map(|r| unary_from_proba(proba.row(r)))
+                .collect()
+        });
+        drop(data);
+        Self::fit_examples(corpus, &examples, config)
+    }
+
+    /// Train the CRF on `examples`, its pairwise potentials starting from
+    /// the adjacent-column co-occurrence counts of `corpus`.
+    fn fit_examples(corpus: &Corpus, examples: &[CrfExample], config: &SatoConfig) -> Self {
         let cooc = CooccurrenceMatrix::adjacent_columns(corpus);
         // Scale the log-co-occurrence initialisation down so unary scores
         // dominate at the start of training (the CRF then learns how much
         // coupling to apply).
         let init: Vec<f64> = cooc.log_matrix().iter().map(|v| 0.1 * v).collect();
         let initial = LinearChainCrf::with_pairwise(NUM_TYPES, init);
-
-        let mut examples = Vec::new();
-        for table in corpus.iter() {
-            if !table.is_labelled() || table.num_columns() < 2 {
-                continue;
-            }
-            let proba = predictor.predict_proba(table);
-            let unary: Vec<Vec<f64>> = proba.iter().map(|p| unary_from_proba(p)).collect();
-            let labels: Vec<usize> = table.labels.iter().map(|l| l.index()).collect();
-            examples.push(CrfExample { unary, labels });
-        }
         let (crf, history) = train_crf(
             initial,
-            &examples,
+            examples,
             &config.crf.to_crf_config(config.seed ^ 0xc0f),
         );
         StructuredLayer {
@@ -155,6 +186,23 @@ impl StructuredLayer {
         let proba = predictor.predict_proba(table);
         self.decode_proba(&proba)
     }
+}
+
+/// One CRF example per labelled table of at least two columns, in corpus
+/// order; `unary_of(index, table)` gives a table's unary potentials.
+fn crf_examples(
+    corpus: &Corpus,
+    mut unary_of: impl FnMut(usize, &Table) -> Vec<Vec<f64>>,
+) -> Vec<CrfExample> {
+    corpus
+        .iter()
+        .enumerate()
+        .filter(|(_, table)| table.is_labelled() && table.num_columns() >= 2)
+        .map(|(t, table)| CrfExample {
+            unary: unary_of(t, table),
+            labels: table.labels.iter().map(|l| l.index()).collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

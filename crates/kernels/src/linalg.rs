@@ -31,8 +31,10 @@ pub fn scale(v: &mut [f32], s: f32) {
 
 /// Dot product over four independent accumulators (ULP-bounded vs the
 /// in-order scalar sum: partial sums are reassociated; slices shorter than
-/// a chunk stay in order). Used on the training backward path, where the
-/// contract is determinism-within-build, not cross-form bit parity.
+/// a chunk stay in order). No longer on the training path: `sato_nn`'s
+/// `Matrix::matmul_t` sums `axpy`s in this same association instead, and
+/// its tests keep a `dot` per output element as the oracle it must match
+/// bit for bit.
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");

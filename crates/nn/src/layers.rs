@@ -81,6 +81,14 @@ pub trait Layer: Send + Sync {
     /// Must be called after a `forward` with `training = true`.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
 
+    /// Back-propagate `grad_output` into the parameter gradients only,
+    /// leaving exactly the gradients [`Layer::backward`] leaves but not
+    /// forming dL/d input: the call for the first layer of a stack, whose
+    /// input gradient nobody reads.
+    fn backward_params(&mut self, grad_output: &Matrix) {
+        self.backward(grad_output);
+    }
+
     /// Mutable access to the layer's trainable parameters (empty for
     /// parameter-free layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -140,6 +148,18 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.weight.value.cols()
     }
+
+    /// `dW += xᵀ g` and `db += Σ rows of g`.
+    fn accumulate_grads(&mut self, grad_output: &Matrix) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward(training=true)");
+        self.weight
+            .grad
+            .add_scaled(&input.t_matmul(grad_output), 1.0);
+        self.bias.grad.add_scaled(&grad_output.sum_rows(), 1.0);
+    }
 }
 
 impl Layer for Dense {
@@ -169,16 +189,13 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward(training=true)");
-        // dW = xᵀ g ; db = Σ rows of g ; dx = g Wᵀ
-        self.weight
-            .grad
-            .add_scaled(&input.t_matmul(grad_output), 1.0);
-        self.bias.grad.add_scaled(&grad_output.sum_rows(), 1.0);
+        self.accumulate_grads(grad_output);
+        // dx = g Wᵀ
         grad_output.matmul_t(&self.weight.value)
+    }
+
+    fn backward_params(&mut self, grad_output: &Matrix) {
+        self.accumulate_grads(grad_output);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -588,6 +605,25 @@ mod tests {
         assert_eq!(layer.weight.grad.get(0, 0), 2.0);
         assert_eq!(layer.weight.grad.get(1, 1), 4.0);
         assert_eq!(layer.bias.grad.data(), &[2.0, 2.0]);
+    }
+
+    #[test]
+    fn dense_parameter_only_backward_leaves_the_same_gradients() {
+        let x = Matrix::from_rows(&[vec![0.5, -1.0, 0.0, 2.0], vec![1.0, 0.3, -0.7, -0.0]]);
+        let g = Matrix::from_rows(&[vec![0.2, -0.4, 1.5], vec![-0.0, 0.9, -1.1]]);
+        let mut full = Dense::new(4, 3, &mut rng());
+        let mut params_only = Dense::new(4, 3, &mut rng());
+        for _ in 0..2 {
+            full.forward(&x, true);
+            full.backward(&g);
+            params_only.forward(&x, true);
+            params_only.backward_params(&g);
+        }
+        for (a, b) in full.params().iter().zip(params_only.params()) {
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.grad), bits(&b.grad));
+            assert!(a.grad.norm() > 0.0);
+        }
     }
 
     #[test]

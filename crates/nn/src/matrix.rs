@@ -5,6 +5,16 @@
 //! straightforward cache-friendly implementation (row-major storage, `ikj`
 //! loop order for mat-mul, fused transpose products) is more than fast enough
 //! and keeps the crate dependency-free.
+//!
+//! The three products — [`Matrix::matmul_into`] (every forward pass, training
+//! and serving alike), [`Matrix::t_matmul`] (`dW = xᵀ·g`) and
+//! [`Matrix::matmul_t`] (`dx = g·Wᵀ`) — are sums of zero-skipped
+//! [`sato_kernels::axpy`] rows. Each has one body, compiled twice: for the
+//! baseline target and inside `#[target_feature(enable = "avx2")]`, so the
+//! inlined `axpy` runs eight lanes wide instead of SSE2's four. The AVX2
+//! form is chosen at run time with `is_x86_feature_detected!`, on x86_64
+//! only. Neither form enables FMA or uses intrinsics, and no product
+//! reassociates a sum, so both forms produce the same bits.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -169,19 +179,12 @@ impl Matrix {
         );
         out.resize(self.rows, other.cols);
         out.fill(0.0);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                // Skipping exact zeros keeps the sparse one-hot inputs cheap
-                // AND preserves bits: an axpy with a == 0.0 could still flip
-                // a -0.0 accumulator to +0.0.
-                if a == 0.0 {
-                    continue;
-                }
-                sato_kernels::axpy(a, other.row(k), out_row);
-            }
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: the CPU supports AVX2, checked at run time.
+            return unsafe { matmul_into_avx2(self, other, out) };
         }
+        matmul_into_body(self, other, out);
     }
 
     /// `selfᵀ @ other` without materialising the transpose.
@@ -194,21 +197,18 @@ impl Matrix {
             other.shape()
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                sato_kernels::axpy(a, b_row, out_row);
-            }
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: the CPU supports AVX2, checked at run time.
+            unsafe { t_matmul_avx2(self, other, &mut out) };
+            return out;
         }
+        t_matmul_body(self, other, &mut out);
         out
     }
 
-    /// `self @ otherᵀ` without materialising the transpose.
+    /// `self @ otherᵀ`, bit-identical to taking a
+    /// [`sato_kernels::dot`] of every row pair.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols,
@@ -217,13 +217,15 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
+        let other_t = other.transpose();
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                out.data[i * other.rows + j] = sato_kernels::dot(a_row, other.row(j));
-            }
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: the CPU supports AVX2, checked at run time.
+            unsafe { matmul_t_avx2(self, &other_t, &mut out) };
+            return out;
         }
+        matmul_t_body(self, &other_t, &mut out);
         out
     }
 
@@ -372,9 +374,122 @@ impl Matrix {
     }
 }
 
+/// Whether the products take their AVX2 form. The detection result is
+/// cached by the standard library.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// `out += a @ b`, one `axpy` of a row of `b` per nonzero element of `a`.
+#[inline(always)]
+fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    for i in 0..a.rows {
+        let a_row = a.row(i);
+        let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
+        for (k, &x) in a_row.iter().enumerate() {
+            // Skipping exact zeros keeps the sparse one-hot inputs cheap
+            // AND preserves bits: an axpy with x == 0.0 could still flip
+            // a -0.0 accumulator to +0.0.
+            if x == 0.0 {
+                continue;
+            }
+            sato_kernels::axpy(x, b.row(k), out_row);
+        }
+    }
+}
+
+/// `out += aᵀ @ b`: row `r` of `a` scatters `a[r][i] · b[r]` into row `i`.
+#[inline(always)]
+fn t_matmul_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    for r in 0..a.rows {
+        let b_row = b.row(r);
+        for (i, &x) in a.row(r).iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            sato_kernels::axpy(x, b_row, out.row_mut(i));
+        }
+    }
+}
+
+/// `out = a @ bᵀ`, given `bt = bᵀ`, summed in the association of
+/// [`sato_kernels::dot`]: the products of inner index
+/// `k < n - n % 4` accumulate into four partial rows by `k % 4`, the partial
+/// rows combine as `(p0 + p1) + (p2 + p3)`, and the `n % 4` remaining
+/// products follow in order. Skipping an exact zero of `a` changes no bit:
+/// an accumulator that starts at `+0.0` never becomes `-0.0`, and adding
+/// `±0.0` to anything else leaves it as it is (for finite `bt`).
+#[inline(always)]
+fn matmul_t_body(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
+    let width = bt.cols;
+    let chunked = a.cols - a.cols % 4;
+    let mut partial = vec![0.0f32; 4 * width];
+    for i in 0..a.rows {
+        let a_row = a.row(i);
+        partial.fill(0.0);
+        for (k, &x) in a_row[..chunked].iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let lane = k % 4;
+            sato_kernels::axpy(x, bt.row(k), &mut partial[lane * width..(lane + 1) * width]);
+        }
+        let (p01, p23) = partial.split_at(2 * width);
+        let (p0, p1) = p01.split_at(width);
+        let (p2, p3) = p23.split_at(width);
+        let out_row = out.row_mut(i);
+        for ((((o, &s0), &s1), &s2), &s3) in out_row.iter_mut().zip(p0).zip(p1).zip(p2).zip(p3) {
+            *o = (s0 + s1) + (s2 + s3);
+        }
+        for (k, &x) in a_row.iter().enumerate().skip(chunked) {
+            if x == 0.0 {
+                continue;
+            }
+            sato_kernels::axpy(x, bt.row(k), out_row);
+        }
+    }
+}
+
+/// [`matmul_into_body`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_into_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_into_body(a, b, out);
+}
+
+/// [`t_matmul_body`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn t_matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    t_matmul_body(a, b, out);
+}
+
+/// [`matmul_t_body`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_t_avx2(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
+    matmul_t_body(a, bt, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn approx(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5
@@ -415,6 +530,114 @@ mod tests {
         let expected = a.matmul(&c.transpose());
         let got = a.matmul_t(&c);
         assert_eq!(expected, got);
+    }
+
+    /// The dot form `matmul_t` replaced: one [`sato_kernels::dot`] per
+    /// output element. The oracle its axpy form must match bit for bit.
+    fn matmul_t_dot(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                out.data[i * b.rows + j] = sato_kernels::dot(a.row(i), b.row(j));
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A `rows × cols` matrix of values in (-2, 2). With `sparse`, about a
+    /// third of the entries are exact zeros, half of those `-0.0`, like the
+    /// gradients behind ReLU and dropout masks.
+    fn generated(rng: &mut StdRng, rows: usize, cols: usize, sparse: bool) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                let v = rng.gen::<f32>() * 4.0 - 2.0;
+                match rng.gen::<f32>() {
+                    u if sparse && u < 1.0 / 6.0 => 0.0,
+                    u if sparse && u < 1.0 / 3.0 => -0.0,
+                    _ => v,
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn matmul_t_matches_the_dot_form_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for inner in (1..=9).chain([64, 78, 128]) {
+            for rows in [0, 1, 64] {
+                for out_width in [1, 3, 8, 13, 64] {
+                    for sparse in [false, true] {
+                        let a = generated(&mut rng, rows, inner, sparse);
+                        let b = generated(&mut rng, out_width, inner, false);
+                        let got = a.matmul_t(&b);
+                        assert_eq!(got.shape(), (rows, out_width));
+                        assert_eq!(
+                            bits(&got),
+                            bits(&matmul_t_dot(&a, &b)),
+                            "inner {inner}, rows {rows}, width {out_width}, sparse {sparse}"
+                        );
+                    }
+                }
+            }
+        }
+        // All-zero left rows, both signs: the result is +0.0 everywhere,
+        // exactly as the dot form gives it.
+        let a = Matrix::from_rows(&[vec![0.0; 6], vec![-0.0; 6]]);
+        let b = generated(&mut rng, 3, 6, false);
+        assert_eq!(bits(&a.matmul_t(&b)), bits(&matmul_t_dot(&a, &b)));
+        assert!(a.matmul_t(&b).data().iter().all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn avx2_and_baseline_forms_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !has_avx2() {
+                eprintln!("skipped: this CPU has no AVX2, only the baseline form runs");
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(29);
+            for inner in (1..=9).chain([64, 78, 128]) {
+                for (rows, width) in [(1, 5), (17, 64), (64, 128)] {
+                    let a = generated(&mut rng, rows, inner, true);
+                    let b = generated(&mut rng, inner, width, false);
+                    let mut base = Matrix::zeros(rows, width);
+                    let mut wide = Matrix::zeros(rows, width);
+                    matmul_into_body(&a, &b, &mut base);
+                    // SAFETY: AVX2 support was checked above.
+                    unsafe { matmul_into_avx2(&a, &b, &mut wide) };
+                    assert_eq!(
+                        bits(&base),
+                        bits(&wide),
+                        "matmul_into {rows}x{inner}x{width}"
+                    );
+
+                    let g = generated(&mut rng, rows, width, true);
+                    let mut base = Matrix::zeros(inner, width);
+                    let mut wide = Matrix::zeros(inner, width);
+                    t_matmul_body(&a, &g, &mut base);
+                    // SAFETY: as above.
+                    unsafe { t_matmul_avx2(&a, &g, &mut wide) };
+                    assert_eq!(bits(&base), bits(&wide), "t_matmul {rows}x{inner}x{width}");
+
+                    // `b` (inner × width) is the transposed right operand of
+                    // a `rows × width` product.
+                    let mut base = Matrix::zeros(rows, width);
+                    let mut wide = Matrix::zeros(rows, width);
+                    matmul_t_body(&a, &b, &mut base);
+                    // SAFETY: as above.
+                    unsafe { matmul_t_avx2(&a, &b, &mut wide) };
+                    assert_eq!(bits(&base), bits(&wide), "matmul_t {rows}x{inner}x{width}");
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("skipped: the AVX2 forms exist on x86_64 only");
     }
 
     #[test]

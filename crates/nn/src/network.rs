@@ -181,6 +181,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// Every layer but the first back-propagates as in [`Layer::backward`];
+    /// the first only accumulates its parameter gradients.
+    fn backward_params(&mut self, grad_output: &Matrix) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -313,21 +326,19 @@ impl MultiInputNetwork {
             .infer_with(&scratch.concat, &mut scratch.seq, out);
     }
 
-    /// Backward pass; returns the gradient with respect to every input group
-    /// (rarely needed, but it makes the container a proper differentiable
-    /// unit and is exercised by the tests).
-    pub fn backward(&mut self, grad_output: &Matrix) -> Vec<Matrix> {
+    /// Backward pass: accumulates the gradient of every parameter, branches
+    /// included. The gradients with respect to the input groups are never
+    /// formed: each branch ends in [`Layer::backward_params`].
+    pub fn backward(&mut self, grad_output: &Matrix) {
         let grad_concat = self.primary.backward(grad_output);
         assert!(
             !self.last_branch_widths.is_empty(),
             "backward called before forward"
         );
         let parts = grad_concat.hsplit(&self.last_branch_widths);
-        self.branches
-            .iter_mut()
-            .zip(parts)
-            .map(|(b, g)| b.backward(&g))
-            .collect()
+        for (branch, g) in self.branches.iter_mut().zip(&parts) {
+            branch.backward_params(g);
+        }
     }
 
     /// All trainable parameters (branches first, then the primary network).
@@ -486,10 +497,59 @@ mod tests {
         let b = Matrix::from_rows(&[vec![0.5, -0.5], vec![1.0, 1.0]]);
         let y = net.forward(&[a, b], true);
         assert_eq!(y.shape(), (2, 5));
-        let grads = net.backward(&Matrix::filled(2, 5, 1.0));
-        assert_eq!(grads.len(), 2);
-        assert_eq!(grads[0].shape(), (2, 3));
-        assert_eq!(grads[1].shape(), (2, 2));
+        net.backward(&Matrix::filled(2, 5, 1.0));
+        // The gradient reaches through the concatenation into every
+        // parameter of the branch that has any; the identity branch has none.
+        assert_eq!(net.branches[0].params().len(), 2);
+        assert!(net.branches[1].params().is_empty());
+        for p in net.params() {
+            assert!(p.grad.norm() > 0.0, "a parameter got no gradient");
+        }
+    }
+
+    #[test]
+    fn branch_stack_parameter_only_backward_leaves_the_same_gradients() {
+        use crate::layers::{BatchNorm, Dropout};
+        let stack = || {
+            let mut r = rng();
+            Sequential::new()
+                .push(Dense::new(3, 6, &mut r))
+                .push(ReLU::new())
+                .push(BatchNorm::new(6))
+                .push(Dropout::new(0.3, StdRng::seed_from_u64(5)))
+                .push(Dense::new(6, 4, &mut r))
+                .push(ReLU::new())
+        };
+        let mut full = stack();
+        let mut params_only = stack();
+        let x = Matrix::from_rows(&[
+            vec![1.0, -2.0, 0.5],
+            vec![0.0, 1.0, 3.0],
+            vec![-1.0, 0.5, 2.0],
+            vec![0.25, -0.0, -1.5],
+        ]);
+        let g = Matrix::from_rows(&[
+            vec![0.3, -1.0, 0.2, 0.7],
+            vec![-0.2, 0.5, 0.0, -0.9],
+            vec![0.8, 0.1, -0.4, 0.6],
+            vec![-0.5, 0.4, 1.2, -0.0],
+        ]);
+        for _ in 0..2 {
+            full.forward(&x, true);
+            full.backward(&g);
+            params_only.forward(&x, true);
+            params_only.backward_params(&g);
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (full, params_only) = (full.params(), params_only.params());
+        assert_eq!(full.len(), 6);
+        for (a, b) in full.iter().zip(&params_only) {
+            assert_eq!(bits(&a.grad), bits(&b.grad));
+        }
+        assert!(
+            full[0].grad.norm() > 0.0,
+            "the first layer's dW must be non-zero"
+        );
     }
 
     #[test]
