@@ -27,7 +27,7 @@
 //! [`HnswIndex::load_sidecar`] rejects any other pairing with
 //! [`IndexError::ArtifactMismatch`].
 
-use crate::hnsw::{ColumnRef, HnswConfig, HnswIndex};
+use crate::hnsw::{Adjacency, ColumnRef, HnswConfig, HnswIndex, HnswScratch, Visited};
 use crate::IndexError;
 use std::collections::HashMap;
 
@@ -246,10 +246,11 @@ impl HnswIndex {
             vecs.extend_from_slice(&v.to_le_bytes());
         }
         let mut link = Vec::new();
-        for per_node in &self.links {
-            for per_level in per_node {
-                link.extend_from_slice(&(per_level.len() as u32).to_le_bytes());
-                for &nb in per_level {
+        for (node, &top) in self.levels.iter().enumerate() {
+            for level in 0..=top as usize {
+                let list = self.links.list(node as u32, level);
+                link.extend_from_slice(&(list.len() as u32).to_le_bytes());
+                for &nb in list {
                     link.extend_from_slice(&nb.to_le_bytes());
                 }
             }
@@ -292,7 +293,11 @@ impl HnswIndex {
         let entry_raw = r.u64("entry point")?;
         let max_level = r.u32("max level")?;
         r.finish("META")?;
-        if dim == 0 || m < 2 || ef_construction == 0 || ef_search == 0 {
+        if dim == 0
+            || !(2..=HnswIndex::MAX_M).contains(&m)
+            || ef_construction == 0
+            || ef_search == 0
+        {
             return Err(IndexError::Corrupt(
                 "index configuration is out of range".to_string(),
             ));
@@ -352,12 +357,20 @@ impl HnswIndex {
             bytes: sections.require(SEC_LINK)?,
             pos: 0,
         };
-        let mut links = Vec::with_capacity(count);
-        for node in 0..count {
-            let mut per_node = Vec::with_capacity(levels[node] as usize + 1);
-            for level in 0..=levels[node] {
+        let mut links = Adjacency::new(m);
+        let mut seen = Visited::default();
+        for node in 0..count as u32 {
+            let top = levels[node as usize];
+            links.push_node(top as usize);
+            for level in 0..=top {
                 let len = r.u32("neighbor list length")? as usize;
-                let mut per_level = Vec::with_capacity(len.min(4096));
+                if len > links.cap(level as usize) {
+                    return Err(IndexError::Corrupt(format!(
+                        "node {node} has {len} links at level {level}, over the cap of {}",
+                        links.cap(level as usize)
+                    )));
+                }
+                seen.reset(count);
                 for _ in 0..len {
                     let nb = r.u32("neighbor id")?;
                     if nb as usize >= count || levels[nb as usize] < level {
@@ -365,11 +378,19 @@ impl HnswIndex {
                             "node {node} links to {nb}, which does not exist at level {level}"
                         )));
                     }
-                    per_level.push(nb);
+                    if nb == node {
+                        return Err(IndexError::Corrupt(format!(
+                            "node {node} links to itself at level {level}"
+                        )));
+                    }
+                    if !seen.insert(nb) {
+                        return Err(IndexError::Corrupt(format!(
+                            "node {node} links to {nb} twice at level {level}"
+                        )));
+                    }
+                    links.push(node, level as usize, nb);
                 }
-                per_node.push(per_level);
             }
-            links.push(per_node);
         }
         r.finish("LINK")?;
 
@@ -410,6 +431,7 @@ impl HnswIndex {
             entry,
             max_level: max_level as u8,
             by_key,
+            scratch: HnswScratch::new(),
         })
     }
 
@@ -547,6 +569,118 @@ mod tests {
             HnswIndex::from_bytes(&flipped),
             Err(IndexError::Checksum(_))
         ));
+    }
+
+    /// Re-frame `bytes` with its `LINK` section rewritten by `edit`, which
+    /// sees the adjacency as `links[node][level]`; checksums stay valid,
+    /// so only the graph checks can reject the result.
+    fn with_links(bytes: &[u8], edit: impl FnOnce(&mut [Vec<Vec<u32>>])) -> Vec<u8> {
+        let sections = Sections::parse(bytes).unwrap();
+        let mut r = ByteReader {
+            bytes: sections.require(SEC_LINK).unwrap(),
+            pos: 0,
+        };
+        let mut links: Vec<Vec<Vec<u32>>> = sections
+            .require(SEC_LVLS)
+            .unwrap()
+            .iter()
+            .map(|&top| {
+                (0..=top)
+                    .map(|_| {
+                        let len = r.u32("len").unwrap();
+                        (0..len).map(|_| r.u32("id").unwrap()).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        edit(&mut links);
+        let mut link = Vec::new();
+        for list in links.iter().flatten() {
+            link.extend_from_slice(&(list.len() as u32).to_le_bytes());
+            for nb in list {
+                link.extend_from_slice(&nb.to_le_bytes());
+            }
+        }
+        let sections: Vec<_> = sections
+            .entries
+            .iter()
+            .map(|&(id, payload)| {
+                let payload = if id == SEC_LINK {
+                    link.clone()
+                } else {
+                    payload.to_vec()
+                };
+                (id, payload)
+            })
+            .collect();
+        assemble(&sections)
+    }
+
+    /// An index of 60 nodes with `m = 2`: half of them live on level 1.
+    fn small_m_index() -> (HnswIndex, Vec<u8>) {
+        let config = HnswConfig {
+            m: 2,
+            ef_construction: 4,
+            ..HnswConfig::default()
+        };
+        let mut index = HnswIndex::new(2, 7, config);
+        for i in 0..60u64 {
+            let v = [(i * 37 % 61) as f32, (i % 5) as f32];
+            index.insert(
+                ColumnRef {
+                    table_id: i,
+                    col_idx: 0,
+                },
+                &v,
+            );
+        }
+        let bytes = index.to_bytes();
+        (index, bytes)
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        assert!(
+            matches!(HnswIndex::from_bytes(bytes), Err(IndexError::Corrupt(_))),
+            "{what} was not rejected as corrupt"
+        );
+    }
+
+    #[test]
+    fn untouched_links_reframe_to_the_same_bytes() {
+        let bytes = sample_index().to_bytes();
+        assert_eq!(with_links(&bytes, |_| {}), bytes);
+    }
+
+    #[test]
+    fn overlong_neighbour_lists_are_rejected() {
+        // Level 0 holds 2m = 32 links; give node 0 thirty-three.
+        let bytes = sample_index().to_bytes();
+        let hostile = with_links(&bytes, |links| links[0][0] = (1..=33).collect());
+        assert_corrupt(&hostile, "a level-0 list of 2m + 1 links");
+
+        // Upper levels hold m = 2; give one level-1 list three.
+        let (index, bytes) = small_m_index();
+        let upper: Vec<u32> = (0..index.len() as u32)
+            .filter(|&n| index.levels[n as usize] >= 1)
+            .collect();
+        let hostile = with_links(&bytes, |links| {
+            links[upper[0] as usize][1] = upper[1..4].to_vec();
+        });
+        assert_corrupt(&hostile, "a level-1 list of m + 1 links");
+    }
+
+    #[test]
+    fn self_links_are_rejected() {
+        let bytes = sample_index().to_bytes();
+        let hostile = with_links(&bytes, |links| links[5][0][0] = 5);
+        assert_corrupt(&hostile, "a node linking to itself");
+    }
+
+    #[test]
+    fn duplicate_links_are_rejected() {
+        let bytes = sample_index().to_bytes();
+        let hostile = with_links(&bytes, |links| links[5][0][1] = links[5][0][0]);
+        assert_corrupt(&hostile, "a list naming one neighbour twice");
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! The HNSW graph: deterministic construction, incremental insert, beam
 //! search, and the exact brute-force oracle.
+//!
+//! Memory layout: the graph lives in flat arrays. Level 0 is one `u32`
+//! array with a fixed stride of `1 + 2m` per node (a count, then the ids);
+//! upper levels are `1 + m` blocks, one per level above 0, reached through
+//! a per-node slot. Searches and inserts run in an [`HnswScratch`] (the
+//! visited set, the beam and the neighbour-selection buffers), so a warm
+//! insert only allocates when a node array grows and a warm search with
+//! [`HnswIndex::search_knn_with`] allocates nothing.
 
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Identity of an indexed column: which table, which column position.
@@ -36,6 +43,8 @@ pub struct Neighbor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HnswConfig {
     /// Max links per node on levels above 0 (level 0 keeps `2 * m`).
+    /// At most [`HnswIndex::MAX_M`]: every node reserves room for a full
+    /// list on each of its levels.
     pub m: usize,
     /// Beam width while building: candidate pool per inserted node.
     pub ef_construction: usize,
@@ -58,7 +67,7 @@ impl Default for HnswConfig {
     }
 }
 
-/// Heap entry with a *total* deterministic order: distance first
+/// Candidate with a *total* deterministic order: distance first
 /// (`f32::total_cmp`), node id as the tie-break. The tie-break is what
 /// makes equal-distance neighborhoods reproducible across builds and
 /// makes ANN-vs-exact recall comparisons fair.
@@ -84,24 +93,189 @@ impl PartialOrd for Cand {
     }
 }
 
-/// Reusable visited-set bitmap for one search pass.
-#[derive(Default)]
-struct Visited {
+/// One beam slot: a candidate and whether its links have been expanded.
+#[derive(Debug, Clone, Copy)]
+struct BeamEntry {
+    cand: Cand,
+    expanded: bool,
+}
+
+/// Reusable visited set: a bitmap plus the words a pass has dirtied, so
+/// clearing it costs in proportion to the nodes touched, not to the index
+/// size.
+#[derive(Debug, Default)]
+pub(crate) struct Visited {
     words: Vec<u64>,
+    dirty: Vec<u32>,
 }
 
 impl Visited {
-    fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
+    /// Unmark everything and make room for nodes `0..n`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for &w in &self.dirty {
+            self.words[w as usize] = 0;
+        }
+        self.dirty.clear();
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
     }
 
     /// Mark `i`; returns `true` if it was not yet marked.
-    fn insert(&mut self, i: u32) -> bool {
+    pub(crate) fn insert(&mut self, i: u32) -> bool {
         let (word, bit) = ((i / 64) as usize, i % 64);
-        let fresh = self.words[word] & (1 << bit) == 0;
-        self.words[word] |= 1 << bit;
-        fresh
+        let w = &mut self.words[word];
+        if *w & (1 << bit) != 0 {
+            return false;
+        }
+        if *w == 0 {
+            self.dirty.push(word as u32);
+        }
+        *w |= 1 << bit;
+        true
+    }
+}
+
+/// Working memory of HNSW searches and inserts: the visited set, the
+/// beam, and the neighbour-selection buffers.
+///
+/// [`HnswIndex`] owns one for its inserts. A search caller that keeps one
+/// across [`HnswIndex::search_knn_with`] calls searches without
+/// allocating once the buffers have grown to the index and the beam
+/// width. One scratch may serve any number of indexes, one search at a
+/// time.
+#[derive(Debug, Default)]
+pub struct HnswScratch {
+    visited: Visited,
+    /// Ascending by [`Cand`]; at most `ef` entries.
+    beam: Vec<BeamEntry>,
+    /// The unvisited links of the node being expanded, or a full
+    /// neighbour list plus the link that overflowed it.
+    cands: Vec<Cand>,
+    selected: Vec<Cand>,
+    pruned: Vec<Cand>,
+    results: Vec<Neighbor>,
+}
+
+impl HnswScratch {
+    /// An empty scratch; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Fixed-stride adjacency. A list is a count followed by `cap` id slots:
+/// `1 + 2m` words per node on level 0, and one `1 + m` block per node and
+/// level above 0, the node's blocks consecutive from `upper_at[node]`.
+#[derive(Debug)]
+pub(crate) struct Adjacency {
+    m: usize,
+    level0: Vec<u32>,
+    upper: Vec<u32>,
+    /// First upper block of each node (unused for level-0 nodes).
+    upper_at: Vec<u32>,
+}
+
+impl Adjacency {
+    pub(crate) fn new(m: usize) -> Self {
+        Adjacency {
+            m,
+            level0: Vec::new(),
+            upper: Vec::new(),
+            upper_at: Vec::new(),
+        }
+    }
+
+    /// Max links kept per node at `level`.
+    pub(crate) fn cap(&self, level: usize) -> usize {
+        if level == 0 {
+            2 * self.m
+        } else {
+            self.m
+        }
+    }
+
+    /// Word offset of `node`'s list at `level` (its count slot).
+    fn at(&self, node: u32, level: usize) -> usize {
+        if level == 0 {
+            node as usize * (1 + 2 * self.m)
+        } else {
+            (self.upper_at[node as usize] as usize + level - 1) * (1 + self.m)
+        }
+    }
+
+    fn words(&self, level: usize) -> &[u32] {
+        if level == 0 {
+            &self.level0
+        } else {
+            &self.upper
+        }
+    }
+
+    fn words_mut(&mut self, level: usize) -> &mut [u32] {
+        if level == 0 {
+            &mut self.level0
+        } else {
+            &mut self.upper
+        }
+    }
+
+    /// Append a node living on levels `0..=top`, with empty lists.
+    pub(crate) fn push_node(&mut self, top: usize) {
+        let blocks = self.upper.len() / (1 + self.m);
+        self.upper_at.push(blocks as u32);
+        self.level0.resize(self.level0.len() + 1 + 2 * self.m, 0);
+        self.upper.resize(self.upper.len() + top * (1 + self.m), 0);
+    }
+
+    /// `node`'s neighbours at `level`.
+    pub(crate) fn list(&self, node: u32, level: usize) -> &[u32] {
+        let at = self.at(node, level);
+        let words = self.words(level);
+        &words[at + 1..at + 1 + words[at] as usize]
+    }
+
+    /// Append `id` to `node`'s list at `level`; `false` (and no change)
+    /// when the list is full.
+    pub(crate) fn push(&mut self, node: u32, level: usize, id: u32) -> bool {
+        let (at, cap) = (self.at(node, level), self.cap(level));
+        let words = self.words_mut(level);
+        let len = words[at] as usize;
+        if len == cap {
+            return false;
+        }
+        words[at + 1 + len] = id;
+        words[at] += 1;
+        true
+    }
+
+    /// Replace `node`'s list at `level` with `ids` (at most the cap).
+    fn set(&mut self, node: u32, level: usize, ids: impl Iterator<Item = u32>) {
+        let (at, cap) = (self.at(node, level), self.cap(level));
+        let words = self.words_mut(level);
+        let mut len = 0;
+        for (slot, id) in words[at + 1..at + 1 + cap].iter_mut().zip(ids) {
+            *slot = id;
+            len += 1;
+        }
+        words[at] = len;
+    }
+}
+
+/// Ask the cache to start loading `v`; the beam scores a node's fresh
+/// neighbours only after every one of their rows is in flight.
+#[inline(always)]
+fn prefetch(v: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in v.chunks(16) {
+        // SAFETY: SSE is part of the x86_64 baseline, and a prefetch is a
+        // hint that never faults, whatever the address.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                line.as_ptr().cast(),
+            )
+        };
     }
 }
 
@@ -128,11 +302,13 @@ pub struct HnswIndex {
     pub(crate) keys: Vec<ColumnRef>,
     /// Top level of each node.
     pub(crate) levels: Vec<u8>,
-    /// `links[node][level]` = neighbor node ids (level ≤ `levels[node]`).
-    pub(crate) links: Vec<Vec<Vec<u32>>>,
+    /// Neighbour lists of every node on every level it lives on.
+    pub(crate) links: Adjacency,
     pub(crate) entry: Option<u32>,
     pub(crate) max_level: u8,
     pub(crate) by_key: HashMap<ColumnRef, u32>,
+    /// Working memory of [`Self::insert`].
+    pub(crate) scratch: HnswScratch,
 }
 
 /// Summary form: the full adjacency is megabytes at lake scale and never
@@ -153,15 +329,21 @@ impl std::fmt::Debug for HnswIndex {
 }
 
 impl HnswIndex {
+    /// Largest accepted [`HnswConfig::m`]. Every node reserves `1 + 2m`
+    /// link words on level 0, so this bounds the memory a node costs (and
+    /// what a hostile sidecar's `m` can make a load allocate).
+    pub const MAX_M: usize = 256;
+
     /// Create an empty index over `dim`-wide embeddings of the predictor
     /// artifact whose `content_hash` is `artifact_hash`.
     ///
     /// # Panics
-    /// If `dim == 0`, `config.m < 2` or a beam width is 0 — these are
-    /// build-time configuration bugs, not data errors.
+    /// If `dim == 0`, `config.m` is outside `2..=MAX_M` or a beam width is
+    /// 0 — these are build-time configuration bugs, not data errors.
     pub fn new(dim: usize, artifact_hash: u64, config: HnswConfig) -> Self {
         assert!(dim > 0, "embedding dimension must be positive");
         assert!(config.m >= 2, "HNSW m must be at least 2");
+        assert!(config.m <= Self::MAX_M, "HNSW m must be at most MAX_M");
         assert!(config.ef_construction >= 1, "ef_construction must be >= 1");
         assert!(config.ef_search >= 1, "ef_search must be >= 1");
         HnswIndex {
@@ -172,10 +354,11 @@ impl HnswIndex {
             vectors: Vec::new(),
             keys: Vec::new(),
             levels: Vec::new(),
-            links: Vec::new(),
+            links: Adjacency::new(config.m),
             entry: None,
             max_level: 0,
             by_key: HashMap::new(),
+            scratch: HnswScratch::new(),
         }
     }
 
@@ -238,12 +421,26 @@ impl HnswIndex {
         sato_kernels::squared_l2(query, self.vector(node))
     }
 
-    /// Max links kept per node at `level`.
-    fn cap(&self, level: usize) -> usize {
-        if level == 0 {
-            self.config.m * 2
-        } else {
-            self.config.m
+    /// Set every candidate's distance from `query`, four rows at a time
+    /// (bit-identical to [`Self::dist_to`] per candidate).
+    fn score(&self, query: &[f32], cands: &mut [Cand]) {
+        let mut quads = cands.chunks_exact_mut(4);
+        for q in &mut quads {
+            let d = sato_kernels::squared_l2_x4(
+                query,
+                [
+                    self.vector(q[0].node),
+                    self.vector(q[1].node),
+                    self.vector(q[2].node),
+                    self.vector(q[3].node),
+                ],
+            );
+            for (c, d) in q.iter_mut().zip(d) {
+                c.dist = d;
+            }
+        }
+        for c in quads.into_remainder() {
+            c.dist = self.dist_to(query, c.node);
         }
     }
 
@@ -287,7 +484,7 @@ impl HnswIndex {
         self.vectors.extend_from_slice(vector);
         self.keys.push(key);
         self.levels.push(level as u8);
-        self.links.push(vec![Vec::new(); level + 1]);
+        self.links.push_node(level);
         self.by_key.insert(key, node);
 
         let Some(entry) = self.entry else {
@@ -296,30 +493,37 @@ impl HnswIndex {
             return true;
         };
 
-        let mut visited = Visited::default();
+        // Taken out for the insert so the graph can change while the
+        // buffers are borrowed.
+        let mut scratch = std::mem::take(&mut self.scratch);
         let mut ep = Cand {
             dist: self.dist_to(vector, entry),
             node: entry,
         };
         // Greedy descent through the levels above the new node's.
         for l in ((level + 1)..=(self.max_level as usize)).rev() {
-            ep = self.search_layer(vector, ep, 1, l, &mut visited)[0];
+            ep = self.search_layer(vector, ep, 1, l, &mut scratch);
         }
         // Link on every level the new node lives on.
         for l in (0..=level.min(self.max_level as usize)).rev() {
-            let found = self.search_layer(vector, ep, self.config.ef_construction, l, &mut visited);
+            ep = self.search_layer(vector, ep, self.config.ef_construction, l, &mut scratch);
             // New nodes start with m links on every level; only overflow
             // growth at level 0 may use the roomier 2m cap.
-            let neighbors = self.select_neighbors(&found, self.config.m);
-            for &nb in &neighbors {
-                self.links[nb as usize][l].push(node);
-                if self.links[nb as usize][l].len() > self.cap(l) {
-                    self.shrink_links(nb, l);
-                }
+            let HnswScratch {
+                beam,
+                selected,
+                pruned,
+                ..
+            } = &mut scratch;
+            self.select_neighbors(beam.iter().map(|e| e.cand), self.config.m, selected, pruned);
+            self.links.set(node, l, selected.iter().map(|c| c.node));
+            let linked = selected.len();
+            for i in 0..linked {
+                let nb = self.links.list(node, l)[i];
+                self.link_back(nb, l, node, &mut scratch);
             }
-            ep = found[0];
-            self.links[node as usize][l] = neighbors;
         }
+        self.scratch = scratch;
         if level > self.max_level as usize {
             self.max_level = level as u8;
             self.entry = Some(node);
@@ -327,45 +531,77 @@ impl HnswIndex {
         true
     }
 
-    /// Beam search one layer: returns up to `ef` candidates, ascending by
-    /// `(distance, node)`. `ep` seeds the beam; `visited` is reset here.
+    /// Beam search one layer from `ep`: leaves up to `ef` candidates in
+    /// `scratch.beam`, ascending by `(distance, node)`, and returns the
+    /// nearest.
+    ///
+    /// The beam is one sorted array with an expanded flag per entry; the
+    /// nearest unexpanded entry is expanded next, and the search ends when
+    /// none is left. This is exactly the two-heap formulation: a candidate
+    /// evicted from a full beam is farther than every entry left in it,
+    /// so the heap loop stops the moment it would expand one.
     fn search_layer(
         &self,
         query: &[f32],
         ep: Cand,
         ef: usize,
         level: usize,
-        visited: &mut Visited,
-    ) -> Vec<Cand> {
+        scratch: &mut HnswScratch,
+    ) -> Cand {
+        let HnswScratch {
+            visited,
+            beam,
+            cands,
+            ..
+        } = scratch;
         visited.reset(self.keys.len());
         visited.insert(ep.node);
-        let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        let mut best: BinaryHeap<Cand> = BinaryHeap::new();
-        frontier.push(Reverse(ep));
-        best.push(ep);
-        while let Some(Reverse(c)) = frontier.pop() {
-            let worst = *best.peek().expect("best is never empty");
-            if best.len() >= ef && c > worst {
-                break;
-            }
-            for &nb in &self.links[c.node as usize][level] {
-                if !visited.insert(nb) {
+        beam.clear();
+        beam.push(BeamEntry {
+            cand: ep,
+            expanded: false,
+        });
+        // Every entry before `next` has been expanded.
+        let mut next = 0;
+        while next < beam.len() {
+            beam[next].expanded = true;
+            cands.clear();
+            cands.extend(
+                self.links
+                    .list(beam[next].cand.node, level)
+                    .iter()
+                    .filter(|&&nb| visited.insert(nb))
+                    .map(|&node| {
+                        prefetch(self.vector(node));
+                        Cand { dist: 0.0, node }
+                    }),
+            );
+            self.score(query, cands);
+            let mut lowest = next + 1;
+            for &cand in cands.iter() {
+                let full = beam.len() >= ef;
+                if full && cand >= beam[beam.len() - 1].cand {
                     continue;
                 }
-                let cand = Cand {
-                    dist: self.dist_to(query, nb),
-                    node: nb,
-                };
-                if best.len() < ef || cand < *best.peek().expect("non-empty") {
-                    frontier.push(Reverse(cand));
-                    best.push(cand);
-                    if best.len() > ef {
-                        best.pop();
-                    }
+                let at = beam.partition_point(|e| e.cand < cand);
+                if full {
+                    beam.pop();
                 }
+                beam.insert(
+                    at,
+                    BeamEntry {
+                        cand,
+                        expanded: false,
+                    },
+                );
+                lowest = lowest.min(at);
             }
+            next = beam[lowest..]
+                .iter()
+                .position(|e| !e.expanded)
+                .map_or(beam.len(), |i| lowest + i);
         }
-        best.into_sorted_vec()
+        beam[0].cand
     }
 
     /// The HNSW paper's neighbor-selection heuristic: walk candidates in
@@ -374,11 +610,18 @@ impl HnswIndex {
     /// clusters instead of saturating them inside one, which is what keeps
     /// the graph navigable (and recall high) on clustered embeddings like
     /// per-semantic-type columns. Slots left over are backfilled with the
-    /// nearest pruned candidates so nodes keep their full degree.
-    fn select_neighbors(&self, candidates: &[Cand], m: usize) -> Vec<u32> {
-        let mut selected: Vec<Cand> = Vec::with_capacity(m);
-        let mut pruned: Vec<Cand> = Vec::new();
-        for &c in candidates {
+    /// nearest pruned candidates so nodes keep their full degree. The
+    /// kept candidates end up in `selected`.
+    fn select_neighbors(
+        &self,
+        candidates: impl Iterator<Item = Cand>,
+        m: usize,
+        selected: &mut Vec<Cand>,
+        pruned: &mut Vec<Cand>,
+    ) {
+        selected.clear();
+        pruned.clear();
+        for c in candidates {
             if selected.len() >= m {
                 break;
             }
@@ -392,32 +635,43 @@ impl HnswIndex {
                 pruned.push(c);
             }
         }
-        for &c in &pruned {
-            if selected.len() >= m {
-                break;
-            }
-            selected.push(c);
-        }
-        selected.into_iter().map(|c| c.node).collect()
+        let room = m - selected.len();
+        selected.extend(pruned.iter().take(room));
     }
 
-    /// Re-select `node`'s links at `level` after an overflow, using the
-    /// same diversity heuristic relative to `node`'s own vector.
-    fn shrink_links(&mut self, node: u32, level: usize) {
-        let nv_start = node as usize * self.dim;
-        let mut cands: Vec<Cand> = self.links[node as usize][level]
-            .iter()
-            .map(|&nb| Cand {
-                dist: sato_kernels::squared_l2(
-                    &self.vectors[nv_start..nv_start + self.dim],
-                    self.vector(nb),
-                ),
-                node: nb,
-            })
-            .collect();
+    /// Add the link `node → new` at `level`. A full list is re-selected
+    /// from its links plus `new`, with the same diversity heuristic
+    /// relative to `node`'s own vector.
+    fn link_back(&mut self, node: u32, level: usize, new: u32, scratch: &mut HnswScratch) {
+        if self.links.push(node, level, new) {
+            return;
+        }
+        let HnswScratch {
+            cands,
+            selected,
+            pruned,
+            ..
+        } = scratch;
+        cands.clear();
+        cands.extend(
+            self.links
+                .list(node, level)
+                .iter()
+                .chain([&new])
+                .map(|&node| {
+                    prefetch(self.vector(node));
+                    Cand { dist: 0.0, node }
+                }),
+        );
+        self.score(self.vector(node), cands);
         cands.sort_unstable();
-        let kept = self.select_neighbors(&cands, self.cap(level));
-        self.links[node as usize][level] = kept;
+        self.select_neighbors(
+            cands.iter().copied(),
+            self.links.cap(level),
+            selected,
+            pruned,
+        );
+        self.links.set(node, level, selected.iter().map(|c| c.node));
     }
 
     /// Approximate k-nearest-neighbor search with the configured
@@ -433,34 +687,47 @@ impl HnswIndex {
     /// [`Self::search_knn`] with an explicit beam width — the
     /// recall-vs-latency knob, per query.
     pub fn search_knn_with_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<Neighbor> {
+        let mut scratch = HnswScratch::new();
+        self.search_knn_with(query, k, ef, &mut scratch);
+        scratch.results
+    }
+
+    /// [`Self::search_knn_with_ef`] in caller-owned working memory: the
+    /// answer borrows `scratch`, and a warm scratch makes the search
+    /// allocation-free. Answers are identical to the allocating forms.
+    ///
+    /// # Panics
+    /// If `query.len() != self.dim()`.
+    pub fn search_knn_with<'s>(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        scratch: &'s mut HnswScratch,
+    ) -> &'s [Neighbor] {
         assert_eq!(
             query.len(),
             self.dim,
             "query width does not match the index"
         );
-        let Some(entry) = self.entry else {
-            return Vec::new();
+        scratch.results.clear();
+        let Some(entry) = self.entry.filter(|_| k > 0) else {
+            return &scratch.results;
         };
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut visited = Visited::default();
         let mut ep = Cand {
             dist: self.dist_to(query, entry),
             node: entry,
         };
         for l in (1..=(self.max_level as usize)).rev() {
-            ep = self.search_layer(query, ep, 1, l, &mut visited)[0];
+            ep = self.search_layer(query, ep, 1, l, scratch);
         }
-        let found = self.search_layer(query, ep, ef.max(k).max(1), 0, &mut visited);
-        found
-            .into_iter()
-            .take(k)
-            .map(|c| Neighbor {
-                key: self.keys[c.node as usize],
-                distance: c.dist,
-            })
-            .collect()
+        self.search_layer(query, ep, ef.max(k), 0, scratch);
+        let HnswScratch { beam, results, .. } = scratch;
+        results.extend(beam.iter().take(k).map(|e| Neighbor {
+            key: self.keys[e.cand.node as usize],
+            distance: e.cand.dist,
+        }));
+        results
     }
 
     /// Exact k-nearest-neighbor search by brute-force scan — the recall
@@ -613,6 +880,132 @@ mod tests {
         );
         let q = &vectors[17];
         assert_eq!(other.search_knn(q, 1)[0].key, key(17));
+    }
+
+    /// Tight clusters around a few random centres: many near-ties, the
+    /// shape of per-semantic-type column embeddings.
+    fn clustered_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+        let centres = test_vectors(6, dim, seed ^ 0xc1);
+        test_vectors(n, dim, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, noise)| {
+                let c = &centres[i % centres.len()];
+                c.iter()
+                    .zip(&noise)
+                    .map(|(c, e)| 4.0 * c + 0.05 * e)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the `(table, column, distance bits)` of every answer.
+    fn answers_digest(index: &HnswIndex, queries: &[Vec<f32>]) -> u64 {
+        let mut bytes = Vec::new();
+        for q in queries {
+            for ef in [1, 16, 64] {
+                for hit in index.search_knn_with_ef(q, 10, ef) {
+                    bytes.extend_from_slice(&hit.key.table_id.to_le_bytes());
+                    bytes.extend_from_slice(&hit.key.col_idx.to_le_bytes());
+                    bytes.extend_from_slice(&hit.distance.to_bits().to_le_bytes());
+                }
+            }
+        }
+        sato_kernels::fnv1a64(&bytes)
+    }
+
+    /// Graph bytes and search answers of fixed builds, pinned as digests
+    /// measured on the reference implementation. Any change to the
+    /// traversal, the neighbour selection, the shrink order or the
+    /// adjacency layout that alters a single link or answer shows here;
+    /// the determinism tests elsewhere only compare two builds of the
+    /// same code. The small-`m` configurations overflow and shrink every
+    /// level; the last case saves and reloads half-way through the build.
+    #[test]
+    fn built_graphs_are_pinned() {
+        let small = |m, ef_construction| HnswConfig {
+            m,
+            ef_construction,
+            ef_search: 8,
+            seed: 0x9e11 + m as u64,
+        };
+        let configs = [
+            ("default", HnswConfig::default()),
+            ("m2", small(2, 3)),
+            ("m3", small(3, 5)),
+            ("m4", small(4, 8)),
+        ];
+        let mut got = Vec::new();
+        for dim in [5, 48, 128] {
+            for (cloud, vectors) in [
+                ("random", test_vectors(260, dim, 41 + dim as u64)),
+                ("clustered", clustered_vectors(260, dim, 43 + dim as u64)),
+            ] {
+                let queries = test_vectors(12, dim, 7 + dim as u64);
+                for (name, config) in configs {
+                    let index = build(&vectors, config);
+                    got.push((
+                        format!("{cloud}/{dim}/{name}"),
+                        sato_kernels::fnv1a64(&index.to_bytes()),
+                        answers_digest(&index, &queries),
+                    ));
+                }
+            }
+        }
+        let vectors = clustered_vectors(300, 48, 5);
+        let config = small(3, 6);
+        let mut index = build(&vectors[..150], config);
+        index = HnswIndex::from_bytes(&index.to_bytes()).unwrap();
+        for (i, v) in vectors.iter().enumerate().skip(150) {
+            assert!(index.insert(key(i), v));
+        }
+        got.push((
+            "resumed/48/m3".to_string(),
+            sato_kernels::fnv1a64(&index.to_bytes()),
+            answers_digest(&index, &test_vectors(12, 48, 8)),
+        ));
+
+        let want: &[(&str, u64, u64)] = &[
+            ("random/5/default", 0x1ba1e4874db18079, 0xa19be37dbfdc7d9c),
+            ("random/5/m2", 0xb6c9f8147a4f9291, 0xc4d186ca4b035252),
+            ("random/5/m3", 0x2ae7ffb448db6330, 0xb55f9b10371d5cef),
+            ("random/5/m4", 0x11905c0137b061d3, 0x7f5d707d018a30df),
+            (
+                "clustered/5/default",
+                0x8016ace13082a395,
+                0x1709679777beead9,
+            ),
+            ("clustered/5/m2", 0x79d0e7bd19c25878, 0xb46e1c1928a2cae3),
+            ("clustered/5/m3", 0xda09f256afd49a9d, 0xeabe54444ea09063),
+            ("clustered/5/m4", 0xae8bd651796cb053, 0xb20d8823df1356f9),
+            ("random/48/default", 0x3e1ebc901058cedc, 0x3e6510b8ac9753c9),
+            ("random/48/m2", 0x45b880f024eb5958, 0x8e25838453ef9908),
+            ("random/48/m3", 0x43dd76fa62c9eed4, 0xc1e77a4be9085bfe),
+            ("random/48/m4", 0xf892cad963291466, 0x180768427d3f32c2),
+            (
+                "clustered/48/default",
+                0x39ac936bc054d2c8,
+                0x70173405123752b7,
+            ),
+            ("clustered/48/m2", 0xabda4ba1dfb09fa7, 0x3fc5e13cc211fd0d),
+            ("clustered/48/m3", 0x8675e5c6c9fda6f8, 0x95db2e13eb83f33a),
+            ("clustered/48/m4", 0x3837e06c816c43e6, 0x5e91641545039f2e),
+            ("random/128/default", 0x9e5513814617c3ff, 0xcfc30cdac406cbaf),
+            ("random/128/m2", 0x7118cbc5246293cf, 0x8da124dd023a9a3b),
+            ("random/128/m3", 0x00c60bf557f21ff3, 0x8c49b25e0d324223),
+            ("random/128/m4", 0xb0e07af6e9c4dfe0, 0x08a53458fd871aab),
+            (
+                "clustered/128/default",
+                0x0d32bac6dba39cba,
+                0xe20d2ed52fd289e2,
+            ),
+            ("clustered/128/m2", 0x39a75b73720bf3a5, 0xe650bc5c3f42a8fa),
+            ("clustered/128/m3", 0x55b446bbde22b5c3, 0xe7a63a2826cedf30),
+            ("clustered/128/m4", 0x884038258124f33e, 0xa08212491e6f7c0b),
+            ("resumed/48/m3", 0x4359bff8c27ea2d7, 0x44ae2893f8dfb01f),
+        ];
+        let got: Vec<(&str, u64, u64)> = got.iter().map(|(n, g, a)| (n.as_str(), *g, *a)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod format;
 mod hnsw;
 
 pub use format::{INDEX_MAGIC, INDEX_VERSION};
-pub use hnsw::{ColumnRef, HnswConfig, HnswIndex, Neighbor};
+pub use hnsw::{ColumnRef, HnswConfig, HnswIndex, HnswScratch, Neighbor};
 
 /// Typed errors for the `SATOIDX1` sidecar codec — never panics on
 /// attacker-shaped bytes; every structural defect maps to a variant.

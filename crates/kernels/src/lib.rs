@@ -24,6 +24,7 @@
 //! | [`axpy`], [`add_assign`], [`scale`] | bit-identical |
 //! | [`dot`] | ULP-bounded (reassociated partial sums) |
 //! | [`squared_l2`] | ULP-bounded (reassociated partial sums) |
+//! | [`squared_l2_x4`] | bit-identical to [`squared_l2`] per lane |
 //! | [`lut_histogram`] | exact (integer counts) |
 //!
 //! ¹ for NaN-free inputs; max reductions are reassociated, which is exact
@@ -44,7 +45,7 @@ pub mod reduce;
 
 pub use fnv::{fnv1a64, fnv1a64_seeded, Fnv1a};
 pub use hist::{lut_histogram, HIST_SKIP};
-pub use linalg::{add_assign, axpy, dot, scale, squared_l2};
+pub use linalg::{add_assign, axpy, dot, scale, squared_l2, squared_l2_x4};
 pub use reduce::{
     exp_sum_update, log_sum_exp, log_sum_exp3, lse_finish, max_add_update, max_argmax,
     relax_max_argmax,
