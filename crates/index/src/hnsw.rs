@@ -165,13 +165,19 @@ impl HnswScratch {
     }
 }
 
+/// Nodes per level-0 page. Pages never move, so growing the graph never
+/// copies the adjacency, and a dropped index frees same-sized blocks that
+/// the next one reuses.
+const PAGE_NODES: usize = 256;
+
 /// Fixed-stride adjacency. A list is a count followed by `cap` id slots:
-/// `1 + 2m` words per node on level 0, and one `1 + m` block per node and
-/// level above 0, the node's blocks consecutive from `upper_at[node]`.
+/// `1 + 2m` words per node on level 0 (in pages of [`PAGE_NODES`] nodes),
+/// and one `1 + m` block per node and level above 0, the node's blocks
+/// consecutive from `upper_at[node]`.
 #[derive(Debug)]
 pub(crate) struct Adjacency {
     m: usize,
-    level0: Vec<u32>,
+    level0: Vec<Box<[u32]>>,
     upper: Vec<u32>,
     /// First upper block of each node (unused for level-0 nodes).
     upper_at: Vec<u32>,
@@ -196,51 +202,52 @@ impl Adjacency {
         }
     }
 
-    /// Word offset of `node`'s list at `level` (its count slot).
-    fn at(&self, node: u32, level: usize) -> usize {
+    /// The words holding `node`'s list at `level`, and the offset of its
+    /// count slot in them.
+    fn slot(&self, node: u32, level: usize) -> (&[u32], usize) {
+        let node = node as usize;
         if level == 0 {
-            node as usize * (1 + 2 * self.m)
+            let page = &self.level0[node / PAGE_NODES];
+            (page, node % PAGE_NODES * (1 + 2 * self.m))
         } else {
-            (self.upper_at[node as usize] as usize + level - 1) * (1 + self.m)
+            let block = self.upper_at[node] as usize + level - 1;
+            (&self.upper, block * (1 + self.m))
         }
     }
 
-    fn words(&self, level: usize) -> &[u32] {
+    fn slot_mut(&mut self, node: u32, level: usize) -> (&mut [u32], usize) {
+        let node = node as usize;
         if level == 0 {
-            &self.level0
+            let page = &mut self.level0[node / PAGE_NODES];
+            (page, node % PAGE_NODES * (1 + 2 * self.m))
         } else {
-            &self.upper
-        }
-    }
-
-    fn words_mut(&mut self, level: usize) -> &mut [u32] {
-        if level == 0 {
-            &mut self.level0
-        } else {
-            &mut self.upper
+            let block = self.upper_at[node] as usize + level - 1;
+            (&mut self.upper, block * (1 + self.m))
         }
     }
 
     /// Append a node living on levels `0..=top`, with empty lists.
     pub(crate) fn push_node(&mut self, top: usize) {
+        if self.upper_at.len().is_multiple_of(PAGE_NODES) {
+            let words = PAGE_NODES * (1 + 2 * self.m);
+            self.level0.push(vec![0; words].into_boxed_slice());
+        }
         let blocks = self.upper.len() / (1 + self.m);
         self.upper_at.push(blocks as u32);
-        self.level0.resize(self.level0.len() + 1 + 2 * self.m, 0);
         self.upper.resize(self.upper.len() + top * (1 + self.m), 0);
     }
 
     /// `node`'s neighbours at `level`.
     pub(crate) fn list(&self, node: u32, level: usize) -> &[u32] {
-        let at = self.at(node, level);
-        let words = self.words(level);
+        let (words, at) = self.slot(node, level);
         &words[at + 1..at + 1 + words[at] as usize]
     }
 
     /// Append `id` to `node`'s list at `level`; `false` (and no change)
     /// when the list is full.
     pub(crate) fn push(&mut self, node: u32, level: usize, id: u32) -> bool {
-        let (at, cap) = (self.at(node, level), self.cap(level));
-        let words = self.words_mut(level);
+        let cap = self.cap(level);
+        let (words, at) = self.slot_mut(node, level);
         let len = words[at] as usize;
         if len == cap {
             return false;
@@ -252,8 +259,8 @@ impl Adjacency {
 
     /// Replace `node`'s list at `level` with `ids` (at most the cap).
     fn set(&mut self, node: u32, level: usize, ids: impl Iterator<Item = u32>) {
-        let (at, cap) = (self.at(node, level), self.cap(level));
-        let words = self.words_mut(level);
+        let cap = self.cap(level);
+        let (words, at) = self.slot_mut(node, level);
         let mut len = 0;
         for (slot, id) in words[at + 1..at + 1 + cap].iter_mut().zip(ids) {
             *slot = id;
