@@ -233,7 +233,8 @@ impl Adjacency {
             self.level0.push(vec![0; words].into_boxed_slice());
         }
         let blocks = self.upper.len() / (1 + self.m);
-        self.upper_at.push(blocks as u32);
+        self.upper_at
+            .push(u32::try_from(blocks).expect("upper-level blocks are counted in u32"));
         self.upper.resize(self.upper.len() + top * (1 + self.m), 0);
     }
 

@@ -115,6 +115,7 @@ pub fn squared_l2_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    assert!(x.len().is_multiple_of(4) && ys.iter().all(|y| y.len() == x.len()));
     use std::arch::x86_64::{
         _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_sub_ps,
     };
@@ -138,10 +139,13 @@ fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
     out
 }
 
-/// Portable form of the x86_64 `chunk_sums_x4`.
 #[cfg(not(target_arch = "x86_64"))]
+use portable_chunk_sums_x4 as chunk_sums_x4;
+
+/// Portable form of the x86_64 `chunk_sums_x4` (tested against it there).
+#[cfg(any(not(target_arch = "x86_64"), test))]
 #[inline]
-fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
+fn portable_chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
     let mut acc = [[0.0f32; 4]; 4];
     for (i, a) in x.chunks_exact(4).enumerate() {
         for (acc, y) in acc.iter_mut().zip(ys) {
@@ -255,6 +259,13 @@ mod tests {
                     "len {len} lane {r}"
                 );
             }
+            let body = len / 4 * 4;
+            let (xb, yb) = (&x[..body], rows.map(|y| &y[..body]));
+            assert_eq!(
+                chunk_sums_x4(xb, yb).map(|lane| lane.map(f32::to_bits)),
+                portable_chunk_sums_x4(xb, yb).map(|lane| lane.map(f32::to_bits)),
+                "len {len}"
+            );
         }
     }
 
