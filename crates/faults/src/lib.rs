@@ -229,7 +229,7 @@ pub fn fire(site: &str, key: u64) -> bool {
         let fires = match plan.trigger {
             Trigger::Always => true,
             Trigger::Nth(n) => state.matched == n,
-            Trigger::EveryNth(n) => n > 0 && state.matched.is_multiple_of(n),
+            Trigger::EveryNth(n) => n > 0 && state.matched % n == 0,
             Trigger::Times(n) => state.matched <= n,
         };
         if !fires {

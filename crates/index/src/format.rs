@@ -601,16 +601,22 @@ mod tests {
                 link.extend_from_slice(&nb.to_le_bytes());
             }
         }
-        let sections: Vec<_> = sections
+        with_section(bytes, SEC_LINK, link)
+    }
+
+    /// Re-frame `bytes` with section `id`'s payload replaced by `payload`.
+    fn with_section(bytes: &[u8], id: [u8; 4], payload: Vec<u8>) -> Vec<u8> {
+        let sections: Vec<_> = Sections::parse(bytes)
+            .unwrap()
             .entries
             .iter()
-            .map(|&(id, payload)| {
-                let payload = if id == SEC_LINK {
-                    link.clone()
+            .map(|&(sid, old)| {
+                let new = if sid == id {
+                    payload.clone()
                 } else {
-                    payload.to_vec()
+                    old.to_vec()
                 };
-                (id, payload)
+                (sid, new)
             })
             .collect();
         assemble(&sections)
@@ -676,6 +682,22 @@ mod tests {
         let bytes = sample_index().to_bytes();
         let hostile = with_links(&bytes, |links| links[5][0][1] = links[5][0][0]);
         assert_corrupt(&hostile, "a list naming one neighbour twice");
+    }
+
+    #[test]
+    fn m_above_the_cap_is_rejected() {
+        // `m` is the second word of META. At MAX_M the sample graph still
+        // fits every list; one more is refused before any link is read.
+        let bytes = sample_index().to_bytes();
+        let meta = Sections::parse(&bytes).unwrap().require(SEC_META).unwrap();
+        let with_m = |m: usize| {
+            let mut meta = meta.to_vec();
+            meta[4..8].copy_from_slice(&(m as u32).to_le_bytes());
+            with_section(&bytes, SEC_META, meta)
+        };
+        let at_cap = HnswIndex::from_bytes(&with_m(HnswIndex::MAX_M)).unwrap();
+        assert_eq!(at_cap.config().m, HnswIndex::MAX_M);
+        assert_corrupt(&with_m(HnswIndex::MAX_M + 1), "m = MAX_M + 1");
     }
 
     #[test]

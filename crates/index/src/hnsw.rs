@@ -228,7 +228,7 @@ impl Adjacency {
 
     /// Append a node living on levels `0..=top`, with empty lists.
     pub(crate) fn push_node(&mut self, top: usize) {
-        if self.upper_at.len().is_multiple_of(PAGE_NODES) {
+        if self.upper_at.len() % PAGE_NODES == 0 {
             let words = PAGE_NODES * (1 + 2 * self.m);
             self.level0.push(vec![0; words].into_boxed_slice());
         }
@@ -337,10 +337,16 @@ impl std::fmt::Debug for HnswIndex {
 }
 
 impl HnswIndex {
-    /// Largest accepted [`HnswConfig::m`]. Every node reserves `1 + 2m`
-    /// link words on level 0, so this bounds the memory a node costs (and
-    /// what a hostile sidecar's `m` can make a load allocate).
-    pub const MAX_M: usize = 256;
+    /// Largest accepted [`HnswConfig::m`], four times the default. Every
+    /// node reserves `1 + 2m` link words on level 0 and `1 + m` on each
+    /// level above, so this bounds the memory a node costs. It also bounds
+    /// the link memory a frame-valid sidecar can make [`Self::from_bytes`]
+    /// fill: each node takes at least 21 file bytes (key, level, one
+    /// float, one list length) for 516 bytes of level-0 list, and each
+    /// upper level 4 file bytes for 260, so at most 65 times the file size
+    /// plus one page of 256 level-0 lists (132 KB). The upper-level
+    /// array grows by doubling, so its capacity may be up to twice that.
+    pub const MAX_M: usize = 64;
 
     /// Create an empty index over `dim`-wide embeddings of the predictor
     /// artifact whose `content_hash` is `artifact_hash`.

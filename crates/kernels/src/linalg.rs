@@ -115,7 +115,7 @@ pub fn squared_l2_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
-    assert!(x.len().is_multiple_of(4) && ys.iter().all(|y| y.len() == x.len()));
+    assert!(x.len() % 4 == 0 && ys.iter().all(|y| y.len() == x.len()));
     use std::arch::x86_64::{
         _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_sub_ps,
     };
