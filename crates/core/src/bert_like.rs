@@ -275,6 +275,32 @@ mod tests {
         assert!(correct as f32 / total as f32 > 0.2);
     }
 
+    /// Training and prediction are deterministic down to the bit: FNV-1a
+    /// digests of the per-epoch losses and of the probabilities over a
+    /// held-out corpus. A change to the layers, the loss or the optimiser
+    /// that moves any bit shows up here.
+    #[test]
+    fn trained_model_is_pinned() {
+        let config = BertLikeConfig {
+            epochs: 6,
+            ..BertLikeConfig::fast()
+        };
+        let mut model = BertLikeModel::new(config);
+        model.fit(&default_corpus(40, 21));
+        let mut loss = sato_kernels::Fnv1a::new();
+        for l in model.loss_history() {
+            loss.write(&l.to_bits().to_le_bytes());
+        }
+        let mut proba = sato_kernels::Fnv1a::new();
+        for table in default_corpus(12, 22).iter() {
+            for p in model.predict_proba(table).iter().flatten() {
+                proba.write(&p.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(loss.finish(), 0xde4f6bcfeb18e9d5, "loss history");
+        assert_eq!(proba.finish(), 0xc3517053741c8136, "held-out probabilities");
+    }
+
     #[test]
     fn probabilities_are_normalised() {
         let corpus = default_corpus(30, 9);
