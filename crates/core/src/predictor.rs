@@ -840,6 +840,17 @@ mod tests {
             SatoPredictor::from_json(&json),
             Err(PredictorError::Inconsistent(_))
         ));
+        // A tensor whose data length disagrees with its own shape must fail
+        // to decode, not index out of bounds at predict time.
+        let json = predictor.to_json();
+        let net = json.find("\"net\":").unwrap();
+        let data = net + json[net..].find("\"data\":[").unwrap() + "\"data\":".len();
+        let end = data + json[data..].find(']').unwrap() + 1;
+        let json = format!("{}[0.5]{}", &json[..data], &json[end..]);
+        assert!(matches!(
+            SatoPredictor::from_json(&json),
+            Err(PredictorError::Json(_))
+        ));
     }
 
     /// A JSON vocabulary persists only its token list, and loading rebuilds
