@@ -20,9 +20,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sato_features::hashing::{hash_token, l2_normalize};
-use sato_nn::layers::{Dense, Dropout, Layer, ReLU};
-use sato_nn::loss::{softmax, softmax_cross_entropy};
-use sato_nn::network::Sequential;
+use sato_nn::layers::{Dense, Dropout, ReLU};
+use sato_nn::loss::{softmax_cross_entropy, softmax_in_place};
+use sato_nn::network::{InferScratch, Sequential};
 use sato_nn::optim::Adam;
 use sato_nn::Matrix;
 use sato_tabular::table::{Column, Corpus, Table};
@@ -199,7 +199,7 @@ impl ColumnwiseTrainer for BertLikeModel {
             for chunk in indices.chunks(self.config.batch_size) {
                 let x = data.select_rows(chunk);
                 let y: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                let logits = net.forward(&x, true);
+                let logits = net.forward(&x);
                 let out = softmax_cross_entropy(&logits, &y);
                 net.backward_params(&out.grad_logits);
                 adam.step(&mut net.params_mut());
@@ -229,8 +229,10 @@ impl ColumnwiseInference for BertLikeModel {
             self.config.encoding_dim,
             rows.into_iter().flatten().collect(),
         );
-        let probs = softmax(&net.infer(&x));
-        (0..probs.rows()).map(|r| probs.row(r).to_vec()).collect()
+        let mut probs = Matrix::default();
+        net.infer_with(&x, &mut InferScratch::new(), &mut probs);
+        softmax_in_place(&mut probs);
+        crate::columnwise::matrix_rows(&probs)
     }
 }
 

@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use sato_features::{FeatureExtractor, FeatureGroup, FeatureScratch};
 use sato_nn::layers::{BatchNorm, Dense, Dropout, Layer, ReLU};
 use sato_nn::loss::{softmax_cross_entropy, softmax_in_place};
-use sato_nn::network::{InferScratch, MultiInferScratch, MultiInputNetwork, Sequential};
+use sato_nn::network::{MultiInferScratch, MultiInputNetwork, Sequential};
 use sato_nn::optim::Adam;
 use sato_nn::serialize::{LoadError, StateDict};
 use sato_nn::Matrix;
@@ -93,10 +93,7 @@ pub trait ColumnwiseTrainer {
 /// Shared by training (fresh random weights that are then fitted) and by
 /// predictor deserialization (fresh weights immediately overwritten by a
 /// state dict), so both paths agree on the architecture.
-pub(crate) fn build_network(
-    config: &SatoConfig,
-    widths: &[usize],
-) -> (MultiInputNetwork, Sequential) {
+pub(crate) fn build_network(config: &SatoConfig, widths: &[usize]) -> (MultiInputNetwork, Dense) {
     let cfg = &config.network;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut branches = Vec::new();
@@ -135,7 +132,7 @@ pub(crate) fn build_network(
             cfg.dropout,
             StdRng::seed_from_u64(config.seed ^ 0x200),
         ));
-    let head = Sequential::new().push(Dense::new(cfg.hidden_dim, NUM_TYPES, &mut rng));
+    let head = Dense::new(cfg.hidden_dim, NUM_TYPES, &mut rng);
     (MultiInputNetwork::new(branches, trunk), head)
 }
 
@@ -270,8 +267,8 @@ impl ColumnwiseModel {
             let mut batches = 0usize;
             for batch_idx in indices.chunks(cfg.batch_size) {
                 let (groups, labels) = data.batch(batch_idx);
-                let embedding = net.forward(&groups, true);
-                let logits = head.forward(&embedding, true);
+                let embedding = net.forward(&groups);
+                let logits = head.forward(&embedding);
                 let out = softmax_cross_entropy(&logits, &labels);
                 let grad_embed = head.backward(&out.grad_logits);
                 net.backward(&grad_embed);
@@ -302,30 +299,6 @@ impl ColumnwiseInference for ColumnwiseModel {
     fn predict_proba(&self, table: &Table) -> Vec<Vec<f32>> {
         self.trained().predict_proba(table)
     }
-}
-
-/// Evaluation-mode forward pass over one table's pre-extracted inputs: the
-/// allocating per-table path behind [`FrozenColumnwise`]'s oracle methods,
-/// kept independent of the batched engine so it can check it. Returns the
-/// column embeddings, or the probability rows when `head` is given.
-fn infer_rows(
-    net: &MultiInputNetwork,
-    head: Option<&Sequential>,
-    scalers: &[Standardizer],
-    use_topic: bool,
-    inputs: &TableInputs,
-) -> Vec<Vec<f32>> {
-    if inputs.columns.is_empty() {
-        return Vec::new();
-    }
-    let mut groups = inputs.to_matrices(use_topic);
-    Standardizer::transform_groups_in_place(scalers, &mut groups);
-    let mut out = net.infer(&groups);
-    if let Some(head) = head {
-        out = head.infer(&out);
-        softmax_in_place(&mut out);
-    }
-    matrix_rows(&out)
 }
 
 /// One `Vec` per row of a matrix.
@@ -412,7 +385,6 @@ pub struct ServingScratch {
     /// [`Self::with_topic_memo`]).
     topic_memo: Option<TopicMemo>,
     net: MultiInferScratch,
-    head: InferScratch,
     /// Per-group network input rows of the last batch (see
     /// [`fill_batch_groups`]).
     pub(crate) groups: Vec<Matrix>,
@@ -507,7 +479,7 @@ pub struct FrozenColumnwise {
     extractor: FeatureExtractor,
     intent: Option<TableIntentEstimator>,
     net: MultiInputNetwork,
-    head: Sequential,
+    head: Dense,
     scalers: Vec<Standardizer>,
     group_widths: Vec<usize>,
     /// The configured topic-sampler axis (serialized into artifacts).
@@ -580,19 +552,27 @@ impl FrozenColumnwise {
     /// per-column probability rows (the per-table oracle; serving runs the
     /// batched engine instead).
     pub fn predict_proba_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
-        infer_rows(
-            &self.net,
-            Some(&self.head),
-            &self.scalers,
-            self.use_topic,
-            inputs,
-        )
+        self.infer_rows(inputs, true)
     }
 
     /// The column embeddings of pre-extracted inputs: the per-table oracle
     /// counterpart of [`Self::predict_proba_from_inputs`].
     pub fn column_embeddings_from_inputs(&self, inputs: &TableInputs) -> Vec<Vec<f32>> {
-        infer_rows(&self.net, None, &self.scalers, self.use_topic, inputs)
+        self.infer_rows(inputs, false)
+    }
+
+    /// Evaluation-mode forward pass over one table's pre-extracted inputs:
+    /// the allocating per-table path behind the oracle methods above. Its
+    /// input path (`TableInputs::to_matrices`, then standardisation) is
+    /// independent of the batched engine's fill stage, so it can check it.
+    /// Returns the column embeddings, or the probability rows with `head`.
+    fn infer_rows(&self, inputs: &TableInputs, head: bool) -> Vec<Vec<f32>> {
+        if inputs.columns.is_empty() {
+            return Vec::new();
+        }
+        let mut groups = inputs.to_matrices(self.use_topic);
+        Standardizer::transform_groups_in_place(&self.scalers, &mut groups);
+        matrix_rows(&self.infer_standardized(&groups, head))
     }
 
     /// The batched inference engine: run the column-wise network over
@@ -634,17 +614,24 @@ impl FrozenColumnwise {
         self.net
             .infer_with(&scratch.groups, &mut scratch.net, &mut scratch.embedding);
         if head {
-            self.head
-                .infer_with(&scratch.embedding, &mut scratch.head, &mut scratch.probs);
+            self.head.infer_into(&scratch.embedding, &mut scratch.probs);
             softmax_in_place(&mut scratch.probs);
         }
     }
 
-    /// Probability rows of already standardised network inputs: rows are
-    /// independent, so each equals the row [`Self::run_batch`] gives the
-    /// same column.
-    pub(crate) fn proba_of_standardized(&self, groups: &[Matrix]) -> Matrix {
-        let mut probs = self.head.infer(&self.net.infer(groups));
+    /// The net → head → softmax pass over already standardised network
+    /// inputs, through fresh buffers: the column embeddings, or the
+    /// probability rows with `head`. Rows are independent, so each equals
+    /// the row [`Self::run_batch`] gives the same column.
+    pub(crate) fn infer_standardized(&self, groups: &[Matrix], head: bool) -> Matrix {
+        let mut embedding = Matrix::default();
+        self.net
+            .infer_with(groups, &mut MultiInferScratch::new(), &mut embedding);
+        if !head {
+            return embedding;
+        }
+        let mut probs = Matrix::default();
+        self.head.infer_into(&embedding, &mut probs);
         softmax_in_place(&mut probs);
         probs
     }
@@ -670,9 +657,10 @@ impl FrozenColumnwise {
         self.net.state_dict()
     }
 
-    /// State dict of the classification head (for serialization).
+    /// State dict of the classification head (for serialization): its
+    /// `[W, b]` tensors and no buffers.
     pub(crate) fn head_state(&self) -> StateDict {
-        self.head.state_dict()
+        StateDict::capture(&[&self.head])
     }
 
     /// Scalers fitted on the training data (for serialization).
@@ -699,7 +687,7 @@ impl FrozenColumnwise {
     ) -> Result<Self, LoadError> {
         let (mut net, mut head) = build_network(config, &group_widths);
         net.load_state_dict(net_state)?;
-        head.load_state_dict(head_state)?;
+        head_state.load_into(&mut [&mut head])?;
         Ok(FrozenColumnwise {
             use_topic,
             extractor: FeatureExtractor::new(config.features.clone()),

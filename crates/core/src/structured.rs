@@ -75,7 +75,7 @@ impl StructuredLayer {
             assert_ne!(start, usize::MAX, "table {t} has no training rows");
             let rows: Vec<usize> = (start..start + table.num_columns()).collect();
             let groups: Vec<Matrix> = data.groups.iter().map(|g| g.select_rows(&rows)).collect();
-            let proba = trained.proba_of_standardized(&groups);
+            let proba = trained.infer_standardized(&groups, true);
             (0..proba.rows())
                 .map(|r| unary_from_proba(proba.row(r)))
                 .collect()

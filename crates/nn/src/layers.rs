@@ -3,24 +3,23 @@
 //! network ("two fully-connected layers (ReLU activation) with BatchNorm and
 //! Dropout layers ... before the output layer", Section 3.1).
 //!
-//! Every layer implements [`Layer`] twice over: the *training* surface
-//! (`forward` caches whatever it needs for the corresponding `backward`
-//! call, and trainable layers expose their parameters through
-//! [`Layer::params_mut`] so an optimiser can update them) and the
-//! *inference* surface ([`Layer::infer`]), an immutable evaluation-mode
-//! forward pass that caches nothing, treats dropout as the identity and
-//! normalises with running batch statistics — so a trained network can be
-//! shared across threads (`Layer: Send + Sync`).
+//! A [`Layer`] has one training forward and one evaluation forward.
+//! [`Layer::forward`] always trains: it draws dropout masks, normalises
+//! with batch statistics and caches whatever the matching `backward` needs;
+//! trainable layers expose their parameters through [`Layer::params_mut`]
+//! so an optimiser can update them. [`Layer::infer_into`] is the immutable
+//! evaluation forward: it caches nothing, treats dropout as the identity and
+//! normalises with running statistics, so a trained network can be shared
+//! across threads (`Layer: Send + Sync`).
 
 use crate::init::he_uniform;
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: its current value and the gradient accumulated by
 /// the latest backward pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Current parameter values.
     pub value: Matrix,
@@ -44,31 +43,23 @@ impl Param {
 /// A differentiable network layer.
 ///
 /// `Send + Sync` is part of the contract: a trained layer must be shareable
-/// across threads through `&self`, which is what [`Layer::infer`] (and the
-/// frozen predictors built on it) rely on.
+/// across threads through `&self`, which is what [`Layer::infer_into`] (and
+/// the frozen predictors built on it) rely on.
 pub trait Layer: Send + Sync {
-    /// Run the layer forward. `training` toggles train-time behaviour
-    /// (dropout masks, batch statistics).
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix;
+    /// Training forward pass: dropout masks, batch statistics, and the
+    /// activations the next [`Layer::backward`] reads are cached.
+    fn forward(&mut self, input: &Matrix) -> Matrix;
 
-    /// Immutable evaluation-mode forward pass: no activation caching, no RNG
-    /// state, dropout as the identity, batch normalisation with running
-    /// statistics. Produces exactly the same output as
-    /// `forward(input, false)` but never mutates the layer, so it can be
-    /// called concurrently on a shared reference.
-    fn infer(&self, input: &Matrix) -> Matrix;
-
-    /// Evaluation-mode forward pass into a caller-provided output buffer:
-    /// bit-identical to [`Layer::infer`], but `out` is resized in place, so
-    /// a warm buffer makes the call allocation-free. This is the building
-    /// block of the ping-pong scratch path used by
+    /// Immutable evaluation forward pass into a caller-provided output
+    /// buffer: no activation caching, no RNG state, dropout as the
+    /// identity, batch normalisation with running statistics. `out` is
+    /// resized in place, so a warm buffer makes the call allocation-free;
+    /// this is the building block of the ping-pong scratch path of
     /// [`Sequential::infer_with`](crate::network::Sequential::infer_with).
     ///
     /// `input` and `out` must be distinct buffers (guaranteed by the
     /// `&`/`&mut` signature).
-    fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
-        *out = self.infer(input);
-    }
+    fn infer_into(&self, input: &Matrix, out: &mut Matrix);
 
     /// Whether the evaluation-mode forward pass is the identity function
     /// (e.g. inverted dropout). The ping-pong scratch path skips such layers
@@ -78,7 +69,7 @@ pub trait Layer: Send + Sync {
     }
 
     /// Back-propagate `grad_output` (dL/d output) and return dL/d input.
-    /// Must be called after a `forward` with `training = true`.
+    /// Must be called after a `forward`.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
 
     /// Back-propagate `grad_output` into the parameter gradients only,
@@ -112,14 +103,6 @@ pub trait Layer: Send + Sync {
     fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
         Vec::new()
     }
-
-    /// Human-readable layer name (for debugging and summaries).
-    fn name(&self) -> &'static str;
-
-    /// Number of output features given `input_dim` features in.
-    fn output_dim(&self, input_dim: usize) -> usize {
-        input_dim
-    }
 }
 
 /// Fully connected layer: `y = x W + b`.
@@ -144,17 +127,12 @@ impl Dense {
         self.weight.value.rows()
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.weight.value.cols()
-    }
-
     /// `dW += xᵀ g` and `db += Σ rows of g`.
     fn accumulate_grads(&mut self, grad_output: &Matrix) {
         let input = self
             .cached_input
             .as_ref()
-            .expect("backward called before forward(training=true)");
+            .expect("backward called before forward");
         self.weight
             .grad
             .add_scaled(&input.t_matmul(grad_output), 1.0);
@@ -163,14 +141,8 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        if training {
-            self.cached_input = Some(input.clone());
-        }
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Matrix) -> Matrix {
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        self.cached_input = Some(input.clone());
         let mut out = Matrix::default();
         self.infer_into(input, &mut out);
         out
@@ -205,14 +177,6 @@ impl Layer for Dense {
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
-
-    fn name(&self) -> &'static str {
-        "Dense"
-    }
-
-    fn output_dim(&self, _input_dim: usize) -> usize {
-        self.out_dim()
-    }
 }
 
 /// Rectified linear unit activation.
@@ -229,14 +193,8 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        if training {
-            self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
-        }
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Matrix) -> Matrix {
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
         input.map(|x| x.max(0.0))
     }
 
@@ -256,10 +214,6 @@ impl Layer for ReLU {
             .map(|(&g, &m)| if m { g } else { 0.0 })
             .collect();
         Matrix::from_vec(grad_output.rows(), grad_output.cols(), data)
-    }
-
-    fn name(&self) -> &'static str {
-        "ReLU"
     }
 }
 
@@ -284,10 +238,11 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        if !training || self.p == 0.0 {
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        if self.p == 0.0 {
+            // Nothing is dropped: the identity, and no mask to replay.
             self.mask = None;
-            return self.infer(input);
+            return input.clone();
         }
         let keep = 1.0 - self.p;
         let mask: Vec<f32> = (0..input.data().len())
@@ -307,11 +262,6 @@ impl Layer for Dropout {
             .collect();
         self.mask = Some(mask);
         Matrix::from_vec(input.rows(), input.cols(), data)
-    }
-
-    fn infer(&self, input: &Matrix) -> Matrix {
-        // Inverted dropout is the identity at evaluation time.
-        input.clone()
     }
 
     fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
@@ -337,10 +287,6 @@ impl Layer for Dropout {
                 Matrix::from_vec(grad_output.rows(), grad_output.cols(), data)
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "Dropout"
     }
 }
 
@@ -382,13 +328,15 @@ impl BatchNorm {
 }
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        if !(training && input.rows() > 1) {
-            // Eval mode (or a batch of one, whose batch variance is
-            // degenerate): running statistics only, no cache — exactly the
-            // immutable `infer` path, so the two stay bit-for-bit equal.
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        if input.rows() <= 1 {
+            // A batch of one has a degenerate batch variance: normalise
+            // with the running statistics, exactly as `infer_into` does,
+            // and cache nothing.
             self.cache = None;
-            return self.infer(input);
+            let mut out = Matrix::default();
+            self.infer_into(input, &mut out);
+            return out;
         }
         assert_eq!(input.cols(), self.dim(), "BatchNorm feature mismatch");
         let n = input.rows() as f32;
@@ -435,12 +383,6 @@ impl Layer for BatchNorm {
         out
     }
 
-    fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.infer_into(input, &mut out);
-        out
-    }
-
     fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(input.cols(), self.dim(), "BatchNorm feature mismatch");
         let dim = self.dim();
@@ -462,7 +404,7 @@ impl Layer for BatchNorm {
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let cache = match &self.cache {
             Some(c) => c,
-            // Batch of one (or eval forward): treat as an affine transform.
+            // Batch of one: treat as an affine transform.
             None => {
                 let mut grad_in = Matrix::zeros(grad_output.rows(), grad_output.cols());
                 for r in 0..grad_output.rows() {
@@ -528,10 +470,6 @@ impl Layer for BatchNorm {
     fn buffers_mut(&mut self) -> Vec<&mut Vec<f32>> {
         vec![&mut self.running_mean, &mut self.running_var]
     }
-
-    fn name(&self) -> &'static str {
-        "BatchNorm"
-    }
 }
 
 #[cfg(test)]
@@ -552,8 +490,8 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let lp: f32 = layer.forward(&xp, true).data().iter().sum();
-            let lm: f32 = layer.forward(&xm, true).data().iter().sum();
+            let lp: f32 = layer.forward(&xp).data().iter().sum();
+            let lm: f32 = layer.forward(&xm).data().iter().sum();
             grad.data_mut()[i] = (lp - lm) / (2.0 * eps);
         }
         grad
@@ -565,11 +503,14 @@ mod tests {
         let mut layer = Dense::new(3, 2, &mut r);
         // Overwrite with known weights for a deterministic check.
         layer.weight.value = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
-        layer.bias.value = Matrix::row_vector(&[0.5, -0.5]);
+        layer.bias.value = Matrix::from_rows(&[vec![0.5, -0.5]]);
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let y = layer.forward(&x, false);
+        let mut y = Matrix::default();
+        layer.infer_into(&x, &mut y);
         assert_eq!(y.data(), &[4.5, 4.5]);
-        assert_eq!(layer.output_dim(3), 2);
+        assert_eq!(y.shape(), (1, 2));
+        // The training forward computes the same product.
+        assert_eq!(layer.forward(&x), y);
     }
 
     #[test]
@@ -578,7 +519,7 @@ mod tests {
         let mut layer = Dense::new(4, 3, &mut r);
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0, 0.1], vec![1.0, 0.3, -0.7, 0.9]]);
 
-        let out = layer.forward(&x, true);
+        let out = layer.forward(&x);
         let ones = Matrix::filled(out.rows(), out.cols(), 1.0);
         let analytic = layer.backward(&ones);
 
@@ -597,9 +538,9 @@ mod tests {
         let mut layer = Dense::new(2, 2, &mut r);
         let x = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let g = Matrix::from_rows(&[vec![1.0, 1.0]]);
-        layer.forward(&x, true);
+        layer.forward(&x);
         layer.backward(&g);
-        layer.forward(&x, true);
+        layer.forward(&x);
         layer.backward(&g);
         // dW for a single example is outer(x, g); accumulated twice.
         assert_eq!(layer.weight.grad.get(0, 0), 2.0);
@@ -614,15 +555,15 @@ mod tests {
         let mut full = Dense::new(4, 3, &mut rng());
         let mut params_only = Dense::new(4, 3, &mut rng());
         for _ in 0..2 {
-            full.forward(&x, true);
+            full.forward(&x);
             full.backward(&g);
-            params_only.forward(&x, true);
+            params_only.forward(&x);
             params_only.backward_params(&g);
         }
         for (a, b) in full.params().iter().zip(params_only.params()) {
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&a.grad), bits(&b.grad));
-            assert!(a.grad.norm() > 0.0);
+            assert!(a.grad.data().iter().any(|&g| g != 0.0));
         }
     }
 
@@ -630,7 +571,7 @@ mod tests {
     fn relu_masks_negative_values_and_gradients() {
         let mut relu = ReLU::new();
         let x = Matrix::from_rows(&[vec![-1.0, 2.0, 0.0]]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward(&x);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0]);
         let g = relu.backward(&Matrix::from_rows(&[vec![5.0, 5.0, 5.0]]));
         assert_eq!(g.data(), &[0.0, 5.0, 0.0]);
@@ -640,9 +581,10 @@ mod tests {
     fn dropout_is_identity_at_eval_and_scales_at_train() {
         let mut d = Dropout::new(0.5, rng());
         let x = Matrix::filled(4, 50, 1.0);
-        let eval = d.forward(&x, false);
+        let mut eval = Matrix::default();
+        d.infer_into(&x, &mut eval);
         assert_eq!(eval, x);
-        let train = d.forward(&x, true);
+        let train = d.forward(&x);
         let zeros = train.data().iter().filter(|&&v| v == 0.0).count();
         let scaled = train
             .data()
@@ -660,11 +602,20 @@ mod tests {
     fn dropout_backward_uses_same_mask() {
         let mut d = Dropout::new(0.3, rng());
         let x = Matrix::filled(1, 100, 1.0);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let g = d.backward(&Matrix::filled(1, 100, 1.0));
         for (yv, gv) in y.data().iter().zip(g.data()) {
             assert_eq!(yv, gv, "gradient mask must match forward mask");
         }
+    }
+
+    #[test]
+    fn dropout_without_drop_probability_is_the_identity_when_training() {
+        let mut d = Dropout::new(0.0, rng());
+        let x = Matrix::from_rows(&[vec![1.5, -0.0, 2.0]]);
+        assert_eq!(d.forward(&x), x);
+        let g = Matrix::from_rows(&[vec![0.5, 1.0, -2.0]]);
+        assert_eq!(d.backward(&g), g);
     }
 
     #[test]
@@ -677,7 +628,7 @@ mod tests {
     fn batchnorm_normalises_training_batch() {
         let mut bn = BatchNorm::new(2);
         let x = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]]);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // Each column should have ~zero mean and ~unit variance.
         for c in 0..2 {
             let mean: f32 = (0..3).map(|r| y.get(r, c)).sum::<f32>() / 3.0;
@@ -692,11 +643,16 @@ mod tests {
         let mut bn = BatchNorm::new(1);
         let x = Matrix::from_rows(&[vec![10.0], vec![20.0], vec![30.0]]);
         for _ in 0..200 {
-            bn.forward(&x, true);
+            bn.forward(&x);
         }
         // Running mean should approach 20.
-        let y = bn.forward(&Matrix::from_rows(&[vec![20.0]]), false);
+        let one_row = Matrix::from_rows(&[vec![20.0]]);
+        let mut y = Matrix::default();
+        bn.infer_into(&one_row, &mut y);
         assert!(y.get(0, 0).abs() < 0.2, "eval output {}", y.get(0, 0));
+        // A training batch of one has no usable batch variance and takes
+        // the same running-statistics path.
+        assert_eq!(bn.forward(&one_row), y);
     }
 
     #[test]
@@ -706,7 +662,7 @@ mod tests {
         // x_hat with symmetric upstream gradient structure.
         let mut bn = BatchNorm::new(2);
         let x = Matrix::from_rows(&[vec![1.0, -4.0], vec![2.0, 0.0], vec![6.0, 4.0]]);
-        bn.forward(&x, true);
+        bn.forward(&x);
         let g = bn.backward(&Matrix::from_rows(&[
             vec![0.3, 1.0],
             vec![-0.2, -0.5],

@@ -3,15 +3,8 @@
 
 use crate::matrix::Matrix;
 
-/// Row-wise numerically stable softmax.
-pub fn softmax(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    softmax_in_place(&mut out);
-    out
-}
-
 /// Row-wise numerically stable softmax, overwriting the logits in place (no
-/// temporary per-row buffers). Bit-identical to [`softmax`].
+/// temporary per-row buffers).
 pub fn softmax_in_place(logits: &mut Matrix) {
     for r in 0..logits.rows() {
         let row = logits.row_mut(r);
@@ -24,21 +17,6 @@ pub fn softmax_in_place(logits: &mut Matrix) {
             *x /= sum;
         }
     }
-}
-
-/// Row-wise log-softmax (more stable than `softmax().map(ln)`).
-pub fn log_softmax(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let log_sum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-        let dst = out.row_mut(r);
-        for (d, &x) in dst.iter_mut().zip(row) {
-            *d = x - log_sum;
-        }
-    }
-    out
 }
 
 /// Result of a softmax cross-entropy evaluation.
@@ -61,15 +39,20 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> CrossEntropy
         targets.len(),
         "one target per logits row required"
     );
-    let probs = softmax(logits);
-    let log_probs = log_softmax(logits);
+    let mut probs = logits.clone();
+    softmax_in_place(&mut probs);
     let batch = logits.rows() as f32;
 
     let mut loss = 0.0;
     let mut grad = probs.clone();
     for (r, &t) in targets.iter().enumerate() {
         assert!(t < logits.cols(), "target {t} out of range");
-        loss -= log_probs.get(r, t);
+        // The target's log-softmax, `x_t - (ln Σ exp(x - max) + max)`, more
+        // stable than `ln` of the softmax.
+        let row = logits.row(r);
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let log_sum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
+        loss -= row[t] - log_sum;
         grad.set(r, t, grad.get(r, t) - 1.0);
     }
     CrossEntropyOutput {
@@ -98,6 +81,12 @@ pub fn argmax_rows(scores: &Matrix) -> Vec<usize> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn softmax(logits: &Matrix) -> Matrix {
+        let mut out = logits.clone();
+        softmax_in_place(&mut out);
+        out
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -180,7 +169,7 @@ mod tests {
     proptest! {
         #[test]
         fn softmax_always_normalises(values in proptest::collection::vec(-50.0f32..50.0, 2..20)) {
-            let m = Matrix::row_vector(&values);
+            let m = Matrix::from_vec(1, values.len(), values);
             let p = softmax(&m);
             let sum: f32 = p.data().iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4);
@@ -188,12 +177,12 @@ mod tests {
         }
 
         #[test]
-        fn log_softmax_is_log_of_softmax(values in proptest::collection::vec(-20.0f32..20.0, 2..10)) {
-            let m = Matrix::row_vector(&values);
+        fn cross_entropy_is_negative_log_of_softmax(values in proptest::collection::vec(-20.0f32..20.0, 2..10)) {
+            let m = Matrix::from_vec(1, values.len(), values);
             let p = softmax(&m);
-            let lp = log_softmax(&m);
-            for (a, b) in p.data().iter().zip(lp.data()) {
-                prop_assert!((a.ln() - b).abs() < 1e-4);
+            for t in 0..m.cols() {
+                let loss = softmax_cross_entropy(&m, &[t]).loss;
+                prop_assert!((p.get(0, t).ln() + loss).abs() < 1e-4);
             }
         }
     }

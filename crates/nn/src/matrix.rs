@@ -94,11 +94,6 @@ impl Matrix {
         }
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Matrix::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -176,16 +171,8 @@ impl Matrix {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// `self @ other` — standard matrix product.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
     /// `self @ other`, written into `out` (resized as needed) without
-    /// allocating once `out`'s capacity suffices. Produces exactly the
-    /// values of [`Matrix::matmul`].
+    /// allocating once `out`'s capacity suffices.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
@@ -257,18 +244,6 @@ impl Matrix {
         out
     }
 
-    /// Element-wise addition (shapes must match).
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
     /// In-place `self += alpha * other`.
     pub fn add_scaled(&mut self, other: &Matrix, alpha: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
@@ -294,18 +269,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
     /// Multiply every element by a scalar.
     pub fn scale(&self, alpha: f32) -> Matrix {
         self.map(|x| x * alpha)
@@ -322,35 +285,18 @@ impl Matrix {
         out
     }
 
-    /// Column-wise mean, producing a 1×cols row vector.
-    pub fn mean_rows(&self) -> Matrix {
-        let n = self.rows.max(1) as f32;
-        self.sum_rows().scale(1.0 / n)
-    }
-
-    /// Horizontally concatenate matrices with equal row counts.
-    pub fn hconcat(parts: &[&Matrix]) -> Matrix {
-        let mut out = Matrix::default();
-        Matrix::hconcat_into(parts, &mut out);
-        out
-    }
-
-    /// Horizontally concatenate into `out` (resized as needed) without
-    /// allocating once `out`'s capacity suffices. Accepts both `&[Matrix]`
-    /// and `&[&Matrix]`.
-    pub fn hconcat_into<M: std::borrow::Borrow<Matrix>>(parts: &[M], out: &mut Matrix) {
+    /// Horizontally concatenate matrices with equal row counts into `out`
+    /// (resized as needed) without allocating once `out`'s capacity
+    /// suffices.
+    pub fn hconcat_into(parts: &[Matrix], out: &mut Matrix) {
         assert!(!parts.is_empty(), "hconcat of nothing");
-        let rows = parts[0].borrow().rows;
-        assert!(
-            parts.iter().all(|p| p.borrow().rows == rows),
-            "hconcat row mismatch"
-        );
-        let cols: usize = parts.iter().map(|p| p.borrow().cols).sum();
+        let rows = parts[0].rows;
+        assert!(parts.iter().all(|p| p.rows == rows), "hconcat row mismatch");
+        let cols: usize = parts.iter().map(|p| p.cols).sum();
         out.resize(rows, cols);
         for r in 0..rows {
             let mut offset = 0;
             for p in parts {
-                let p = p.borrow();
                 out.data[r * cols + offset..r * cols + offset + p.cols].copy_from_slice(p.row(r));
                 offset += p.cols;
             }
@@ -358,7 +304,7 @@ impl Matrix {
     }
 
     /// Split a matrix horizontally into chunks of the given widths
-    /// (inverse of [`Matrix::hconcat`]).
+    /// (inverse of [`Matrix::hconcat_into`]).
     pub fn hsplit(&self, widths: &[usize]) -> Vec<Matrix> {
         let total: usize = widths.iter().sum();
         assert_eq!(total, self.cols, "hsplit widths must cover all columns");
@@ -383,11 +329,6 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(self.row(r));
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -508,8 +449,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn approx(a: f32, b: f32) -> bool {
-        (a - b).abs() < 1e-5
+    /// `a @ b` into a fresh matrix.
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_into(b, &mut out);
+        out
     }
 
     #[test]
@@ -531,7 +475,7 @@ mod tests {
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -539,12 +483,12 @@ mod tests {
     fn fused_transpose_products_match_explicit_transpose() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 0.5], vec![2.0, -1.0]]);
-        let expected_t = a.transpose().matmul(&b);
+        let expected_t = matmul(&a.transpose(), &b);
         let got_t = a.t_matmul(&b);
         assert_eq!(expected_t, got_t);
 
         let c = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![0.0, 1.0, 0.0]]);
-        let expected = a.matmul(&c.transpose());
+        let expected = matmul(&a, &c.transpose());
         let got = a.matmul_t(&c);
         assert_eq!(expected, got);
     }
@@ -662,23 +606,23 @@ mod tests {
     fn matmul_rejects_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = matmul(&a, &b);
     }
 
     #[test]
     fn broadcast_add_and_sums() {
         let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        m.add_row_broadcast(&Matrix::row_vector(&[10.0, 20.0]));
+        m.add_row_broadcast(&Matrix::from_rows(&[vec![10.0, 20.0]]));
         assert_eq!(m.data(), &[11.0, 22.0, 13.0, 24.0]);
         assert_eq!(m.sum_rows().data(), &[24.0, 46.0]);
-        assert!(approx(m.mean_rows().get(0, 0), 12.0));
     }
 
     #[test]
     fn hconcat_and_hsplit_are_inverses() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![5.0], vec![6.0]]);
-        let cat = Matrix::hconcat(&[&a, &b]);
+        let mut cat = Matrix::default();
+        Matrix::hconcat_into(&[a.clone(), b.clone()], &mut cat);
         assert_eq!(cat.shape(), (2, 3));
         let parts = cat.hsplit(&[2, 1]);
         assert_eq!(parts[0], a);
@@ -693,12 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn map_scale_hadamard_norm() {
+    fn map_and_scale() {
         let m = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        assert!(approx(m.norm(), 5.0));
         assert_eq!(m.scale(2.0).data(), &[6.0, 8.0]);
         assert_eq!(m.map(|x| x - 3.0).data(), &[0.0, 1.0]);
-        assert_eq!(m.hadamard(&m).data(), &[9.0, 16.0]);
     }
 
     #[test]

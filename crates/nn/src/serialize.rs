@@ -6,9 +6,10 @@
 //! non-trainable *buffers* (`buffers`, e.g. BatchNorm running statistics),
 //! so a whole multi-input network round-trips with its evaluation-mode
 //! behaviour intact — see `MultiInputNetwork::state_dict` /
-//! `MultiInputNetwork::load_state_dict`.
+//! `MultiInputNetwork::load_state_dict`, which like a lone layer (Sato's
+//! output head) go through [`StateDict::capture`] / [`StateDict::load_into`].
 
-use crate::layers::Param;
+use crate::layers::Layer;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -98,35 +99,15 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Capture the current values of the given parameters (no buffers).
-pub fn state_dict(params: &[&Param]) -> StateDict {
-    StateDict {
-        tensors: params.iter().map(|p| p.value.clone()).collect(),
-        buffers: Vec::new(),
-    }
-}
-
-/// Capture parameters *and* buffers, so evaluation-mode state (running
-/// batch statistics) survives the round-trip.
-pub fn full_state_dict(params: &[&Param], buffers: &[&Vec<f32>]) -> StateDict {
-    StateDict {
-        tensors: params.iter().map(|p| p.value.clone()).collect(),
-        buffers: buffers.iter().map(|b| (*b).clone()).collect(),
-    }
-}
-
 /// Check tensor count and shapes against the state dict.
-fn check_tensors(
-    shapes: impl ExactSizeIterator<Item = (usize, usize)>,
-    state: &StateDict,
-) -> Result<(), LoadError> {
+fn check_tensors(shapes: &[(usize, usize)], state: &StateDict) -> Result<(), LoadError> {
     if shapes.len() != state.tensors.len() {
         return Err(LoadError::CountMismatch {
             expected: shapes.len(),
             found: state.tensors.len(),
         });
     }
-    for (i, (expected, t)) in shapes.zip(&state.tensors).enumerate() {
+    for (i, (&expected, t)) in shapes.iter().zip(&state.tensors).enumerate() {
         if expected != t.shape() {
             return Err(LoadError::ShapeMismatch {
                 index: i,
@@ -139,17 +120,14 @@ fn check_tensors(
 }
 
 /// Check buffer count and lengths against the state dict.
-fn check_buffers(
-    lens: impl ExactSizeIterator<Item = usize>,
-    state: &StateDict,
-) -> Result<(), LoadError> {
+fn check_buffers(lens: &[usize], state: &StateDict) -> Result<(), LoadError> {
     if lens.len() != state.buffers.len() {
         return Err(LoadError::BufferCountMismatch {
             expected: lens.len(),
             found: state.buffers.len(),
         });
     }
-    for (i, (expected, s)) in lens.zip(&state.buffers).enumerate() {
+    for (i, (&expected, s)) in lens.iter().zip(&state.buffers).enumerate() {
         if expected != s.len() {
             return Err(LoadError::BufferLenMismatch {
                 index: i,
@@ -159,45 +137,6 @@ fn check_buffers(
         }
     }
     Ok(())
-}
-
-/// Check that `state` is loadable into the given parameters and buffers
-/// without modifying anything.
-pub fn validate_state(
-    params: &[&Param],
-    buffers: &[&Vec<f32>],
-    state: &StateDict,
-) -> Result<(), LoadError> {
-    check_tensors(params.iter().map(|p| p.value.shape()), state)?;
-    check_buffers(buffers.iter().map(|b| b.len()), state)
-}
-
-/// Load a parameter-only state dict into the given parameters (shapes must
-/// match exactly; any buffers in `state` are ignored).
-pub fn load_state_dict(params: &mut [&mut Param], state: &StateDict) -> Result<(), LoadError> {
-    check_tensors(params.iter().map(|p| p.value.shape()), state)?;
-    copy_tensors(params, state);
-    Ok(())
-}
-
-/// Copy a validated state dict's tensors into the given parameters. Callers
-/// must run [`validate_state`] first; together with [`copy_buffers`] this is
-/// the single copy implementation behind `Sequential::load_state_dict` and
-/// `MultiInputNetwork::load_state_dict` (two functions rather than one
-/// because a network cannot hand out its parameter and buffer views under
-/// one `&mut self` borrow).
-pub fn copy_tensors(params: &mut [&mut Param], state: &StateDict) {
-    for (p, t) in params.iter_mut().zip(&state.tensors) {
-        p.value = t.clone();
-    }
-}
-
-/// Copy a validated state dict's buffers into the given buffer views; see
-/// [`copy_tensors`].
-pub fn copy_buffers(buffers: &mut [&mut Vec<f32>], state: &StateDict) {
-    for (b, s) in buffers.iter_mut().zip(&state.buffers) {
-        b.clone_from(s);
-    }
 }
 
 /// Typed decode errors of the flat [`StateDict`] byte layout.
@@ -268,14 +207,51 @@ fn push_f32s(out: &mut Vec<u8>, values: &[f32]) {
 }
 
 impl StateDict {
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("state dict serialization cannot fail")
+    /// Snapshot every parameter, then every buffer, of `layers` in order:
+    /// the one capture behind every container's state dict.
+    pub fn capture(layers: &[&dyn Layer]) -> Self {
+        StateDict {
+            tensors: layers
+                .iter()
+                .flat_map(|l| l.params())
+                .map(|p| p.value.clone())
+                .collect(),
+            buffers: layers.iter().flat_map(|l| l.buffers()).cloned().collect(),
+        }
     }
 
-    /// Deserialize from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Load a state dict captured by [`Self::capture`] into structurally
+    /// identical `layers`. All-or-nothing: every count and shape is checked
+    /// before anything is copied, so on error no parameter or buffer has
+    /// been modified.
+    pub fn load_into(&self, layers: &mut [&mut dyn Layer]) -> Result<(), LoadError> {
+        let shapes: Vec<_> = layers
+            .iter()
+            .flat_map(|l| l.params())
+            .map(|p| p.value.shape())
+            .collect();
+        check_tensors(&shapes, self)?;
+        let lens: Vec<_> = layers
+            .iter()
+            .flat_map(|l| l.buffers())
+            .map(Vec::len)
+            .collect();
+        check_buffers(&lens, self)?;
+        for (p, t) in layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .zip(&self.tensors)
+        {
+            p.value = t.clone();
+        }
+        for (b, s) in layers
+            .iter_mut()
+            .flat_map(|l| l.buffers_mut())
+            .zip(&self.buffers)
+        {
+            b.clone_from(s);
+        }
+        Ok(())
     }
 
     /// Append the flat binary form to `out`: tensor count, then per tensor
@@ -283,9 +259,9 @@ impl StateDict {
     /// buffer `len u32 | len f32` — everything little-endian, weight data
     /// laid out exactly as the row-major `Matrix` holds it in memory.
     ///
-    /// This is the section payload of the binary predictor artifact; JSON
-    /// (above) stays the debug/interchange form and both decode to equal
-    /// state dicts.
+    /// This is the section payload of the binary predictor artifact; the
+    /// serde (JSON) form stays the debug/interchange form and both decode to
+    /// equal state dicts.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
         for t in &self.tensors {
@@ -331,37 +307,67 @@ impl StateDict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Layer, ReLU};
-    use crate::network::Sequential;
+    use crate::layers::{BatchNorm, Dense, ReLU};
+    use crate::network::{MultiInferScratch, MultiInputNetwork, Sequential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn net(seed: u64) -> Sequential {
+    /// `stack` behind one identity branch: the container Sato serializes.
+    fn wrap(stack: Sequential) -> MultiInputNetwork {
+        MultiInputNetwork::new(vec![Sequential::new()], stack)
+    }
+
+    fn net(seed: u64) -> MultiInputNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
-        Sequential::new()
-            .push(Dense::new(3, 4, &mut rng))
-            .push(ReLU::new())
-            .push(Dense::new(4, 2, &mut rng))
+        wrap(
+            Sequential::new()
+                .push(Dense::new(3, 4, &mut rng))
+                .push(ReLU::new())
+                .push(Dense::new(4, 2, &mut rng)),
+        )
+    }
+
+    fn infer(net: &MultiInputNetwork, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        net.infer_with(
+            std::slice::from_ref(x),
+            &mut MultiInferScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
+    fn json(state: &StateDict) -> String {
+        serde_json::to_string(state).unwrap()
     }
 
     #[test]
     fn save_and_load_round_trip() {
         let a = net(1);
         let mut b = net(2);
-        let x = crate::matrix::Matrix::from_rows(&[vec![1.0, -0.5, 2.0]]);
-        assert_ne!(a.infer(&x), b.infer(&x));
+        let x = Matrix::from_rows(&[vec![1.0, -0.5, 2.0]]);
+        assert_ne!(infer(&a, &x), infer(&b, &x));
+        b.load_state_dict(&a.state_dict()).unwrap();
+        assert_eq!(infer(&a, &x), infer(&b, &x));
 
-        let state = state_dict(&a.params());
-        load_state_dict(&mut b.params_mut(), &state).unwrap();
-        assert_eq!(a.infer(&x), b.infer(&x));
+        // A lone layer (Sato's output head) round-trips the same way.
+        let head = Dense::new(3, 2, &mut StdRng::seed_from_u64(1));
+        let mut other = Dense::new(3, 2, &mut StdRng::seed_from_u64(2));
+        let (mut want, mut got) = (Matrix::default(), Matrix::default());
+        head.infer_into(&x, &mut want);
+        other.infer_into(&x, &mut got);
+        assert_ne!(want, got);
+        StateDict::capture(&[&head])
+            .load_into(&mut [&mut other])
+            .unwrap();
+        other.infer_into(&x, &mut got);
+        assert_eq!(want, got);
     }
 
     #[test]
     fn json_round_trip_preserves_values() {
-        let a = net(3);
-        let state = state_dict(&a.params());
-        let json = state.to_json();
-        let back = StateDict::from_json(&json).unwrap();
+        let state = net(3).state_dict();
+        let back: StateDict = serde_json::from_str(&json(&state)).unwrap();
         assert_eq!(state, back);
     }
 
@@ -372,7 +378,7 @@ mod tests {
             tensors: vec![],
             buffers: vec![],
         };
-        let err = load_state_dict(&mut a.params_mut(), &state).unwrap_err();
+        let err = a.load_state_dict(&state).unwrap_err();
         assert!(matches!(err, LoadError::CountMismatch { .. }));
         assert!(err.to_string().contains("tensors"));
     }
@@ -380,38 +386,39 @@ mod tests {
     #[test]
     fn shape_mismatch_is_detected_and_nothing_is_loaded() {
         let mut a = net(1);
-        let mut wrong = state_dict(&a.params());
-        wrong.tensors[2] = crate::matrix::Matrix::zeros(10, 10);
-        let before = state_dict(&a.params());
-        let err = load_state_dict(&mut a.params_mut(), &wrong).unwrap_err();
+        let mut wrong = a.state_dict();
+        wrong.tensors[2] = Matrix::zeros(10, 10);
+        let before = a.state_dict();
+        let err = a.load_state_dict(&wrong).unwrap_err();
         assert!(matches!(err, LoadError::ShapeMismatch { index: 2, .. }));
         // The failed load must not have partially overwritten parameters.
-        let after = state_dict(&a.params());
-        assert_eq!(before, after);
+        assert_eq!(before, a.state_dict());
     }
 
     /// A stack with a BatchNorm layer, whose running statistics only live in
-    /// the buffers of a full state dict.
-    fn bn_net(seed: u64) -> Sequential {
+    /// the buffers of a state dict.
+    fn bn_net(seed: u64) -> MultiInputNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
-        Sequential::new()
-            .push(Dense::new(3, 4, &mut rng))
-            .push(crate::layers::BatchNorm::new(4))
-            .push(ReLU::new())
-            .push(Dense::new(4, 2, &mut rng))
+        wrap(
+            Sequential::new()
+                .push(Dense::new(3, 4, &mut rng))
+                .push(BatchNorm::new(4))
+                .push(ReLU::new())
+                .push(Dense::new(4, 2, &mut rng)),
+        )
     }
 
     #[test]
     fn full_state_dict_round_trips_running_statistics() {
         let mut a = bn_net(5);
-        let x = crate::matrix::Matrix::from_rows(&[
+        let x = Matrix::from_rows(&[
             vec![1.0, -0.5, 2.0],
             vec![0.0, 3.0, -1.0],
             vec![2.0, 0.5, 0.5],
         ]);
         // Drive the running statistics away from their initial values.
         for _ in 0..50 {
-            a.forward(&x, true);
+            a.forward(std::slice::from_ref(&x));
         }
         let state = a.state_dict();
         assert!(!state.buffers.is_empty(), "BatchNorm buffers captured");
@@ -420,18 +427,18 @@ mod tests {
         b.load_state_dict(&state).unwrap();
         // Evaluation-mode outputs (which depend on the running statistics)
         // must match bit for bit.
-        assert_eq!(a.infer(&x), b.infer(&x));
+        assert_eq!(infer(&a, &x), infer(&b, &x));
         // And the JSON round-trip preserves the whole thing.
-        let back = StateDict::from_json(&state.to_json()).unwrap();
+        let back: StateDict = serde_json::from_str(&json(&state)).unwrap();
         assert_eq!(state, back);
     }
 
     #[test]
     fn byte_round_trip_is_bit_identical_and_matches_json() {
         let mut a = bn_net(9);
-        let x = crate::matrix::Matrix::from_rows(&[vec![1.0, -0.5, 2.0], vec![0.5, 0.0, -3.0]]);
+        let x = Matrix::from_rows(&[vec![1.0, -0.5, 2.0], vec![0.5, 0.0, -3.0]]);
         for _ in 0..10 {
-            a.forward(&x, true);
+            a.forward(std::slice::from_ref(&x));
         }
         let state = a.state_dict();
         let mut bytes = Vec::new();
@@ -439,14 +446,15 @@ mod tests {
         let back = StateDict::from_bytes(&bytes).unwrap();
         assert_eq!(state, back);
         // Both persistence formats decode to the same state dict.
-        assert_eq!(back, StateDict::from_json(&state.to_json()).unwrap());
+        let from_json: StateDict = serde_json::from_str(&json(&state)).unwrap();
+        assert_eq!(back, from_json);
         // And the binary form is far denser than the JSON text.
-        assert!(bytes.len() < state.to_json().len() / 2);
+        assert!(bytes.len() < json(&state).len() / 2);
     }
 
     #[test]
     fn byte_decode_rejects_truncation_and_trailing_garbage() {
-        let state = state_dict(&net(4).params());
+        let state = net(4).state_dict();
         let mut bytes = Vec::new();
         state.write_bytes(&mut bytes);
         for cut in [0, 3, 10, bytes.len() - 1] {

@@ -10,7 +10,7 @@
 //! process-global, and a concurrent test would pollute the window between
 //! the two counter reads.
 
-use sato_nn::layers::{BatchNorm, Dense, Dropout, Layer, ReLU};
+use sato_nn::layers::{BatchNorm, Dense, Dropout, ReLU};
 use sato_nn::network::{InferScratch, MultiInferScratch, MultiInputNetwork, Sequential};
 use sato_nn::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,7 +63,7 @@ fn warm_eval_forward_allocates_nothing() {
     ]);
     // Move the BatchNorm running statistics off their initialisation.
     for _ in 0..5 {
-        stack.forward(&x, true);
+        stack.forward(&x);
     }
 
     let mut scratch = InferScratch::new();
@@ -71,8 +71,9 @@ fn warm_eval_forward_allocates_nothing() {
     // Warm-up: the first calls size every buffer.
     stack.infer_with(&x, &mut scratch, &mut out);
     stack.infer_with(&x, &mut scratch, &mut out);
-    let expected = stack.infer(&x);
-    assert_eq!(out, expected, "scratch path must match the allocating path");
+    let mut expected = Matrix::default();
+    stack.infer_with(&x, &mut InferScratch::new(), &mut expected);
+    assert_eq!(out, expected, "a warm scratch must match a fresh one");
 
     let before = allocation_count();
     for _ in 0..20 {
@@ -111,7 +112,8 @@ fn warm_eval_forward_allocates_nothing() {
     let mut multi_out = Matrix::default();
     net.infer_with(&inputs, &mut multi_scratch, &mut multi_out);
     net.infer_with(&inputs, &mut multi_scratch, &mut multi_out);
-    let multi_expected = net.infer(&inputs);
+    let mut multi_expected = Matrix::default();
+    net.infer_with(&inputs, &mut MultiInferScratch::new(), &mut multi_expected);
     assert_eq!(multi_out, multi_expected);
 
     let before = allocation_count();
