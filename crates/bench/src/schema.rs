@@ -174,7 +174,7 @@ impl BenchFile for ServingBench {
 }
 
 /// Schema tag of [`IndexBench`].
-pub const INDEX_SCHEMA: &str = "sato-bench/index-v2";
+pub const INDEX_SCHEMA: &str = "sato-bench/index-v3";
 
 /// `BENCH_index.json`, written by `index_discovery`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,7 +197,7 @@ pub struct IndexBench {
     pub embedding_dim: usize,
     /// The HNSW configuration of the index.
     pub hnsw: HnswParams,
-    /// Seconds to embed and insert the whole lake.
+    /// Seconds to embed and insert the whole lake, in one pass.
     pub build_s: f64,
     /// The embedding share of `build_s`.
     pub embed_s: f64,
@@ -211,11 +211,18 @@ pub struct IndexBench {
     pub k: usize,
     /// Fraction of the exact top-10 the ANN search returns.
     pub recall_at_10: f64,
-    /// ANN queries per second.
+    /// Passes over the queries; each times the exact scan, then the ANN
+    /// search.
+    pub query_passes: usize,
+    /// ANN queries per second of each pass.
+    pub ann_queries_per_s_passes: Vec<f64>,
+    /// Exact brute-force queries per second of each pass.
+    pub bruteforce_queries_per_s_passes: Vec<f64>,
+    /// Median of `ann_queries_per_s_passes`.
     pub ann_queries_per_s: f64,
-    /// Exact brute-force queries per second.
+    /// Median of `bruteforce_queries_per_s_passes`.
     pub bruteforce_queries_per_s: f64,
-    /// `ann_queries_per_s / bruteforce_queries_per_s`.
+    /// Median of the per-pass ratios ANN / brute-force queries per second.
     pub speedup_vs_bruteforce: f64,
     /// Bytes of the `SATOIDX1` sidecar file.
     pub sidecar_bytes: u64,
@@ -244,6 +251,10 @@ impl BenchFile for IndexBench {
     const PATH: &'static str = "BENCH_index.json";
 
     fn check(&self) -> Result<(), String> {
+        let (ann, bf) = (
+            &self.ann_queries_per_s_passes,
+            &self.bruteforce_queries_per_s_passes,
+        );
         ensure(self.schema == INDEX_SCHEMA, "schema")?;
         ensure(self.k == 10, "k")?;
         ensure((0.0..=1.0).contains(&self.recall_at_10), "recall_at_10")?;
@@ -251,8 +262,17 @@ impl BenchFile for IndexBench {
             ("available_parallelism", self.available_parallelism),
             ("lake_columns", self.lake_columns),
             ("queries", self.queries),
+            ("query_passes", self.query_passes),
             ("sidecar_bytes", self.sidecar_bytes as usize),
         ])?;
+        ensure(ann.len() == self.query_passes, "ann_queries_per_s_passes")?;
+        ensure(
+            bf.len() == self.query_passes,
+            "bruteforce_queries_per_s_passes",
+        )?;
+        let per_pass = |name, v: &[f64]| v.iter().try_for_each(|&x| positive(&[(name, x)]));
+        per_pass("ann_queries_per_s_passes", ann)?;
+        per_pass("bruteforce_queries_per_s_passes", bf)?;
         positive(&[
             ("build_s", self.build_s),
             ("embed_s", self.embed_s),
@@ -264,12 +284,34 @@ impl BenchFile for IndexBench {
         ])?;
         let parts = self.embed_s + self.graph_insert_s;
         let rate = self.lake_columns as f64 / self.build_s;
-        let speedup = self.ann_queries_per_s / self.bruteforce_queries_per_s;
+        let ratios: Vec<f64> = ann.iter().zip(bf).map(|(a, b)| a / b).collect();
         derived(&[
             ("embed_s + graph_insert_s", parts, self.build_s),
             ("build_cols_per_s", self.build_cols_per_s, rate),
-            ("speedup_vs_bruteforce", self.speedup_vs_bruteforce, speedup),
+            ("ann_queries_per_s", self.ann_queries_per_s, median(ann)),
+            (
+                "bruteforce_queries_per_s",
+                self.bruteforce_queries_per_s,
+                median(bf),
+            ),
+            (
+                "speedup_vs_bruteforce",
+                self.speedup_vs_bruteforce,
+                median(&ratios),
+            ),
         ])
+    }
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+pub fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
     }
 }
 
@@ -307,6 +349,7 @@ fn round_floats(value: &mut Value) {
                 .expect("a formatted float parses");
         }
         Value::Map(entries) => entries.iter_mut().for_each(|(_, v)| round_floats(v)),
+        Value::Seq(items) => items.iter_mut().for_each(round_floats),
         _ => {}
     }
 }

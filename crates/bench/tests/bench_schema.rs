@@ -73,6 +73,15 @@ fn committed_index_bench_matches_its_schema_and_broken_copies_do_not() {
     speedup.speedup_vs_bruteforce *= 1.01;
     rejects(speedup, "speedup_vs_bruteforce");
 
+    // The query throughputs are the medians of the recorded passes, one
+    // pass per `query_passes`.
+    let mut median = bench.clone();
+    median.ann_queries_per_s *= 1.01;
+    rejects(median, "ann_queries_per_s");
+    let mut passes = bench.clone();
+    passes.bruteforce_queries_per_s_passes.pop();
+    rejects(passes, "bruteforce_queries_per_s_passes");
+
     let mut timing = bench;
     timing.sidecar_load_s = 0.0;
     rejects(timing, "sidecar_load_s");
