@@ -596,6 +596,12 @@ mod tests {
         // Expected value is preserved approximately.
         let mean: f32 = train.data().iter().sum::<f32>() / 200.0;
         assert!((mean - 1.0).abs() < 0.3);
+
+        // With nothing to drop, training is the identity too, gradient
+        // included.
+        let mut none = Dropout::new(0.0, rng());
+        assert_eq!(none.forward(&x), x);
+        assert_eq!(none.backward(&x), x);
     }
 
     #[test]
@@ -607,15 +613,6 @@ mod tests {
         for (yv, gv) in y.data().iter().zip(g.data()) {
             assert_eq!(yv, gv, "gradient mask must match forward mask");
         }
-    }
-
-    #[test]
-    fn dropout_without_drop_probability_is_the_identity_when_training() {
-        let mut d = Dropout::new(0.0, rng());
-        let x = Matrix::from_rows(&[vec![1.5, -0.0, 2.0]]);
-        assert_eq!(d.forward(&x), x);
-        let g = Matrix::from_rows(&[vec![0.5, 1.0, -2.0]]);
-        assert_eq!(d.backward(&g), g);
     }
 
     #[test]

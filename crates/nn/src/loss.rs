@@ -24,8 +24,6 @@ pub fn softmax_in_place(logits: &mut Matrix) {
 pub struct CrossEntropyOutput {
     /// Mean negative log-likelihood over the batch.
     pub loss: f32,
-    /// Softmax probabilities (batch × classes).
-    pub probabilities: Matrix,
     /// Gradient of the mean loss with respect to the logits.
     pub grad_logits: Matrix,
 }
@@ -39,12 +37,10 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> CrossEntropy
         targets.len(),
         "one target per logits row required"
     );
-    let mut probs = logits.clone();
-    softmax_in_place(&mut probs);
     let batch = logits.rows() as f32;
-
     let mut loss = 0.0;
-    let mut grad = probs.clone();
+    let mut grad = logits.clone();
+    softmax_in_place(&mut grad);
     for (r, &t) in targets.iter().enumerate() {
         assert!(t < logits.cols(), "target {t} out of range");
         // The target's log-softmax, `x_t - (ln Σ exp(x - max) + max)`, more
@@ -57,7 +53,6 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> CrossEntropy
     }
     CrossEntropyOutput {
         loss: loss / batch,
-        probabilities: probs,
         grad_logits: grad.scale(1.0 / batch),
     }
 }
