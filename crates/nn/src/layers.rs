@@ -306,6 +306,10 @@ pub struct BatchNorm {
 struct BatchNormCache {
     x_hat: Matrix,
     std_inv: Vec<f32>,
+    /// Normalised with the running statistics (a batch of one), so the
+    /// input gradient is the affine one, without the batch-statistics
+    /// terms.
+    affine: bool,
 }
 
 impl BatchNorm {
@@ -329,40 +333,45 @@ impl BatchNorm {
 
 impl Layer for BatchNorm {
     fn forward(&mut self, input: &Matrix) -> Matrix {
-        if input.rows() <= 1 {
-            // A batch of one has a degenerate batch variance: normalise
-            // with the running statistics, exactly as `infer_into` does,
-            // and cache nothing.
-            self.cache = None;
-            let mut out = Matrix::default();
-            self.infer_into(input, &mut out);
-            return out;
-        }
         assert_eq!(input.cols(), self.dim(), "BatchNorm feature mismatch");
-        let n = input.rows() as f32;
         let dim = self.dim();
-        let mean: Vec<f32> = (0..dim)
-            .map(|c| (0..input.rows()).map(|r| input.get(r, c)).sum::<f32>() / n)
-            .collect();
-        let var: Vec<f32> = (0..dim)
-            .map(|c| {
-                (0..input.rows())
-                    .map(|r| {
-                        let d = input.get(r, c) - mean[c];
-                        d * d
-                    })
-                    .sum::<f32>()
-                    / n
-            })
-            .collect();
-        for c in 0..dim {
-            self.running_mean[c] =
-                (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
-            self.running_var[c] =
-                (1.0 - self.momentum) * self.running_var[c] + self.momentum * var[c];
-        }
+        // A batch of one has a degenerate batch variance: normalise with the
+        // running statistics, exactly as `infer_into` does. They are
+        // constants of the step, so the layer is affine in its input.
+        let affine = input.rows() <= 1;
+        let (mean, std_inv): (Vec<f32>, Vec<f32>) = if affine {
+            let std_inv = self
+                .running_var
+                .iter()
+                .map(|&v| 1.0 / (v + self.eps).sqrt())
+                .collect();
+            (self.running_mean.clone(), std_inv)
+        } else {
+            let n = input.rows() as f32;
+            let mean: Vec<f32> = (0..dim)
+                .map(|c| (0..input.rows()).map(|r| input.get(r, c)).sum::<f32>() / n)
+                .collect();
+            let var: Vec<f32> = (0..dim)
+                .map(|c| {
+                    (0..input.rows())
+                        .map(|r| {
+                            let d = input.get(r, c) - mean[c];
+                            d * d
+                        })
+                        .sum::<f32>()
+                        / n
+                })
+                .collect();
+            for c in 0..dim {
+                self.running_mean[c] =
+                    (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
+                self.running_var[c] =
+                    (1.0 - self.momentum) * self.running_var[c] + self.momentum * var[c];
+            }
+            let std_inv = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+            (mean, std_inv)
+        };
 
-        let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut x_hat = Matrix::zeros(input.rows(), dim);
         for r in 0..input.rows() {
             for c in 0..dim {
@@ -379,7 +388,11 @@ impl Layer for BatchNorm {
                 );
             }
         }
-        self.cache = Some(BatchNormCache { x_hat, std_inv });
+        self.cache = Some(BatchNormCache {
+            x_hat,
+            std_inv,
+            affine,
+        });
         out
     }
 
@@ -402,24 +415,10 @@ impl Layer for BatchNorm {
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let cache = match &self.cache {
-            Some(c) => c,
-            // Batch of one: treat as an affine transform.
-            None => {
-                let mut grad_in = Matrix::zeros(grad_output.rows(), grad_output.cols());
-                for r in 0..grad_output.rows() {
-                    for c in 0..grad_output.cols() {
-                        let std_inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
-                        grad_in.set(
-                            r,
-                            c,
-                            grad_output.get(r, c) * self.gamma.value.get(0, c) * std_inv,
-                        );
-                    }
-                }
-                return grad_in;
-            }
-        };
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("BatchNorm::backward called before forward");
         let n = grad_output.rows() as f32;
         let dim = self.dim();
 
@@ -435,6 +434,17 @@ impl Layer for BatchNorm {
             self.gamma.grad.set(0, c, g);
             let b = self.beta.grad.get(0, c) + dbeta;
             self.beta.grad.set(0, c, b);
+        }
+
+        if cache.affine {
+            let mut grad_in = Matrix::zeros(grad_output.rows(), dim);
+            for r in 0..grad_output.rows() {
+                for c in 0..dim {
+                    let v = grad_output.get(r, c) * self.gamma.value.get(0, c) * cache.std_inv[c];
+                    grad_in.set(r, c, v);
+                }
+            }
+            return grad_in;
         }
 
         // Input gradient (standard batch-norm backward formula).
@@ -650,6 +660,67 @@ mod tests {
         // A training batch of one has no usable batch variance and takes
         // the same running-statistics path.
         assert_eq!(bn.forward(&one_row), y);
+    }
+
+    /// A training batch of one is normalised with the running statistics,
+    /// so the layer is `y = gamma · (x − mean) · std_inv + beta` with
+    /// constant `mean` and `std_inv`. Its backward must still accumulate
+    /// `dgamma` and `dbeta`, or a trailing one-row mini-batch never trains
+    /// them; all three gradients are checked against central differences
+    /// of `L = Σ g ⊙ y`.
+    #[test]
+    fn batchnorm_batch_of_one_gradients_match_numerical_estimates() {
+        let mut bn = BatchNorm::new(3);
+        let warm = Matrix::from_rows(&[
+            vec![1.0, -2.0, 0.5],
+            vec![3.0, 4.0, -1.5],
+            vec![-2.0, 1.0, 2.5],
+        ]);
+        bn.forward(&warm);
+        bn.gamma.value = Matrix::from_rows(&[vec![1.5, -0.7, 0.3]]);
+        bn.beta.value = Matrix::from_rows(&[vec![0.2, 0.1, -0.4]]);
+        bn.gamma.grad = Matrix::zeros(1, 3);
+        bn.beta.grad = Matrix::zeros(1, 3);
+
+        let x = Matrix::from_rows(&[vec![0.8, -1.3, 2.1]]);
+        let g = Matrix::from_rows(&[vec![0.6, -1.2, 0.9]]);
+        let loss = |bn: &mut BatchNorm, x: &Matrix| -> f32 {
+            let y = bn.forward(x);
+            y.data().iter().zip(g.data()).map(|(y, g)| y * g).sum()
+        };
+        bn.forward(&x);
+        let dx = bn.backward(&g);
+        let (dgamma, dbeta) = (bn.gamma.grad.clone(), bn.beta.grad.clone());
+
+        let eps = 1e-2;
+        for c in 0..3 {
+            let mut xp = x.clone();
+            xp.data_mut()[c] += eps;
+            let mut xm = x.clone();
+            xm.data_mut()[c] -= eps;
+            let numeric = (loss(&mut bn, &xp) - loss(&mut bn, &xm)) / (2.0 * eps);
+            assert!((dx.get(0, c) - numeric).abs() < 1e-2, "dx[{c}]");
+            for (name, analytic) in [("gamma", &dgamma), ("beta", &dbeta)] {
+                fn entry<'a>(bn: &'a mut BatchNorm, name: &str, c: usize) -> &'a mut f32 {
+                    let p = if name == "gamma" {
+                        &mut bn.gamma
+                    } else {
+                        &mut bn.beta
+                    };
+                    &mut p.value.data_mut()[c]
+                }
+                let mut at = |delta: f32| {
+                    *entry(&mut bn, name, c) += delta;
+                    let l = loss(&mut bn, &x);
+                    *entry(&mut bn, name, c) -= delta;
+                    l
+                };
+                let numeric = (at(eps) - at(-eps)) / (2.0 * eps);
+                let analytic = analytic.get(0, c);
+                assert!(analytic != 0.0, "d{name}[{c}] untrained");
+                assert!((analytic - numeric).abs() < 1e-2, "d{name}[{c}]");
+            }
+        }
     }
 
     #[test]
