@@ -26,7 +26,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sato_features::{FeatureExtractor, FeatureGroup, FeatureScratch};
 use sato_nn::layers::{BatchNorm, Dense, Dropout, Layer, ReLU};
-use sato_nn::loss::{softmax_cross_entropy, softmax_in_place};
+use sato_nn::loss::{argmax_row, softmax_cross_entropy, softmax_in_place};
 use sato_nn::network::{MultiInferScratch, MultiInputNetwork, Sequential};
 use sato_nn::optim::Adam;
 use sato_nn::serialize::{LoadError, StateDict};
@@ -35,17 +35,6 @@ use sato_tabular::table::{Corpus, Table, TableCells};
 use sato_tabular::types::{SemanticType, NUM_TYPES};
 use sato_topic::{SamplerKind, TableIntentEstimator, TopicSampler, TopicScratch};
 use std::collections::{HashMap, VecDeque};
-
-/// Index of the maximum probability in one row (ties resolve to the last
-/// maximal entry, matching `Iterator::max_by`).
-#[inline]
-fn argmax_row(row: &[f32]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
 
 /// Per-column hard predictions from probability rows (row-wise argmax).
 pub fn types_from_proba(proba: &[Vec<f32>]) -> Vec<SemanticType> {

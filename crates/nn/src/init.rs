@@ -4,17 +4,6 @@ use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Glorot/Xavier uniform initialisation: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`. Suitable for layers followed by
-/// saturating or linear activations (and a fine default for small MLPs).
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-a..a))
-        .collect();
-    Matrix::from_vec(fan_in, fan_out, data)
-}
-
 /// He/Kaiming uniform initialisation: `U(-a, a)` with `a = sqrt(6 / fan_in)`.
 /// Suitable for ReLU activations, which the paper's primary network uses.
 pub fn he_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
@@ -31,31 +20,20 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn xavier_bounds_and_shape() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let w = xavier_uniform(100, 50, &mut rng);
-        assert_eq!(w.shape(), (100, 50));
-        let a = (6.0f32 / 150.0).sqrt();
-        assert!(w.data().iter().all(|&x| x > -a && x < a));
-        // Not degenerate: the values should not all be identical.
-        assert!(w.data().iter().any(|&x| x != w.data()[0]));
-    }
-
-    #[test]
     fn he_bounds() {
         let mut rng = StdRng::seed_from_u64(1);
         let w = he_uniform(64, 32, &mut rng);
+        assert_eq!(w.shape(), (64, 32));
         let a = (6.0f32 / 64.0).sqrt();
         assert!(w.data().iter().all(|&x| x.abs() < a));
+        // Not degenerate: the values should not all be identical.
+        assert!(w.data().iter().any(|&x| x != w.data()[0]));
     }
 
     #[test]
     fn initialisation_is_deterministic_per_seed() {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
-        assert_eq!(
-            xavier_uniform(10, 10, &mut a),
-            xavier_uniform(10, 10, &mut b)
-        );
+        assert_eq!(he_uniform(10, 10, &mut a), he_uniform(10, 10, &mut b));
     }
 }

@@ -22,7 +22,7 @@
 //! ```
 //! use rand::SeedableRng;
 //! use sato_nn::layers::{Dense, ReLU};
-//! use sato_nn::loss::{argmax_rows, softmax_cross_entropy};
+//! use sato_nn::loss::{argmax_row, softmax_cross_entropy};
 //! use sato_nn::matrix::Matrix;
 //! use sato_nn::network::{InferScratch, Sequential};
 //! use sato_nn::optim::Adam;
@@ -42,7 +42,8 @@
 //! }
 //! let mut logits = Matrix::default();
 //! net.infer_with(&x, &mut InferScratch::new(), &mut logits);
-//! assert_eq!(argmax_rows(&logits), vec![1, 0]);
+//! assert_eq!(argmax_row(logits.row(0)), 1);
+//! assert_eq!(argmax_row(logits.row(1)), 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +57,7 @@ pub mod optim;
 pub mod serialize;
 
 pub use layers::{BatchNorm, Dense, Dropout, Layer, Param, ReLU};
-pub use loss::{argmax_rows, softmax_cross_entropy, softmax_in_place};
+pub use loss::{argmax_row, softmax_cross_entropy, softmax_in_place};
 pub use matrix::Matrix;
 pub use network::{MultiInputNetwork, Sequential};
 pub use optim::Adam;

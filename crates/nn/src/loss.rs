@@ -57,19 +57,16 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> CrossEntropy
     }
 }
 
-/// Argmax of every row (predicted class indices).
-pub fn argmax_rows(scores: &Matrix) -> Vec<usize> {
-    (0..scores.rows())
-        .map(|r| {
-            scores
-                .row(r)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
+/// Index of the largest score in one row (the predicted class). Ties
+/// resolve to the **last** maximal entry, as `Iterator::max_by` does; an
+/// empty row gives 0.
+pub fn argmax_row(scores: &[f32]) -> usize {
+    scores
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -156,9 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn argmax_rows_finds_maxima() {
-        let m = Matrix::from_rows(&[vec![0.1, 0.7, 0.2], vec![0.9, 0.05, 0.05]]);
-        assert_eq!(argmax_rows(&m), vec![1, 0]);
+    fn argmax_row_finds_the_last_maximum() {
+        assert_eq!(argmax_row(&[0.1, 0.7, 0.2]), 1);
+        assert_eq!(argmax_row(&[0.9, 0.05, 0.05]), 0);
+        assert_eq!(argmax_row(&[0.4, 0.2, 0.4]), 2);
+        assert_eq!(argmax_row(&[]), 0);
     }
 
     proptest! {
