@@ -126,8 +126,9 @@ pub(crate) fn build_network(config: &SatoConfig, widths: &[usize]) -> (MultiInpu
 }
 
 /// The Sherlock/Sato column-wise neural model (training-capable). Fitting
-/// ends in a [`FrozenColumnwise`] serving the dense topic sampler the
-/// network was trained with, and every prediction runs through it.
+/// ends in a [`FrozenColumnwise`] serving [`SamplerKind::default`], the
+/// topic sampler the network was trained with, and every prediction runs
+/// through it.
 pub struct ColumnwiseModel {
     config: SatoConfig,
     use_topic: bool,
@@ -191,27 +192,20 @@ impl ColumnwiseModel {
 
     /// Snapshot the trained model into an immutable [`FrozenColumnwise`]
     /// without consuming it (parameters and running statistics are copied).
-    /// The snapshot serves [`SamplerKind::default`].
+    /// The snapshot serves the sampler the model was trained with.
     ///
     /// Panics if the model has not been trained.
     pub fn freeze(&self) -> FrozenColumnwise {
-        self.trained()
-            .snapshot(&self.config, SamplerKind::default())
+        let trained = self.trained();
+        trained.snapshot(&self.config, trained.sampler_kind())
     }
 
-    /// Consume the trained model into an immutable [`FrozenColumnwise`],
-    /// moving the network weights instead of copying them. The frozen model
-    /// serves [`SamplerKind::default`].
+    /// Consume the trained model into the immutable [`FrozenColumnwise`] it
+    /// predicts through, moving the network weights instead of copying
+    /// them. It serves the sampler the model was trained with.
     ///
     /// Panics if the model has not been trained.
     pub fn into_frozen(self) -> FrozenColumnwise {
-        self.into_trained()
-            .with_sampler_kind(SamplerKind::default())
-    }
-
-    /// Consume the trained model into the [`FrozenColumnwise`] it predicts
-    /// through, which serves the dense sampler it was trained with.
-    pub(crate) fn into_trained(self) -> FrozenColumnwise {
         self.trained.expect("model must be trained first")
     }
 }
@@ -235,7 +229,14 @@ impl ColumnwiseModel {
         let intent = self
             .use_topic
             .then(|| TableIntentEstimator::fit(corpus, self.config.lda.clone()));
-        let mut data = TrainingData::build(corpus, &extractor, intent.as_ref());
+        // Train on what is served: the topic group comes from the sampler
+        // the frozen model serves, built once here and kept by it.
+        let sampler_kind = SamplerKind::default();
+        let sampler = intent
+            .as_ref()
+            .map_or(TopicSampler::Dense, |est| est.build_sampler(sampler_kind));
+        let topic = intent.as_ref().map(|est| (est, &sampler));
+        let mut data = TrainingData::build(corpus, &extractor, topic);
         assert!(!data.is_empty(), "cannot train on an empty corpus");
         // Standardise every feature group (Sherlock-style preprocessing); the
         // fitted scalers are reused at prediction time.
@@ -277,8 +278,8 @@ impl ColumnwiseModel {
             head,
             scalers,
             group_widths,
-            sampler_kind: SamplerKind::Dense,
-            sampler: TopicSampler::Dense,
+            sampler_kind,
+            sampler,
         });
         data
     }
@@ -897,9 +898,10 @@ mod tests {
     #[test]
     fn frozen_model_matches_source_bit_for_bit() {
         let (model, corpus) = train_small(true);
-        // The trained model's topic features come from the dense sweep, so
-        // the snapshot serves the same sampler to match it bit for bit.
-        let snapshot = model.freeze().with_sampler_kind(SamplerKind::Dense);
+        // The snapshot serves the sampler the model trained and predicts
+        // with, so it matches it bit for bit.
+        let snapshot = model.freeze();
+        assert_eq!(snapshot.sampler_kind(), SamplerKind::default());
         let embed = |frozen: &FrozenColumnwise, table: &Table| {
             let mut scratch = ServingScratch::new();
             frozen.run_batch(&[table], &mut scratch, false);
@@ -913,15 +915,52 @@ mod tests {
             );
             assert_eq!(model.column_embeddings(table), embed(&snapshot, table));
         }
-        // Consuming freeze agrees too (moves the very same weights); it
-        // serves the default sampler until told otherwise.
+        // Consuming freeze agrees too (moves the very same weights).
         let frozen = model.into_frozen();
         assert_eq!(frozen.sampler_kind(), SamplerKind::default());
-        let frozen = frozen.with_sampler_kind(SamplerKind::Dense);
         let table = &corpus.tables[0];
         assert_eq!(embed(&frozen, table), embed(&snapshot, table));
         assert!(frozen.uses_topic());
         assert!(frozen.intent_estimator().is_some());
+    }
+
+    /// Train on what is served. Both topic-aware variants train this
+    /// column-wise model; for every training table, the standardised rows
+    /// the network was fitted on (the four feature groups and the topic
+    /// vector) equal, bit for bit, the rows that a predictor loaded from
+    /// the trained artifact computes for that table through its served
+    /// sampler, whose alias tables the load rebuilt.
+    #[test]
+    fn training_rows_equal_the_served_rows_bit_for_bit() {
+        use crate::{SatoPredictor, SatoVariant};
+        let corpus = default_corpus(40, 12);
+        let config = SatoConfig::fast();
+        let mut model = ColumnwiseModel::topic_aware(config.clone());
+        let data = model.fit_rows(&corpus);
+        let frozen = model.into_frozen();
+        let artifact = SatoPredictor::from_parts(SatoVariant::SatoNoStruct, config, frozen, None);
+        let served = SatoPredictor::from_bytes(&artifact.to_bytes()).unwrap();
+        assert_eq!(served.sampler_kind(), SamplerKind::SparseAlias);
+        assert_eq!(data.groups.len(), 5);
+
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = ServingScratch::new();
+        let mut row = 0;
+        for (t, table) in corpus.iter().enumerate().filter(|(_, t)| t.is_labelled()) {
+            served.columnwise().run_batch(&[table], &mut scratch, false);
+            for c in 0..table.num_columns() {
+                assert_eq!(data.table_of_row[row], t);
+                for (g, (trained, served)) in data.groups.iter().zip(&scratch.groups).enumerate() {
+                    assert_eq!(
+                        bits(trained.row(row)),
+                        bits(served.row(c)),
+                        "table {t}, column {c}, group {g}"
+                    );
+                }
+                row += 1;
+            }
+        }
+        assert_eq!(row, data.len());
     }
 
     #[test]

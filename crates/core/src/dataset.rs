@@ -203,12 +203,15 @@ pub struct TrainingData {
 
 impl TrainingData {
     /// Build training data from a labelled corpus: the labelled tables run
-    /// through the batched engine's fill stage in one batch, with topic
-    /// vectors from the dense sampler. The rows are not standardized.
+    /// through the batched engine's fill stage in one batch. When `topic`
+    /// names an estimator, its topic vectors come from the given sampler,
+    /// which is the one the trained model then serves, so the network
+    /// trains on the topic inputs it is served. The rows are not
+    /// standardized.
     pub fn build(
         corpus: &Corpus,
         extractor: &FeatureExtractor,
-        intent: Option<&TableIntentEstimator>,
+        topic: Option<(&TableIntentEstimator, &TopicSampler)>,
     ) -> Self {
         let (table_ids, tables): (Vec<usize>, Vec<&Table>) = corpus
             .iter()
@@ -216,8 +219,7 @@ impl TrainingData {
             .filter(|(_, table)| table.is_labelled())
             .unzip();
         let mut widths: Vec<usize> = extractor.group_dims().iter().map(|&(_, w)| w).collect();
-        widths.extend(intent.map(TableIntentEstimator::num_topics));
-        let topic = intent.map(|est| (est, &TopicSampler::Dense));
+        widths.extend(topic.map(|(est, _)| est.num_topics()));
         let mut scratch = ServingScratch::new();
         fill_batch_groups(extractor, topic, &widths, &tables, &mut scratch);
         let mut labels = Vec::new();
@@ -232,7 +234,7 @@ impl TrainingData {
             groups: scratch.groups,
             labels,
             table_of_row,
-            has_topic: intent.is_some(),
+            has_topic: topic.is_some(),
         }
     }
 
@@ -264,7 +266,11 @@ mod tests {
     use super::*;
     use sato_features::FeatureConfig;
     use sato_tabular::corpus::default_corpus;
-    use sato_topic::LdaConfig;
+    use sato_topic::{LdaConfig, SamplerKind};
+
+    fn sparse(intent: &TableIntentEstimator) -> TopicSampler {
+        intent.build_sampler(SamplerKind::SparseAlias)
+    }
 
     fn small_setup() -> (Corpus, FeatureExtractor, TableIntentEstimator) {
         let corpus = default_corpus(40, 3);
@@ -310,7 +316,7 @@ mod tests {
     #[test]
     fn training_data_row_count_equals_labelled_columns() {
         let (corpus, extractor, intent) = small_setup();
-        let data = TrainingData::build(&corpus, &extractor, Some(&intent));
+        let data = TrainingData::build(&corpus, &extractor, Some((&intent, &sparse(&intent))));
         assert_eq!(data.len(), corpus.num_columns());
         assert_eq!(data.groups.len(), 5);
         assert!(data.has_topic);
@@ -329,7 +335,7 @@ mod tests {
     #[test]
     fn rows_of_one_table_share_their_topic_vector() {
         let (corpus, extractor, intent) = small_setup();
-        let data = TrainingData::build(&corpus, &extractor, Some(&intent));
+        let data = TrainingData::build(&corpus, &extractor, Some((&intent, &sparse(&intent))));
         let topic_matrix = data.groups.last().unwrap();
         // Find a table with more than one column and compare its rows.
         let mut by_table: std::collections::HashMap<usize, Vec<usize>> = Default::default();

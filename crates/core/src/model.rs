@@ -14,7 +14,6 @@ use crate::predictor::SatoPredictor;
 use crate::structured::StructuredLayer;
 use sato_tabular::table::{Corpus, Table};
 use sato_tabular::types::SemanticType;
-use sato_topic::SamplerKind;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -74,7 +73,7 @@ pub struct TrainTimings {
 }
 
 /// A trained Sato model (one of the four variants): the frozen predictor
-/// that training ends in, serving the dense topic sampler the network was
+/// that training ends in, serving the topic sampler the network was
 /// trained with, plus the training cost.
 pub struct SatoModel {
     predictor: SatoPredictor,
@@ -109,7 +108,7 @@ impl SatoModel {
             ColumnwiseModel::base(config.clone())
         };
         let data = columnwise.fit_rows(corpus);
-        let trained = columnwise.into_trained();
+        let trained = columnwise.into_frozen();
         let columnwise_secs = start.elapsed().as_secs_f64();
 
         // The CRF unaries are the trained network's probabilities for its
@@ -183,20 +182,21 @@ impl SatoModel {
 
     /// Freeze this trained model into an immutable, `Send + Sync`
     /// [`SatoPredictor`] serving artifact, consuming the model (the weights
-    /// are moved, not copied). The predictor serves the default topic
-    /// sampler ([`SamplerKind::SparseAlias`]); this model's own predictions
-    /// use the exact dense sweep, which `with_sampler(SamplerKind::Dense)`
-    /// reproduces bit for bit.
+    /// are moved, not copied). The predictor serves the topic sampler the
+    /// network was trained with,
+    /// [`SamplerKind::SparseAlias`](sato_topic::SamplerKind::SparseAlias), so it
+    /// predicts exactly as this model does.
     pub fn into_predictor(self) -> SatoPredictor {
-        self.predictor.with_sampler(SamplerKind::default())
+        self.predictor
     }
 
     /// Snapshot this trained model into a [`SatoPredictor`] without
     /// consuming it (weights and running statistics are copied), e.g. to
     /// keep training while a frozen snapshot serves traffic. Like
-    /// [`Self::into_predictor`], it serves the default topic sampler.
+    /// [`Self::into_predictor`], it serves the sampler the network was
+    /// trained with.
     pub fn predictor(&self) -> SatoPredictor {
-        self.predictor.snapshot(SamplerKind::default())
+        self.predictor.snapshot(self.predictor.sampler_kind())
     }
 }
 
@@ -206,6 +206,7 @@ mod tests {
     use crate::columnwise::ColumnwiseInference;
     use sato_tabular::corpus::default_corpus;
     use sato_tabular::split::train_test_split;
+    use sato_topic::SamplerKind;
 
     #[test]
     fn variant_flags_match_the_paper() {
@@ -293,11 +294,11 @@ mod tests {
         let corpus = default_corpus(30, 41);
         for (variant, served, dense) in [
             (SatoVariant::Base, 0x3cefe5e47ef20f82, 0xa7b61d0a8396cca5),
-            (SatoVariant::Full, 0x1bce385b861e1cf7, 0x1423fcd27aa6c10d),
+            (SatoVariant::Full, 0xa9150562124c3e30, 0xd00be0ce3e30e682),
             (
                 SatoVariant::SatoNoStruct,
-                0x38b21278d75f6819,
-                0xc8b76cdc41dd0159,
+                0x574ff4cf99a54bea,
+                0xd122a25dfe8a9846,
             ),
             (
                 SatoVariant::SatoNoTopic,

@@ -301,17 +301,17 @@ impl SatoPredictor {
     ///
     /// * [`SamplerKind::SparseAlias`] (default) — `O(k_d)`-per-token
     ///   sparse/alias sampling; statistically close to Dense but not
-    ///   bit-identical. It is the default because topic estimation is the
-    ///   largest serving stage and this sampler runs it about twice as fast
-    ///   with no measurable change in annotation quality. The per-word
-    ///   alias tables are pre-built at freeze time (and here, or at
-    ///   artifact load), never on the serving hot path.
-    /// * [`SamplerKind::Dense`] — the exact collapsed sweep, bit-identical
-    ///   to the training-side [`SatoModel`](crate::SatoModel) and to
-    ///   historical predictions; every legacy artifact (JSON without a
-    ///   `sampler` field, `SATOART1` whose `META` names `Dense`) serves
-    ///   it. `predictor.with_sampler(SamplerKind::Dense)` switches back to
-    ///   it.
+    ///   bit-identical. Training computes the network's topic inputs with
+    ///   it, so a freshly trained predictor serves what its network was
+    ///   trained on; topic estimation is the largest serving stage and this
+    ///   sampler runs it about twice as fast as Dense. The per-word alias
+    ///   tables are pre-built at freeze time (and here, or at artifact
+    ///   load), never on the serving hot path.
+    /// * [`SamplerKind::Dense`] — the exact collapsed sweep, the bit-exact
+    ///   reference of the sparse sampler's tests and of historical
+    ///   predictions; every legacy artifact (JSON without a `sampler`
+    ///   field, `SATOART1` whose `META` names `Dense`) serves it.
+    ///   `predictor.with_sampler(SamplerKind::Dense)` switches to it.
     ///
     /// The choice is respected by every serving entry point (`predict`,
     /// `predict_corpus`, `predict_corpus_batched`,
@@ -769,10 +769,12 @@ mod tests {
     fn frozen_predictor_matches_source_model() {
         let corpus = default_corpus(40, 3);
         let model = SatoModel::train(&corpus, tiny_config(), SatoVariant::Full);
-        // The training-side model estimates topics with the dense sweep.
-        let by_snapshot = model.predictor().with_sampler(SamplerKind::Dense);
+        // Both serve the sampler the network was trained with.
+        let by_snapshot = model.predictor();
         let model_preds: Vec<_> = corpus.iter().take(8).map(|t| model.predict(t)).collect();
-        let by_move = model.into_predictor().with_sampler(SamplerKind::Dense);
+        let by_move = model.into_predictor();
+        assert_eq!(by_move.sampler_kind(), SamplerKind::SparseAlias);
+        assert_eq!(by_snapshot.content_hash(), by_move.content_hash());
         for (i, table) in corpus.iter().take(8).enumerate() {
             assert_eq!(by_snapshot.predict(table), model_preds[i]);
             assert_eq!(by_move.predict(table), model_preds[i]);
@@ -1070,8 +1072,7 @@ mod tests {
     fn topic_memo_is_keyed_by_content_not_table_id() {
         let corpus = default_corpus(20, 8);
         let model = SatoModel::train(&corpus, tiny_config(), SatoVariant::Full);
-        // The training-side model estimates topics with the dense sweep.
-        let predictor = model.predictor().with_sampler(SamplerKind::Dense);
+        let predictor = model.predictor();
         let reused_id = |t: &Table| Table { id: 7, ..t.clone() };
         let pair = [reused_id(&corpus.tables[0]), reused_id(&corpus.tables[1])];
         let mut scratch = ServingScratch::new().with_topic_memo();

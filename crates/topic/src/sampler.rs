@@ -36,15 +36,15 @@ use serde::{Deserialize, Serialize};
 /// (stored in predictor artifacts) and turned into a ready-to-run
 /// [`TopicSampler`] with [`LdaModel::sampler`].
 ///
-/// The default is [`SamplerKind::SparseAlias`], which every freshly frozen
-/// predictor serves: topic estimation is the largest serving stage, and
-/// the sparse/alias draw runs it about twice as fast as the dense sweep at
-/// `K = 64` (never slower at any `K` measured) with no measurable change in
-/// annotation quality. [`SamplerKind::Dense`] stays the exact oracle: the
-/// training-side model uses it, legacy artifacts (a JSON artifact without
-/// a `sampler` field, or a binary one whose metadata names `Dense`) load
-/// as it, and `with_sampler(SamplerKind::Dense)` switches a predictor back
-/// to it.
+/// The default is [`SamplerKind::SparseAlias`]: training estimates the
+/// network's topic inputs with it and every freshly trained predictor
+/// serves it. Topic estimation is the largest serving stage, and the
+/// sparse/alias draw runs it about twice as fast as the dense sweep at
+/// `K = 64` (never slower at any `K` measured). [`SamplerKind::Dense`]
+/// stays the bit-exact oracle of the sparse sampler's tests: legacy
+/// artifacts (a JSON artifact without a `sampler` field, or a binary one
+/// whose metadata names `Dense`) load as it, and
+/// `with_sampler(SamplerKind::Dense)` switches a predictor to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SamplerKind {
     /// Exact dense sweep, bit-identical to the historical implementation:

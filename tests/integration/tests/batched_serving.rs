@@ -7,8 +7,7 @@
 //! `extract_inputs` (per-column feature vectors, the topic vector from the
 //! model's own sampler) followed by `predict_proba_from_inputs` or
 //! `column_embeddings_from_inputs` and a per-table decode. It checks the
-//! trained model's dense predictor and the default (sparse/alias) one
-//! alike.
+//! trained model's own (sparse/alias) predictor and a dense one alike.
 
 use proptest::prelude::*;
 use sato::{
@@ -232,8 +231,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Every entry point equals the per-table oracle for all four
-    /// variants, under the trained model's dense sampler and under the
-    /// default (sparse/alias) predictor.
+    /// variants, under the sampler the model was trained with (the default
+    /// sparse/alias one) and under the dense one.
     #[test]
     fn every_entry_point_matches_the_oracle_on_ragged_corpora(
         shapes in proptest::collection::vec(
@@ -249,26 +248,26 @@ proptest! {
         for batch_cols in [1, 7, total_cols + 1] {
             for (model, (want, want_proba, want_embeddings)) in models().iter().zip(&oracle) {
                 prop_assert_eq!(&model.predict_corpus(&corpus), want, "{}", model.variant().name());
-                let dense = model.predictor().with_sampler(SamplerKind::Dense);
-                let (served, proba, embeddings) = serve_every_way(&dense, &corpus, batch_cols);
+                let trained = model.predictor();
+                prop_assert_eq!(trained.sampler_kind(), SamplerKind::SparseAlias);
+                let (served, proba, embeddings) = serve_every_way(&trained, &corpus, batch_cols);
                 prop_assert_eq!(&served, want, "{}", model.variant().name());
                 for (i, table) in corpus.iter().enumerate() {
                     prop_assert_eq!(&proba[i], &want_proba[i]);
                     prop_assert_eq!(&model.predict_proba(table), &want_proba[i]);
                     prop_assert_eq!(bits(&embeddings[i]), bits(&want_embeddings[i]));
                 }
-                // The default predictor against its own oracle; without a
-                // topic estimator the sampler has no effect, so it also
-                // equals the dense oracle.
-                let default = model.predictor();
-                prop_assert_eq!(default.sampler_kind(), SamplerKind::SparseAlias);
-                let (served, proba, _) = serve_every_way(&default, &corpus, batch_cols);
-                let layer = default.crf().cloned().map(StructuredLayer::from_crf);
+                // A dense predictor against its own oracle; without a topic
+                // estimator the sampler has no effect, so it also equals
+                // the trained model's oracle.
+                let dense = model.predictor().with_sampler(SamplerKind::Dense);
+                let (served, proba, _) = serve_every_way(&dense, &corpus, batch_cols);
+                let layer = dense.crf().cloned().map(StructuredLayer::from_crf);
                 let (own, own_proba, _) =
-                    per_table_oracle(default.columnwise(), layer.as_ref(), &corpus);
-                prop_assert_eq!(&served, &own, "{} default", model.variant().name());
-                prop_assert_eq!(&proba, &own_proba, "{} default", model.variant().name());
-                if !default.uses_topic() {
+                    per_table_oracle(dense.columnwise(), layer.as_ref(), &corpus);
+                prop_assert_eq!(&served, &own, "{} dense", model.variant().name());
+                prop_assert_eq!(&proba, &own_proba, "{} dense", model.variant().name());
+                if !dense.uses_topic() {
                     prop_assert_eq!(&served, want, "{}", model.variant().name());
                 }
                 for ((prediction, rows), table) in served.iter().zip(&proba).zip(corpus.iter()) {

@@ -301,9 +301,10 @@ fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
 /// Moving the default to SparseAlias leaves every legacy artifact on the
 /// dense sweep: a JSON artifact without a `sampler` key and a `SATOART1`
 /// artifact whose `META` names `Dense` both load as Dense and serve bit for
-/// bit like `.with_sampler(SamplerKind::Dense)` and the live model. A
-/// missing key must map to Dense itself, not to `SamplerKind::default()`.
-/// Freshly frozen predictors, by contrast, serve the default.
+/// bit like `.with_sampler(SamplerKind::Dense)`. A missing key must map to
+/// Dense itself, not to `SamplerKind::default()`. Freshly frozen
+/// predictors, by contrast, serve the default, which the live model was
+/// trained and predicts with.
 #[test]
 fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
     use sato::SatoPredictor;
@@ -313,7 +314,7 @@ fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
     let probs = |p: &SatoPredictor| -> Vec<_> {
         corpus.iter().map(|t| bits(&p.predict_proba(t))).collect()
     };
-    let oracle: Vec<_> = corpus
+    let live: Vec<_> = corpus
         .iter()
         .map(|t| bits(&model.predict_proba(t)))
         .collect();
@@ -323,14 +324,14 @@ fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
     let fresh = model.into_predictor();
     assert_eq!(fresh.sampler_kind(), SamplerKind::SparseAlias);
     assert_eq!(probs(&fresh), probs(&snapshot));
-    assert_ne!(
-        probs(&fresh),
-        oracle,
-        "the default must differ from dense for this test to tell them apart"
-    );
+    assert_eq!(probs(&fresh), live);
 
     let dense = fresh.with_sampler(SamplerKind::Dense);
-    assert_eq!(probs(&dense), oracle);
+    let oracle = probs(&dense);
+    assert_ne!(
+        oracle, live,
+        "the default must differ from dense for this test to tell them apart"
+    );
     let json = dense.to_json();
     let legacy_json = json.replacen("\"sampler\":\"Dense\",", "", 1);
     assert!(!legacy_json.contains("\"sampler\""), "field not stripped");
