@@ -11,6 +11,7 @@
 //! Besides the human-readable table, the run writes `BENCH_serving.json`
 //! ([`sato_bench::schema::ServingBench`]): the Table 2 figures, the
 //! `gibbs_sampler` section — dense vs sparse/alias topic sampling µs/table
+//! at the model's Gibbs budget (`infer_iterations`, recorded beside them),
 //! with the mean L1 theta drift of the sparse/alias sampler — and the
 //! `artifact` section — JSON vs `SATOART1` binary predictor artifact size
 //! and load time. Every figure is measured on one thread.
@@ -225,6 +226,7 @@ fn time_gibbs_samplers(
     let (dense_us_per_table, sparse_us_per_table) = (mean(&dense_times), mean(&sparse_times));
     let ratios = dense_times.iter().zip(&sparse_times).map(|(d, s)| d / s);
     GibbsSampler {
+        infer_iterations: intent.model().config().infer_iterations,
         dense_us_per_table,
         sparse_us_per_table,
         sparse_speedup: dense_us_per_table / sparse_us_per_table,

@@ -25,7 +25,7 @@ pub trait BenchFile: Serialize + Deserialize {
 }
 
 /// Schema tag of [`ServingBench`].
-pub const SERVING_SCHEMA: &str = "sato-bench/serving-v5";
+pub const SERVING_SCHEMA: &str = "sato-bench/serving-v6";
 
 /// `BENCH_serving.json`, written by `table2_efficiency`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,6 +88,9 @@ pub struct Table2Row {
 /// Dense vs sparse/alias Gibbs sampling over the held-out tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GibbsSampler {
+    /// Gibbs sweeps per table both samplers ran (half burn-in, half
+    /// sampled): the Full model's `LdaConfig::infer_iterations`.
+    pub infer_iterations: usize,
     /// Mean µs/table of the dense sweep.
     pub dense_us_per_table: f64,
     /// Mean µs/table of the sparse/alias sampler.
@@ -131,6 +134,7 @@ impl BenchFile for ServingBench {
         counts(&[
             ("available_parallelism", self.available_parallelism),
             ("test_tables", self.corpus.test_tables),
+            ("infer_iterations", g.infer_iterations),
             ("json_bytes", a.json_bytes),
             ("binary_bytes", a.binary_bytes),
         ])?;

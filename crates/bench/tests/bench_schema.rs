@@ -31,6 +31,12 @@ fn rejects<T: BenchFile>(bench: T, key: &str) {
 fn committed_serving_bench_matches_its_schema_and_broken_copies_do_not() {
     let bench: ServingBench = parse(&committed::<ServingBench>()).unwrap();
     rejects_missing::<ServingBench>("mean_l1_drift_vs_dense");
+    rejects_missing::<ServingBench>("infer_iterations");
+
+    // The sampler timings are only comparable at a recorded budget.
+    let mut budget = bench.clone();
+    budget.gibbs_sampler.infer_iterations = 0;
+    rejects(budget, "infer_iterations");
 
     // L1 between two distributions is at most 2.
     let mut drift = bench.clone();
