@@ -196,8 +196,7 @@ impl ColumnwiseModel {
     ///
     /// Panics if the model has not been trained.
     pub fn freeze(&self) -> FrozenColumnwise {
-        let trained = self.trained();
-        trained.snapshot(&self.config, trained.sampler_kind())
+        self.trained().snapshot(&self.config)
     }
 
     /// Consume the trained model into the immutable [`FrozenColumnwise`] it
@@ -475,7 +474,8 @@ pub struct FrozenColumnwise {
     /// The configured topic-sampler axis (serialized into artifacts).
     sampler_kind: SamplerKind,
     /// The ready-to-run sampling strategy, pre-built from `sampler_kind`
-    /// against the intent estimator's frozen model at freeze/load time
+    /// against the intent estimator's frozen model when training ends (the
+    /// one the training rows were filled through) or at snapshot/load time
     /// (`TopicSampler::Dense` for non-topic models, where the choice is
     /// moot).
     sampler: TopicSampler,
@@ -627,8 +627,8 @@ impl FrozenColumnwise {
     }
 
     /// A copy of this model (parameters and running statistics copied
-    /// through their state dicts) serving `sampler_kind`.
-    pub(crate) fn snapshot(&self, config: &SatoConfig, sampler_kind: SamplerKind) -> Self {
+    /// through their state dicts) serving the same sampler.
+    pub(crate) fn snapshot(&self, config: &SatoConfig) -> Self {
         Self::from_state(
             config,
             self.use_topic,
@@ -637,7 +637,7 @@ impl FrozenColumnwise {
             self.group_widths.clone(),
             &self.net_state(),
             &self.head_state(),
-            sampler_kind,
+            self.sampler_kind,
         )
         .expect("snapshot of an identical architecture cannot fail")
     }

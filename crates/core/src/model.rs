@@ -196,7 +196,7 @@ impl SatoModel {
     /// [`Self::into_predictor`], it serves the sampler the network was
     /// trained with.
     pub fn predictor(&self) -> SatoPredictor {
-        self.predictor.snapshot(self.predictor.sampler_kind())
+        self.predictor.snapshot()
     }
 }
 

@@ -235,12 +235,12 @@ impl SatoPredictor {
     }
 
     /// A copy of this predictor (weights and running statistics copied)
-    /// serving `sampler_kind`.
-    pub(crate) fn snapshot(&self, sampler_kind: SamplerKind) -> Self {
+    /// serving the same sampler.
+    pub(crate) fn snapshot(&self) -> Self {
         Self::from_parts(
             self.variant,
             self.config.clone(),
-            self.columnwise.snapshot(&self.config, sampler_kind),
+            self.columnwise.snapshot(&self.config),
             self.structured.clone(),
         )
     }
@@ -305,7 +305,7 @@ impl SatoPredictor {
     ///   it, so a freshly trained predictor serves what its network was
     ///   trained on; topic estimation is the largest serving stage and this
     ///   sampler runs it about twice as fast as Dense. The per-word alias
-    ///   tables are pre-built at freeze time (and here, or at artifact
+    ///   tables are pre-built once in training (and here, or at artifact
     ///   load), never on the serving hot path.
     /// * [`SamplerKind::Dense`] — the exact collapsed sweep, the bit-exact
     ///   reference of the sparse sampler's tests and of historical

@@ -75,7 +75,7 @@ impl TableIntentEstimator {
 
     /// Build a ready-to-run [`TopicSampler`] for this estimator's model
     /// (see [`LdaModel::sampler`]); `SparseAlias` pre-builds the per-word
-    /// alias tables once, at predictor freeze/load time.
+    /// alias tables once, when training ends or a predictor is loaded.
     pub fn build_sampler(&self, kind: SamplerKind) -> TopicSampler {
         self.model.sampler(kind)
     }

@@ -14,8 +14,9 @@
 //!   oracle the sparse/alias sampler is measured against.
 //! * [`TopicSampler::SparseAlias`] — the default: a SparseLDA/alias-table
 //!   hybrid. The conditional splits into a *static* part `α · phi_w(t)`
-//!   (frozen, so it is pre-built into one Walker alias table per word at
-//!   predictor freeze time and sampled in `O(1)`) and a *document* part
+//!   (frozen, so it is pre-built into one Walker alias table per word
+//!   once, before training fills its topic inputs, and sampled in `O(1)`)
+//!   and a *document* part
 //!   `n_{d,t} · phi_w(t)` that only ranges over the topics actually
 //!   present in the document — `O(k_d)` per token, `k_d ≤ min(len, K)`.
 //!   Same target distribution, different floating-point/RNG consumption,
@@ -112,7 +113,8 @@ pub struct SparseAliasTables {
 
 impl SparseAliasTables {
     /// Pre-build the tables from a trained model (`O(K · V)` time and
-    /// space; runs once at predictor freeze/load time, never per token).
+    /// space; runs once when training ends or a predictor is loaded, never
+    /// per token).
     pub fn build(model: &LdaModel) -> Self {
         let k = model.num_topics();
         let v = model.vocabulary().len();
