@@ -28,12 +28,13 @@ pub struct LdaConfig {
     /// serving read this one value, so the network trains on topic vectors
     /// estimated with the budget it is served.
     ///
-    /// The default is 10 (5 burn-in, 5 sampled). On the end-to-end
-    /// benchmark's batch-annotation workload (Full model, K = 64,
-    /// sparse/alias sampler) it ran about 1.2× the tables per second of the
-    /// earlier 20 sweeps, at an equal or higher macro-F1 median over five
-    /// seeds; 6, 8 and 14 sweeps were measured too and gave no better
-    /// quality.
+    /// The default is 10 (5 burn-in, 5 sampled), chosen on the end-to-end
+    /// benchmark's `batch_annotate` workload (Full model, K = 64,
+    /// sparse/alias sampler, one pinned CPU): over 12 alternating runs
+    /// against the earlier 20 sweeps it annotated a median 6,271 against
+    /// 5,095 tables/s (+23%) at a macro-F1 median of 0.784 against 0.779.
+    /// Fewer sweeps ran faster still in a five-seed probe; they are not
+    /// the default without a quality comparison over at least ten seeds.
     pub infer_iterations: usize,
     /// RNG seed.
     pub seed: u64,
