@@ -183,8 +183,7 @@ impl SatoModel {
     /// Freeze this trained model into an immutable, `Send + Sync`
     /// [`SatoPredictor`] serving artifact, consuming the model (the weights
     /// are moved, not copied). The predictor serves the topic sampler the
-    /// network was trained with,
-    /// [`SamplerKind::SparseAlias`](sato_topic::SamplerKind::SparseAlias), so it
+    /// network was trained with (the default, `SparseAlias`), so it
     /// predicts exactly as this model does.
     pub fn into_predictor(self) -> SatoPredictor {
         self.predictor

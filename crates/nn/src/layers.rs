@@ -700,19 +700,15 @@ mod tests {
             xm.data_mut()[c] -= eps;
             let numeric = (loss(&mut bn, &xp) - loss(&mut bn, &xm)) / (2.0 * eps);
             assert!((dx.get(0, c) - numeric).abs() < 1e-2, "dx[{c}]");
-            for (name, analytic) in [("gamma", &dgamma), ("beta", &dbeta)] {
-                fn entry<'a>(bn: &'a mut BatchNorm, name: &str, c: usize) -> &'a mut f32 {
-                    let p = if name == "gamma" {
-                        &mut bn.gamma
-                    } else {
-                        &mut bn.beta
-                    };
-                    &mut p.value.data_mut()[c]
-                }
+            // `params_mut` lists gamma, then beta.
+            for (i, (name, analytic)) in [("gamma", &dgamma), ("beta", &dbeta)]
+                .into_iter()
+                .enumerate()
+            {
                 let mut at = |delta: f32| {
-                    *entry(&mut bn, name, c) += delta;
+                    bn.params_mut()[i].value.data_mut()[c] += delta;
                     let l = loss(&mut bn, &x);
-                    *entry(&mut bn, name, c) -= delta;
+                    bn.params_mut()[i].value.data_mut()[c] -= delta;
                     l
                 };
                 let numeric = (at(eps) - at(-eps)) / (2.0 * eps);
