@@ -3,10 +3,11 @@
 //! and argues the CRF overhead of ≈0.2 ms is unnoticeable; Section 5.3),
 //! plus corpus serving throughput single- vs multi-threaded
 //! (`--threads N`, default: CPU count) through
-//! `SatoPredictor::predict_corpus_parallel_batched`.
+//! `SatoPredictor::predict_corpus_parallel_batched`, and the fill stage of
+//! one 256-column micro-batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sato::{SatoConfig, SatoModel, SatoVariant};
+use sato::{SatoConfig, SatoModel, SatoVariant, ServingScratch};
 use sato_bench::ExperimentOptions;
 use sato_features::char_dist::char_features_into;
 use sato_features::para_embed::{para_features_into, DEFAULT_PARA_DIM};
@@ -14,6 +15,7 @@ use sato_features::stats::stat_features_into;
 use sato_features::word_embed::{word_features_into, DEFAULT_WORD_DIM};
 use sato_features::{char_dist, stats, FeatureScratch};
 use sato_tabular::corpus::default_corpus;
+use sato_tabular::table::Corpus;
 
 fn bench_prediction(c: &mut Criterion) {
     let opts = ExperimentOptions::from_env_lenient();
@@ -73,6 +75,41 @@ fn bench_prediction(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+
+    // The fill stage of one 256-column micro-batch (features, the shared
+    // token table and topic estimation), then the network trunk: the
+    // embedding path, which skips the head and the CRF, through a warm
+    // scratch.
+    let mut tables = Vec::new();
+    let mut columns = 0;
+    for table in corpus.tables.iter().cycle() {
+        if columns >= 256 {
+            break;
+        }
+        columns += table.num_columns();
+        tables.push(table.clone());
+    }
+    let batch = Corpus::new(tables);
+    let mut scratch = ServingScratch::new();
+    let mut group = c.benchmark_group("fill_stage");
+    group.sample_size(20);
+    group.bench_with_input(
+        BenchmarkId::new("embed_micro_batch", columns),
+        &batch,
+        |b, batch| {
+            b.iter(|| {
+                predictor.embed_corpus_batched_with(
+                    std::hint::black_box(batch),
+                    256,
+                    &mut scratch,
+                    |_, _, row| {
+                        std::hint::black_box(row);
+                    },
+                )
+            })
+        },
+    );
     group.finish();
 }
 

@@ -365,9 +365,12 @@ impl TopicMemo {
 #[derive(Default)]
 pub struct ServingScratch {
     features: FeatureScratch,
-    /// Streaming table-topic estimation workspace (token ids, token buffer,
-    /// Gibbs-inference buffers — including the sparse-sampler structures).
+    /// Gibbs-inference buffers of table-topic estimation (including the
+    /// sparse-sampler structures).
     topic: TopicScratch,
+    /// Vocabulary ids of the current table's tokens, in column order: the
+    /// topic document, read off the feature scratch's token table.
+    topic_ids: Vec<usize>,
     /// The current table's topic vector, reused across tables.
     topic_vec: Vec<f32>,
     /// Opt-in bounded memo of table content → topic vector (see
@@ -727,10 +730,11 @@ pub(crate) fn fill_batch_groups<S: TableCells>(
     }
 
     // Features are extracted straight into the matrix rows (no per-column
-    // feature vectors), the table's topic vector is estimated through the
-    // scratch (streaming encoder + Gibbs buffers, bit-identical to
-    // `TableIntentEstimator::estimate` under the dense sampler) and
-    // replicated across its rows.
+    // feature vectors). One tokenizer pass per column fills the batch's
+    // token table, whose vocabulary ids make up the table's topic document
+    // (the ids `TableIntentEstimator::encode_cells` gives); the topic
+    // vector estimated from them is replicated across the table's rows.
+    extractor.begin_batch(&mut scratch.features);
     let mut row = 0usize;
     for table in tables {
         // Named injection point `core.feature_extract`, keyed by table
@@ -739,63 +743,64 @@ pub(crate) fn fill_batch_groups<S: TableCells>(
         // the serving layer contains it and quarantines the culprit.
         #[cfg(feature = "faults")]
         sato_faults::fire_panic("core.feature_extract", table.table_id());
-        if let Some((est, sampler)) = topic {
-            estimate_topic(est, sampler, table, scratch);
-        }
+        let first_row = row;
+        scratch.topic_ids.clear();
         for c in 0..table.cell_columns() {
-            let column = table.cells(c);
-            let (feature_groups, topic_group) =
-                scratch.groups.split_at_mut(FeatureGroup::ALL.len());
-            let [g_char, g_word, g_para, g_stat] = feature_groups else {
+            let [g_char, g_word, g_para, g_stat, ..] = &mut scratch.groups[..] else {
                 unreachable!("batch matrices cover the four feature groups");
             };
-            extractor.extract_column_into(
-                &column,
+            extractor.extract_batch_column_into(
+                &table.cells(c),
                 &mut scratch.features,
+                |token| topic.and_then(|(est, _)| est.token_id(token)),
                 g_char.row_mut(row),
                 g_word.row_mut(row),
                 g_para.row_mut(row),
                 g_stat.row_mut(row),
             );
             if topic.is_some() {
-                topic_group[0]
-                    .row_mut(row)
-                    .copy_from_slice(&scratch.topic_vec);
+                let ids = scratch.features.tokens().column_vocab_ids();
+                scratch.topic_ids.extend(ids);
             }
             row += 1;
+        }
+        // A table without columns has no rows to give a topic vector.
+        if let Some((est, sampler)) = topic.filter(|_| row > first_row) {
+            estimate_topic(est, sampler, scratch);
+            let topic_group = &mut scratch.groups[FeatureGroup::ALL.len()];
+            for r in first_row..row {
+                topic_group.row_mut(r).copy_from_slice(&scratch.topic_vec);
+            }
         }
     }
     true
 }
 
-/// Estimate `table`'s topic vector into `scratch.topic_vec`, through the
-/// scratch's topic memo when it has one.
-fn estimate_topic<S: TableCells>(
+/// Estimate the topic vector of the table whose ids are in
+/// `scratch.topic_ids` into `scratch.topic_vec`, through the scratch's topic
+/// memo when it has one.
+fn estimate_topic(
     est: &TableIntentEstimator,
     sampler: &TopicSampler,
-    table: &S,
     scratch: &mut ServingScratch,
 ) {
     let ServingScratch {
         topic,
+        topic_ids,
         topic_vec,
         topic_memo,
         ..
     } = scratch;
     topic_vec.clear();
     topic_vec.resize(est.num_topics(), 0.0);
-    let Some(memo) = topic_memo else {
-        est.estimate_cells_into(table, sampler, topic, topic_vec);
-        return;
-    };
-    let tokens = est.encode_cells(table, topic);
-    if let Some(hit) = memo.get(tokens) {
+    if let Some(hit) = topic_memo.as_ref().and_then(|memo| memo.get(topic_ids)) {
         topic_vec.copy_from_slice(hit);
         return;
     }
-    let tokens = Box::from(tokens);
-    est.infer_encoded_into(sampler, topic, topic_vec);
-    memo.insert(tokens, topic_vec.clone());
+    est.infer_ids_into(topic_ids, sampler, topic, topic_vec);
+    if let Some(memo) = topic_memo {
+        memo.insert(Box::from(&topic_ids[..]), topic_vec.clone());
+    }
 }
 
 #[cfg(test)]
@@ -982,5 +987,139 @@ mod tests {
     fn training_on_empty_corpus_panics() {
         let mut model = ColumnwiseModel::base(SatoConfig::fast());
         model.fit(&Corpus::new(vec![]));
+    }
+
+    /// Cell words of the generated tables: tokens shared across tables and
+    /// cases, case-fold corner cases (word-final Σ, the Kelvin sign, İ), a
+    /// token the topic vocabulary lacks, and separator-only or empty words.
+    const WORDS: &[&str] = &[
+        "Warsaw",
+        "WARSAW",
+        "london",
+        "1,777,972",
+        "3.5 MB",
+        "ΟΔΟΣ",
+        "Οδός",
+        "ΣΟΦΙΑ",
+        "\u{212A}elvin",
+        "kelvin",
+        "\u{0130}stanbul",
+        "istanbul",
+        "Rock",
+        "jazz",
+        "qqzzx",
+        "--",
+        "",
+        " , ",
+    ];
+
+    /// A topic estimator whose vocabulary knows most of [`WORDS`], and its
+    /// served sampler.
+    fn parity_topic() -> &'static (TableIntentEstimator, TopicSampler) {
+        static TOPIC: std::sync::OnceLock<(TableIntentEstimator, TopicSampler)> =
+            std::sync::OnceLock::new();
+        TOPIC.get_or_init(|| {
+            let mut corpus = default_corpus(30, 3);
+            for id in 0..4 {
+                let cells = WORDS.iter().filter(|w| **w != "qqzzx").copied();
+                let column = sato_tabular::table::Column::new(cells);
+                corpus
+                    .tables
+                    .push(Table::unlabelled(1000 + id, vec![column]));
+            }
+            let est = TableIntentEstimator::fit(&corpus, sato_topic::LdaConfig::tiny());
+            let sampler = est.build_sampler(SamplerKind::SparseAlias);
+            (est, sampler)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The engine's one tokenizer pass per column gives, bit for bit,
+        /// the Word and Para rows of the per-column reference extractors,
+        /// and per table the token ids of `encode_cells` (the topic memo
+        /// holds each table under exactly those ids) and its topic vector,
+        /// however the tables fall into micro-batches.
+        #[test]
+        fn engine_token_table_matches_per_column_oracles(
+            shape in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(
+                        proptest::collection::vec(0..WORDS.len(), 0..4),
+                        0..5,
+                    ),
+                    0..4,
+                ),
+                1..8,
+            ),
+        ) {
+            use sato_features::{reference, FeatureConfig};
+            use sato_tabular::table::Column;
+            let tables: Vec<Table> = shape
+                .iter()
+                .enumerate()
+                .map(|(id, columns)| {
+                    let columns = columns.iter().map(|cells| {
+                        Column::new(cells.iter().map(|words| {
+                            words.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" ")
+                        }))
+                    });
+                    Table::unlabelled(id as u64, columns.collect())
+                })
+                .collect();
+            let (est, sampler) = parity_topic();
+            let config = FeatureConfig::small();
+            let extractor = FeatureExtractor::new(config.clone());
+            let mut widths: Vec<usize> = extractor.group_dims().iter().map(|&(_, w)| w).collect();
+            widths.push(est.num_topics());
+            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+            for batch_cols in [1usize, 3, 256] {
+                // The batch former's rule: flush once the pending tables
+                // carry at least `batch_cols` columns.
+                let mut batches: Vec<Vec<&Table>> = vec![Vec::new()];
+                let mut pending = 0;
+                for table in &tables {
+                    batches.last_mut().unwrap().push(table);
+                    pending += table.num_columns();
+                    if pending >= batch_cols {
+                        batches.push(Vec::new());
+                        pending = 0;
+                    }
+                }
+                let mut scratch = ServingScratch::new().with_topic_memo_capacity(64);
+                let mut oracle_ids = std::collections::HashSet::new();
+                for batch in &batches {
+                    let topic = Some((est, sampler));
+                    let filled = fill_batch_groups(&extractor, topic, &widths, batch, &mut scratch);
+                    let columns: usize = batch.iter().map(|t| t.num_columns()).sum();
+                    proptest::prop_assert_eq!(filled, columns > 0);
+                    let mut row = 0;
+                    for table in batch {
+                        let ids = est.encode_cells(*table, &mut TopicScratch::new()).to_vec();
+                        let memo = scratch.topic_memo.as_ref().unwrap();
+                        if table.num_columns() > 0 {
+                            proptest::prop_assert!(
+                                memo.get(&ids).is_some(),
+                                "no memo entry under the oracle ids of table {}",
+                                table.id
+                            );
+                            oracle_ids.insert(ids);
+                        }
+                        let theta = est.estimate_sampled(table, sampler);
+                        for column in &table.columns {
+                            let want_word = reference::word_features(column, config.word_dim);
+                            let want_para = reference::para_features(column, config.para_dim);
+                            proptest::prop_assert_eq!(bits(scratch.groups[1].row(row)), bits(&want_word));
+                            proptest::prop_assert_eq!(bits(scratch.groups[2].row(row)), bits(&want_para));
+                            proptest::prop_assert_eq!(bits(scratch.groups[4].row(row)), bits(&theta));
+                            row += 1;
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(scratch.topic_memo_len(), oracle_ids.len());
+            }
+        }
     }
 }

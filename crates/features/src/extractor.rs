@@ -3,10 +3,10 @@
 //! vectors for whole tables, in the layout the Sato models consume.
 
 use crate::char_dist::{char_features_from_scan, CHAR_FEATURE_DIM};
-use crate::para_embed::para_features_into;
+use crate::para_embed::para_features_from_table;
 use crate::scratch::FeatureScratch;
 use crate::stats::{stat_features_from_scan, STAT_FEATURE_DIM};
-use crate::word_embed::word_features_into;
+use crate::word_embed::word_features_from_table;
 use sato_tabular::table::{CellSource, Column, Table};
 use serde::{Deserialize, Serialize};
 
@@ -170,8 +170,8 @@ impl FeatureExtractor {
     }
 
     /// Extract the features of one column, reusing `scratch` for every
-    /// intermediate buffer (single pass over the cells for Char + Stat, no
-    /// per-token allocations for Word).
+    /// intermediate buffer (one pass over the cells for Char + Stat, one
+    /// tokenizer pass for Word + Para).
     pub fn extract_column_with<C: CellSource + ?Sized>(
         &self,
         column: &C,
@@ -195,14 +195,11 @@ impl FeatureExtractor {
     }
 
     /// Extract all four groups of one column directly into caller-provided
-    /// slices (e.g. rows of a pre-allocated batch matrix) — the zero-copy
-    /// entry point of the batched serving path. Slice lengths must match
-    /// [`Self::group_dims`].
+    /// slices (e.g. rows of a pre-allocated batch matrix). Slice lengths
+    /// must match [`Self::group_dims`].
     ///
-    /// Generic over [`CellSource`]: the batched server feeds it in-memory
-    /// [`Column`]s and the colstore path feeds it dictionary-encoded pages,
-    /// both through the identical cell-visit order (so the two paths stay
-    /// bit-for-bit identical).
+    /// The column is a batch of its own: this is [`Self::begin_batch`]
+    /// followed by [`Self::extract_batch_column_into`].
     pub fn extract_column_into<C: CellSource + ?Sized>(
         &self,
         column: &C,
@@ -212,13 +209,56 @@ impl FeatureExtractor {
         para_out: &mut [f32],
         stat_out: &mut [f32],
     ) {
+        self.begin_batch(scratch);
+        self.extract_batch_column_into(
+            column,
+            scratch,
+            |_| None,
+            char_out,
+            word_out,
+            para_out,
+            stat_out,
+        );
+    }
+
+    /// Start a micro-batch: clear `scratch`'s token table, so the columns
+    /// extracted next share one table (each distinct token is hashed once
+    /// per batch).
+    pub fn begin_batch(&self, scratch: &mut FeatureScratch) {
+        scratch.tokens.clear(self.config.word_dim);
+    }
+
+    /// Extract one column of the batch begun by [`Self::begin_batch`] — the
+    /// zero-copy entry point of the batched serving path. One pass over
+    /// the cells feeds Char and Stat, and one tokenizer pass interns the
+    /// column's tokens into the token table (looking new tokens' vocabulary
+    /// ids up through `vocab_id`) for Word and Para. The column's
+    /// vocabulary ids are then readable through
+    /// [`FeatureScratch::tokens`].
+    ///
+    /// Generic over [`CellSource`]: the batched server feeds it in-memory
+    /// [`Column`]s and the colstore path feeds it dictionary-encoded pages,
+    /// both through the identical cell-visit order (so the two paths stay
+    /// bit-for-bit identical).
+    #[allow(clippy::too_many_arguments)]
+    pub fn extract_batch_column_into<C: CellSource + ?Sized>(
+        &self,
+        column: &C,
+        scratch: &mut FeatureScratch,
+        vocab_id: impl FnMut(&str) -> Option<usize>,
+        char_out: &mut [f32],
+        word_out: &mut [f32],
+        para_out: &mut [f32],
+        stat_out: &mut [f32],
+    ) {
         assert_eq!(para_out.len(), self.config.para_dim, "Para width mismatch");
-        // One shared pass over the cells feeds both Char and Stat.
         scratch.scan(column);
         char_features_from_scan(scratch, char_out);
         stat_features_from_scan(column, scratch, stat_out);
-        word_features_into(column, self.config.word_dim, scratch, word_out);
-        para_features_into(column, scratch, para_out);
+        let tokens = &mut scratch.tokens;
+        tokens.intern_column((0..column.num_cells()).map(|i| column.cell(i)), vocab_id);
+        word_features_from_table(tokens, word_out);
+        para_features_from_table(tokens, para_out);
     }
 
     /// Extract the features of every column of a table.

@@ -58,18 +58,17 @@ pub fn hash_token_into(
 /// The bucket accumulations are `±1.0` added to `f32` — integer-valued sums
 /// far below 2^24 — so visiting the grams start-major instead of
 /// length-major produces bit-identical buckets to the historical
-/// [`accumulate_ngrams_scalar`] loop while doing a fraction of the hash
-/// work (for the standard `(3, 5)` range, each char is hashed once per
-/// start instead of up to three times).
+/// length-major loop (kept in the tests as the oracle) while doing a
+/// fraction of the hash work (for the standard `(3, 5)` range, each char is
+/// hashed once per start instead of up to three times).
 #[inline]
 fn accumulate_ngrams(chars: &[char], ngram_range: (usize, usize), seed: u64, out: &mut [f32]) {
     let dim = out.len() as u64;
     let (lo, hi) = ngram_range;
-    if lo == 0 {
-        // Degenerate range: defer to the reference loop's semantics
-        // (`windows(0)` panics there too, so normal configs never hit this).
-        return accumulate_ngrams_scalar(chars, ngram_range, seed, out);
-    }
+    assert!(
+        lo > 0,
+        "n-gram lengths start at 1, got the range {ngram_range:?}"
+    );
     for start in 0..chars.len().saturating_sub(lo - 1) {
         let mut hasher = sato_kernels::Fnv1a::with_seed(seed);
         let longest = hi.min(chars.len() - start);
@@ -82,53 +81,6 @@ fn accumulate_ngrams(chars: &[char], ngram_range: (usize, usize), seed: u64, out
             }
         }
     }
-}
-
-/// The historical length-major n-gram loop: for each `n`, hash every
-/// `n`-char window from scratch. Kept as the parity oracle of the
-/// prefix-extension loop.
-pub fn accumulate_ngrams_scalar(
-    chars: &[char],
-    ngram_range: (usize, usize),
-    seed: u64,
-    out: &mut [f32],
-) {
-    let dim = out.len();
-    let (lo, hi) = ngram_range;
-    for n in lo..=hi {
-        if chars.len() < n {
-            continue;
-        }
-        for window in chars.windows(n) {
-            let mut hasher = sato_kernels::Fnv1a::with_seed(seed);
-            for &c in window {
-                hasher.write_char(c);
-            }
-            let h = hasher.finish();
-            let bucket = (h % dim as u64) as usize;
-            let sign = if (h >> 63) & 1 == 0 { 1.0 } else { -1.0 };
-            out[bucket] += sign;
-        }
-    }
-}
-
-/// Reference form of [`hash_token_into`] built on the length-major scalar
-/// loop — used by the parity tests.
-pub fn hash_token_into_scalar(
-    token: &str,
-    ngram_range: (usize, usize),
-    seed: u64,
-    chars_buf: &mut Vec<char>,
-    out: &mut [f32],
-) {
-    assert!(!out.is_empty(), "embedding width must be positive");
-    out.fill(0.0);
-    chars_buf.clear();
-    chars_buf.push('<');
-    chars_buf.extend(token.chars());
-    chars_buf.push('>');
-    accumulate_ngrams_scalar(chars_buf, ngram_range, seed, out);
-    l2_normalize(out);
 }
 
 /// Normalise a vector to unit L2 norm in place (no-op for the zero vector).
@@ -157,6 +109,59 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The historical length-major n-gram loop: for each `n`, hash every
+    /// `n`-char window from scratch. The parity oracle of the
+    /// prefix-extension loop.
+    fn accumulate_ngrams_scalar(
+        chars: &[char],
+        ngram_range: (usize, usize),
+        seed: u64,
+        out: &mut [f32],
+    ) {
+        let dim = out.len();
+        let (lo, hi) = ngram_range;
+        for n in lo..=hi {
+            if chars.len() < n {
+                continue;
+            }
+            for window in chars.windows(n) {
+                let mut hasher = sato_kernels::Fnv1a::with_seed(seed);
+                for &c in window {
+                    hasher.write_char(c);
+                }
+                let h = hasher.finish();
+                let bucket = (h % dim as u64) as usize;
+                let sign = if (h >> 63) & 1 == 0 { 1.0 } else { -1.0 };
+                out[bucket] += sign;
+            }
+        }
+    }
+
+    /// [`hash_token_into`] built on the length-major scalar loop.
+    fn hash_token_into_scalar(
+        token: &str,
+        ngram_range: (usize, usize),
+        seed: u64,
+        chars_buf: &mut Vec<char>,
+        out: &mut [f32],
+    ) {
+        assert!(!out.is_empty(), "embedding width must be positive");
+        out.fill(0.0);
+        chars_buf.clear();
+        chars_buf.push('<');
+        chars_buf.extend(token.chars());
+        chars_buf.push('>');
+        accumulate_ngrams_scalar(chars_buf, ngram_range, seed, out);
+        l2_normalize(out);
+    }
+
+    /// A zero-length n-gram is not a gram: the range must start at 1.
+    #[test]
+    #[should_panic(expected = "n-gram lengths start at 1")]
+    fn zero_length_ngram_range_panics() {
+        hash_token("Warsaw", 16, (0, 3), 0);
+    }
 
     #[test]
     fn hashing_is_deterministic() {

@@ -29,7 +29,9 @@ pub mod para_embed;
 pub mod reference;
 pub mod scratch;
 pub mod stats;
+pub mod tokens;
 pub mod word_embed;
 
 pub use extractor::{ColumnFeatures, FeatureConfig, FeatureExtractor, FeatureGroup};
 pub use scratch::FeatureScratch;
+pub use tokens::TokenTable;

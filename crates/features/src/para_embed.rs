@@ -6,21 +6,21 @@
 //! (different seed than the Word group), then L2-normalises it. The result
 //! captures column-level co-occurrence information that the per-token Word
 //! group does not, which is the role the Para group plays in Sherlock.
+//!
+//! The counting is done by the [`TokenTable`]: interning a column records
+//! each distinct token's term frequency next to its seeded FNV hash, and
+//! the group drains them in sorted token order.
 
 use crate::hashing::l2_normalize;
-use crate::scratch::{FeatureScratch, ParaEntry};
+use crate::scratch::FeatureScratch;
+use crate::tokens::TokenTable;
 use sato_tabular::table::{CellSource, Column};
-use sato_tabular::text::for_each_token_lower;
 
 /// Hash seed that defines the paragraph-embedding space.
 pub const PARA_EMBED_SEED: u64 = 0x5a70_0002;
 
 /// Default paragraph embedding width.
 pub const DEFAULT_PARA_DIM: usize = 100;
-
-/// Probe stride for open addressing on the term-frequency map key (a 64-bit
-/// FNV collision between distinct tokens must not merge their counts).
-const PARA_PROBE_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Compute the Para feature group for a column.
 ///
@@ -36,7 +36,7 @@ pub fn para_features(column: &Column, dim: usize) -> Vec<f32> {
 }
 
 /// Compute the Para features into `out` (whose length sets the embedding
-/// width), reusing `scratch` for the term-frequency counting state.
+/// width) as a batch of one column through `scratch`'s token table.
 pub fn para_features_into<C: CellSource + ?Sized>(
     column: &C,
     scratch: &mut FeatureScratch,
@@ -49,92 +49,34 @@ pub fn para_features_into<C: CellSource + ?Sized>(
     );
 }
 
-/// The Para core over any stream of cell values: term-frequency counting
-/// keyed by the seeded FNV token hash (no per-token `String`, no
-/// `HashMap<String, usize>`), with the distinct tokens' lower-cased bytes
-/// kept in a reusable arena.
-///
-/// The drain sorts entries by those token bytes, so the `out[bucket]`
-/// accumulation runs in exactly the lexicographic token order of the
-/// reference implementation — f32 addition is not associative, and trained
-/// artifacts rely on the features staying bit-for-bit identical
-/// ([`crate::reference::para_features`] is the oracle).
+/// The Para group over any stream of cell values, counted as one column of
+/// a fresh batch (no Word vectors are hashed).
 pub fn para_features_from_cells<'a>(
     cells: impl Iterator<Item = &'a str>,
     scratch: &mut FeatureScratch,
     out: &mut [f32],
 ) {
-    let dim = out.len();
+    let tokens = &mut scratch.tokens;
+    tokens.clear(0);
+    tokens.intern_column(cells, |_| None);
+    para_features_from_table(tokens, out);
+}
+
+/// The Para group of the column last interned into `tokens`, written to
+/// `out` (whose length sets the embedding width).
+///
+/// The drain runs in the lexicographic token order of the reference
+/// implementation — f32 addition is not associative, and trained artifacts
+/// rely on the features staying bit-for-bit identical
+/// ([`crate::reference::para_features`] is the oracle).
+pub(crate) fn para_features_from_table(tokens: &mut TokenTable, out: &mut [f32]) {
+    let dim = out.len() as u64;
     out.fill(0.0);
-    let FeatureScratch {
-        para_map,
-        para_entries,
-        para_arena,
-        para_order,
-        token,
-        ..
-    } = scratch;
-    para_map.clear();
-    para_entries.clear();
-    para_arena.clear();
-    for cell in cells {
-        for_each_token_lower(cell, token, |token| {
-            let bytes = token.as_bytes();
-            let hash = sato_kernels::fnv1a64_seeded(bytes, PARA_EMBED_SEED);
-            // Open-address on the map key: on the (astronomically rare)
-            // 64-bit hash collision between distinct tokens, step to the
-            // next key instead of merging their counts.
-            let mut key = hash;
-            loop {
-                match para_map.get(&key) {
-                    Some(&idx) => {
-                        let entry = &mut para_entries[idx as usize];
-                        if &para_arena[entry.start as usize..entry.end as usize] == bytes {
-                            entry.tf += 1;
-                            break;
-                        }
-                        key = key.wrapping_add(PARA_PROBE_STRIDE);
-                    }
-                    None => {
-                        let start = para_arena.len() as u32;
-                        para_arena.extend_from_slice(bytes);
-                        para_map.insert(key, para_entries.len() as u32);
-                        para_entries.push(ParaEntry {
-                            start,
-                            end: para_arena.len() as u32,
-                            hash,
-                            tf: 1,
-                        });
-                        break;
-                    }
-                }
-            }
-        });
-    }
-    if para_entries.is_empty() {
-        return;
-    }
-    // Accumulate in sorted token order: f32 addition is not associative, so
-    // map iteration order would leak into the features (and break
-    // bit-for-bit reproducibility of trained models).
-    para_order.clear();
-    para_order.extend(0..para_entries.len() as u32);
-    para_order.sort_unstable_by(|&a, &b| {
-        let ea = &para_entries[a as usize];
-        let eb = &para_entries[b as usize];
-        para_arena[ea.start as usize..ea.end as usize]
-            .cmp(&para_arena[eb.start as usize..eb.end as usize])
+    tokens.drain_para(|hash, tf| {
+        let sign = if (hash >> 63) & 1 == 0 { 1.0 } else { -1.0 };
+        out[(hash % dim) as usize] += sign * (1.0 + tf as f32).ln();
     });
-    for &i in para_order.iter() {
-        let entry = &para_entries[i as usize];
-        let bucket = (entry.hash % dim as u64) as usize;
-        let sign = if (entry.hash >> 63) & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        };
-        out[bucket] += sign * (1.0 + entry.tf as f32).ln();
-    }
+    // A column without tokens stays the zero vector (a no-op here).
     l2_normalize(out);
 }
 

@@ -2,20 +2,23 @@
 //! everything the Char and Stat feature groups need (per-cell character
 //! histograms, length/token/numeric statistics, character-class flags), so
 //! the extractor never re-reads a cell once per alphabet character and never
-//! allocates per-cell intermediates.
+//! allocates per-cell intermediates. One tokenizer pass over the same cells
+//! fills the [`TokenTable`] that the Word and Para groups read.
 //!
-//! A [`FeatureScratch`] owns every buffer the single-pass extractors touch.
-//! Thread one through [`FeatureExtractor::extract_table_with`]
-//! (or the column-level `*_into` functions) and, after the first column has
-//! warmed the buffers up, feature extraction performs no heap allocation
-//! beyond the output vectors themselves.
+//! A [`FeatureScratch`] owns every buffer the extractors touch. Thread one
+//! through [`FeatureExtractor::extract_table_with`] (or the column-level
+//! `*_into` functions) and, after the first column has warmed the buffers
+//! up, feature extraction performs no heap allocation beyond the output
+//! vectors themselves. The batched engine keeps the token table across the
+//! columns of a micro-batch ([`FeatureExtractor::begin_batch`]), so each
+//! distinct token is hashed once per batch rather than once per occurrence.
 //!
 //! [`FeatureExtractor::extract_table_with`]: crate::extractor::FeatureExtractor::extract_table_with
+//! [`FeatureExtractor::begin_batch`]: crate::extractor::FeatureExtractor::begin_batch
 
 use crate::char_dist::CHARSET;
+use crate::tokens::TokenTable;
 use sato_tabular::table::CellSource;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of characters in the Char-group alphabet.
 pub(crate) const CHARSET_LEN: usize = CHARSET.len();
@@ -103,68 +106,21 @@ pub struct FeatureScratch {
     pub(crate) sort_idx: Vec<u32>,
     /// Reusable buffer for the cleaned numeric form of one cell.
     pub(crate) parse_buf: String,
-    /// Reusable `<token>` character window for the n-gram hasher.
-    pub(crate) token_chars: Vec<char>,
-    /// Reusable per-token embedding accumulator.
-    pub(crate) token_vec: Vec<f32>,
-    /// Para group: map key (FNV token hash, open-addressed on collision) →
-    /// index into [`Self::para_entries`]. The keys are already well-mixed
-    /// 64-bit hashes, so the map uses a passthrough hasher instead of
-    /// re-hashing every key through SipHash.
-    pub(crate) para_map: HashMap<u64, u32, BuildHasherDefault<PassthroughHasher>>,
-    /// Para group: one term-frequency entry per distinct token.
-    pub(crate) para_entries: Vec<ParaEntry>,
-    /// Para group: lower-cased token bytes of all distinct tokens, back to
-    /// back (the arena [`ParaEntry`] ranges index into).
-    pub(crate) para_arena: Vec<u8>,
-    /// Para group: entry indices sorted by token bytes for the deterministic
-    /// drain.
-    pub(crate) para_order: Vec<u32>,
-    /// Word and Para groups: reusable lower-cased token buffer.
-    pub(crate) token: String,
-}
-
-/// Term-frequency entry of one distinct Para token: its lower-cased bytes
-/// live in the shared arena (`start..end`), `hash` is its seeded FNV-1a hash
-/// (which also determines the embedding bucket and sign), `tf` the count.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ParaEntry {
-    pub(crate) start: u32,
-    pub(crate) end: u32,
-    pub(crate) hash: u64,
-    pub(crate) tf: u32,
-}
-
-/// Identity hasher for map keys that are already uniform 64-bit hashes
-/// (the Para term-frequency map): `write_u64` passes the key straight
-/// through, avoiding a per-token SipHash round.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PassthroughHasher(u64);
-
-impl Hasher for PassthroughHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are expected, but stay total for any input.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
+    /// The token table the Word and Para groups read (and, in the batched
+    /// engine, the topic encoder).
+    pub(crate) tokens: TokenTable,
 }
 
 impl FeatureScratch {
     /// A fresh, empty workspace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The token table, holding the tokens of the current batch and the
+    /// occurrences of the column extracted last.
+    pub fn tokens(&self) -> &TokenTable {
+        &self.tokens
     }
 
     /// Scan every cell of `column` once, filling the per-cell histograms and

@@ -6,11 +6,15 @@
 //! faithful substitution). The column feature is the concatenation of the
 //! element-wise mean and standard deviation of the token vectors, matching
 //! Sherlock's mean/std aggregation.
+//!
+//! The token vectors come from the [`TokenTable`], which hashes each
+//! distinct token of a batch once; the group adds them occurrence by
+//! occurrence, so repeated tokens weigh in as often as they occur and the
+//! sums run in the order of [`crate::reference::word_features`].
 
-use crate::hashing::hash_token_into;
 use crate::scratch::FeatureScratch;
+use crate::tokens::TokenTable;
 use sato_tabular::table::{CellSource, Column};
-use sato_tabular::text::for_each_token_lower;
 
 /// Hash seed that defines the word-embedding space.
 pub const WORD_EMBED_SEED: u64 = 0x5a70_0001;
@@ -30,39 +34,38 @@ pub fn word_features(column: &Column, dim: usize) -> Vec<f32> {
     out
 }
 
-/// Compute the Word features into `out` (length `2 * dim`), reusing
-/// `scratch` for the lower-cased token and per-token embedding buffers.
-///
-/// The output slice doubles as the accumulator — `out[..dim]` holds the
-/// running sum and `out[dim..]` the running sum of squares until the final
-/// mean/std fix-up — so the only working storage is the per-token embedding
-/// in the scratch.
+/// Compute the Word features into `out` (length `2 * dim`) as a batch of
+/// one column through `scratch`'s token table.
 pub fn word_features_into<C: CellSource + ?Sized>(
     column: &C,
     dim: usize,
     scratch: &mut FeatureScratch,
     out: &mut [f32],
 ) {
+    let tokens = &mut scratch.tokens;
+    tokens.clear(dim);
+    tokens.intern_column((0..column.num_cells()).map(|i| column.cell(i)), |_| None);
+    word_features_from_table(tokens, out);
+}
+
+/// The Word group of the column last interned into `tokens`, written to
+/// `out` (length `2 * tokens.word_dim()`).
+///
+/// The output slice doubles as the accumulator — `out[..dim]` holds the
+/// running sum and `out[dim..]` the running sum of squares until the final
+/// mean/std fix-up.
+pub(crate) fn word_features_from_table(tokens: &TokenTable, out: &mut [f32]) {
+    let dim = tokens.word_dim();
     assert_eq!(out.len(), 2 * dim, "Word output width mismatch");
     out.fill(0.0);
-    let FeatureScratch {
-        token,
-        token_chars,
-        token_vec,
-        ..
-    } = scratch;
-    token_vec.resize(dim, 0.0);
+    let (sum, sum_sq) = out.split_at_mut(dim);
     let mut count = 0usize;
-    for i in 0..column.num_cells() {
-        for_each_token_lower(column.cell(i), token, |token| {
-            hash_token_into(token, (3, 5), WORD_EMBED_SEED, token_chars, token_vec);
-            let (sum, sum_sq) = out.split_at_mut(dim);
-            for (i, &v) in token_vec.iter().enumerate() {
-                sum[i] += v;
-                sum_sq[i] += v * v;
-            }
-            count += 1;
-        });
+    for token_vec in tokens.column_word_vecs() {
+        for (i, &v) in token_vec.iter().enumerate() {
+            sum[i] += v;
+            sum_sq[i] += v * v;
+        }
+        count += 1;
     }
     if count == 0 {
         return;

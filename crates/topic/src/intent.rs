@@ -121,13 +121,20 @@ impl TableIntentEstimator {
         out: &mut [f32],
     ) {
         self.encode_cells(table, scratch);
-        self.infer_encoded_into(sampler, scratch, out);
+        let TopicScratch { tokens, infer, .. } = scratch;
+        let seed = self.model.default_infer_seed();
+        self.model
+            .infer_tokens_into(tokens, seed, sampler, infer, out);
     }
 
     /// The first half of [`Self::estimate_cells_into`]: encode the table's
     /// cells into the scratch's token ids and return them. The estimate is
     /// a function of these ids alone (inference runs from a fixed seed), so
     /// they are an exact content key for caching topic vectors.
+    ///
+    /// The batched engine gets the same ids from its token table, one
+    /// [`Self::token_id`] lookup per distinct token of a batch; this
+    /// encoder is their parity oracle.
     pub fn encode_cells<'s, T: TableCells + ?Sized>(
         &self,
         table: &T,
@@ -142,17 +149,25 @@ impl TableIntentEstimator {
         tokens
     }
 
+    /// The vocabulary id of a lower-cased token (`None` when the model does
+    /// not know it).
+    pub fn token_id(&self, token: &str) -> Option<usize> {
+        self.model.vocabulary().id(token)
+    }
+
     /// The second half of [`Self::estimate_cells_into`]: Gibbs inference
-    /// over the tokens last encoded by [`Self::encode_cells`].
-    pub fn infer_encoded_into(
+    /// over a table's token ids (as [`Self::encode_cells`] returns them),
+    /// in the scratch's inference buffers.
+    pub fn infer_ids_into(
         &self,
+        ids: &[usize],
         sampler: &TopicSampler,
         scratch: &mut TopicScratch,
         out: &mut [f32],
     ) {
-        let TopicScratch { tokens, infer, .. } = scratch;
+        let seed = self.model.default_infer_seed();
         self.model
-            .infer_tokens_into(tokens, self.model.default_infer_seed(), sampler, infer, out);
+            .infer_tokens_into(ids, seed, sampler, &mut scratch.infer, out);
     }
 
     /// Estimate topic vectors for every table of a corpus through one shared
