@@ -400,6 +400,7 @@ impl SatoPredictor {
     ) {
         let Ok(()) = self.form_batches(
             batch_cols,
+            corpus.tables.len(),
             scratch,
             false,
             borrowed(&corpus.tables),
@@ -457,8 +458,11 @@ impl SatoPredictor {
         mut on_batch: impl FnMut(&[&'a T], &ServingScratch),
     ) -> Vec<TablePrediction> {
         let mut out = Vec::new();
+        let tables = tables.into_iter();
+        let (fewest, most) = tables.size_hint();
         let Ok(()) = self.form_batches(
             batch_cols,
+            most.unwrap_or(fewest),
             scratch,
             true,
             borrowed(tables),
@@ -483,8 +487,10 @@ impl SatoPredictor {
     ) -> Result<Vec<TablePrediction>, ColStoreError> {
         let mut reader = ColStoreReader::new(bytes)?;
         let mut out = Vec::new();
+        // Every frame takes at least 16 bytes: its length and checksum.
         self.form_batches(
             batch_cols,
+            bytes.len() / 16,
             &mut ServingScratch::new(),
             true,
             |pool: &mut Vec<TableBuf>, at| {
@@ -546,9 +552,14 @@ impl SatoPredictor {
     /// batch; each batch makes one engine call — running the classification
     /// head only for predict sinks (`head`) — and is then handed to `sink`
     /// together with the scratch.
+    ///
+    /// `max_tables` bounds how many tables the source yields. The pool is
+    /// reserved once, for the most tables a batch can hold when every
+    /// table has a column, so a call allocates it once.
     fn form_batches<S: TableCells, E>(
         &self,
         batch_cols: usize,
+        max_tables: usize,
         scratch: &mut ServingScratch,
         head: bool,
         mut next: impl FnMut(&mut Vec<S>, usize) -> Result<bool, E>,
@@ -561,7 +572,7 @@ impl SatoPredictor {
         };
         // `pool[..pending]` is the batch being formed; slots past it are
         // spares a decoding source recycles.
-        let mut pool = Vec::new();
+        let mut pool = Vec::with_capacity(batch_cols.min(max_tables));
         let (mut pending, mut cols) = (0usize, 0usize);
         while next(&mut pool, pending)? {
             cols += pool[pending].cell_columns();

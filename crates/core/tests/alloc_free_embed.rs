@@ -17,6 +17,7 @@
 
 use sato::{SatoConfig, SatoModel, SatoVariant, ServingScratch};
 use sato_tabular::corpus::default_corpus;
+use sato_tabular::table::Corpus;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -88,7 +89,7 @@ fn warm_embedding_extraction_allocates_nothing() {
 
     // Same contract through the batch former, one micro-batch per table
     // here: no batch allocates. The only allocation of a call is the
-    // former's list of pending table references, made once per call.
+    // former's list of pending table references, reserved once per call.
     let mut rows = 0usize;
     let mut embed = |scratch: &mut ServingScratch| {
         predictor.embed_corpus_batched_with(&corpus, 1, scratch, |_, _, _| rows += 1)
@@ -107,6 +108,29 @@ fn warm_embedding_extraction_allocates_nothing() {
         corpus.tables.len()
     );
     assert_eq!(rows, 6 * corpus.num_columns());
+
+    // Twelve tables in one micro-batch: the list of pending references is
+    // still reserved once, not grown table by table.
+    let twelve = Corpus::new(corpus.tables[..12].to_vec());
+    let batch_cols = twelve.num_columns();
+    let mut tables = 0usize;
+    let mut embed = |scratch: &mut ServingScratch| {
+        predictor.embed_corpus_batched_with(&twelve, batch_cols, scratch, |_, c, _| {
+            tables += usize::from(c == 0);
+        })
+    };
+    embed(&mut scratch);
+    let before = allocation_count();
+    for _ in 0..5 {
+        embed(&mut scratch);
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        5,
+        "a warm embed_corpus_batched_with call over one 12-table batch allocates once"
+    );
+    assert_eq!(tables, 6 * 12);
 
     // The warm rows are still bit-identical to the allocating path.
     for (table, want_rows) in corpus.iter().zip(&reference) {

@@ -36,29 +36,16 @@ pub fn para_features(column: &Column, dim: usize) -> Vec<f32> {
 }
 
 /// Compute the Para features into `out` (whose length sets the embedding
-/// width) as a batch of one column through `scratch`'s token table.
+/// width) as a batch of one column through `scratch`'s token table (no
+/// Word vectors are hashed).
 pub fn para_features_into<C: CellSource + ?Sized>(
     column: &C,
     scratch: &mut FeatureScratch,
     out: &mut [f32],
 ) {
-    para_features_from_cells(
-        (0..column.num_cells()).map(|i| column.cell(i)),
-        scratch,
-        out,
-    );
-}
-
-/// The Para group over any stream of cell values, counted as one column of
-/// a fresh batch (no Word vectors are hashed).
-pub fn para_features_from_cells<'a>(
-    cells: impl Iterator<Item = &'a str>,
-    scratch: &mut FeatureScratch,
-    out: &mut [f32],
-) {
     let tokens = &mut scratch.tokens;
     tokens.clear(0);
-    tokens.intern_column(cells, |_| None);
+    tokens.intern_column((0..column.num_cells()).map(|i| column.cell(i)), |_| None);
     para_features_from_table(tokens, out);
 }
 
@@ -78,22 +65,6 @@ pub(crate) fn para_features_from_table(tokens: &mut TokenTable, out: &mut [f32])
     });
     // A column without tokens stays the zero vector (a no-op here).
     l2_normalize(out);
-}
-
-/// Compute the Para features of an entire table's values — used as the LDA
-/// fall-back "table fingerprint" in some ablations and by the BERT-like
-/// encoder, which consumes raw value text rather than per-column features.
-///
-/// Iterates the columns' values directly (no merged-column clone of every
-/// cell); bit-identical to running [`para_features`] on the concatenation.
-pub fn table_para_features(columns: &[Column], dim: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; dim];
-    para_features_from_cells(
-        columns.iter().flat_map(|c| c.iter()),
-        &mut FeatureScratch::new(),
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -144,17 +115,5 @@ mod tests {
         let para = para_features(&col, 50);
         let word = crate::word_embed::word_features(&col, 25);
         assert_ne!(para, word[..50].to_vec());
-    }
-
-    #[test]
-    fn table_features_cover_all_columns() {
-        let a = Column::new(["Rock", "Jazz"]);
-        let b = Column::new(["Warsaw", "London"]);
-        let table = table_para_features(&[a.clone(), b.clone()], 64);
-        let fa = para_features(&a, 64);
-        let fb = para_features(&b, 64);
-        // The table vector should be similar to both column vectors.
-        assert!(cosine(&table, &fa) > 0.3);
-        assert!(cosine(&table, &fb) > 0.3);
     }
 }

@@ -237,16 +237,6 @@ pub fn para_features(column: &Column, dim: usize) -> Vec<f32> {
     out
 }
 
-/// Reference whole-table Para features: clones every cell of every column
-/// into one merged column before counting.
-pub fn table_para_features(columns: &[Column], dim: usize) -> Vec<f32> {
-    let mut merged = Column::default();
-    for c in columns {
-        merged.values.extend(c.values.iter().cloned());
-    }
-    para_features(&merged, dim)
-}
-
 #[cfg(test)]
 mod single_pass_parity {
     use super::*;
@@ -378,23 +368,6 @@ mod single_pass_parity {
                 crate::para_embed::para_features(&column, dim),
                 para_features(&column, dim),
                 "Para parity broke at dim {dim}"
-            );
-        }
-    }
-
-    /// `table_para_features` no longer clones every cell into a merged
-    /// column, but the output must not change.
-    #[test]
-    fn table_para_features_match_merged_column_reference() {
-        use sato_tabular::table::Column;
-        let a = Column::new(["Rock", "Jazz", ""]);
-        let b = Column::new(["Warsaw", "rock jazz", "1,777"]);
-        let c = Column::new(Vec::<String>::new());
-        let sets: Vec<Vec<Column>> = vec![vec![a, b, c.clone()], vec![], vec![c]];
-        for cols in &sets {
-            assert_eq!(
-                crate::para_embed::table_para_features(cols, 64),
-                table_para_features(cols, 64)
             );
         }
     }

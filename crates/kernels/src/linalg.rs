@@ -1,8 +1,8 @@
 //! `f32` vector primitives for the warm NN forward (and backward) path.
 
 /// `y[i] += a * x[i]`. Element-wise (no reassociation), so both forms are
-/// bit-identical. The NN matmul calls this once per nonzero left-hand
-/// element; callers keep their zero-skip (`a * 0.0` adds can flip `-0.0`).
+/// bit-identical. The NN products call this for the rows and columns
+/// outside their register tiles.
 #[inline]
 pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
@@ -31,10 +31,10 @@ pub fn scale(v: &mut [f32], s: f32) {
 
 /// Dot product over four independent accumulators (ULP-bounded vs the
 /// in-order scalar sum: partial sums are reassociated; slices shorter than
-/// a chunk stay in order). No longer on the training path: `sato_nn`'s
-/// `Matrix::matmul_t` sums `axpy`s in this same association instead, and
-/// its tests keep a `dot` per output element as the oracle it must match
-/// bit for bit.
+/// a chunk stay in order). `sato_nn`'s `Matrix::matmul_t` sums a register
+/// tile of output elements in this same association and calls `dot` for
+/// the ragged ones; its tests keep a `dot` per output element as the
+/// oracle it must match bit for bit.
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");

@@ -347,21 +347,24 @@ impl Layer for BatchNorm {
                 .collect();
             (self.running_mean.clone(), std_inv)
         } else {
+            // Row-outer sums that keep each column's row order, from the
+            // identity `Sum` folds from, so every bit is that of the
+            // column-wise iterator sums.
             let n = input.rows() as f32;
-            let mean: Vec<f32> = (0..dim)
-                .map(|c| (0..input.rows()).map(|r| input.get(r, c)).sum::<f32>() / n)
-                .collect();
-            let var: Vec<f32> = (0..dim)
-                .map(|c| {
-                    (0..input.rows())
-                        .map(|r| {
-                            let d = input.get(r, c) - mean[c];
-                            d * d
-                        })
-                        .sum::<f32>()
-                        / n
-                })
-                .collect();
+            let zero: f32 = std::iter::empty::<f32>().sum();
+            let mut mean = vec![zero; dim];
+            for r in 0..input.rows() {
+                sato_kernels::add_assign(input.row(r), &mut mean);
+            }
+            mean.iter_mut().for_each(|s| *s /= n);
+            let mut var = vec![zero; dim];
+            for r in 0..input.rows() {
+                for ((s, &x), &m) in var.iter_mut().zip(input.row(r)).zip(&mean) {
+                    let d = x - m;
+                    *s += d * d;
+                }
+            }
+            var.iter_mut().for_each(|s| *s /= n);
             for c in 0..dim {
                 self.running_mean[c] =
                     (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
@@ -373,19 +376,20 @@ impl Layer for BatchNorm {
         };
 
         let mut x_hat = Matrix::zeros(input.rows(), dim);
-        for r in 0..input.rows() {
-            for c in 0..dim {
-                x_hat.set(r, c, (input.get(r, c) - mean[c]) * std_inv[c]);
-            }
-        }
         let mut out = Matrix::zeros(input.rows(), dim);
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         for r in 0..input.rows() {
-            for c in 0..dim {
-                out.set(
-                    r,
-                    c,
-                    x_hat.get(r, c) * self.gamma.value.get(0, c) + self.beta.value.get(0, c),
-                );
+            let (x_hat_row, out_row) = (x_hat.row_mut(r), out.row_mut(r));
+            let columns = input.row(r).iter().zip(&mean).zip(&std_inv);
+            for ((((xh, o), ((&x, &m), &s)), &g), &b) in x_hat_row
+                .iter_mut()
+                .zip(out_row)
+                .zip(columns)
+                .zip(gamma)
+                .zip(beta)
+            {
+                *xh = (x - m) * s;
+                *o = *xh * g + b;
             }
         }
         self.cache = Some(BatchNormCache {
@@ -400,16 +404,29 @@ impl Layer for BatchNorm {
         assert_eq!(input.cols(), self.dim(), "BatchNorm feature mismatch");
         let dim = self.dim();
         out.resize(input.rows(), dim);
-        // Column-outer so each feature's 1/sqrt(var + eps) is computed once
-        // without a temporary std_inv vector.
-        for c in 0..dim {
-            let std_inv_c = 1.0 / (self.running_var[c] + self.eps).sqrt();
-            let mean_c = self.running_mean[c];
-            let gamma_c = self.gamma.value.get(0, c);
-            let beta_c = self.beta.value.get(0, c);
+        // Row-outer within blocks of columns, so each feature's
+        // 1/sqrt(var + eps) is computed once into a stack buffer.
+        const BLOCK: usize = 64;
+        let mut std_inv = [0.0f32; BLOCK];
+        for c0 in (0..dim).step_by(BLOCK) {
+            let cols = c0..dim.min(c0 + BLOCK);
+            let std_inv = &mut std_inv[..cols.len()];
+            for (s, &v) in std_inv.iter_mut().zip(&self.running_var[cols.clone()]) {
+                *s = 1.0 / (v + self.eps).sqrt();
+            }
+            let mean = &self.running_mean[cols.clone()];
+            let gamma = &self.gamma.value.data()[cols.clone()];
+            let beta = &self.beta.value.data()[cols.clone()];
             for r in 0..input.rows() {
-                let x_hat = (input.get(r, c) - mean_c) * std_inv_c;
-                out.set(r, c, x_hat * gamma_c + beta_c);
+                let x = &input.row(r)[cols.clone()];
+                let o = &mut out.row_mut(r)[cols.clone()];
+                let columns = x.iter().zip(mean).zip(std_inv.iter());
+                for ((o, ((&x, &m), &s)), (&g, &b)) in
+                    o.iter_mut().zip(columns).zip(gamma.iter().zip(beta))
+                {
+                    let x_hat = (x - m) * s;
+                    *o = x_hat * g + b;
+                }
             }
         }
     }
@@ -717,6 +734,103 @@ mod tests {
                 assert!((analytic - numeric).abs() < 1e-2, "d{name}[{c}]");
             }
         }
+    }
+
+    /// The column-outer batch normalisation the row-outer loops replaced:
+    /// `(output, x_hat, running mean, running var)` of a training forward
+    /// from the given running statistics.
+    fn batchnorm_column_outer(
+        bn: &BatchNorm,
+        input: &Matrix,
+    ) -> (Matrix, Matrix, Vec<f32>, Vec<f32>) {
+        let (rows, dim) = input.shape();
+        let n = rows as f32;
+        let mean: Vec<f32> = (0..dim)
+            .map(|c| (0..rows).map(|r| input.get(r, c)).sum::<f32>() / n)
+            .collect();
+        let var: Vec<f32> = (0..dim)
+            .map(|c| {
+                (0..rows)
+                    .map(|r| {
+                        let d = input.get(r, c) - mean[c];
+                        d * d
+                    })
+                    .sum::<f32>()
+                    / n
+            })
+            .collect();
+        let (mut running_mean, mut running_var) = (bn.running_mean.clone(), bn.running_var.clone());
+        for c in 0..dim {
+            running_mean[c] = (1.0 - bn.momentum) * running_mean[c] + bn.momentum * mean[c];
+            running_var[c] = (1.0 - bn.momentum) * running_var[c] + bn.momentum * var[c];
+        }
+        let mut x_hat = Matrix::zeros(rows, dim);
+        let mut out = Matrix::zeros(rows, dim);
+        for c in 0..dim {
+            let std_inv = 1.0 / (var[c] + bn.eps).sqrt();
+            for r in 0..rows {
+                x_hat.set(r, c, (input.get(r, c) - mean[c]) * std_inv);
+                let y = x_hat.get(r, c) * bn.gamma.value.get(0, c) + bn.beta.value.get(0, c);
+                out.set(r, c, y);
+            }
+        }
+        (out, x_hat, running_mean, running_var)
+    }
+
+    /// `forward` and `infer_into` walk rows outer; every bit matches the
+    /// column-outer loops, over 70 features (more than one block of
+    /// `infer_into`) and a feature column of `-0.0`s, whose mean takes
+    /// its sign from the value `Sum` starts at.
+    #[test]
+    fn batchnorm_row_outer_loops_match_the_column_outer_form() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut r = rng();
+        let (rows, dim) = (5, 70);
+        let mut bn = BatchNorm::new(dim);
+        bn.gamma.value =
+            Matrix::from_vec(1, dim, (0..dim).map(|_| r.gen_range(-2.0..2.0)).collect());
+        bn.beta.value =
+            Matrix::from_vec(1, dim, (0..dim).map(|_| r.gen_range(-1.0..1.0)).collect());
+        bn.beta.value.set(0, 3, -0.0);
+        bn.running_mean = (0..dim).map(|_| r.gen_range(-1.0..1.0)).collect();
+        bn.running_var = (0..dim).map(|_| r.gen_range(0.5..2.0)).collect();
+        let mut x = Matrix::from_vec(
+            rows,
+            dim,
+            (0..rows * dim).map(|_| r.gen_range(-3.0..3.0)).collect(),
+        );
+        for row in 0..rows {
+            x.set(row, 3, -0.0);
+        }
+
+        let mut served = Matrix::default();
+        bn.infer_into(&x, &mut served);
+        let mut want = Matrix::zeros(rows, dim);
+        for row in 0..rows {
+            for c in 0..dim {
+                let std_inv = 1.0 / (bn.running_var[c] + bn.eps).sqrt();
+                let x_hat = (x.get(row, c) - bn.running_mean[c]) * std_inv;
+                want.set(
+                    row,
+                    c,
+                    x_hat * bn.gamma.value.get(0, c) + bn.beta.value.get(0, c),
+                );
+            }
+        }
+        assert_eq!(bits(&served), bits(&want), "infer_into");
+
+        let (want, want_x_hat, want_mean, want_var) = batchnorm_column_outer(&bn, &x);
+        let out = bn.forward(&x);
+        assert_eq!(bits(&out), bits(&want), "forward output");
+        let x_hat = &bn.cache.as_ref().expect("forward caches x_hat").x_hat;
+        assert_eq!(bits(x_hat), bits(&want_x_hat), "x_hat");
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            to_bits(&bn.running_mean),
+            to_bits(&want_mean),
+            "running mean"
+        );
+        assert_eq!(to_bits(&bn.running_var), to_bits(&want_var), "running var");
     }
 
     #[test]

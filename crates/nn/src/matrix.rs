@@ -1,20 +1,36 @@
 //! Dense row-major `f32` matrices and the handful of linear-algebra kernels
 //! the feed-forward networks need.
 //!
-//! The paper's networks are small multi-layer perceptrons, so a
-//! straightforward cache-friendly implementation (row-major storage, `ikj`
-//! loop order for mat-mul, fused transpose products) is more than fast enough
-//! and keeps the crate dependency-free.
+//! The paper's networks are small multi-layer perceptrons, so plain
+//! row-major storage and three register-tiled products keep the crate
+//! dependency-free and fast enough.
 //!
-//! The three products — [`Matrix::matmul_into`] (every forward pass, training
-//! and serving alike), [`Matrix::t_matmul`] (`dW = xᵀ·g`) and
-//! [`Matrix::matmul_t`] (`dx = g·Wᵀ`) — are sums of zero-skipped
-//! [`sato_kernels::axpy`] rows. Each has one body, compiled twice: for the
-//! baseline target and inside `#[target_feature(enable = "avx2")]`, so the
-//! inlined `axpy` runs eight lanes wide instead of SSE2's four. The AVX2
-//! form is chosen at run time with `is_x86_feature_detected!`, on x86_64
-//! only. Neither form enables FMA or uses intrinsics, and no product
-//! reassociates a sum, so both forms produce the same bits.
+//! The three products are [`Matrix::matmul_into`] (every forward pass,
+//! training and serving alike), [`Matrix::t_matmul`] (`dW = xᵀ·g`) and
+//! [`Matrix::matmul_t`] (`dx = g·Wᵀ`):
+//!
+//! * `matmul_into` and `t_matmul` sum a 4-row × 16-column tile of the
+//!   output in registers, over the inner index in ascending order, and
+//!   store it once. Rows past the last full tile and columns past the last
+//!   multiple of 16 (the 78-type head's last 14) take an in-order
+//!   [`sato_kernels::axpy`] per inner index instead.
+//! * `matmul_t` sums each output element in the association of
+//!   [`sato_kernels::dot`], four partial sums by inner index mod 4, in a
+//!   4 × 2 tile of output elements; ragged elements call `dot` itself. It
+//!   reads both operands by rows, so it never transposes the weights.
+//!
+//! Every output element is therefore summed in one fixed order, whatever
+//! the tile shape, and each accumulator starts at `+0.0`. No product
+//! skips zeros: an accumulator that starts at `+0.0` can never become
+//! `-0.0`, so adding the `±0.0` product of an exact zero and a finite
+//! weight changes no bit.
+//!
+//! Each product has one body, compiled twice: for the baseline target and
+//! inside `#[target_feature(enable = "avx2")]`, where a tile row is two
+//! eight-lane vectors instead of four SSE2 ones. The AVX2 form is chosen at
+//! run time with `is_x86_feature_detected!`, on x86_64 only. Neither form
+//! enables FMA or uses intrinsics, and no product reassociates a sum, so
+//! both forms produce the same bits.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -221,26 +237,14 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let other_t = other.transpose();
         let mut out = Matrix::zeros(self.rows, other.rows);
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             // SAFETY: the CPU supports AVX2, checked at run time.
-            unsafe { matmul_t_avx2(self, &other_t, &mut out) };
+            unsafe { matmul_t_avx2(self, other, &mut out) };
             return out;
         }
-        matmul_t_body(self, &other_t, &mut out);
-        out
-    }
-
-    /// Explicit transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        matmul_t_body(self, other, &mut out);
         out
     }
 
@@ -340,72 +344,141 @@ fn has_avx2() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// `out += a @ b`, one `axpy` of a row of `b` per nonzero element of `a`.
+/// Rows of a register tile of [`matmul_into_body`] and [`t_matmul_body`].
+const TILE_ROWS: usize = 4;
+/// Columns of a register tile: two AVX2 vectors (four SSE2 ones) per row.
+const TILE_COLS: usize = 16;
+/// Rows of `a` in a register tile of [`matmul_t_body`].
+const DOT_ROWS: usize = 4;
+/// Rows of `b` in a register tile of [`matmul_t_body`]; each of the
+/// tile's output elements holds four partial sums.
+const DOT_COLS: usize = 2;
+
+/// `acc[q] += x[q] · y` for every row `q` of a register tile.
+#[inline(always)]
+fn tile_axpy(acc: &mut [[f32; TILE_COLS]; TILE_ROWS], x: [f32; TILE_ROWS], y: &[f32]) {
+    let y: &[f32; TILE_COLS] = y.try_into().expect("a tile spans TILE_COLS columns");
+    for q in 0..TILE_ROWS {
+        for c in 0..TILE_COLS {
+            acc[q][c] += x[q] * y[c];
+        }
+    }
+}
+
+/// Write a register tile to `out` at row `i`, column `j`.
+#[inline(always)]
+fn store_tile(acc: &[[f32; TILE_COLS]; TILE_ROWS], out: &mut Matrix, i: usize, j: usize) {
+    for (q, acc_row) in acc.iter().enumerate() {
+        out.row_mut(i + q)[j..j + TILE_COLS].copy_from_slice(acc_row);
+    }
+}
+
+/// `out = a @ b` for a zeroed `out`. Each `TILE_ROWS × TILE_COLS` tile of
+/// `out` is summed in registers over `k` in ascending order and stored
+/// once; the ragged rows and columns take an in-order `axpy` per `k`. Both
+/// sum every output element from `+0.0` over ascending `k`, so the tile
+/// shape changes no bit.
 #[inline(always)]
 fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
-        for (k, &x) in a_row.iter().enumerate() {
-            // Skipping exact zeros keeps the sparse one-hot inputs cheap
-            // AND preserves bits: an axpy with x == 0.0 could still flip
-            // a -0.0 accumulator to +0.0.
-            if x == 0.0 {
-                continue;
+    let n = b.cols;
+    let tiled_rows = a.rows - a.rows % TILE_ROWS;
+    let tiled_cols = n - n % TILE_COLS;
+    for i in (0..tiled_rows).step_by(TILE_ROWS) {
+        let [a0, a1, a2, a3]: [&[f32]; TILE_ROWS] = std::array::from_fn(|q| a.row(i + q));
+        for j in (0..tiled_cols).step_by(TILE_COLS) {
+            let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+            let b_rows = b.data.chunks_exact(n);
+            for ((((b_row, &x0), &x1), &x2), &x3) in b_rows.zip(a0).zip(a1).zip(a2).zip(a3) {
+                tile_axpy(&mut acc, [x0, x1, x2, x3], &b_row[j..j + TILE_COLS]);
             }
-            sato_kernels::axpy(x, b.row(k), out_row);
+            store_tile(&acc, out, i, j);
+        }
+    }
+    let first = if tiled_cols == n { tiled_rows } else { 0 };
+    for i in first..a.rows {
+        let from = if i < tiled_rows { tiled_cols } else { 0 };
+        let out_row = &mut out.row_mut(i)[from..];
+        for (k, &x) in a.row(i).iter().enumerate() {
+            sato_kernels::axpy(x, &b.row(k)[from..], out_row);
         }
     }
 }
 
-/// `out += aᵀ @ b`: row `r` of `a` scatters `a[r][i] · b[r]` into row `i`.
+/// `out = aᵀ @ b` for a zeroed `out`: the tile of [`matmul_into_body`]
+/// over output rows (columns of `a`), summed over the rows `r` of `a` and
+/// `b` in ascending order. The ragged rows and columns take an in-order
+/// `axpy` per `r`.
 #[inline(always)]
 fn t_matmul_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, n) = (a.cols, b.cols);
+    let tiled_rows = m - m % TILE_ROWS;
+    let tiled_cols = n - n % TILE_COLS;
+    for i in (0..tiled_rows).step_by(TILE_ROWS) {
+        for j in (0..tiled_cols).step_by(TILE_COLS) {
+            let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+            for (a_row, b_row) in a.data.chunks_exact(m).zip(b.data.chunks_exact(n)) {
+                let x = a_row[i..i + TILE_ROWS]
+                    .try_into()
+                    .expect("a tile spans TILE_ROWS rows");
+                tile_axpy(&mut acc, x, &b_row[j..j + TILE_COLS]);
+            }
+            store_tile(&acc, out, i, j);
+        }
+    }
+    let first = if tiled_cols == n { tiled_rows } else { 0 };
     for r in 0..a.rows {
         let b_row = b.row(r);
-        for (i, &x) in a.row(r).iter().enumerate() {
-            if x == 0.0 {
-                continue;
-            }
-            sato_kernels::axpy(x, b_row, out.row_mut(i));
+        for (i, &x) in a.row(r).iter().enumerate().skip(first) {
+            let from = if i < tiled_rows { tiled_cols } else { 0 };
+            sato_kernels::axpy(x, &b_row[from..], &mut out.row_mut(i)[from..]);
         }
     }
 }
 
-/// `out = a @ bᵀ`, given `bt = bᵀ`, summed in the association of
-/// [`sato_kernels::dot`]: the products of inner index
-/// `k < n - n % 4` accumulate into four partial rows by `k % 4`, the partial
-/// rows combine as `(p0 + p1) + (p2 + p3)`, and the `n % 4` remaining
-/// products follow in order. Skipping an exact zero of `a` changes no bit:
-/// an accumulator that starts at `+0.0` never becomes `-0.0`, and adding
-/// `±0.0` to anything else leaves it as it is (for finite `bt`).
+/// `out = a @ bᵀ`, every element summed in the association of
+/// [`sato_kernels::dot`] over row `i` of `a` and row `j` of `b`: the
+/// products of inner index `k < n - n % 4` accumulate into four partial
+/// sums by `k % 4`, the partial sums combine as `(p0 + p1) + (p2 + p3)`,
+/// and the `n % 4` remaining products follow in order. A
+/// `DOT_ROWS × DOT_COLS` tile keeps its partial sums in registers; the
+/// ragged rows and columns call `dot` itself.
 #[inline(always)]
-fn matmul_t_body(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
-    let width = bt.cols;
-    let chunked = a.cols - a.cols % 4;
-    let mut partial = vec![0.0f32; 4 * width];
+fn matmul_t_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let inner = a.cols;
+    let chunked = inner - inner % 4;
+    let tiled_rows = a.rows - a.rows % DOT_ROWS;
+    let tiled_cols = b.rows - b.rows % DOT_COLS;
+    for i in (0..tiled_rows).step_by(DOT_ROWS) {
+        let a_rows: [&[f32]; DOT_ROWS] = std::array::from_fn(|q| a.row(i + q));
+        for j in (0..tiled_cols).step_by(DOT_COLS) {
+            let b_rows: [&[f32]; DOT_COLS] = std::array::from_fn(|p| b.row(j + p));
+            let mut acc = [[[0.0f32; 4]; DOT_COLS]; DOT_ROWS];
+            for k in (0..chunked).step_by(4) {
+                let x: [&[f32]; DOT_ROWS] = std::array::from_fn(|q| &a_rows[q][k..k + 4]);
+                let y: [&[f32]; DOT_COLS] = std::array::from_fn(|p| &b_rows[p][k..k + 4]);
+                for (acc_row, x) in acc.iter_mut().zip(x) {
+                    for (lanes, y) in acc_row.iter_mut().zip(y) {
+                        for ((s, &x), &y) in lanes.iter_mut().zip(x).zip(y) {
+                            *s += x * y;
+                        }
+                    }
+                }
+            }
+            for (q, acc_row) in acc.iter().enumerate() {
+                for (p, lanes) in acc_row.iter().enumerate() {
+                    let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+                    for (&x, &y) in a_rows[q][chunked..].iter().zip(&b_rows[p][chunked..]) {
+                        s += x * y;
+                    }
+                    out.data[(i + q) * b.rows + j + p] = s;
+                }
+            }
+        }
+    }
     for i in 0..a.rows {
-        let a_row = a.row(i);
-        partial.fill(0.0);
-        for (k, &x) in a_row[..chunked].iter().enumerate() {
-            if x == 0.0 {
-                continue;
-            }
-            let lane = k % 4;
-            sato_kernels::axpy(x, bt.row(k), &mut partial[lane * width..(lane + 1) * width]);
-        }
-        let (p01, p23) = partial.split_at(2 * width);
-        let (p0, p1) = p01.split_at(width);
-        let (p2, p3) = p23.split_at(width);
-        let out_row = out.row_mut(i);
-        for ((((o, &s0), &s1), &s2), &s3) in out_row.iter_mut().zip(p0).zip(p1).zip(p2).zip(p3) {
-            *o = (s0 + s1) + (s2 + s3);
-        }
-        for (k, &x) in a_row.iter().enumerate().skip(chunked) {
-            if x == 0.0 {
-                continue;
-            }
-            sato_kernels::axpy(x, bt.row(k), out_row);
+        let from = if i < tiled_rows { tiled_cols } else { 0 };
+        for j in from..b.rows {
+            out.data[i * b.rows + j] = sato_kernels::dot(a.row(i), b.row(j));
         }
     }
 }
@@ -439,8 +512,8 @@ unsafe fn t_matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_t_avx2(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
-    matmul_t_body(a, bt, out);
+unsafe fn matmul_t_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_t_body(a, b, out);
 }
 
 #[cfg(test)]
@@ -453,6 +526,17 @@ mod tests {
     fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         a.matmul_into(b, &mut out);
+        out
+    }
+
+    /// `mᵀ`, materialised.
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.cols, m.rows);
+        for r in 0..m.rows {
+            for c in 0..m.cols {
+                out.data[c * m.rows + r] = m.data[r * m.cols + c];
+            }
+        }
         out
     }
 
@@ -483,12 +567,12 @@ mod tests {
     fn fused_transpose_products_match_explicit_transpose() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 0.5], vec![2.0, -1.0]]);
-        let expected_t = matmul(&a.transpose(), &b);
+        let expected_t = matmul(&transpose(&a), &b);
         let got_t = a.t_matmul(&b);
         assert_eq!(expected_t, got_t);
 
         let c = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![0.0, 1.0, 0.0]]);
-        let expected = matmul(&a, &c.transpose());
+        let expected = matmul(&a, &transpose(&c));
         let got = a.matmul_t(&c);
         assert_eq!(expected, got);
     }
@@ -586,19 +670,131 @@ mod tests {
                     unsafe { t_matmul_avx2(&a, &g, &mut wide) };
                     assert_eq!(bits(&base), bits(&wide), "t_matmul {rows}x{inner}x{width}");
 
-                    // `b` (inner × width) is the transposed right operand of
-                    // a `rows × width` product.
+                    // `bᵀ` (width × inner) is the right operand of a
+                    // `rows × width` product.
+                    let bt = transpose(&b);
                     let mut base = Matrix::zeros(rows, width);
                     let mut wide = Matrix::zeros(rows, width);
-                    matmul_t_body(&a, &b, &mut base);
+                    matmul_t_body(&a, &bt, &mut base);
                     // SAFETY: as above.
-                    unsafe { matmul_t_avx2(&a, &b, &mut wide) };
+                    unsafe { matmul_t_avx2(&a, &bt, &mut wide) };
                     assert_eq!(bits(&base), bits(&wide), "matmul_t {rows}x{inner}x{width}");
                 }
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         eprintln!("skipped: the AVX2 forms exist on x86_64 only");
+    }
+
+    /// The in-order axpy form of `a @ b` the tiled `matmul_into` must match
+    /// bit for bit: one `axpy` of row `k` of `b` per element `a[i][k]`,
+    /// over ascending `k`, into a zeroed row.
+    fn matmul_axpy(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                sato_kernels::axpy(x, b.row(k), out.row_mut(i));
+            }
+        }
+        out
+    }
+
+    /// The in-order axpy form of `aᵀ @ b` the tiled `t_matmul` must match:
+    /// row `r` scatters `a[r][i] · b[r]` into row `i`, over ascending `r`.
+    fn t_matmul_axpy(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for r in 0..a.rows {
+            for (i, &x) in a.row(r).iter().enumerate() {
+                sato_kernels::axpy(x, b.row(r), out.row_mut(i));
+            }
+        }
+        out
+    }
+
+    /// Ragged sizes around the tiles: 1 to 9 rows, or 67.
+    fn ragged_rows(pick: usize) -> usize {
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 67][pick]
+    }
+
+    /// Ragged widths: 1 to 40, or the head's 78, or the trunk's 283.
+    fn ragged_width(pick: usize) -> usize {
+        match pick {
+            40 => 78,
+            41 => 283,
+            w => w + 1,
+        }
+    }
+
+    /// A `rows × cols` matrix of values in (-2, 2) with exact zeros of
+    /// both signs and subnormals mixed in, about an eighth each.
+    fn edgy(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.gen_range(1..0x0080_0000)) * rng.gen_range(-1.0..1.0f32),
+                _ => rng.gen::<f32>() * 4.0 - 2.0,
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Each tiled product — the baseline-compiled body, the AVX2
+        /// wrapper where the CPU has AVX2, and the public method — matches
+        /// its oracle bit for bit on ragged shapes: `matmul_into` and
+        /// `t_matmul` the in-order axpy form, `matmul_t` a `dot` per
+        /// output element.
+        #[test]
+        fn tiled_products_match_their_oracles_bit_for_bit(
+            shape in (0usize..10, 0usize..42, 0usize..42),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (rows, inner, width) =
+                (ragged_rows(shape.0), ragged_width(shape.1), ragged_width(shape.2));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = edgy(&mut rng, rows, inner);
+            let w = edgy(&mut rng, inner, width);
+            let g = edgy(&mut rng, rows, width);
+            let case = format!("{rows}x{inner}x{width}");
+
+            let want = bits(&matmul_axpy(&a, &w));
+            let mut base = Matrix::zeros(rows, width);
+            matmul_into_body(&a, &w, &mut base);
+            proptest::prop_assert_eq!(bits(&base), want.clone(), "matmul_into body {}", case);
+            proptest::prop_assert_eq!(bits(&matmul(&a, &w)), want.clone(), "matmul_into {}", case);
+
+            let want_dw = bits(&t_matmul_axpy(&a, &g));
+            let mut base = Matrix::zeros(inner, width);
+            t_matmul_body(&a, &g, &mut base);
+            proptest::prop_assert_eq!(bits(&base), want_dw.clone(), "t_matmul body {}", case);
+            proptest::prop_assert_eq!(bits(&a.t_matmul(&g)), want_dw.clone(), "t_matmul {}", case);
+
+            // `g @ wᵀ`: `g` is rows × width and `w` is inner × width.
+            let want_dx = bits(&matmul_t_dot(&g, &w));
+            let mut base = Matrix::zeros(rows, inner);
+            matmul_t_body(&g, &w, &mut base);
+            proptest::prop_assert_eq!(bits(&base), want_dx.clone(), "matmul_t body {}", case);
+            proptest::prop_assert_eq!(bits(&g.matmul_t(&w)), want_dx.clone(), "matmul_t {}", case);
+
+            #[cfg(target_arch = "x86_64")]
+            if has_avx2() {
+                let mut wide = Matrix::zeros(rows, width);
+                // SAFETY: the CPU supports AVX2, checked above.
+                unsafe { matmul_into_avx2(&a, &w, &mut wide) };
+                proptest::prop_assert_eq!(bits(&wide), want, "matmul_into AVX2 {}", case);
+                let mut wide = Matrix::zeros(inner, width);
+                // SAFETY: as above.
+                unsafe { t_matmul_avx2(&a, &g, &mut wide) };
+                proptest::prop_assert_eq!(bits(&wide), want_dw, "t_matmul AVX2 {}", case);
+                let mut wide = Matrix::zeros(rows, inner);
+                // SAFETY: as above.
+                unsafe { matmul_t_avx2(&g, &w, &mut wide) };
+                proptest::prop_assert_eq!(bits(&wide), want_dx, "matmul_t AVX2 {}", case);
+            }
+        }
     }
 
     #[test]
