@@ -13,8 +13,8 @@
 //! `gibbs_sampler` section — dense vs sparse/alias topic sampling µs/table
 //! at the model's Gibbs budget (`infer_iterations`, recorded beside them),
 //! with the mean L1 theta drift of the sparse/alias sampler — and the
-//! `artifact` section — JSON vs `SATOART1` binary predictor artifact size
-//! and load time. Every figure is measured on one thread.
+//! `artifact` section — the `SATOART1` predictor artifact's size and load
+//! time. Every figure is measured on one thread.
 //!
 //! `--sampler {dense,sparse}` selects the topic sampler of the prediction
 //! pass (the sampler section always measures both).
@@ -236,28 +236,21 @@ fn time_gibbs_samplers(
     }
 }
 
-/// Measure both predictor artifact formats: size and best-of load time,
-/// asserting the loaded predictors reproduce the source bit for bit.
+/// Measure the predictor artifact: size and best-of load time, asserting
+/// the loaded predictor reproduces the source bit for bit.
 fn time_artifacts(predictor: &SatoPredictor, test: &Corpus) -> ArtifactFormats {
-    let json = predictor.to_json();
     let binary = predictor.to_bytes();
-
-    let (from_json, json_secs) =
-        best_of(|| SatoPredictor::from_json(black_box(&json)).expect("JSON artifact loads"));
-    let (from_binary, binary_secs) =
-        best_of(|| SatoPredictor::from_bytes(black_box(&binary)).expect("binary artifact loads"));
+    let (loaded, binary_secs) =
+        best_of(|| SatoPredictor::from_bytes(black_box(&binary)).expect("artifact loads"));
     for table in test.iter().take(5) {
-        let expected = predictor.predict(table);
-        assert_eq!(expected, from_json.predict(table), "JSON load drifted");
-        assert_eq!(expected, from_binary.predict(table), "binary load drifted");
+        assert_eq!(
+            predictor.predict(table),
+            loaded.predict(table),
+            "load drifted"
+        );
     }
-
     ArtifactFormats {
-        json_bytes: json.len(),
         binary_bytes: binary.len(),
-        binary_size_ratio: json.len() as f64 / binary.len() as f64,
-        json_load_us: json_secs * 1e6,
         binary_load_us: binary_secs * 1e6,
-        binary_load_speedup: json_secs / binary_secs,
     }
 }

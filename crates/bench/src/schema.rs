@@ -25,7 +25,7 @@ pub trait BenchFile: Serialize + Deserialize {
 }
 
 /// Schema tag of [`ServingBench`].
-pub const SERVING_SCHEMA: &str = "sato-bench/serving-v6";
+pub const SERVING_SCHEMA: &str = "sato-bench/serving-v7";
 
 /// `BENCH_serving.json`, written by `table2_efficiency`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -40,7 +40,7 @@ pub struct ServingBench {
     pub table2: Table2,
     /// Dense vs sparse/alias topic sampling on the Full model.
     pub gibbs_sampler: GibbsSampler,
-    /// JSON vs `SATOART1` binary artifact of the Full predictor.
+    /// The `SATOART1` artifact of the Full predictor.
     pub artifact: ArtifactFormats,
 }
 
@@ -105,21 +105,13 @@ pub struct GibbsSampler {
     pub mean_l1_drift_vs_dense: f64,
 }
 
-/// Size and load time of the two predictor artifact formats.
+/// Size and load time of the predictor artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArtifactFormats {
-    /// Bytes of the JSON artifact.
-    pub json_bytes: usize,
-    /// Bytes of the `SATOART1` binary artifact.
+    /// Bytes of the `SATOART1` artifact.
     pub binary_bytes: usize,
-    /// `json_bytes / binary_bytes`.
-    pub binary_size_ratio: f64,
-    /// Best-of µs to load the JSON artifact.
-    pub json_load_us: f64,
-    /// Best-of µs to load the binary artifact.
+    /// Best-of µs to load the artifact.
     pub binary_load_us: f64,
-    /// `json_load_us / binary_load_us`.
-    pub binary_load_speedup: f64,
 }
 
 impl BenchFile for ServingBench {
@@ -135,7 +127,6 @@ impl BenchFile for ServingBench {
             ("available_parallelism", self.available_parallelism),
             ("test_tables", self.corpus.test_tables),
             ("infer_iterations", g.infer_iterations),
-            ("json_bytes", a.json_bytes),
             ("binary_bytes", a.binary_bytes),
         ])?;
         let full_crf = t.full.train_crf_secs.unwrap_or(f64::NAN);
@@ -149,7 +140,6 @@ impl BenchFile for ServingBench {
             ("sparse_us_per_table", g.sparse_us_per_table),
             ("sparse_speedup_min", g.sparse_speedup_min),
             ("sparse_speedup_max", g.sparse_speedup_max),
-            ("json_load_us", a.json_load_us),
             ("binary_load_us", a.binary_load_us),
         ])?;
         // L1 between two probability distributions is at most 2.
@@ -167,13 +157,7 @@ impl BenchFile for ServingBench {
             "sparse_speedup_max",
         )?;
         let sparse = g.dense_us_per_table / g.sparse_us_per_table;
-        let size = a.json_bytes as f64 / a.binary_bytes as f64;
-        let load = a.json_load_us / a.binary_load_us;
-        derived(&[
-            ("sparse_speedup", g.sparse_speedup, sparse),
-            ("binary_size_ratio", a.binary_size_ratio, size),
-            ("binary_load_speedup", a.binary_load_speedup, load),
-        ])
+        derived(&[("sparse_speedup", g.sparse_speedup, sparse)])
     }
 }
 

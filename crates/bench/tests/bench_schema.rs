@@ -43,9 +43,9 @@ fn committed_serving_bench_matches_its_schema_and_broken_copies_do_not() {
     drift.gibbs_sampler.mean_l1_drift_vs_dense = 3.0;
     rejects(drift, "mean_l1_drift_vs_dense");
 
-    let mut ratio = bench.clone();
-    ratio.artifact.binary_size_ratio *= 1.01;
-    rejects(ratio, "binary_size_ratio");
+    let mut load = bench.clone();
+    load.artifact.binary_load_us = 0.0;
+    rejects(load, "binary_load_us");
 
     // The ratio of the mean timings lies within the per-trial spread.
     let g = &bench.gibbs_sampler;

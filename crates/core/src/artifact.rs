@@ -1,14 +1,13 @@
-//! The `SATOART1` compact binary predictor artifact.
+//! The `SATOART1` predictor artifact, the one format a [`SatoPredictor`] is
+//! saved and loaded in, and the only module that knows it.
 //!
-//! [`SatoPredictor::to_json`](crate::SatoPredictor::to_json) stays the
-//! debug/interchange format; this module is the deployment format: the
-//! already-flat buffers a predictor is made of (network weights and running
-//! statistics, per-group scaler moments, the LDA topic–word counts and the
-//! CRF pairwise table) laid out as little-endian sections behind a header,
-//! so loading is section framing plus `memcpy`-shaped bulk reads instead of
-//! parsing hundreds of thousands of JSON number literals. Only primary
-//! state is stored: the LDA model's φ table and the sparse/alias sampler's
-//! per-word alias tables are derived from `LDAM` at every load.
+//! The artifact holds the already-flat buffers a predictor is made of
+//! (network weights and running statistics, per-group scaler moments, the
+//! LDA topic–word counts and the CRF pairwise table) laid out as
+//! little-endian sections behind a header, so loading is section framing
+//! plus `memcpy`-shaped bulk reads. Only primary state is stored: the LDA
+//! model's φ table and the sparse/alias sampler's per-word alias tables are
+//! derived from `LDAM` at every load.
 //!
 //! ## Layout
 //!
@@ -24,7 +23,10 @@
 //! verified before any decoding. Unknown section ids are ignored (forward
 //! compatibility within a version); *missing* required sections, short
 //! buffers, bad magic, checksum mismatches and version skew all surface as
-//! typed [`PredictorError`] variants — never panics.
+//! typed [`PredictorError`] variants — never panics. A JSON artifact of an
+//! earlier release is not a `SATOART1` file: it fails with
+//! [`PredictorError::BadMagic`] (or [`PredictorError::Truncated`] when
+//! shorter than the 16-byte header).
 //!
 //! | id     | contents                                                      |
 //! |--------|---------------------------------------------------------------|
@@ -48,11 +50,11 @@ use crate::columnwise::FrozenColumnwise;
 use crate::config::SatoConfig;
 use crate::dataset::Standardizer;
 use crate::model::SatoVariant;
-use crate::predictor::{PredictorError, SatoPredictor};
+use crate::predictor::SatoPredictor;
 use crate::structured::StructuredLayer;
 use sato_crf::LinearChainCrf;
 use sato_features::FeatureGroup;
-use sato_nn::serialize::StateDict;
+use sato_nn::serialize::{LoadError, StateDict};
 use sato_topic::{LdaModel, SamplerKind, TableIntentEstimator};
 use serde::{Deserialize, Serialize};
 
@@ -83,6 +85,104 @@ const SEC_CRFP: [u8; 4] = *b"CRFP";
 /// over the whole `SATOART1` byte stream.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     sato_kernels::fnv1a64(bytes)
+}
+
+/// Error raised when loading a `SATOART1` predictor artifact.
+#[derive(Debug)]
+pub enum PredictorError {
+    /// The artifact's `META` section is not valid JSON or does not match
+    /// the expected shape.
+    Json(serde_json::Error),
+    /// The artifact was written by an incompatible format version.
+    UnsupportedVersion(u64),
+    /// The stored weights do not fit the architecture described by the
+    /// stored configuration (count/shape mismatch).
+    State(LoadError),
+    /// The artifact's fields are mutually inconsistent (e.g. fewer scalers
+    /// than input groups), which would panic at predict time if loaded.
+    Inconsistent(&'static str),
+    /// Reading or writing the artifact file failed.
+    Io(std::io::Error),
+    /// The artifact ended before the named structure was complete.
+    Truncated(&'static str),
+    /// The artifact does not start with the `SATOART1` magic bytes (a JSON
+    /// artifact of an earlier release fails here).
+    BadMagic,
+    /// An artifact section's stored checksum does not match its payload
+    /// (bit rot, torn write, or mid-file corruption).
+    Checksum(&'static str),
+    /// The artifact is missing a section the described model requires.
+    MissingSection(&'static str),
+    /// An artifact section decoded to structurally invalid data.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for PredictorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PredictorError::Json(e) => write!(f, "predictor artifact: {e}"),
+            PredictorError::UnsupportedVersion(v) => {
+                write!(f, "predictor artifact: unsupported format version {v}")
+            }
+            PredictorError::State(e) => write!(f, "predictor artifact: {e}"),
+            PredictorError::Inconsistent(msg) => write!(f, "predictor artifact: {msg}"),
+            PredictorError::Io(e) => write!(f, "predictor artifact: {e}"),
+            PredictorError::Truncated(what) => {
+                write!(f, "predictor artifact: truncated while reading {what}")
+            }
+            PredictorError::BadMagic => {
+                write!(f, "predictor artifact: bad magic (not a SATOART1 file)")
+            }
+            PredictorError::Checksum(section) => {
+                write!(
+                    f,
+                    "predictor artifact: checksum mismatch in section {section}"
+                )
+            }
+            PredictorError::MissingSection(section) => {
+                write!(f, "predictor artifact: missing required section {section}")
+            }
+            PredictorError::Corrupt(msg) => write!(f, "predictor artifact: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for PredictorError {}
+
+impl From<sato_topic::TopicBytesError> for PredictorError {
+    fn from(e: sato_topic::TopicBytesError) -> Self {
+        match e {
+            sato_topic::TopicBytesError::Truncated(what) => PredictorError::Truncated(what),
+            other => PredictorError::Corrupt(other.to_string()),
+        }
+    }
+}
+
+impl From<sato_nn::serialize::StateBytesError> for PredictorError {
+    fn from(e: sato_nn::serialize::StateBytesError) -> Self {
+        match e {
+            sato_nn::serialize::StateBytesError::Truncated(what) => PredictorError::Truncated(what),
+            other => PredictorError::Corrupt(other.to_string()),
+        }
+    }
+}
+
+impl From<serde_json::Error> for PredictorError {
+    fn from(e: serde_json::Error) -> Self {
+        PredictorError::Json(e)
+    }
+}
+
+impl From<LoadError> for PredictorError {
+    fn from(e: LoadError) -> Self {
+        PredictorError::State(e)
+    }
+}
+
+impl From<std::io::Error> for PredictorError {
+    fn from(e: std::io::Error) -> Self {
+        PredictorError::Io(e)
+    }
 }
 
 /// The JSON-shaped `META` section: everything about the predictor that is
@@ -331,12 +431,9 @@ fn assemble(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
 }
 
 impl SatoPredictor {
-    /// Serialize the predictor into the compact `SATOART1` binary artifact
-    /// (see the [module docs](self) for the layout). The binary form is the
-    /// deployment format: it round-trips bit for bit with
-    /// [`Self::to_json`] — [`Self::from_bytes`] reproduces the saved
-    /// predictions exactly — while being several times smaller and loading
-    /// via bulk little-endian reads instead of JSON parsing.
+    /// Serialize the predictor into the `SATOART1` artifact (see the
+    /// [module docs](self) for the layout). [`Self::from_bytes`] reproduces
+    /// the saved predictions bit for bit.
     pub fn to_bytes(&self) -> Vec<u8> {
         let columnwise = self.columnwise();
         let meta = BinaryMeta {
@@ -375,7 +472,7 @@ impl SatoPredictor {
         assemble(&sections)
     }
 
-    /// Rebuild a predictor from a `SATOART1` binary artifact written by
+    /// Rebuild a predictor from a `SATOART1` artifact written by
     /// [`Self::to_bytes`]. The loaded predictor reproduces the predictions
     /// of the saved one bit for bit; the sampler recorded in `META` is
     /// rebuilt from the `LDAM` model (an `O(topics × vocabulary)` step for
@@ -392,8 +489,13 @@ impl SatoPredictor {
         let value: serde::Value = serde_json::from_str(meta_str)?;
         let meta = BinaryMeta::from_value(&value).map_err(serde_json::Error::from)?;
 
-        // Cross-field consistency, mirroring `from_json`: a frame-valid
-        // artifact must not be able to panic at predict time.
+        // Cross-field consistency: a frame-valid artifact must not be able
+        // to panic at predict time.
+        let ldam = if meta.use_topic {
+            Some(sections.require(SEC_LDAM)?)
+        } else {
+            sections.get(SEC_LDAM)
+        };
         let expected_groups = FeatureGroup::ALL.len() + usize::from(meta.use_topic);
         if meta.group_widths.len() != expected_groups {
             return Err(PredictorError::Inconsistent(
@@ -408,15 +510,12 @@ impl SatoPredictor {
         }
         let net_state = StateDict::from_bytes(sections.require(SEC_NETW)?)?;
         let head_state = StateDict::from_bytes(sections.require(SEC_HEAD)?)?;
-        let intent = match sections.get(SEC_LDAM) {
+        let intent = match ldam {
             Some(payload) => Some(TableIntentEstimator::from_model(LdaModel::from_bytes(
                 payload,
             )?)),
             None => None,
         };
-        if meta.use_topic && intent.is_none() {
-            return Err(PredictorError::MissingSection("LDAM"));
-        }
         let crf = match sections.get(SEC_CRFP) {
             Some(payload) => Some(decode_crf(payload)?),
             None => None,
@@ -443,15 +542,14 @@ impl SatoPredictor {
         ))
     }
 
-    /// Write the binary artifact to a file (see [`Self::to_bytes`]).
-    pub fn save_binary(&self, path: impl AsRef<std::path::Path>) -> Result<(), PredictorError> {
+    /// Write the artifact to a file (see [`Self::to_bytes`]).
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PredictorError> {
         std::fs::write(path, self.to_bytes())?;
         Ok(())
     }
 
-    /// Load a predictor from a binary artifact file (see
-    /// [`Self::from_bytes`]).
-    pub fn load_binary(path: impl AsRef<std::path::Path>) -> Result<Self, PredictorError> {
+    /// Load a predictor from an artifact file (see [`Self::from_bytes`]).
+    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, PredictorError> {
         // Named injection point `core.artifact_load` (chaos builds only):
         // an armed Error presents as transient I/O, which is what the
         // serving layer's retry-with-backoff path exists for.
@@ -496,23 +594,44 @@ mod tests {
         })
     }
 
-    /// A fresh owned copy of the shared predictor (via the JSON codec, which
-    /// is already proven bit-exact).
+    /// A fresh owned copy of the shared predictor, through the artifact.
     fn fresh_copy() -> SatoPredictor {
-        SatoPredictor::from_json(&full_predictor().to_json()).unwrap()
+        SatoPredictor::from_bytes(&full_predictor().to_bytes()).unwrap()
+    }
+
+    /// The `(id, payload)` sections of an artifact, owned, for a test to
+    /// edit and reassemble.
+    fn sections_of(bytes: &[u8]) -> Vec<([u8; 4], Vec<u8>)> {
+        Sections::parse(bytes)
+            .unwrap()
+            .entries
+            .iter()
+            .map(|(id, payload)| (*id, payload.to_vec()))
+            .collect()
+    }
+
+    /// `bytes` reassembled with section `id`'s payload replaced by `edit`.
+    fn with_section(bytes: &[u8], id: [u8; 4], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let mut sections = sections_of(bytes);
+        let (_, payload) = sections.iter_mut().find(|(s, _)| *s == id).unwrap();
+        *payload = edit(payload);
+        assemble(&sections)
+    }
+
+    /// `bytes` reassembled with its `META` changed by `edit`.
+    fn with_meta(bytes: &[u8], edit: impl FnOnce(&mut BinaryMeta)) -> Vec<u8> {
+        with_section(bytes, SEC_META, |payload| {
+            let value = serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
+            let mut meta = BinaryMeta::from_value(&value).unwrap();
+            edit(&mut meta);
+            serde_json::to_string(&meta).unwrap().into_bytes()
+        })
     }
 
     #[test]
-    fn binary_round_trip_is_bit_identical_and_denser_than_json() {
+    fn binary_round_trip_is_bit_identical() {
         let predictor = full_predictor();
         let bytes = predictor.to_bytes();
-        let json = predictor.to_json();
-        assert!(
-            bytes.len() * 2 < json.len(),
-            "binary artifact ({}) not substantially smaller than JSON ({})",
-            bytes.len(),
-            json.len()
-        );
         let loaded = SatoPredictor::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.variant(), predictor.variant());
         assert_eq!(loaded.sampler_kind(), predictor.sampler_kind());
@@ -537,12 +656,7 @@ mod tests {
         for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
             let fresh = fresh_copy().with_sampler(kind);
             let bytes = fresh.to_bytes();
-            let mut sections: Vec<([u8; 4], Vec<u8>)> = Sections::parse(&bytes)
-                .unwrap()
-                .entries
-                .iter()
-                .map(|(id, payload)| (*id, payload.to_vec()))
-                .collect();
+            let mut sections = sections_of(&bytes);
             assert!(sections.iter().all(|(id, _)| id != b"ALIA"));
             sections.push((*b"ALIA", vec![0xFF; 64 * 1024]));
             let loaded = SatoPredictor::from_bytes(&assemble(&sections)).unwrap();
@@ -562,23 +676,14 @@ mod tests {
     /// not a silent remap onto another sampler.
     #[test]
     fn meta_naming_an_unknown_sampler_is_a_typed_error() {
-        let bytes = full_predictor().to_bytes();
-        let sections: Vec<([u8; 4], Vec<u8>)> = Sections::parse(&bytes)
-            .unwrap()
-            .entries
-            .iter()
-            .map(|(id, payload)| {
-                if *id != SEC_META {
-                    return (*id, payload.to_vec());
-                }
-                let meta = std::str::from_utf8(payload).unwrap();
-                let kind = format!("\"sampler\":\"{:?}\"", full_predictor().sampler_kind());
-                assert!(meta.contains(&kind), "META does not name its sampler");
-                let renamed = meta.replacen(&kind, "\"sampler\":\"MetropolisHastings\"", 1);
-                (*id, renamed.into_bytes())
-            })
-            .collect();
-        match SatoPredictor::from_bytes(&assemble(&sections)) {
+        let bytes = with_section(&full_predictor().to_bytes(), SEC_META, |payload| {
+            let meta = std::str::from_utf8(payload).unwrap();
+            let kind = format!("\"sampler\":\"{:?}\"", full_predictor().sampler_kind());
+            assert!(meta.contains(&kind), "META does not name its sampler");
+            let renamed = meta.replacen(&kind, "\"sampler\":\"MetropolisHastings\"", 1);
+            renamed.into_bytes()
+        });
+        match SatoPredictor::from_bytes(&bytes) {
             Err(PredictorError::Json(e)) => {
                 let msg = e.to_string();
                 assert!(
@@ -604,11 +709,15 @@ mod tests {
                 "prefix of {cut} bytes was not rejected"
             );
         }
-        // Bad magic.
+        // Bad magic, and a JSON artifact of an earlier release.
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(
             SatoPredictor::from_bytes(&bad),
+            Err(PredictorError::BadMagic)
+        ));
+        assert!(matches!(
+            SatoPredictor::from_bytes(br#"{"format_version":1,"variant":"Full"}"#),
             Err(PredictorError::BadMagic)
         ));
         // Unsupported version.
@@ -627,16 +736,54 @@ mod tests {
             Err(PredictorError::Checksum(_))
         ));
         // A missing required section is named.
-        let sections = Sections::parse(&bytes).unwrap();
-        let without_net: Vec<([u8; 4], Vec<u8>)> = sections
-            .entries
-            .iter()
-            .filter(|(id, _)| *id != SEC_NETW)
-            .map(|(id, payload)| (*id, payload.to_vec()))
-            .collect();
+        let mut without_net = sections_of(&bytes);
+        without_net.retain(|(id, _)| *id != SEC_NETW);
         assert!(matches!(
             SatoPredictor::from_bytes(&assemble(&without_net)),
             Err(PredictorError::MissingSection("NETW"))
+        ));
+        // A `META` that is not UTF-8.
+        assert!(matches!(
+            SatoPredictor::from_bytes(&with_section(&bytes, SEC_META, |_| vec![0xFF, 0xFE])),
+            Err(PredictorError::Corrupt(_))
+        ));
+        // A Base artifact whose `META` claims the topic input it has no
+        // `LDAM` for.
+        let base = SatoModel::train(&corpus(), tiny_config(), crate::SatoVariant::Base)
+            .into_predictor()
+            .to_bytes();
+        assert!(matches!(
+            SatoPredictor::from_bytes(&with_meta(&base, |meta| meta.use_topic = true)),
+            Err(PredictorError::MissingSection("LDAM"))
+        ));
+        // Group widths, or scalers, one group short.
+        assert!(matches!(
+            SatoPredictor::from_bytes(&with_meta(&bytes, |meta| {
+                meta.group_widths.pop();
+            })),
+            Err(PredictorError::Inconsistent(_))
+        ));
+        let short_scal = with_section(&bytes, SEC_SCAL, |payload| {
+            let scalers = decode_scalers(payload).unwrap();
+            let mut out = Vec::new();
+            encode_scalers(&scalers[1..], &mut out);
+            out
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&short_scal),
+            Err(PredictorError::Inconsistent(_))
+        ));
+        // A network tensor stored transposed: same data length, wrong shape.
+        // Its `rows | cols` header follows the `u32` tensor count.
+        let transposed = with_section(&bytes, SEC_NETW, |payload| {
+            let mut out = payload.to_vec();
+            assert_ne!(out[4..8], out[8..12], "first tensor is square");
+            out[4..12].rotate_left(4);
+            out
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&transposed),
+            Err(PredictorError::State(LoadError::ShapeMismatch { .. }))
         ));
     }
 
@@ -680,8 +827,8 @@ mod tests {
         let dir = std::env::temp_dir().join("sato_artifact_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("full.satoart");
-        predictor.save_binary(&path).unwrap();
-        let loaded = SatoPredictor::load_binary(&path).unwrap();
+        predictor.save(&path).unwrap();
+        let loaded = SatoPredictor::load(&path).unwrap();
         let table = &corpus().tables[0];
         assert_eq!(predictor.predict(table), loaded.predict(table));
         std::fs::remove_file(&path).ok();

@@ -94,7 +94,7 @@ impl TableInputs {
 /// Sherlock standardises its features before training; without it the
 /// unbounded Stat features (sales figures in the millions, ISBN-scale
 /// numbers) dominate the network inputs and stall optimisation.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Standardizer {
     mean: Vec<f32>,
     std: Vec<f32>,

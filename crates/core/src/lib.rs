@@ -43,10 +43,10 @@
 //!
 //! `SatoPredictor` is `Send + Sync` by construction (no RNG, no caches, no
 //! interior mutability), so one frozen artifact can serve any number of
-//! threads concurrently, and it round-trips through JSON
-//! ([`SatoPredictor::to_json`] / [`SatoPredictor::from_json`]) or the
-//! binary `SATOART1` form as a deployable artifact that reproduces the saved
-//! predictions bit for bit.
+//! threads concurrently, and it round-trips through the `SATOART1`
+//! artifact ([`SatoPredictor::to_bytes`] / [`SatoPredictor::from_bytes`],
+//! or [`SatoPredictor::save`] / [`SatoPredictor::load`] for files; see
+//! [`artifact`]), which reproduces the saved predictions bit for bit.
 //!
 //! Every entry point runs on **one batched engine**: a single batch former
 //! groups tables — a [`Corpus`](sato_tabular::table::Corpus), any table
@@ -69,11 +69,11 @@
 //!
 //! // ... freeze into an immutable, Send + Sync artifact ...
 //! let predictor = model.into_predictor();
-//! predictor.save("sato_full.json").unwrap();
+//! predictor.save("sato_full.satoart").unwrap();
 //!
 //! // ... and serve: one table at a time, in column micro-batches, or from
 //! // many threads at once — all with the same output.
-//! let served = SatoPredictor::load("sato_full.json").unwrap();
+//! let served = SatoPredictor::load("sato_full.satoart").unwrap();
 //! for table in split.test.iter().take(3) {
 //!     println!("table {} -> {:?}", table.id, served.predict(table));
 //! }
@@ -96,7 +96,7 @@ pub mod model;
 pub mod predictor;
 pub mod structured;
 
-pub use artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
+pub use artifact::{PredictorError, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use bert_like::{BertLikeConfig, BertLikeModel};
 pub use columnwise::{
     types_from_proba, ColumnwiseInference, ColumnwiseModel, ColumnwiseTrainer, FrozenColumnwise,
@@ -105,7 +105,7 @@ pub use columnwise::{
 pub use config::{CrfTrainParams, NetworkConfig, SatoConfig};
 pub use dataset::{InputGroup, TableInputs, TrainingData};
 pub use model::{SatoModel, SatoVariant, TablePrediction, TrainTimings};
-pub use predictor::{ArtifactMeta, PredictorError, SatoPredictor};
+pub use predictor::{ArtifactMeta, SatoPredictor};
 pub use structured::{unary_from_proba, StructuredLayer};
 
 // The topic-sampler axis is part of the serving API surface

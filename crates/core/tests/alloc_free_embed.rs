@@ -132,6 +132,33 @@ fn warm_embedding_extraction_allocates_nothing() {
     );
     assert_eq!(tables, 6 * 12);
 
+    // A serve round feeds the batch former a `flat_map` over its requests'
+    // tables, whose size hint has no upper bound. Its list of pending
+    // references is still reserved once, so a warm call over two requests
+    // allocates no more than the same call over one slice.
+    let requests = [corpus.tables[..6].to_vec(), corpus.tables[6..12].to_vec()];
+    let predict_allocations = |flat: bool, scratch: &mut ServingScratch| {
+        let before = allocation_count();
+        let served = if flat {
+            let tables = requests.iter().flat_map(|r| r.iter());
+            predictor.predict_tables_batched(tables, batch_cols, scratch, |_, _| {})
+        } else {
+            predictor.predict_tables_batched(&twelve.tables, batch_cols, scratch, |_, _| {})
+        };
+        let allocations = allocation_count() - before;
+        assert_eq!(served.len(), 12);
+        allocations
+    };
+    predict_allocations(false, &mut scratch);
+    predict_allocations(true, &mut scratch);
+    let over_slice = predict_allocations(false, &mut scratch);
+    let over_requests = predict_allocations(true, &mut scratch);
+    assert!(
+        over_requests <= over_slice,
+        "a warm call over two requests allocates {over_requests} times, over one slice \
+         {over_slice}"
+    );
+
     // The warm rows are still bit-identical to the allocating path.
     for (table, want_rows) in corpus.iter().zip(&reference) {
         let embeddings = predictor.column_embeddings_into(table, &mut scratch);

@@ -14,13 +14,11 @@
 //! its expected transition counts with a scaled forward–backward of its own
 //! (see [`crate::train`]).
 
-use serde::{Deserialize, Serialize};
-
 /// A linear-chain CRF over `num_states` labels with a shared pairwise
 /// potential matrix. Unary potentials are supplied per sequence at call time
 /// (they come from the column-wise model), which is why they are not stored
 /// on the struct.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearChainCrf {
     num_states: usize,
     /// Row-major `num_states × num_states` pairwise potential matrix (log scale).

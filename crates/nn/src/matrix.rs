@@ -32,11 +32,10 @@
 //! enables FMA or uses intrinsics, and no product reassociates a sum, so
 //! both forms produce the same bits.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f32` values.
-#[derive(Clone, PartialEq, Serialize, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -46,23 +45,6 @@ pub struct Matrix {
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}x{})", self.rows, self.cols)
-    }
-}
-
-/// Decodes the derived `{rows, cols, data}` shape, rejecting a `data` whose
-/// length is not `rows · cols`: every row access trusts that invariant.
-impl Deserialize for Matrix {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let rows = usize::from_value(v.field("rows")?)?;
-        let cols = usize::from_value(v.field("cols")?)?;
-        let data = Vec::<f32>::from_value(v.field("data")?)?;
-        if rows.checked_mul(cols) != Some(data.len()) {
-            return Err(serde::DeError(format!(
-                "matrix data length {} does not match shape {rows}x{cols}",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
     }
 }
 
@@ -845,28 +827,5 @@ mod tests {
         let b = Matrix::from_rows(&[vec![2.0, 4.0]]);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.data(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = Matrix::from_rows(&[vec![1.5, -2.0]]);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn serde_rejects_data_that_disagrees_with_the_shape() {
-        for json in [
-            r#"{"rows":2,"cols":3,"data":[0.5]}"#,
-            r#"{"rows":1,"cols":1,"data":[]}"#,
-            r#"{"rows":18446744073709551615,"cols":2,"data":[]}"#,
-        ] {
-            let err = serde_json::from_str::<Matrix>(json).unwrap_err();
-            assert!(
-                err.to_string().contains("does not match shape"),
-                "{json}: {err}"
-            );
-        }
     }
 }

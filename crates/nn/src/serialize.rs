@@ -11,12 +11,11 @@
 
 use crate::layers::Layer;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of every trainable parameter (and, for full-network captures,
 /// every buffer) of a network, in the stable traversal order of `params()` /
 /// `buffers()`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateDict {
     /// Parameter values, in traversal order.
     pub tensors: Vec<Matrix>,
@@ -259,9 +258,7 @@ impl StateDict {
     /// buffer `len u32 | len f32` — everything little-endian, weight data
     /// laid out exactly as the row-major `Matrix` holds it in memory.
     ///
-    /// This is the section payload of the binary predictor artifact; the
-    /// serde (JSON) form stays the debug/interchange form and both decode to
-    /// equal state dicts.
+    /// This is the `NETW`/`HEAD` section payload of the predictor artifact.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
         for t in &self.tensors {
@@ -337,10 +334,6 @@ mod tests {
         out
     }
 
-    fn json(state: &StateDict) -> String {
-        serde_json::to_string(state).unwrap()
-    }
-
     #[test]
     fn save_and_load_round_trip() {
         let a = net(1);
@@ -362,13 +355,6 @@ mod tests {
             .unwrap();
         other.infer_into(&x, &mut got);
         assert_eq!(want, got);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_values() {
-        let state = net(3).state_dict();
-        let back: StateDict = serde_json::from_str(&json(&state)).unwrap();
-        assert_eq!(state, back);
     }
 
     #[test]
@@ -428,13 +414,10 @@ mod tests {
         // Evaluation-mode outputs (which depend on the running statistics)
         // must match bit for bit.
         assert_eq!(infer(&a, &x), infer(&b, &x));
-        // And the JSON round-trip preserves the whole thing.
-        let back: StateDict = serde_json::from_str(&json(&state)).unwrap();
-        assert_eq!(state, back);
     }
 
     #[test]
-    fn byte_round_trip_is_bit_identical_and_matches_json() {
+    fn byte_round_trip_is_bit_identical() {
         let mut a = bn_net(9);
         let x = Matrix::from_rows(&[vec![1.0, -0.5, 2.0], vec![0.5, 0.0, -3.0]]);
         for _ in 0..10 {
@@ -445,11 +428,6 @@ mod tests {
         state.write_bytes(&mut bytes);
         let back = StateDict::from_bytes(&bytes).unwrap();
         assert_eq!(state, back);
-        // Both persistence formats decode to the same state dict.
-        let from_json: StateDict = serde_json::from_str(&json(&state)).unwrap();
-        assert_eq!(back, from_json);
-        // And the binary form is far denser than the JSON text.
-        assert!(bytes.len() < json(&state).len() / 2);
     }
 
     #[test]

@@ -498,7 +498,7 @@ impl SatoService {
         let mut backoff = SWAP_RETRY_BACKOFF;
         let mut attempt = 1u32;
         let candidate = loop {
-            match SatoPredictor::load_binary(path) {
+            match SatoPredictor::load(path) {
                 Ok(candidate) => break candidate,
                 Err(PredictorError::Io(_)) if attempt < SWAP_LOAD_ATTEMPTS => {
                     attempt += 1;

@@ -5,7 +5,6 @@
 use crate::lda::{LdaConfig, LdaInferScratch, LdaModel};
 use crate::sampler::{SamplerKind, TopicSampler};
 use sato_tabular::table::{Corpus, Table, TableCells};
-use serde::{Deserialize, Serialize};
 
 /// Reusable workspace for streaming table-topic estimation: the encoded
 /// token ids of one table, the lower-cased token buffer of the streaming
@@ -30,7 +29,7 @@ impl TopicScratch {
 
 /// The table intent estimator: wraps a pre-trained [`LdaModel`] and exposes
 /// table-level inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableIntentEstimator {
     model: LdaModel,
 }

@@ -42,9 +42,8 @@ use serde::{Deserialize, Serialize};
 /// serves it. Topic estimation is the largest serving stage, and the
 /// sparse/alias draw runs it about twice as fast as the dense sweep at
 /// `K = 64` (never slower at any `K` measured). [`SamplerKind::Dense`]
-/// stays the bit-exact oracle of the sparse sampler's tests: legacy
-/// artifacts (a JSON artifact without a `sampler` field, or a binary one
-/// whose metadata names `Dense`) load as it, and
+/// stays the bit-exact oracle of the sparse sampler's tests: an artifact
+/// whose metadata names `Dense` loads as it, and
 /// `with_sampler(SamplerKind::Dense)` switches a predictor to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SamplerKind {

@@ -3,16 +3,12 @@
 //! those counts — the φ table and the samplers' per-word alias tables — is
 //! rebuilt at load, never persisted.
 //!
-//! This produces the raw `LDAM` *section payload* of the `sato-core` binary
+//! This produces the raw `LDAM` *section payload* of the `sato-core`
 //! predictor artifact; the section framing (magic, section table,
 //! checksums, alignment) lives there. Everything is little-endian, and the
 //! count buffers are laid out exactly as they sit in memory (`u32` runs),
 //! so loading is a bounds check plus one pass of `from_le_bytes` per
-//! element — no tree of JSON values, no per-token re-hashing beyond
-//! rebuilding the vocabulary map.
-//!
-//! JSON (through the serde derives on the same types) remains the
-//! debug/interchange representation; both decode to bit-identical models.
+//! element — no per-token re-hashing beyond rebuilding the vocabulary map.
 
 use crate::lda::{LdaConfig, LdaModel};
 use crate::vocab::Vocabulary;
@@ -135,8 +131,8 @@ impl LdaModel {
         push_u32s(out, self.topic_total_counts());
     }
 
-    /// Decode a model written by [`Self::write_bytes`]. The result is
-    /// bit-identical to the JSON round-trip of the same model.
+    /// Decode a model written by [`Self::write_bytes`], bit-identical to the
+    /// model that was written.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TopicBytesError> {
         let mut r = ByteReader::new(bytes);
         let num_topics = usize::try_from(r.u64("num_topics")?)

@@ -11,35 +11,21 @@
 //! as the paper converts numbers to strings.
 
 use sato_tabular::text::{for_each_token_lower, tokenize};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A token-to-id mapping with document-frequency based pruning.
 ///
-/// Only the token list is persisted: the JSON form is
-/// `{"id_to_token": [...]}`, and the token → id map is rebuilt from it on
-/// load (a `token_to_id` field written by older artifacts is ignored).
+/// Only the token list is persisted; the token → id map is rebuilt from it
+/// on load.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     token_to_id: HashMap<String, usize>,
     id_to_token: Vec<String>,
 }
 
-impl Serialize for Vocabulary {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![("id_to_token".into(), self.id_to_token.to_value())])
-    }
-}
-
-impl Deserialize for Vocabulary {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Vec::<String>::from_value(v.field("id_to_token")?).map(Vocabulary::from_id_tokens)
-    }
-}
-
 impl Vocabulary {
-    /// Rebuild a vocabulary from its tokens in id order (the load path of
-    /// both artifact codecs; ids are assigned densely in slice order).
+    /// Rebuild a vocabulary from its tokens in id order (the artifact's load
+    /// path; ids are assigned densely in slice order).
     pub(crate) fn from_id_tokens(tokens: Vec<String>) -> Self {
         let token_to_id = tokens
             .iter()
@@ -207,22 +193,6 @@ mod tests {
             vocab.encode_value_into(v, &mut buf, &mut streamed);
         }
         assert_eq!(streamed, vocab.encode("Warsaw rock London"));
-    }
-
-    /// JSON carries the token list only; loading rebuilds the map from it
-    /// and ignores any `token_to_id` an older artifact wrote.
-    #[test]
-    fn json_persists_the_token_list_and_rebuilds_the_map() {
-        let vocab = Vocabulary::build(["rock rock jazz blues"].iter().copied(), 1);
-        let json = serde_json::to_string(&vocab).unwrap();
-        assert_eq!(json, r#"{"id_to_token":["rock","blues","jazz"]}"#);
-        let legacy = r#"{"token_to_id":{"rock":999999,"blues":2,"jazz":1},"id_to_token":["rock","blues","jazz"]}"#;
-        for text in [json.as_str(), legacy] {
-            let loaded: Vocabulary = serde_json::from_str(text).unwrap();
-            assert_eq!(loaded.id_to_token, vocab.id_to_token);
-            assert_eq!(loaded.token_to_id, vocab.token_to_id);
-        }
-        assert!(serde_json::from_str::<Vocabulary>(r#"{"token_to_id":{}}"#).is_err());
     }
 
     #[test]

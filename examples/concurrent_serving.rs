@@ -113,18 +113,18 @@ fn main() {
         println!("  table {id}: {types:?}");
     }
 
-    // The artifact round-trips through JSON, so a serving fleet can load the
-    // exact same weights from disk.
-    let json = predictor.to_json();
-    let reloaded = SatoPredictor::from_json(&json).expect("artifact round-trip");
+    // The artifact round-trips through its SATOART1 bytes, so a serving
+    // fleet can load the exact same weights from disk.
+    let bytes = predictor.to_bytes();
+    let reloaded = SatoPredictor::from_bytes(&bytes).expect("artifact round-trip");
     assert_eq!(
         reloaded.predict_corpus(&split.test),
         sequential,
         "a reloaded artifact reproduces predictions bit for bit"
     );
     println!(
-        "\nJSON artifact: {} KiB; reloaded predictor reproduces all {} predictions exactly",
-        json.len() / 1024,
+        "\nartifact: {} KiB; reloaded predictor reproduces all {} predictions exactly",
+        bytes.len() / 1024,
         sequential.len()
     );
 }

@@ -1,6 +1,6 @@
 //! Quickstart: **train → freeze → serve**. Train a small Sato model on a
 //! synthetic WebTables-style corpus, freeze it into an immutable
-//! `SatoPredictor` artifact, round-trip the artifact through JSON, and
+//! `SatoPredictor` artifact, save it to a file and load it back, and
 //! annotate a new, unseen table with semantic types.
 //!
 //! Run with:
@@ -41,28 +41,19 @@ fn main() {
     // 3. FREEZE: turn the trained model into an immutable, Send + Sync
     //    serving artifact. Training-time state (optimiser, activation
     //    caches, RNG) is gone; the artifact only holds weights, running
-    //    statistics, scalers, topic model and CRF. The compact SATOART1
-    //    binary is the deployment format; JSON stays available as the
-    //    debug/interchange format and round-trips bit for bit with it.
+    //    statistics, scalers, topic model and CRF, saved as a SATOART1
+    //    file.
     let artifact = std::env::temp_dir().join("sato_quickstart.satoart");
-    let json_artifact = std::env::temp_dir().join("sato_quickstart.json");
-    let frozen = model.into_predictor();
-    frozen
-        .save_binary(&artifact)
-        .expect("write binary artifact");
-    frozen.save(&json_artifact).expect("write JSON artifact");
-    let kib = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.len() / 1024).unwrap_or(0);
-    println!(
-        "froze model into {} ({} KiB binary; {} KiB as JSON interchange)",
-        artifact.display(),
-        kib(&artifact),
-        kib(&json_artifact)
-    );
+    model
+        .into_predictor()
+        .save(&artifact)
+        .expect("write predictor artifact");
+    let kib = std::fs::metadata(&artifact).map_or(0, |m| m.len() / 1024);
+    println!("froze model into {} ({kib} KiB)", artifact.display());
 
-    // 4. SERVE: load the binary artifact (e.g. in a separate serving
-    //    process) and annotate a brand-new table. Every predictor method
-    //    takes `&self`.
-    let predictor = SatoPredictor::load_binary(&artifact).expect("load predictor artifact");
+    // 4. SERVE: load the artifact (e.g. in a separate serving process) and
+    //    annotate a brand-new table. Every predictor method takes `&self`.
+    let predictor = SatoPredictor::load(&artifact).expect("load predictor artifact");
     let table = Table::unlabelled(
         999_999,
         vec![

@@ -1,10 +1,10 @@
 //! Integration tests for the two on-disk formats of the serving stack:
-//! the `SATOART1` binary predictor artifact and the `SATOCOL1` columnar
-//! corpus. The binary artifact must describe exactly the same model as the
-//! JSON interchange format (bit-identical predictions, byte-identical
-//! re-serialization), corrupted inputs of either format must fail with
-//! typed errors rather than panics, and streaming annotation straight off
-//! colstore bytes must match the in-memory batched path bit for bit.
+//! the `SATOART1` predictor artifact and the `SATOCOL1` columnar corpus.
+//! A loaded artifact must describe exactly the model that was saved
+//! (bit-identical predictions, byte-identical re-serialization), corrupted
+//! inputs of either format must fail with typed errors rather than panics,
+//! and streaming annotation straight off colstore bytes must match the
+//! in-memory batched path bit for bit.
 
 use std::sync::OnceLock;
 
@@ -43,8 +43,8 @@ proptest! {
 
     /// `SATOART1` round trip for every Table-1 variant crossed with both
     /// topic samplers: the reloaded predictor re-serializes to the exact
-    /// JSON of the source predictor and reproduces its predictions bit
-    /// for bit.
+    /// bytes it was loaded from and reproduces its predictions bit for
+    /// bit.
     #[test]
     fn binary_round_trip_is_bit_identical_for_all_variants(seed in 0u64..1000) {
         let corpus = default_corpus(25, seed);
@@ -53,16 +53,16 @@ proptest! {
                 SatoModel::train(&corpus, tiny_config(seed ^ 0xb1a2), variant).into_predictor();
             for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
                 predictor = predictor.with_sampler(kind);
-                let loaded = SatoPredictor::from_bytes(&predictor.to_bytes())
+                let bytes = predictor.to_bytes();
+                let loaded = SatoPredictor::from_bytes(&bytes)
                     .expect("artifact written by to_bytes must load");
                 prop_assert_eq!(loaded.variant(), variant);
                 prop_assert_eq!(loaded.sampler_kind(), kind);
-                // The strongest parity statement available: the binary
-                // round trip loses nothing the JSON format records, so
-                // JSON -> binary -> JSON is the identity on artifacts.
+                // The round trip loses nothing the artifact records:
+                // bytes -> predictor -> bytes is the identity.
                 prop_assert_eq!(
-                    loaded.to_json(),
-                    predictor.to_json(),
+                    loaded.to_bytes(),
+                    bytes,
                     "binary round trip changed the artifact for {:?}/{:?}",
                     variant,
                     kind
@@ -172,13 +172,6 @@ fn corrupted_binary_artifacts_fail_with_typed_errors_not_panics() {
         SatoPredictor::from_bytes(&flipped),
         Err(PredictorError::Checksum(_))
     ));
-
-    // The JSON interchange format keeps the same guarantee (the deeper
-    // JSON negative cases live in predictor_serving.rs).
-    assert!(matches!(
-        SatoPredictor::from_json("not an artifact"),
-        Err(PredictorError::Json(_))
-    ));
 }
 
 #[test]
@@ -221,15 +214,15 @@ fn corrupted_colstore_streams_fail_with_typed_errors_not_panics() {
 fn binary_file_round_trip_and_missing_file_error() {
     let predictor = full_predictor();
     let path = std::env::temp_dir().join("sato_integration_artifact_roundtrip.satoart");
-    predictor.save_binary(&path).expect("save binary artifact");
-    let loaded = SatoPredictor::load_binary(&path).expect("load binary artifact");
+    predictor.save(&path).expect("save artifact");
+    let loaded = SatoPredictor::load(&path).expect("load artifact");
     std::fs::remove_file(&path).ok();
     let corpus = default_corpus(10, 78);
     for table in corpus.iter().take(5) {
         assert_eq!(predictor.predict(table), loaded.predict(table));
     }
     assert!(matches!(
-        SatoPredictor::load_binary(std::env::temp_dir().join("sato_no_such_artifact.satoart")),
+        SatoPredictor::load(std::env::temp_dir().join("sato_no_such_artifact.satoart")),
         Err(PredictorError::Io(_))
     ));
 }

@@ -279,14 +279,15 @@ proptest! {
     }
 }
 
-/// The batched path survives a JSON round-trip of the predictor: a reloaded
-/// artifact serves batched predictions bit-identical to the original.
+/// The batched path survives an artifact round trip of the predictor: a
+/// reloaded artifact serves batched predictions bit-identical to the
+/// original.
 #[test]
 fn batched_parity_after_artifact_round_trip() {
     let corpus = default_corpus(16, 5);
     let predictor =
         SatoModel::train(&corpus, tiny_config(), SatoVariant::SatoNoTopic).into_predictor();
-    let reloaded = SatoPredictor::from_json(&predictor.to_json()).unwrap();
+    let reloaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
     assert_eq!(
         predictor.predict_corpus(&corpus),
         reloaded.predict_corpus_batched(&corpus, 10)

@@ -1,11 +1,11 @@
 //! Integration tests of the train → freeze → serve lifecycle: the
 //! `SatoPredictor` artifact must be thread-safe by construction, reproduce
-//! the source model bit for bit, round-trip through JSON for every variant,
-//! and serve concurrent ad-hoc requests from shared borrows. (The built-in
-//! parallel path is covered by the entry-point contract in
+//! the source model bit for bit, save and load through a file, reject what
+//! is not an artifact with a typed error, and serve concurrent ad-hoc
+//! requests from shared borrows. (The per-variant round trip is in
+//! `artifact_formats.rs`, the built-in parallel path in
 //! `batched_serving.rs`.)
 
-use proptest::prelude::*;
 use sato::{PredictorError, SatoConfig, SatoModel, SatoPredictor, SatoVariant};
 use sato_tabular::corpus::default_corpus;
 
@@ -29,61 +29,29 @@ fn tiny_config(seed: u64) -> SatoConfig {
     config
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// Save → load → bit-identical predictions, for all four variants of
-    /// Table 1, on arbitrary corpus/model seeds.
-    #[test]
-    fn json_round_trip_reproduces_predictions_for_all_variants(seed in 0u64..1000) {
-        let corpus = default_corpus(25, seed);
-        for variant in SatoVariant::ALL {
-            let predictor =
-                SatoModel::train(&corpus, tiny_config(seed ^ 0x5a70), variant).into_predictor();
-            let loaded = SatoPredictor::from_json(&predictor.to_json())
-                .expect("artifact written by to_json must load");
-            prop_assert_eq!(loaded.variant(), variant);
-            for table in corpus.iter().take(8) {
-                prop_assert_eq!(
-                    predictor.predict_proba(table),
-                    loaded.predict_proba(table),
-                    "probabilities drifted through JSON for {:?}",
-                    variant
-                );
-                prop_assert_eq!(
-                    predictor.predict(table),
-                    loaded.predict(table),
-                    "decoded types drifted through JSON for {:?}",
-                    variant
-                );
-            }
-        }
-    }
-}
-
+/// A JSON artifact of an earlier release, or any other text, is not a
+/// `SATOART1` file: loading it is a typed error, never a panic.
 #[test]
 fn corrupted_artifacts_fail_with_errors_not_panics() {
-    let corpus = default_corpus(20, 9);
-    let predictor = SatoModel::train(&corpus, tiny_config(9), SatoVariant::Base).into_predictor();
-    let json = predictor.to_json();
-
-    // Truncations of a valid artifact at various depths.
-    for cut in [0, 1, json.len() / 4, json.len() / 2, json.len() - 1] {
-        let err = SatoPredictor::from_json(&json[..cut]);
-        assert!(
-            matches!(err, Err(PredictorError::Json(_))),
-            "truncated artifact (cut at {cut}) must be a Json error"
-        );
+    for text in [
+        "",
+        "[]",
+        "{\"hello\": [1, 2, 3]}",
+        "{\"format_version\":1,\"variant\":\"Base\",\"use_topic\":false}",
+    ] {
+        let err = SatoPredictor::from_bytes(text.as_bytes()).err();
+        if text.len() < 16 {
+            assert!(
+                matches!(err, Some(PredictorError::Truncated(_))),
+                "{text:?}: {err:?}"
+            );
+        } else {
+            assert!(
+                matches!(err, Some(PredictorError::BadMagic)),
+                "{text:?}: {err:?}"
+            );
+        }
     }
-    // Structurally valid JSON of the wrong shape.
-    assert!(matches!(
-        SatoPredictor::from_json("{\"hello\": [1, 2, 3]}"),
-        Err(PredictorError::Json(_))
-    ));
-    assert!(matches!(
-        SatoPredictor::from_json("[]"),
-        Err(PredictorError::Json(_))
-    ));
 }
 
 #[test]
@@ -114,7 +82,7 @@ fn file_save_load_round_trip() {
     let corpus = default_corpus(20, 23);
     let predictor =
         SatoModel::train(&corpus, tiny_config(23), SatoVariant::SatoNoStruct).into_predictor();
-    let path = std::env::temp_dir().join("sato_predictor_roundtrip_test.json");
+    let path = std::env::temp_dir().join("sato_predictor_roundtrip_test.satoart");
     predictor.save(&path).expect("save artifact");
     let loaded = SatoPredictor::load(&path).expect("load artifact");
     std::fs::remove_file(&path).ok();
@@ -122,7 +90,7 @@ fn file_save_load_round_trip() {
         assert_eq!(predictor.predict(table), loaded.predict(table));
     }
     assert!(matches!(
-        SatoPredictor::load(std::env::temp_dir().join("sato_no_such_artifact.json")),
+        SatoPredictor::load(std::env::temp_dir().join("sato_no_such_artifact.satoart")),
         Err(PredictorError::Io(_))
     ));
 }

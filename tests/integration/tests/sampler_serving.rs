@@ -231,63 +231,26 @@ fn sampler_choice_affects_only_topic_aware_variants() {
     );
 }
 
-/// Artifact versioning: the sampler kind round-trips through JSON (and the
-/// loaded predictor reproduces the saved one bit for bit, alias tables
-/// rebuilt at load time); an artifact saved *without* a sampler field — the
-/// pre-sampler format — loads as Dense; an unknown sampler name is a clear
-/// load error, not a panic or a silent fallback.
+/// Artifact versioning: the sampler kind round-trips through the artifact
+/// for both kinds, and the loaded predictor reproduces the saved one bit
+/// for bit (alias tables rebuilt at load time). An unknown sampler name in
+/// `META` is a typed load error, checked where `META` can be edited, in
+/// `sato::artifact`'s tests.
 #[test]
 fn sampler_artifact_versioning() {
-    use sato::{PredictorError, SatoPredictor};
+    use sato::SatoPredictor;
     let train = default_corpus(25, 13);
-    let predictor = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
-        .into_predictor()
-        .with_sampler(SamplerKind::SparseAlias);
+    let mut predictor = SatoModel::train(&train, tiny_config(), SatoVariant::Full).into_predictor();
     let corpus = default_corpus(8, 99);
-    let expected = predictor.predict_corpus(&corpus);
-
-    // Round trip preserves the kind and the exact predictions.
-    let json = predictor.to_json();
-    assert!(json.contains("\"sampler\":\"SparseAlias\""));
-    let loaded = SatoPredictor::from_json(&json).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::SparseAlias);
-    assert_eq!(expected, loaded.predict_corpus(&corpus));
-
-    // Pre-sampler-era artifact (no sampler field at all) → Dense.
-    let dense = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
-        .into_predictor()
-        .with_sampler(SamplerKind::Dense);
-    let dense_json = dense.to_json();
-    let legacy = dense_json.replacen("\"sampler\":\"Dense\",", "", 1);
-    assert!(!legacy.contains("\"sampler\""), "field not stripped");
-    let loaded = SatoPredictor::from_json(&legacy).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::Dense);
-    assert_eq!(
-        dense.predict_corpus(&corpus),
-        loaded.predict_corpus(&corpus),
-        "legacy artifact must serve bit-identically to its dense author"
-    );
-
-    // Unknown sampler kind → descriptive load error. The removed
-    // Metropolis–Hastings sampler is unknown too: its old artifacts fail
-    // to load instead of being silently served by another sampler.
-    for name in ["Turbo", "MetropolisHastings"] {
-        let unknown = dense_json.replacen(
-            "\"sampler\":\"Dense\"",
-            &format!("\"sampler\":\"{name}\""),
-            1,
+    for kind in [SamplerKind::SparseAlias, SamplerKind::Dense] {
+        predictor = predictor.with_sampler(kind);
+        let loaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
+        assert_eq!(loaded.sampler_kind(), kind);
+        assert_eq!(
+            predictor.predict_corpus(&corpus),
+            loaded.predict_corpus(&corpus),
+            "{kind:?}"
         );
-        match SatoPredictor::from_json(&unknown) {
-            Err(PredictorError::Json(e)) => {
-                let msg = e.to_string();
-                assert!(
-                    msg.contains("unknown SamplerKind variant"),
-                    "error should name the bad sampler kind, got: {msg}"
-                );
-            }
-            Err(other) => panic!("expected a JSON load error for {name}, got: {other}"),
-            Ok(_) => panic!("unknown sampler kind {name} must fail to load"),
-        }
     }
 }
 
@@ -299,12 +262,10 @@ fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
 }
 
 /// Moving the default to SparseAlias leaves every legacy artifact on the
-/// dense sweep: a JSON artifact without a `sampler` key and a `SATOART1`
-/// artifact whose `META` names `Dense` both load as Dense and serve bit for
-/// bit like `.with_sampler(SamplerKind::Dense)`. A missing key must map to
-/// Dense itself, not to `SamplerKind::default()`. Freshly frozen
-/// predictors, by contrast, serve the default, which the live model was
-/// trained and predicts with.
+/// dense sweep: a `SATOART1` artifact whose `META` names `Dense` loads as
+/// Dense and serves bit for bit like `.with_sampler(SamplerKind::Dense)`.
+/// Freshly frozen predictors, by contrast, serve the default, which the
+/// live model was trained and predicts with.
 #[test]
 fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
     use sato::SatoPredictor;
@@ -332,27 +293,12 @@ fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
         oracle, live,
         "the default must differ from dense for this test to tell them apart"
     );
-    let json = dense.to_json();
-    let legacy_json = json.replacen("\"sampler\":\"Dense\",", "", 1);
-    assert!(!legacy_json.contains("\"sampler\""), "field not stripped");
-    let legacy = [
-        (
-            "JSON without sampler",
-            SatoPredictor::from_json(&legacy_json).unwrap(),
-        ),
-        (
-            "SATOART1 naming Dense",
-            SatoPredictor::from_bytes(&dense.to_bytes()).unwrap(),
-        ),
-    ];
-    for (format, loaded) in legacy {
-        assert_eq!(loaded.sampler_kind(), SamplerKind::Dense, "{format}");
-        assert_eq!(loaded.content_hash(), dense.content_hash(), "{format}");
-        assert_eq!(probs(&loaded), oracle, "{format}");
-        assert_eq!(
-            loaded.predict_corpus(&corpus),
-            dense.predict_corpus(&corpus),
-            "{format}"
-        );
-    }
+    let loaded = SatoPredictor::from_bytes(&dense.to_bytes()).unwrap();
+    assert_eq!(loaded.sampler_kind(), SamplerKind::Dense);
+    assert_eq!(loaded.content_hash(), dense.content_hash());
+    assert_eq!(probs(&loaded), oracle);
+    assert_eq!(
+        loaded.predict_corpus(&corpus),
+        dense.predict_corpus(&corpus)
+    );
 }
