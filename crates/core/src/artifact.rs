@@ -565,7 +565,7 @@ impl SatoPredictor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::SatoModel;
     use sato_tabular::colstore;
@@ -585,9 +585,9 @@ mod tests {
         default_corpus(30, 3)
     }
 
-    /// One trained Full predictor shared by every test in this module (a
-    /// container-friendly fixture: training dominates test wall-clock).
-    fn full_predictor() -> &'static SatoPredictor {
+    /// One trained Full predictor shared by every test in this module and
+    /// by the predictor's load tests (training dominates test wall-clock).
+    pub(crate) fn full_predictor() -> &'static SatoPredictor {
         static CELL: OnceLock<SatoPredictor> = OnceLock::new();
         CELL.get_or_init(|| {
             SatoModel::train(&corpus(), tiny_config(), crate::SatoVariant::Full).into_predictor()
@@ -611,7 +611,11 @@ mod tests {
     }
 
     /// `bytes` reassembled with section `id`'s payload replaced by `edit`.
-    fn with_section(bytes: &[u8], id: [u8; 4], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    pub(crate) fn with_section(
+        bytes: &[u8],
+        id: [u8; 4],
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> Vec<u8> {
         let mut sections = sections_of(bytes);
         let (_, payload) = sections.iter_mut().find(|(s, _)| *s == id).unwrap();
         *payload = edit(payload);

@@ -530,6 +530,8 @@ fn borrowed<'a, T: ?Sized + 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::tests as artifact_tests;
+    use crate::artifact::PredictorError;
     use crate::model::SatoModel;
     use sato_tabular::corpus::default_corpus;
 
@@ -578,6 +580,67 @@ mod tests {
         assert_eq!(by_move.variant(), SatoVariant::Full);
         assert!(by_move.crf().is_some());
         assert!(by_move.uses_topic());
+    }
+
+    /// Text is not an artifact: under 16 bytes it cannot hold a header,
+    /// longer it lacks the magic. A JSON artifact of an earlier release is
+    /// such text.
+    #[test]
+    fn corrupted_artifacts_are_rejected() {
+        assert!(matches!(
+            SatoPredictor::from_bytes(b"not json at all"),
+            Err(PredictorError::Truncated(_))
+        ));
+        assert!(matches!(
+            SatoPredictor::from_bytes(b"{\"format_version\": 1}"),
+            Err(PredictorError::BadMagic)
+        ));
+    }
+
+    #[test]
+    fn unsupported_version_is_rejected() {
+        let mut bytes = artifact_tests::full_predictor().to_bytes();
+        // The `u32` format version follows the 8-byte magic.
+        assert_eq!(bytes[8..12], crate::ARTIFACT_VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&999u32.to_le_bytes());
+        assert!(matches!(
+            SatoPredictor::from_bytes(&bytes),
+            Err(PredictorError::UnsupportedVersion(999))
+        ));
+    }
+
+    /// A frame-valid artifact whose parts disagree must fail at load time,
+    /// not panic at predict time.
+    #[test]
+    fn inconsistent_artifacts_are_rejected_not_panicking() {
+        let bytes = artifact_tests::full_predictor().to_bytes();
+        // A topic-aware artifact whose `META` disowns its topic input: one
+        // more group width than a topic-free model has groups.
+        let no_topic = artifact_tests::with_section(&bytes, *b"META", |meta| {
+            let meta = std::str::from_utf8(meta).unwrap();
+            assert!(meta.contains("\"use_topic\":true"));
+            meta.replacen("\"use_topic\":true", "\"use_topic\":false", 1)
+                .into_bytes()
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&no_topic),
+            Err(PredictorError::Inconsistent(_))
+        ));
+        // The output head's weight stored transposed: same data length,
+        // wrong shape. Its `rows | cols` header follows the `u32` tensor
+        // count.
+        let transposed = artifact_tests::with_section(&bytes, *b"HEAD", |head| {
+            let mut out = head.to_vec();
+            assert_ne!(out[4..8], out[8..12], "first head tensor is square");
+            out[4..12].rotate_left(4);
+            out
+        });
+        assert!(matches!(
+            SatoPredictor::from_bytes(&transposed),
+            Err(PredictorError::State(
+                sato_nn::LoadError::ShapeMismatch { .. }
+            ))
+        ));
     }
 
     #[test]
