@@ -14,15 +14,62 @@
 //! its expected transition counts with a scaled forward–backward of its own
 //! (see [`crate::train`]).
 
+use std::sync::OnceLock;
+
 /// A linear-chain CRF over `num_states` labels with a shared pairwise
 /// potential matrix. Unary potentials are supplied per sequence at call time
 /// (they come from the column-wise model), which is why they are not stored
 /// on the struct.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the state count and the pairwise matrix only: the
+/// per-row bounds [`Self::viterbi_flat`] prunes with are derived from the
+/// matrix on first use, dropped by [`Self::pairwise_mut`], and never
+/// serialized.
+#[derive(Debug, Clone)]
 pub struct LinearChainCrf {
     num_states: usize,
     /// Row-major `num_states × num_states` pairwise potential matrix (log scale).
     pairwise: Vec<f64>,
+    /// Per-row bounds of `pairwise`, built lazily by the first decode.
+    row_bounds: OnceLock<RowBounds>,
+}
+
+impl PartialEq for LinearChainCrf {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_states == other.num_states && self.pairwise == other.pairwise
+    }
+}
+
+/// Per-row extremes of the pairwise matrix, the bounds of the Viterbi
+/// source pruning.
+#[derive(Debug, Clone)]
+struct RowBounds {
+    /// `max_b P[a][b]`, ignoring NaN entries (`-inf` for an all-NaN row):
+    /// an upper bound of every entry that can win a relaxation.
+    max: Vec<f64>,
+    /// `min_b P[a][b]`, or NaN when the row holds a NaN (no lower bound).
+    min: Vec<f64>,
+}
+
+impl RowBounds {
+    fn new(pairwise: &[f64], k: usize) -> Self {
+        let rows = pairwise.chunks_exact(k);
+        RowBounds {
+            max: rows
+                .clone()
+                .map(|row| row.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+                .collect(),
+            min: rows
+                .map(|row| {
+                    if row.iter().any(|v| v.is_nan()) {
+                        f64::NAN
+                    } else {
+                        row.iter().copied().fold(f64::INFINITY, f64::min)
+                    }
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Node and edge marginals of a chain, as produced by forward–backward.
@@ -42,10 +89,7 @@ impl LinearChainCrf {
     /// per-column prediction).
     pub fn new(num_states: usize) -> Self {
         assert!(num_states >= 2, "need at least two states");
-        LinearChainCrf {
-            num_states,
-            pairwise: vec![0.0; num_states * num_states],
-        }
+        LinearChainCrf::with_pairwise(num_states, vec![0.0; num_states * num_states])
     }
 
     /// A CRF with an explicit pairwise potential matrix (e.g. the log
@@ -59,6 +103,7 @@ impl LinearChainCrf {
         LinearChainCrf {
             num_states,
             pairwise,
+            row_bounds: OnceLock::new(),
         }
     }
 
@@ -73,7 +118,10 @@ impl LinearChainCrf {
     }
 
     /// Mutably borrow the pairwise potential matrix (used by the trainer).
+    /// Drops the derived row bounds; the next decode rebuilds them from the
+    /// edited matrix.
     pub fn pairwise_mut(&mut self) -> &mut [f64] {
+        self.row_bounds.take();
         &mut self.pairwise
     }
 
@@ -246,9 +294,16 @@ impl LinearChainCrf {
     ///
     /// The relaxation is row-major: each source state relaxes every
     /// destination over a contiguous pairwise row
-    /// ([`sato_kernels::relax_max_argmax`]). Sources are visited in
-    /// ascending order and ties keep the first winner, so labels — and the
-    /// DP table bits — match [`Self::viterbi_flat_reference`] exactly.
+    /// ([`sato_kernels::relax_max_argmax`]), and only the sources that can
+    /// win some destination are relaxed. With `top = prev[a*]` the largest
+    /// previous score, source `a` is skipped when
+    /// `fl(prev[a] + max_b P[a][b]) < fl(top + min_b P[a*][b])`: rounding
+    /// is monotone, so at every destination the skipped source scores
+    /// strictly below `a*` and cannot be the first maximum. The kept
+    /// sources are visited in ascending order and ties keep the first
+    /// winner, so labels — and the DP table bits — match the
+    /// destination-major reference loop exactly. A non-finite `top` or
+    /// bound (infinities, or a NaN in row `a*`) relaxes every source.
     ///
     /// Panics when `unary` is empty or not a multiple of the state count.
     pub fn viterbi_flat(&self, unary: &[f64]) -> Vec<usize> {
@@ -259,6 +314,9 @@ impl LinearChainCrf {
             0,
             "flat unary length must be a multiple of {k}"
         );
+        let bounds = self
+            .row_bounds
+            .get_or_init(|| RowBounds::new(&self.pairwise, k));
         let m = unary.len() / k;
         // DP tables as flat m × k buffers.
         let mut delta = vec![f64::NEG_INFINITY; m * k];
@@ -269,7 +327,16 @@ impl LinearChainCrf {
             let prev = &prev[(i - 1) * k..];
             let cur = &mut cur[..k];
             let bp = &mut backptr[i * k..(i + 1) * k];
+            let (top, a_top) = sato_kernels::max_argmax(prev);
+            let floor = top + bounds.min[a_top];
+            let prune = top.is_finite() && floor.is_finite();
             for (a, &prev_a) in prev.iter().enumerate() {
+                // A NaN bound fails `>=` too: such a source scores NaN or
+                // -inf everywhere and never wins.
+                let can_win = !prune || prev_a + bounds.max[a] >= floor;
+                if !can_win {
+                    continue;
+                }
                 sato_kernels::relax_max_argmax(
                     prev_a,
                     &self.pairwise[a * k..(a + 1) * k],
@@ -286,47 +353,6 @@ impl LinearChainCrf {
         labels[m - 1] = argmax(&delta[(m - 1) * k..]);
         for i in (0..m - 1).rev() {
             labels[i] = backptr[(i + 1) * k + labels[i + 1]] as usize;
-        }
-        labels
-    }
-
-    /// The historical destination-major Viterbi loop (stride-`k` pairwise
-    /// reads, per-destination scalar scans). Kept as the parity oracle of
-    /// [`Self::viterbi_flat`].
-    pub fn viterbi_flat_reference(&self, unary: &[f64]) -> Vec<usize> {
-        let k = self.num_states;
-        assert!(!unary.is_empty(), "empty chain");
-        assert_eq!(
-            unary.len() % k,
-            0,
-            "flat unary length must be a multiple of {k}"
-        );
-        let m = unary.len() / k;
-        let mut delta = vec![f64::NEG_INFINITY; m * k];
-        let mut backptr = vec![0usize; m * k];
-        delta[..k].copy_from_slice(&unary[..k]);
-        for i in 1..m {
-            let (prev, cur) = delta.split_at_mut(i * k);
-            let prev = &prev[(i - 1) * k..];
-            let cur = &mut cur[..k];
-            for (b, cur_b) in cur.iter_mut().enumerate() {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_a = 0;
-                for (a, &prev_a) in prev.iter().enumerate() {
-                    let s = prev_a + self.pair(a, b);
-                    if s > best {
-                        best = s;
-                        best_a = a;
-                    }
-                }
-                *cur_b = best + unary[i * k + b];
-                backptr[i * k + b] = best_a;
-            }
-        }
-        let mut labels = vec![0usize; m];
-        labels[m - 1] = argmax(&delta[(m - 1) * k..]);
-        for i in (0..m - 1).rev() {
-            labels[i] = backptr[(i + 1) * k + labels[i + 1]];
         }
         labels
     }
@@ -353,6 +379,49 @@ pub fn argmax(values: &[f64]) -> usize {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl LinearChainCrf {
+        /// The historical destination-major Viterbi loop (stride-`k` pairwise
+        /// reads, per-destination scalar scans, every source at every step):
+        /// the parity oracle of [`LinearChainCrf::viterbi_flat`].
+        fn viterbi_flat_reference(&self, unary: &[f64]) -> Vec<usize> {
+            let k = self.num_states;
+            assert!(!unary.is_empty(), "empty chain");
+            assert_eq!(
+                unary.len() % k,
+                0,
+                "flat unary length must be a multiple of {k}"
+            );
+            let m = unary.len() / k;
+            let mut delta = vec![f64::NEG_INFINITY; m * k];
+            let mut backptr = vec![0usize; m * k];
+            delta[..k].copy_from_slice(&unary[..k]);
+            for i in 1..m {
+                let (prev, cur) = delta.split_at_mut(i * k);
+                let prev = &prev[(i - 1) * k..];
+                let cur = &mut cur[..k];
+                for (b, cur_b) in cur.iter_mut().enumerate() {
+                    let mut best = f64::NEG_INFINITY;
+                    let mut best_a = 0;
+                    for (a, &prev_a) in prev.iter().enumerate() {
+                        let s = prev_a + self.pair(a, b);
+                        if s > best {
+                            best = s;
+                            best_a = a;
+                        }
+                    }
+                    *cur_b = best + unary[i * k + b];
+                    backptr[i * k + b] = best_a;
+                }
+            }
+            let mut labels = vec![0usize; m];
+            labels[m - 1] = argmax(&delta[(m - 1) * k..]);
+            for i in (0..m - 1).rev() {
+                labels[i] = backptr[(i + 1) * k + labels[i + 1]];
+            }
+            labels
+        }
+    }
 
     /// Enumerate all labellings for brute-force checks.
     fn all_labellings(m: usize, k: usize) -> Vec<Vec<usize>> {
@@ -530,6 +599,78 @@ mod tests {
     }
 
     #[test]
+    fn pairwise_edits_after_a_decode_rebuild_the_row_bounds() {
+        // Source 1 starts far below source 0, so with a zero matrix the
+        // first decode skips it and builds the row bounds.
+        let mut crf = LinearChainCrf::new(3);
+        let flat = [0.0, -10.0, -10.0, -10.0, 0.0, -10.0];
+        assert_eq!(crf.viterbi_flat(&flat), vec![0, 1]);
+        assert_eq!(crf.viterbi_flat(&flat), crf.viterbi_flat_reference(&flat));
+        // A strong 1 → 1 transition makes source 1 the winner: a decode on
+        // stale bounds would still skip it.
+        crf.pairwise_mut()[4] = 30.0;
+        assert_eq!(crf.viterbi_flat(&flat), vec![1, 1]);
+        assert_eq!(crf.viterbi_flat(&flat), crf.viterbi_flat_reference(&flat));
+        // Equality ignores whether the bounds have been built.
+        assert_eq!(
+            crf,
+            LinearChainCrf::with_pairwise(3, crf.pairwise().to_vec())
+        );
+    }
+
+    /// A chain for the pruned-decode parity proptest: `ln` of near-one-hot
+    /// rows (off-peak mass between 1e-1 and 1e-8) or scores on a 0.5 grid,
+    /// and a pairwise matrix on a ninth-of-`span` grid, so exact ties are
+    /// common. `specials` plants +∞, −∞ and NaN: bits 0–2 in the unaries,
+    /// bits 3–5 in the matrix.
+    fn pruning_case(
+        k: usize,
+        m: usize,
+        span: f64,
+        peaked: bool,
+        specials: u8,
+        seed: u64,
+    ) -> (LinearChainCrf, Vec<f64>) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pairwise: Vec<f64> = (0..k * k)
+            .map(|_| span * (rng.gen_range(0..=8) as f64 / 8.0 - 0.5))
+            .collect();
+        let mut unary = Vec::with_capacity(m * k);
+        for _ in 0..m {
+            if peaked {
+                let peak = rng.gen_range(0..k);
+                let mass: Vec<f64> = (0..k)
+                    .map(|s| {
+                        if s == peak {
+                            1.0
+                        } else {
+                            10f64.powi(-rng.gen_range(1..=8))
+                        }
+                    })
+                    .collect();
+                let total: f64 = mass.iter().sum();
+                unary.extend(mass.iter().map(|p| (p / total).ln()));
+            } else {
+                unary.extend((0..k).map(|_| rng.gen_range(-8..=8) as f64 * 0.5));
+            }
+        }
+        let mut crf = LinearChainCrf::with_pairwise(k, pairwise);
+        let values = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for (bit, &v) in values.iter().enumerate() {
+            if specials & (1 << bit) != 0 {
+                let at = rng.gen_range(0..unary.len());
+                unary[at] = v;
+            }
+            if specials & (8 << bit) != 0 {
+                let at = rng.gen_range(0..k * k);
+                crf.pairwise_mut()[at] = v;
+            }
+        }
+        (crf, unary)
+    }
+
+    #[test]
     #[should_panic(expected = "pairwise matrix")]
     fn wrong_pairwise_size_panics() {
         LinearChainCrf::with_pairwise(3, vec![0.0; 4]);
@@ -577,6 +718,26 @@ mod tests {
             let crf = LinearChainCrf::with_pairwise(4, pairwise);
             let flat = &unary[..m * 4];
             prop_assert_eq!(crf.viterbi_flat(flat), crf.viterbi_flat_reference(flat));
+        }
+
+        /// The pruned decode skips only sources that cannot win, so its
+        /// labels equal the reference's on peaked and flat unaries, small
+        /// and wide pairwise spans, exact ties, and ±∞ / NaN anywhere.
+        #[test]
+        fn pruned_viterbi_matches_reference(
+            k_pick in 0usize..11,
+            m in 1usize..=6,
+            half_span in 0u8..=8,
+            peaked in 0u8..2,
+            specials in 0u8..128,
+            seed in 0u64..u64::MAX,
+        ) {
+            // K in 2..12, or the paper's 78; half the cases plant nothing.
+            let k = if k_pick == 10 { 78 } else { k_pick + 2 };
+            let specials = if specials < 64 { specials } else { 0 };
+            let (crf, flat) =
+                pruning_case(k, m, half_span as f64 * 0.5, peaked == 1, specials, seed);
+            prop_assert_eq!(crf.viterbi_flat(&flat), crf.viterbi_flat_reference(&flat));
         }
 
         #[test]

@@ -9,8 +9,18 @@
 //! preserves the property the downstream model relies on: columns with
 //! different surface shapes (codes vs names vs dates vs free text) land in
 //! clearly different regions of the feature space.
+//!
+//! The single cell pass ([`FeatureScratch`]) leaves one row of alphabet
+//! counts per non-blank cell. The aggregation walks those rows in cell
+//! order with one f32 accumulator per character — a contiguous update the
+//! compiler can vectorize across characters — first for the sums and
+//! presence counts, then for the squared deviations from the mean. Each
+//! character's accumulator still adds its cell counts in cell order, the
+//! order of the per-character reference loop, and f32 addition is
+//! deterministic for a fixed order, so every output bit matches
+//! `sato_features::reference::char_features`.
 
-use crate::scratch::FeatureScratch;
+use crate::scratch::{FeatureScratch, CHARSET_LEN};
 use sato_tabular::table::Column;
 
 /// The characters whose per-cell distributions are summarised.
@@ -52,8 +62,11 @@ pub fn char_features_into(column: &Column, scratch: &mut FeatureScratch, out: &m
 ///
 /// The scan visits every cell's characters exactly once (instead of once per
 /// alphabet character, each with its own lower-cased copy of the cell); this
-/// aggregation then reads the per-cell histograms in cell order so the f32
-/// accumulation is bit-identical to the naive per-character recipe.
+/// aggregation then walks the cell-major histograms row by row, updating one
+/// accumulator per alphabet character. Each character's sums are still
+/// taken in cell order, so the f32 accumulation is bit-identical to the
+/// naive per-character recipe, while each update reads a contiguous row
+/// instead of one strided serial chain per character.
 pub(crate) fn char_features_from_scan(scratch: &FeatureScratch, out: &mut [f32]) {
     assert_eq!(out.len(), CHAR_FEATURE_DIM, "Char output width mismatch");
     out.fill(0.0);
@@ -62,26 +75,27 @@ pub(crate) fn char_features_from_scan(scratch: &FeatureScratch, out: &mut [f32])
         return;
     }
     let n = cells as f32;
-    for ci in 0..CHARSET.len() {
-        let mut sum = 0.0f32;
-        let mut present = 0usize;
-        for cell in 0..cells {
-            let c = scratch.char_count(cell, ci) as f32;
-            sum += c;
-            if c > 0.0 {
-                present += 1;
-            }
+    let rows = scratch.char_counts.chunks_exact(CHARSET_LEN);
+    let mut sum = [0.0f32; CHARSET_LEN];
+    let mut present = [0u32; CHARSET_LEN];
+    for row in rows.clone() {
+        for ((s, p), &c) in sum.iter_mut().zip(&mut present).zip(row) {
+            *s += c as f32;
+            *p += u32::from(c > 0);
         }
-        let mean = sum / n;
-        let mut var = 0.0f32;
-        for cell in 0..cells {
-            let d = scratch.char_count(cell, ci) as f32 - mean;
-            var += d * d;
+    }
+    let mean = sum.map(|s| s / n);
+    let mut var = [0.0f32; CHARSET_LEN];
+    for row in rows {
+        for ((v, &m), &c) in var.iter_mut().zip(&mean).zip(row) {
+            let d = c as f32 - m;
+            *v += d * d;
         }
-        var /= n;
-        out[ci * STATS_PER_CHAR] = mean;
-        out[ci * STATS_PER_CHAR + 1] = var.sqrt();
-        out[ci * STATS_PER_CHAR + 2] = present as f32 / n;
+    }
+    for (ci, stats) in out.chunks_exact_mut(STATS_PER_CHAR).enumerate() {
+        stats[0] = mean[ci];
+        stats[1] = (var[ci] / n).sqrt();
+        stats[2] = present[ci] as f32 / n;
     }
 }
 

@@ -352,6 +352,77 @@ mod single_pass_parity {
         }
     }
 
+    /// Char and Stat of `column` through the single-pass scan, as the
+    /// extractor computes them for any [`CellSource`].
+    fn char_and_stat<C: sato_tabular::table::CellSource + ?Sized>(
+        column: &C,
+        scratch: &mut FeatureScratch,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut char_out = vec![0.0f32; CHAR_FEATURE_DIM];
+        let mut stat_out = vec![0.0f32; STAT_FEATURE_DIM];
+        scratch.scan(column);
+        crate::char_dist::char_features_from_scan(scratch, &mut char_out);
+        crate::stats::stat_features_from_scan(column, scratch, &mut stat_out);
+        (char_out, stat_out)
+    }
+
+    /// A generated column for the Char/Stat proptest. Cells are drawn from a
+    /// small pool of [`ALPHABET`] strings, so values repeat; each pick is
+    /// kept as is, upper- or lower-cased (values that differ only in case),
+    /// or blanked. `shape` 6 and 7 replace it with a 10k-cell column whose
+    /// cells are all equal or all distinct.
+    fn generated_column(pool: &[Vec<usize>], picks: &[(usize, u8)], shape: u8) -> Column {
+        let pool: Vec<String> = pool
+            .iter()
+            .map(|cell| cell.iter().map(|&i| ALPHABET[i]).collect())
+            .collect();
+        match shape {
+            6 => Column::new(std::iter::repeat(format!("{}x", pool[0])).take(10_000)),
+            7 => Column::new((0..10_000).map(|i| format!("{}{i}", pool[0]))),
+            _ => Column::new(picks.iter().map(|&(p, variant)| {
+                let base = &pool[p % pool.len()];
+                match variant {
+                    0 => base.clone(),
+                    1 => base.to_uppercase(),
+                    2 => base.to_lowercase(),
+                    _ => [" ", "", "\t \n"][p % 3].to_string(),
+                }
+            })),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Char and Stat match the reference bit for bit on generated
+        /// columns, read both in memory and from a decoded colstore frame.
+        #[test]
+        fn char_and_stat_match_reference_on_generated_columns(
+            pool in proptest::collection::vec(
+                proptest::collection::vec(0..ALPHABET.len(), 0..8),
+                1..6,
+            ),
+            picks in proptest::collection::vec((0usize..64, 0u8..4), 0..40),
+            shape in 0u8..8,
+        ) {
+            use sato_tabular::colstore::{ColStoreReader, ColStoreWriter, TableBuf};
+            use sato_tabular::table::{Table, TableCells};
+
+            let column = generated_column(&pool, &picks, shape);
+            let expected = (char_features(&column), stat_features(&column));
+            let mut scratch = FeatureScratch::new();
+            proptest::prop_assert_eq!(&char_and_stat(&column, &mut scratch), &expected);
+
+            let mut writer = ColStoreWriter::new(Vec::new()).unwrap();
+            writer.write_table(&Table::unlabelled(1, vec![column])).unwrap();
+            let bytes = writer.finish().unwrap();
+            let mut reader = ColStoreReader::new(&bytes[..]).unwrap();
+            let mut buf = TableBuf::new();
+            proptest::prop_assert!(reader.read_into(&mut buf).unwrap());
+            proptest::prop_assert_eq!(&char_and_stat(&buf.cells(0), &mut scratch), &expected);
+        }
+    }
+
     /// The hash-keyed Para counting must reproduce the sorted `String`-map
     /// drain bit for bit even when many distinct tokens collide in the same
     /// embedding *bucket* (the case where f32 accumulation order matters):

@@ -19,6 +19,8 @@
 use crate::char_dist::CHARSET;
 use crate::tokens::TokenTable;
 use sato_tabular::table::CellSource;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Number of characters in the Char-group alphabet.
 pub(crate) const CHARSET_LEN: usize = CHARSET.len();
@@ -102,8 +104,10 @@ pub struct FeatureScratch {
     /// Numeric values of the parseable cells, in cell order.
     pub(crate) numeric: Vec<f32>,
     /// Indices (into `column.values`) of the non-blank cells, for the
-    /// sort-based distinct count.
-    pub(crate) sort_idx: Vec<u32>,
+    /// distinct count.
+    pub(crate) nonblank_idx: Vec<u32>,
+    /// The set the Stat group's distinct count probes.
+    pub(crate) distinct: DistinctCells,
     /// Reusable buffer for the cleaned numeric form of one cell.
     pub(crate) parse_buf: String,
     /// The token table the Word and Para groups read (and, in the batched
@@ -139,14 +143,14 @@ impl FeatureScratch {
         self.flags.clear();
         self.digit_fracs.clear();
         self.numeric.clear();
-        self.sort_idx.clear();
+        self.nonblank_idx.clear();
 
         for cell_idx in 0..self.total_cells {
             let cell = column.cell(cell_idx);
             if cell.trim().is_empty() {
                 continue;
             }
-            self.sort_idx.push(cell_idx as u32);
+            self.nonblank_idx.push(cell_idx as u32);
             let base = self.n_cells * CHARSET_LEN;
             self.n_cells += 1;
             self.char_counts.resize(base + CHARSET_LEN, 0);
@@ -177,12 +181,50 @@ impl FeatureScratch {
             }
         }
     }
+}
 
-    /// Per-cell character counts of the `ci`-th alphabet character, in cell
-    /// order (`n_cells` entries, stride [`CHARSET_LEN`]).
-    #[inline]
-    pub(crate) fn char_count(&self, cell: usize, ci: usize) -> u32 {
-        self.char_counts[cell * CHARSET_LEN + ci]
+/// An open-addressed set of cell indices for the Stat group's distinct
+/// count: linear probing over a power-of-two table at most half full, each
+/// slot holding the high half of its cell's hash and the cell index.
+///
+/// The hash is SipHash under keys drawn per set (`RandomState`), so cells
+/// crafted to collide cannot force quadratic probing; the count itself
+/// does not depend on the keys.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DistinctCells<S = RandomState> {
+    hasher: S,
+    /// `(hash tag, cell index + 1)`; a zero index marks an empty slot.
+    slots: Vec<(u32, u32)>,
+}
+
+impl<S: BuildHasher> DistinctCells<S> {
+    /// Count the distinct values of `column` at the cell indices `cells`,
+    /// exactly: equal hashes are confirmed by comparing bytes.
+    pub(crate) fn count<C: CellSource + ?Sized>(&mut self, column: &C, cells: &[u32]) -> usize {
+        let len = (2 * cells.len()).next_power_of_two().max(8);
+        self.slots.clear();
+        self.slots.resize(len, (0, 0));
+        let mask = len - 1;
+        let mut distinct = 0usize;
+        for &idx in cells {
+            let value = column.cell(idx as usize);
+            let hash = self.hasher.hash_one(value);
+            let tag = (hash >> 32) as u32;
+            let mut slot = hash as usize & mask;
+            loop {
+                let (slot_tag, slot_cell) = self.slots[slot];
+                if slot_cell == 0 {
+                    self.slots[slot] = (tag, idx + 1);
+                    distinct += 1;
+                    break;
+                }
+                if slot_tag == tag && column.cell(slot_cell as usize - 1) == value {
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        distinct
     }
 }
 
@@ -331,7 +373,7 @@ mod tests {
         assert_eq!(s.n_cells, 2);
         assert_eq!(s.lengths, vec![2.0, 3.0]);
         assert_eq!(s.token_counts, vec![1.0, 2.0]);
-        assert_eq!(s.sort_idx, vec![0, 3]);
+        assert_eq!(s.nonblank_idx, vec![0, 3]);
     }
 
     #[test]
@@ -340,8 +382,8 @@ mod tests {
         s.scan(&Column::new(["AbA"]));
         let a = CHARSET.iter().position(|&c| c == 'a').unwrap();
         let b = CHARSET.iter().position(|&c| c == 'b').unwrap();
-        assert_eq!(s.char_count(0, a), 2);
-        assert_eq!(s.char_count(0, b), 1);
+        assert_eq!(s.char_counts[a], 2);
+        assert_eq!(s.char_counts[b], 1);
     }
 
     #[test]
@@ -351,7 +393,7 @@ mod tests {
         let mut s = FeatureScratch::new();
         s.scan(&Column::new(["\u{212A}"]));
         let k = CHARSET.iter().position(|&c| c == 'k').unwrap();
-        assert_eq!(s.char_count(0, k), 1);
+        assert_eq!(s.char_counts[k], 1);
     }
 
     #[test]
@@ -395,6 +437,24 @@ mod tests {
             assert_eq!(a.tokens, b.tokens, "tokens diverged on {cell:?}");
             assert_eq!(a.flags, b.flags, "flags diverged on {cell:?}");
         }
+    }
+
+    /// With every cell hashing alike, each lookup walks the whole probe
+    /// run and only the byte comparison tells values apart.
+    #[test]
+    fn distinct_count_confirms_colliding_hashes_by_bytes() {
+        #[derive(Default)]
+        struct Constant;
+        impl std::hash::Hasher for Constant {
+            fn finish(&self) -> u64 {
+                7
+            }
+            fn write(&mut self, _: &[u8]) {}
+        }
+        let mut set = DistinctCells::<std::hash::BuildHasherDefault<Constant>>::default();
+        let column = Column::new(["a", "b", "a", "", "A", "b", "c"]);
+        assert_eq!(set.count(&column, &[0, 1, 2, 4, 5, 6]), 4);
+        assert_eq!(set.count(&column, &[0, 2]), 1);
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub fn stat_features_into(column: &Column, scratch: &mut FeatureScratch, out: &m
 
 /// Aggregate the 27 statistics from an already-scanned column. The per-cell
 /// counters all come from the shared single pass; only the distinct count
-/// re-reads cell values (through a sorted index, without copying them) —
-/// which is why [`CellSource`] requires random access.
+/// re-reads cell values (hashing each non-blank cell into an open-addressed
+/// set of cell indices, without copying them) — which is why
+/// [`CellSource`] requires random access.
 pub(crate) fn stat_features_from_scan<C: CellSource + ?Sized>(
     column: &C,
     scratch: &mut FeatureScratch,
@@ -59,19 +60,7 @@ pub(crate) fn stat_features_from_scan<C: CellSource + ?Sized>(
         return;
     }
 
-    // Distinctness, via a sort of cell *indices* by value (no `&str` copies).
-    scratch
-        .sort_idx
-        .sort_unstable_by(|&a, &b| column.cell(a as usize).cmp(column.cell(b as usize)));
-    let mut distinct = 0usize;
-    let mut prev: Option<&str> = None;
-    for &i in &scratch.sort_idx {
-        let v = column.cell(i as usize);
-        if prev != Some(v) {
-            distinct += 1;
-            prev = Some(v);
-        }
-    }
+    let distinct = scratch.distinct.count(column, &scratch.nonblank_idx);
     out[3] = distinct as f32;
     out[4] = distinct as f32 / n as f32; // fraction unique
 

@@ -210,19 +210,38 @@ fn corrupted_colstore_streams_fail_with_typed_errors_not_panics() {
     ));
 }
 
+/// `save` → `load` through a file reproduces `predict` for a variant
+/// without and one with the CRF, and a missing path is a typed I/O error.
+/// File names carry the process id, so concurrent test runs do not share
+/// them.
 #[test]
 fn binary_file_round_trip_and_missing_file_error() {
-    let predictor = full_predictor();
-    let path = std::env::temp_dir().join("sato_integration_artifact_roundtrip.satoart");
-    predictor.save(&path).expect("save artifact");
-    let loaded = SatoPredictor::load(&path).expect("load artifact");
-    std::fs::remove_file(&path).ok();
+    let no_struct = SatoModel::train(
+        &default_corpus(20, 23),
+        tiny_config(23),
+        SatoVariant::SatoNoStruct,
+    )
+    .into_predictor();
     let corpus = default_corpus(10, 78);
-    for table in corpus.iter().take(5) {
-        assert_eq!(predictor.predict(table), loaded.predict(table));
+    for (name, predictor) in [("no_struct", &no_struct), ("full", full_predictor())] {
+        let path = std::env::temp_dir().join(format!(
+            "sato_integration_roundtrip_{}_{name}.satoart",
+            std::process::id()
+        ));
+        predictor.save(&path).expect("save artifact");
+        let loaded = SatoPredictor::load(&path).expect("load artifact");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.variant(), predictor.variant());
+        for table in corpus.iter().take(5) {
+            assert_eq!(predictor.predict(table), loaded.predict(table), "{name}");
+        }
     }
+    let missing = std::env::temp_dir().join(format!(
+        "sato_no_such_artifact_{}.satoart",
+        std::process::id()
+    ));
     assert!(matches!(
-        SatoPredictor::load(std::env::temp_dir().join("sato_no_such_artifact.satoart")),
+        SatoPredictor::load(missing),
         Err(PredictorError::Io(_))
     ));
 }

@@ -1,10 +1,9 @@
 //! Integration tests of the train → freeze → serve lifecycle: the
 //! `SatoPredictor` artifact must be thread-safe by construction, reproduce
-//! the source model bit for bit, save and load through a file, reject what
-//! is not an artifact with a typed error, and serve concurrent ad-hoc
-//! requests from shared borrows. (The per-variant round trip is in
-//! `artifact_formats.rs`, the built-in parallel path in
-//! `batched_serving.rs`.)
+//! the source model bit for bit, reject what is not an artifact with a
+//! typed error, and serve concurrent ad-hoc requests from shared borrows.
+//! (The per-variant and file round trips are in `artifact_formats.rs`, the
+//! built-in parallel path in `batched_serving.rs`.)
 
 use sato::{PredictorError, SatoConfig, SatoModel, SatoPredictor, SatoVariant};
 use sato_tabular::corpus::default_corpus;
@@ -75,22 +74,4 @@ fn frozen_predictor_serves_identically_from_many_threads() {
             });
         }
     });
-}
-
-#[test]
-fn file_save_load_round_trip() {
-    let corpus = default_corpus(20, 23);
-    let predictor =
-        SatoModel::train(&corpus, tiny_config(23), SatoVariant::SatoNoStruct).into_predictor();
-    let path = std::env::temp_dir().join("sato_predictor_roundtrip_test.satoart");
-    predictor.save(&path).expect("save artifact");
-    let loaded = SatoPredictor::load(&path).expect("load artifact");
-    std::fs::remove_file(&path).ok();
-    for table in corpus.iter().take(5) {
-        assert_eq!(predictor.predict(table), loaded.predict(table));
-    }
-    assert!(matches!(
-        SatoPredictor::load(std::env::temp_dir().join("sato_no_such_artifact.satoart")),
-        Err(PredictorError::Io(_))
-    ));
 }
