@@ -1,14 +1,12 @@
 //! Criterion micro-benchmark: LDA table-intent inference (the per-table cost
-//! Sato adds on top of Sherlock for the global context signal), on the
-//! reference path (`estimate`: mega-string document, per-token `String`s,
-//! fresh Gibbs buffers), the allocation-lean scratch path (`estimate_with` +
-//! dense sampler: streaming encoder + reused [`TopicScratch`]) and the
-//! sparse/alias sampler (`estimate_with` + [`SamplerKind::SparseAlias`]:
-//! `O(k_d)` per token against pre-built per-word alias tables).
+//! Sato adds on top of Sherlock for the global context signal), the fold-in
+//! on the reference path (`estimate`: mega-string document, per-token
+//! `String`s, fresh buffers) and on the allocation-lean scratch path
+//! (`estimate_with`: streaming encoder + reused [`TopicScratch`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sato_tabular::corpus::default_corpus;
-use sato_topic::{LdaConfig, SamplerKind, TableIntentEstimator, TopicSampler, TopicScratch};
+use sato_topic::{LdaConfig, TableIntentEstimator, TopicScratch};
 
 fn bench_lda(c: &mut Criterion) {
     let corpus = default_corpus(200, 7);
@@ -19,7 +17,6 @@ fn bench_lda(c: &mut Criterion) {
         let config = LdaConfig {
             num_topics: topics,
             train_iterations: 30,
-            infer_iterations: 15,
             ..LdaConfig::default()
         };
         let estimator = TableIntentEstimator::fit(&corpus, config);
@@ -33,25 +30,7 @@ fn bench_lda(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("infer_table_topic_vector_scratch", topics),
             &estimator,
-            |b, est| {
-                b.iter(|| {
-                    est.estimate_with(
-                        std::hint::black_box(table),
-                        &TopicSampler::Dense,
-                        &mut scratch,
-                    )
-                })
-            },
-        );
-        // Sparse/alias sampler: alias tables built once (freeze time), the
-        // timed loop is the O(k_d)-per-token warm sampling path.
-        let sparse = estimator.build_sampler(SamplerKind::SparseAlias);
-        group.bench_with_input(
-            BenchmarkId::new("infer_table_topic_vector_sparse_alias", topics),
-            &estimator,
-            |b, est| {
-                b.iter(|| est.estimate_with(std::hint::black_box(table), &sparse, &mut scratch))
-            },
+            |b, est| b.iter(|| est.estimate_with(std::hint::black_box(table), &mut scratch)),
         );
     }
     group.finish();

@@ -77,14 +77,9 @@ fn main() {
 
     // Train the embedding model once; the lake is only ever *served*.
     let train = opts.corpus();
-    println!(
-        "training Full model on {} tables ({} sampler)",
-        train.len(),
-        opts.sampler.name()
-    );
-    let predictor = SatoModel::train(&train, opts.sato_config(), SatoVariant::Full)
-        .into_predictor()
-        .with_sampler(opts.sampler);
+    println!("training Full model on {} tables", train.len());
+    let predictor =
+        SatoModel::train(&train, opts.sato_config(), SatoVariant::Full).into_predictor();
     let dim = predictor.embedding_dim();
 
     // The lake: fresh synthetic tables (disjoint seed), trimmed at table

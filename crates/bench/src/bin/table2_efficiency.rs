@@ -9,27 +9,19 @@
 //! not here.
 //!
 //! Besides the human-readable table, the run writes `BENCH_serving.json`
-//! ([`sato_bench::schema::ServingBench`]): the Table 2 figures, the
-//! `gibbs_sampler` section — dense vs sparse/alias topic sampling µs/table
-//! at the model's Gibbs budget (`infer_iterations`, recorded beside them),
-//! with the mean L1 theta drift of the sparse/alias sampler — and the
+//! ([`sato_bench::schema::ServingBench`]): the Table 2 figures and the
 //! `artifact` section — the `SATOART1` predictor artifact's size and load
 //! time. Every figure is measured on one thread.
-//!
-//! `--sampler {dense,sparse}` selects the topic sampler of the prediction
-//! pass (the sampler section always measures both).
 
-use sato::{SamplerKind, SatoModel, SatoPredictor, SatoVariant, TopicSampler};
+use sato::{SatoModel, SatoPredictor, SatoVariant};
 use sato_bench::schema::{
-    self, ArtifactFormats, GibbsSampler, ServingBench, ServingCorpus, Table2, Table2Row,
-    SERVING_SCHEMA,
+    self, ArtifactFormats, ServingBench, ServingCorpus, Table2, Table2Row, SERVING_SCHEMA,
 };
 use sato_bench::{banner, default_threads, ExperimentOptions};
 use sato_eval::metrics::mean_and_ci95;
 use sato_eval::report::TextTable;
 use sato_tabular::split::train_test_split;
 use sato_tabular::table::Corpus;
-use sato_topic::{TableIntentEstimator, TopicScratch};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -71,10 +63,9 @@ fn main() {
     let config = opts.sato_config();
     let split = train_test_split(&corpus, 0.2, opts.seed);
     println!(
-        "training on {} multi-column tables, predicting {} held-out tables ({} sampler)",
+        "training on {} multi-column tables, predicting {} held-out tables",
         split.train.len(),
         split.test.len(),
-        opts.sampler.name()
     );
 
     let fmt = |values: &[f64]| {
@@ -108,7 +99,7 @@ fn main() {
 
             // Freeze into the immutable serving artifact and time the
             // default batched entry point.
-            let predictor = model.into_predictor().with_sampler(opts.sampler);
+            let predictor = model.into_predictor();
             let (predictions, secs) =
                 best_of(|| predictor.predict_corpus_batched(&split.test, BATCH_COLS));
             assert_eq!(predictions.len(), split.test.len());
@@ -139,16 +130,14 @@ fn main() {
     println!("\n{}", table.render());
     let full_predictor = full_predictor.expect("the Full predictor survives the trial loop");
 
-    // Dense vs sparse/alias Gibbs sampling on the Full model's intent
-    // estimator over the held-out tables.
     let intent = full_predictor
         .columnwise()
         .intent_estimator()
         .expect("the Full model carries an intent estimator");
-    let gibbs = time_gibbs_samplers(intent, &split.test, opts.trials);
+    let infer_iterations = intent.model().config().infer_iterations;
     let artifact = time_artifacts(&full_predictor, &split.test);
 
-    // `schema::write` echoes the file, sampler and artifact sections included.
+    // `schema::write` echoes the file, artifact section included.
     let [base, full]: [Table2Row; 2] = rows.try_into().expect("a Base and a Full row");
     schema::write(&ServingBench {
         schema: SERVING_SCHEMA.to_string(),
@@ -159,81 +148,20 @@ fn main() {
             test_columns: split.test.iter().map(|t| t.num_columns()).sum(),
             seed: opts.seed,
             topics: opts.topics,
+            infer_iterations,
             trials: opts.trials,
         },
         table2: Table2 {
             batch_cols: BATCH_COLS,
-            sampler: opts.sampler.name().to_string(),
+            sampler: full_predictor.sampler_kind().name().to_string(),
             base,
             full,
         },
-        gibbs_sampler: gibbs,
         artifact,
     });
 
     println!("paper reference (64-core machine, 26K training tables): Base 596.9s / N/A / 3.8s,");
     println!("Sato 678.5s / 366.9s / 5.2s; prediction overhead ≈ 0.2 ms per table.");
-}
-
-/// Mean (over tables) L1 distance between two theta corpora.
-fn mean_l1(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            x.iter()
-                .zip(y)
-                .map(|(p, q)| (p - q).abs() as f64)
-                .sum::<f64>()
-        })
-        .sum::<f64>()
-        / a.len().max(1) as f64
-}
-
-/// Time the dense and sparse/alias topic samplers over every table of
-/// `corpus` through one warm scratch each (the alias tables are built
-/// outside the timed loop, as at freeze time), and measure the mean L1
-/// theta drift of the sparse/alias sampler against dense; µs/table are
-/// means over `trials` repetitions, and the speed-up is the ratio of those
-/// means with the smallest and largest ratio of a single trial beside it.
-fn time_gibbs_samplers(
-    intent: &TableIntentEstimator,
-    corpus: &Corpus,
-    trials: usize,
-) -> GibbsSampler {
-    let tables = corpus.len().max(1) as f64;
-    let sparse = intent.build_sampler(SamplerKind::SparseAlias);
-    let mut scratch = TopicScratch::new();
-
-    let dense_thetas = intent.estimate_corpus_with(corpus, &TopicSampler::Dense, &mut scratch);
-    let sparse_thetas = intent.estimate_corpus_with(corpus, &sparse, &mut scratch);
-    let mean_l1_drift_vs_dense = mean_l1(&dense_thetas, &sparse_thetas);
-
-    let mut dense_times = Vec::new();
-    let mut sparse_times = Vec::new();
-    for _ in 0..trials.max(1) {
-        let start = Instant::now();
-        black_box(intent.estimate_corpus_with(
-            black_box(corpus),
-            &TopicSampler::Dense,
-            &mut scratch,
-        ));
-        dense_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
-
-        let start = Instant::now();
-        black_box(intent.estimate_corpus_with(black_box(corpus), &sparse, &mut scratch));
-        sparse_times.push(start.elapsed().as_secs_f64() * 1e6 / tables);
-    }
-    let (dense_us_per_table, sparse_us_per_table) = (mean(&dense_times), mean(&sparse_times));
-    let ratios = dense_times.iter().zip(&sparse_times).map(|(d, s)| d / s);
-    GibbsSampler {
-        infer_iterations: intent.model().config().infer_iterations,
-        dense_us_per_table,
-        sparse_us_per_table,
-        sparse_speedup: dense_us_per_table / sparse_us_per_table,
-        sparse_speedup_min: ratios.clone().fold(f64::INFINITY, f64::min),
-        sparse_speedup_max: ratios.fold(0.0, f64::max),
-        mean_l1_drift_vs_dense,
-    }
 }
 
 /// Measure the predictor artifact: size and best-of load time, asserting

@@ -16,7 +16,6 @@
 //! --epochs E    column-wise network training epochs        (default 40)
 //! --trials T    repetitions for timing / permutation runs  (default 3)
 //! --threads N   serving threads for parallel prediction    (default: CPU count)
-//! --sampler S   serving topic sampler: dense | sparse | sparse-alias (default sparse)
 //! --fast        shrink everything for a quick smoke run
 //! ```
 
@@ -24,7 +23,7 @@
 
 pub mod schema;
 
-use sato::{SamplerKind, SatoConfig, SatoVariant};
+use sato::{SatoConfig, SatoVariant};
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::Corpus;
 
@@ -45,8 +44,6 @@ pub struct ExperimentOptions {
     pub trials: usize,
     /// Number of serving threads for parallel prediction benchmarks.
     pub threads: usize,
-    /// Serving-time topic sampler (`--sampler dense|sparse|sparse-alias`).
-    pub sampler: SamplerKind,
     /// Whether `--fast` was passed.
     pub fast: bool,
 }
@@ -68,7 +65,6 @@ impl Default for ExperimentOptions {
             epochs: 40,
             trials: 3,
             threads: default_threads(),
-            sampler: SamplerKind::default(),
             fast: false,
         }
     }
@@ -105,19 +101,10 @@ impl ExperimentOptions {
                 "--epochs" => opts.epochs = take_usize("--epochs"),
                 "--trials" => opts.trials = take_usize("--trials"),
                 "--threads" => opts.threads = take_usize("--threads").max(1),
-                "--sampler" => {
-                    opts.sampler = match iter.next().as_deref() {
-                        Some("dense") => SamplerKind::Dense,
-                        Some("sparse") | Some("sparse-alias") => SamplerKind::SparseAlias,
-                        other => {
-                            panic!("--sampler expects dense|sparse|sparse-alias (got {other:?})")
-                        }
-                    }
-                }
                 "--fast" => opts.fast = true,
                 "--help" | "-h" if !lenient => {
                     println!(
-                        "options: --tables N --seed S --folds F --topics K --epochs E --trials T --threads N --sampler dense|sparse|sparse-alias --fast"
+                        "options: --tables N --seed S --folds F --topics K --epochs E --trials T --threads N --fast"
                     );
                     std::process::exit(0);
                 }
@@ -225,8 +212,6 @@ mod tests {
             "2",
             "--threads",
             "6",
-            "--sampler",
-            "sparse",
         ]));
         assert_eq!(opts.tables, 50);
         assert_eq!(opts.seed, 7);
@@ -235,29 +220,6 @@ mod tests {
         assert_eq!(opts.epochs, 3);
         assert_eq!(opts.trials, 2);
         assert_eq!(opts.threads, 6);
-        assert_eq!(opts.sampler, SamplerKind::SparseAlias);
-    }
-
-    #[test]
-    fn sampler_defaults_to_sparse_alias_and_parses_both_spellings() {
-        assert_eq!(
-            ExperimentOptions::default().sampler,
-            SamplerKind::SparseAlias
-        );
-        for (flag, kind) in [
-            ("dense", SamplerKind::Dense),
-            ("sparse", SamplerKind::SparseAlias),
-            ("sparse-alias", SamplerKind::SparseAlias),
-        ] {
-            let opts = ExperimentOptions::parse(args(&["--sampler", flag]));
-            assert_eq!(opts.sampler, kind, "flag {flag}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "--sampler expects dense|sparse|sparse-alias")]
-    fn unknown_sampler_panics() {
-        ExperimentOptions::parse(args(&["--sampler", "mh"]));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub trait BenchFile: Serialize + Deserialize {
 }
 
 /// Schema tag of [`ServingBench`].
-pub const SERVING_SCHEMA: &str = "sato-bench/serving-v7";
+pub const SERVING_SCHEMA: &str = "sato-bench/serving-v8";
 
 /// `BENCH_serving.json`, written by `table2_efficiency`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,8 +38,6 @@ pub struct ServingBench {
     pub corpus: ServingCorpus,
     /// The paper's Table 2, Base vs Full.
     pub table2: Table2,
-    /// Dense vs sparse/alias topic sampling on the Full model.
-    pub gibbs_sampler: GibbsSampler,
     /// The `SATOART1` artifact of the Full predictor.
     pub artifact: ArtifactFormats,
 }
@@ -57,6 +55,9 @@ pub struct ServingCorpus {
     pub seed: u64,
     /// LDA topic count K.
     pub topics: usize,
+    /// Fold-in rounds of topic estimation: the Full model's
+    /// `LdaConfig::infer_iterations`.
+    pub infer_iterations: usize,
     /// Trials each Table 2 figure is the mean of.
     pub trials: usize,
 }
@@ -66,7 +67,7 @@ pub struct ServingCorpus {
 pub struct Table2 {
     /// Columns per micro-batch of the prediction pass.
     pub batch_cols: usize,
-    /// Serving topic sampler of the prediction pass.
+    /// Serving topic estimator of the prediction pass (`fold-in`).
     pub sampler: String,
     /// The Base (column-wise only) model.
     pub base: Table2Row,
@@ -85,26 +86,6 @@ pub struct Table2Row {
     pub predict_secs: f64,
 }
 
-/// Dense vs sparse/alias Gibbs sampling over the held-out tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GibbsSampler {
-    /// Gibbs sweeps per table both samplers ran (half burn-in, half
-    /// sampled): the Full model's `LdaConfig::infer_iterations`.
-    pub infer_iterations: usize,
-    /// Mean µs/table of the dense sweep.
-    pub dense_us_per_table: f64,
-    /// Mean µs/table of the sparse/alias sampler.
-    pub sparse_us_per_table: f64,
-    /// `dense_us_per_table / sparse_us_per_table`.
-    pub sparse_speedup: f64,
-    /// Smallest dense/sparse ratio of a single trial.
-    pub sparse_speedup_min: f64,
-    /// Largest dense/sparse ratio of a single trial.
-    pub sparse_speedup_max: f64,
-    /// Mean L1 distance between the dense and sparse/alias thetas.
-    pub mean_l1_drift_vs_dense: f64,
-}
-
 /// Size and load time of the predictor artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArtifactFormats {
@@ -118,15 +99,14 @@ impl BenchFile for ServingBench {
     const PATH: &'static str = "BENCH_serving.json";
 
     fn check(&self) -> Result<(), String> {
-        let (t, g, a) = (&self.table2, &self.gibbs_sampler, &self.artifact);
-        let sampler = matches!(t.sampler.as_str(), "dense" | "sparse-alias");
+        let (t, a) = (&self.table2, &self.artifact);
         ensure(self.schema == SERVING_SCHEMA, "schema")?;
-        ensure(sampler, "table2.sampler")?;
+        ensure(t.sampler == "fold-in", "table2.sampler")?;
         ensure(t.base.train_crf_secs.is_none(), "base.train_crf_secs")?;
         counts(&[
             ("available_parallelism", self.available_parallelism),
             ("test_tables", self.corpus.test_tables),
-            ("infer_iterations", g.infer_iterations),
+            ("infer_iterations", self.corpus.infer_iterations),
             ("binary_bytes", a.binary_bytes),
         ])?;
         let full_crf = t.full.train_crf_secs.unwrap_or(f64::NAN);
@@ -136,28 +116,8 @@ impl BenchFile for ServingBench {
             ("full.train_features_secs", t.full.train_features_secs),
             ("full.train_crf_secs", full_crf),
             ("full.predict_secs", t.full.predict_secs),
-            ("dense_us_per_table", g.dense_us_per_table),
-            ("sparse_us_per_table", g.sparse_us_per_table),
-            ("sparse_speedup_min", g.sparse_speedup_min),
-            ("sparse_speedup_max", g.sparse_speedup_max),
             ("binary_load_us", a.binary_load_us),
-        ])?;
-        // L1 between two probability distributions is at most 2.
-        let drift = g.mean_l1_drift_vs_dense;
-        ensure((0.0..=2.0).contains(&drift), "mean_l1_drift_vs_dense")?;
-        // The ratio of the means is a weighted mean of the per-trial ratios,
-        // so it lies between their extremes (up to the 5-digit rounding).
-        let ratio = g.sparse_speedup;
-        ensure(
-            g.sparse_speedup_min <= ratio * (1.0 + DERIVED_TOLERANCE),
-            "sparse_speedup_min",
-        )?;
-        ensure(
-            g.sparse_speedup_max >= ratio * (1.0 - DERIVED_TOLERANCE),
-            "sparse_speedup_max",
-        )?;
-        let sparse = g.dense_us_per_table / g.sparse_us_per_table;
-        derived(&[("sparse_speedup", g.sparse_speedup, sparse)])
+        ])
     }
 }
 

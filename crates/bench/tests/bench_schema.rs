@@ -30,32 +30,22 @@ fn rejects<T: BenchFile>(bench: T, key: &str) {
 #[test]
 fn committed_serving_bench_matches_its_schema_and_broken_copies_do_not() {
     let bench: ServingBench = parse(&committed::<ServingBench>()).unwrap();
-    rejects_missing::<ServingBench>("mean_l1_drift_vs_dense");
     rejects_missing::<ServingBench>("infer_iterations");
+    rejects_missing::<ServingBench>("binary_bytes");
 
-    // The sampler timings are only comparable at a recorded budget.
-    let mut budget = bench.clone();
-    budget.gibbs_sampler.infer_iterations = 0;
-    rejects(budget, "infer_iterations");
+    // The configuration records the topic estimator's round count.
+    let mut rounds = bench.clone();
+    rounds.corpus.infer_iterations = 0;
+    rejects(rounds, "infer_iterations");
 
-    // L1 between two distributions is at most 2.
-    let mut drift = bench.clone();
-    drift.gibbs_sampler.mean_l1_drift_vs_dense = 3.0;
-    rejects(drift, "mean_l1_drift_vs_dense");
+    // The fold-in is the only topic estimator.
+    let mut sampler = bench.clone();
+    sampler.table2.sampler = "sparse-alias".to_string();
+    rejects(sampler, "table2.sampler");
 
     let mut load = bench.clone();
     load.artifact.binary_load_us = 0.0;
     rejects(load, "binary_load_us");
-
-    // The ratio of the mean timings lies within the per-trial spread.
-    let g = &bench.gibbs_sampler;
-    assert!(g.sparse_speedup_min <= g.sparse_speedup_max);
-    let mut low = bench.clone();
-    low.gibbs_sampler.sparse_speedup_min = g.sparse_speedup * 1.01;
-    rejects(low, "sparse_speedup_min");
-    let mut high = bench.clone();
-    high.gibbs_sampler.sparse_speedup_max = g.sparse_speedup * 0.99;
-    rejects(high, "sparse_speedup_max");
 
     let mut base_crf = bench.clone();
     base_crf.table2.base.train_crf_secs = Some(1.0);

@@ -6,8 +6,7 @@
 //! LDA topic–word counts and the CRF pairwise table) laid out as
 //! little-endian sections behind a header, so loading is section framing
 //! plus `memcpy`-shaped bulk reads. Only primary state is stored: the LDA
-//! model's φ table and the sparse/alias sampler's per-word alias tables are
-//! derived from `LDAM` at every load.
+//! model's `f32` φ table is derived from `LDAM` at every load.
 //!
 //! ## Layout
 //!
@@ -37,9 +36,11 @@
 //! | `LDAM` | LDA model (topic-aware variants only)                         |
 //! | `CRFP` | CRF pairwise potentials (structured variants only)            |
 //!
-//! Artifacts written before the alias tables became derived state may
-//! still carry an `ALIA` section; like any unknown id it is ignored, and
-//! the tables are rebuilt from `LDAM`, deterministically and bit-exactly.
+//! Artifacts written while a Gibbs sampler's alias tables were persisted
+//! may still carry an `ALIA` section; like any unknown id it is ignored.
+//! `META`'s `sampler` names the topic estimator, `FoldIn`. The names of the
+//! earlier Gibbs samplers, `Dense` and `SparseAlias`, still load, and such
+//! an artifact serves the fold-in under the content hash of its bytes.
 //!
 //! `META` nests the one irregular, schema-shaped piece (the configuration)
 //! as JSON inside the binary envelope — artifacts stay self-describing
@@ -193,6 +194,8 @@ struct BinaryMeta {
     variant: SatoVariant,
     config: SatoConfig,
     use_topic: bool,
+    /// Written as `FoldIn`. A legacy sampler name loads too; the value
+    /// changes nothing, since every predictor serves the fold-in.
     sampler: SamplerKind,
     group_widths: Vec<usize>,
 }
@@ -474,9 +477,7 @@ impl SatoPredictor {
 
     /// Rebuild a predictor from a `SATOART1` artifact written by
     /// [`Self::to_bytes`]. The loaded predictor reproduces the predictions
-    /// of the saved one bit for bit; the sampler recorded in `META` is
-    /// rebuilt from the `LDAM` model (an `O(topics × vocabulary)` step for
-    /// the sparse/alias sampler).
+    /// of the saved one bit for bit.
     ///
     /// Errors are typed, never panics: truncation, bad magic, version skew,
     /// per-section checksum mismatches, missing required sections,
@@ -529,7 +530,6 @@ impl SatoPredictor {
             meta.group_widths,
             &net_state,
             &head_state,
-            meta.sampler,
         )?;
         // The content hash is taken over the exact bytes served from, not a
         // re-serialization: what was loaded is what the hash names.
@@ -622,6 +622,18 @@ pub(crate) mod tests {
         assemble(&sections)
     }
 
+    /// `bytes` reassembled with `META` naming the sampler `name`, as an
+    /// artifact of an earlier release does.
+    pub(crate) fn with_sampler_name(bytes: &[u8], name: &str) -> Vec<u8> {
+        with_section(bytes, SEC_META, |payload| {
+            let meta = std::str::from_utf8(payload).unwrap();
+            assert!(meta.contains("\"sampler\":\"FoldIn\""));
+            let renamed = format!("\"sampler\":\"{name}\"");
+            meta.replacen("\"sampler\":\"FoldIn\"", &renamed, 1)
+                .into_bytes()
+        })
+    }
+
     /// `bytes` reassembled with its `META` changed by `edit`.
     fn with_meta(bytes: &[u8], edit: impl FnOnce(&mut BinaryMeta)) -> Vec<u8> {
         with_section(bytes, SEC_META, |payload| {
@@ -646,9 +658,12 @@ pub(crate) mod tests {
     }
 
     /// Artifacts written while the alias tables were still persisted carry
-    /// an `ALIA` section. Whatever its payload, loading ignores it and
-    /// rebuilds the sampler from `LDAM`: predictions match the in-memory
-    /// predictor bit for bit, and re-serializing drops the section.
+    /// an `ALIA` section and name the sparse/alias sampler in `META`.
+    /// Loading ignores the section, whatever its payload, and serves the
+    /// fold-in from `LDAM`: predictions match the in-memory predictor bit
+    /// for bit, and re-serializing drops the section and names `FoldIn`.
+    /// Every sampler name's load is checked in the integration suite
+    /// (`sampler_serving.rs`).
     #[test]
     fn legacy_alia_section_is_ignored_and_sampler_is_rebuilt() {
         let bits = |proba: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
@@ -657,22 +672,20 @@ pub(crate) mod tests {
                 .map(|row| row.iter().map(|p| p.to_bits()).collect())
                 .collect()
         };
-        for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
-            let fresh = fresh_copy().with_sampler(kind);
-            let bytes = fresh.to_bytes();
-            let mut sections = sections_of(&bytes);
-            assert!(sections.iter().all(|(id, _)| id != b"ALIA"));
-            sections.push((*b"ALIA", vec![0xFF; 64 * 1024]));
-            let loaded = SatoPredictor::from_bytes(&assemble(&sections)).unwrap();
-            assert_eq!(loaded.sampler_kind(), kind);
-            for table in corpus().iter().take(6) {
-                assert_eq!(
-                    bits(fresh.predict_proba(table)),
-                    bits(loaded.predict_proba(table))
-                );
-            }
-            assert_eq!(loaded.to_bytes(), bytes, "{} re-serialization", kind.name());
+        let fresh = fresh_copy();
+        let canonical = fresh.to_bytes();
+        let mut sections = sections_of(&with_sampler_name(&canonical, "SparseAlias"));
+        assert!(sections.iter().all(|(id, _)| id != b"ALIA"));
+        sections.push((*b"ALIA", vec![0xFF; 64 * 1024]));
+        let loaded = SatoPredictor::from_bytes(&assemble(&sections)).unwrap();
+        assert_eq!(loaded.sampler_kind(), SamplerKind::FoldIn);
+        for table in corpus().iter().take(6) {
+            assert_eq!(
+                bits(fresh.predict_proba(table)),
+                bits(loaded.predict_proba(table))
+            );
         }
+        assert_eq!(loaded.to_bytes(), canonical, "re-serialization");
     }
 
     /// A `META` naming a sampler this build does not have (the removed

@@ -126,9 +126,8 @@ pub(crate) fn build_network(config: &SatoConfig, widths: &[usize]) -> (MultiInpu
 }
 
 /// The Sherlock/Sato column-wise neural model (training-capable). Fitting
-/// ends in a [`FrozenColumnwise`] serving [`SamplerKind::default`], the
-/// topic sampler the network was trained with, and every prediction runs
-/// through it.
+/// ends in a [`FrozenColumnwise`], and every prediction runs through it;
+/// its topic vectors are the fold-in estimates the network was trained on.
 pub struct ColumnwiseModel {
     config: SatoConfig,
     use_topic: bool,
@@ -192,7 +191,6 @@ impl ColumnwiseModel {
 
     /// Snapshot the trained model into an immutable [`FrozenColumnwise`]
     /// without consuming it (parameters and running statistics are copied).
-    /// The snapshot serves the sampler the model was trained with.
     ///
     /// Panics if the model has not been trained.
     pub fn freeze(&self) -> FrozenColumnwise {
@@ -201,7 +199,7 @@ impl ColumnwiseModel {
 
     /// Consume the trained model into the immutable [`FrozenColumnwise`] it
     /// predicts through, moving the network weights instead of copying
-    /// them. It serves the sampler the model was trained with.
+    /// them.
     ///
     /// Panics if the model has not been trained.
     pub fn into_frozen(self) -> FrozenColumnwise {
@@ -228,14 +226,9 @@ impl ColumnwiseModel {
         let intent = self
             .use_topic
             .then(|| TableIntentEstimator::fit(corpus, self.config.lda.clone()));
-        // Train on what is served: the topic group comes from the sampler
-        // the frozen model serves, built once here and kept by it.
-        let sampler_kind = SamplerKind::default();
-        let sampler = intent
-            .as_ref()
-            .map_or(TopicSampler::Dense, |est| est.build_sampler(sampler_kind));
-        let topic = intent.as_ref().map(|est| (est, &sampler));
-        let mut data = TrainingData::build(corpus, &extractor, topic);
+        // Train on what is served: the topic group comes from the
+        // estimator the frozen model serves.
+        let mut data = TrainingData::build(corpus, &extractor, intent.as_ref());
         assert!(!data.is_empty(), "cannot train on an empty corpus");
         // Standardise every feature group (Sherlock-style preprocessing); the
         // fitted scalers are reused at prediction time.
@@ -277,8 +270,6 @@ impl ColumnwiseModel {
             head,
             scalers,
             group_widths,
-            sampler_kind,
-            sampler,
         });
         data
     }
@@ -300,9 +291,9 @@ pub(crate) fn matrix_rows(m: &Matrix) -> Vec<Vec<f32>> {
 pub const DEFAULT_TOPIC_MEMO_CAPACITY: usize = 4096;
 
 /// Bounded topic cache keyed by table **content**: the table's encoded
-/// token ids, which are all the Gibbs estimate depends on (inference runs
-/// from a fixed seed). Entries are found by an FNV-1a hash of the ids and
-/// confirmed by comparing the stored ids, so a hit is exact. When a new
+/// token ids, which are all the fold-in estimate depends on. Entries are
+/// found by an FNV-1a hash of the ids and confirmed by comparing the
+/// stored ids, so a hit is exact. When a new
 /// entry would exceed the capacity, the **oldest inserted** one is evicted
 /// (FIFO — O(1), deterministic, no recency bookkeeping on the hit path).
 struct TopicMemo {
@@ -365,8 +356,7 @@ impl TopicMemo {
 #[derive(Default)]
 pub struct ServingScratch {
     features: FeatureScratch,
-    /// Gibbs-inference buffers of table-topic estimation (including the
-    /// sparse-sampler structures).
+    /// Fold-in buffers of table-topic estimation.
     topic: TopicScratch,
     /// Vocabulary ids of the current table's tokens, in column order: the
     /// topic document, read off the feature scratch's token table.
@@ -399,8 +389,8 @@ impl ServingScratch {
     /// Enable the topic memo with the default capacity
     /// ([`DEFAULT_TOPIC_MEMO_CAPACITY`] distinct tables): the topic vector
     /// of every table is cached in this scratch and reused when a table with
-    /// the same content is served again, skipping the (comparatively
-    /// expensive) LDA Gibbs inference for repeated tables — the common shape
+    /// the same content is served again, skipping the LDA fold-in for
+    /// repeated tables — the common shape
     /// of a serving loop that re-predicts a slowly-changing corpus.
     ///
     /// The memo is keyed by the table's encoded cell content, not its id, so
@@ -474,14 +464,6 @@ pub struct FrozenColumnwise {
     head: Dense,
     scalers: Vec<Standardizer>,
     group_widths: Vec<usize>,
-    /// The configured topic-sampler axis (serialized into artifacts).
-    sampler_kind: SamplerKind,
-    /// The ready-to-run sampling strategy, pre-built from `sampler_kind`
-    /// against the intent estimator's frozen model when training ends (the
-    /// one the training rows were filled through) or at snapshot/load time
-    /// (`TopicSampler::Dense` for non-topic models, where the choice is
-    /// moot).
-    sampler: TopicSampler,
 }
 
 impl FrozenColumnwise {
@@ -495,28 +477,17 @@ impl FrozenColumnwise {
         self.intent.as_ref()
     }
 
-    /// The configured topic-sampler variant.
+    /// The topic estimator this model serves: always the fold-in. Only the
+    /// benchmark crate still names it.
     pub fn sampler_kind(&self) -> SamplerKind {
-        self.sampler_kind
+        SamplerKind::FoldIn
     }
 
-    /// The pre-built sampling strategy serving inference runs with.
+    /// The stateless [`TopicSampler`] that
+    /// [`TableIntentEstimator::estimate_cells_into`] takes. Only the
+    /// benchmark crate still names it.
     pub fn sampler(&self) -> &TopicSampler {
-        &self.sampler
-    }
-
-    /// Reconfigure the topic-sampler axis, rebuilding whatever pre-computed
-    /// state the strategy needs (per-word alias tables for
-    /// [`SamplerKind::SparseAlias`]) from the frozen intent model. For
-    /// models without a topic estimator the kind is recorded (and
-    /// serialized) but has no effect on predictions.
-    pub(crate) fn with_sampler_kind(mut self, kind: SamplerKind) -> Self {
-        self.sampler_kind = kind;
-        self.sampler = self
-            .intent
-            .as_ref()
-            .map_or(TopicSampler::Dense, |est| est.build_sampler(kind));
-        self
+        &TopicSampler
     }
 
     /// The per-group input widths the network was trained with.
@@ -525,8 +496,8 @@ impl FrozenColumnwise {
     }
 
     /// The per-table oracle's first half: extract a table's network inputs
-    /// (features + topic vector, estimated with this model's own sampler)
-    /// into per-column vectors. With [`Self::predict_proba_from_inputs`] or
+    /// (features + topic vector) into per-column vectors. With
+    /// [`Self::predict_proba_from_inputs`] or
     /// [`Self::column_embeddings_from_inputs`] it is an allocating
     /// per-table path independent of the batched engine, which parity tests
     /// check the engine against; the permutation-importance analysis
@@ -534,10 +505,7 @@ impl FrozenColumnwise {
     pub fn extract_inputs(&self, table: &Table) -> TableInputs {
         TableInputs {
             columns: self.extractor.extract_table(table),
-            topic: self
-                .intent
-                .as_ref()
-                .map(|est| est.estimate_sampled(table, &self.sampler)),
+            topic: self.intent.as_ref().map(|est| est.estimate(table)),
         }
     }
 
@@ -593,10 +561,7 @@ impl FrozenColumnwise {
     ) {
         let topic = self.use_topic.then(|| {
             let intent = self.intent.as_ref();
-            (
-                intent.expect("topic-aware model carries an intent estimator"),
-                &self.sampler,
-            )
+            intent.expect("topic-aware model carries an intent estimator")
         });
         if !fill_batch_groups(&self.extractor, topic, &self.group_widths, tables, scratch) {
             scratch.embedding.resize(0, 0);
@@ -630,7 +595,7 @@ impl FrozenColumnwise {
     }
 
     /// A copy of this model (parameters and running statistics copied
-    /// through their state dicts) serving the same sampler.
+    /// through their state dicts).
     pub(crate) fn snapshot(&self, config: &SatoConfig) -> Self {
         Self::from_state(
             config,
@@ -640,7 +605,6 @@ impl FrozenColumnwise {
             self.group_widths.clone(),
             &self.net_state(),
             &self.head_state(),
-            self.sampler_kind,
         )
         .expect("snapshot of an identical architecture cannot fail")
     }
@@ -663,11 +627,7 @@ impl FrozenColumnwise {
 
     /// Rebuild a frozen core from its serialized parts: the architecture is
     /// reconstructed from `config` + `group_widths` and the weights (and
-    /// BatchNorm running statistics) loaded from the state dicts. The
-    /// sampler is always built from `sampler_kind` against `intent`'s own
-    /// model, so it cannot disagree with it (an `O(topics × vocabulary)`
-    /// step for the sparse/alias sampler).
-    #[allow(clippy::too_many_arguments)]
+    /// BatchNorm running statistics) loaded from the state dicts.
     pub(crate) fn from_state(
         config: &SatoConfig,
         use_topic: bool,
@@ -676,7 +636,6 @@ impl FrozenColumnwise {
         group_widths: Vec<usize>,
         net_state: &StateDict,
         head_state: &StateDict,
-        sampler_kind: SamplerKind,
     ) -> Result<Self, LoadError> {
         let (mut net, mut head) = build_network(config, &group_widths);
         net.load_state_dict(net_state)?;
@@ -689,10 +648,7 @@ impl FrozenColumnwise {
             head,
             scalers,
             group_widths,
-            sampler_kind,
-            sampler: TopicSampler::Dense,
-        }
-        .with_sampler_kind(sampler_kind))
+        })
     }
 }
 
@@ -708,14 +664,14 @@ impl ColumnwiseInference for FrozenColumnwise {
 /// The fill stage: the one code path that turns tables into network input
 /// rows. Fills `scratch.groups` (one matrix per width of `widths`) with one
 /// unstandardized row per column across all `tables`, the topic vector —
-/// when `topic` names an estimator and its sampler — replicated across
+/// when `topic` names an estimator — replicated across
 /// each table's rows. Serving standardizes the rows next
 /// ([`FrozenColumnwise::run_batch`]); training fits its standardizers on
 /// them first ([`TrainingData::build`]). Returns `false` — leaving the
 /// group matrices untouched — when the batch carries no columns at all.
 pub(crate) fn fill_batch_groups<S: TableCells>(
     extractor: &FeatureExtractor,
-    topic: Option<(&TableIntentEstimator, &TopicSampler)>,
+    topic: Option<&TableIntentEstimator>,
     widths: &[usize],
     tables: &[S],
     scratch: &mut ServingScratch,
@@ -752,7 +708,7 @@ pub(crate) fn fill_batch_groups<S: TableCells>(
             extractor.extract_batch_column_into(
                 &table.cells(c),
                 &mut scratch.features,
-                |token| topic.and_then(|(est, _)| est.token_id(token)),
+                |token| topic.and_then(|est| est.token_id(token)),
                 g_char.row_mut(row),
                 g_word.row_mut(row),
                 g_para.row_mut(row),
@@ -765,8 +721,8 @@ pub(crate) fn fill_batch_groups<S: TableCells>(
             row += 1;
         }
         // A table without columns has no rows to give a topic vector.
-        if let Some((est, sampler)) = topic.filter(|_| row > first_row) {
-            estimate_topic(est, sampler, scratch);
+        if let Some(est) = topic.filter(|_| row > first_row) {
+            estimate_topic(est, scratch);
             let topic_group = &mut scratch.groups[FeatureGroup::ALL.len()];
             for r in first_row..row {
                 topic_group.row_mut(r).copy_from_slice(&scratch.topic_vec);
@@ -779,11 +735,7 @@ pub(crate) fn fill_batch_groups<S: TableCells>(
 /// Estimate the topic vector of the table whose ids are in
 /// `scratch.topic_ids` into `scratch.topic_vec`, through the scratch's topic
 /// memo when it has one.
-fn estimate_topic(
-    est: &TableIntentEstimator,
-    sampler: &TopicSampler,
-    scratch: &mut ServingScratch,
-) {
+fn estimate_topic(est: &TableIntentEstimator, scratch: &mut ServingScratch) {
     let ServingScratch {
         topic,
         topic_ids,
@@ -797,7 +749,7 @@ fn estimate_topic(
         topic_vec.copy_from_slice(hit);
         return;
     }
-    est.infer_ids_into(topic_ids, sampler, topic, topic_vec);
+    est.infer_ids_into(topic_ids, topic, topic_vec);
     if let Some(memo) = topic_memo {
         memo.insert(Box::from(&topic_ids[..]), topic_vec.clone());
     }
@@ -903,10 +855,10 @@ mod tests {
     #[test]
     fn frozen_model_matches_source_bit_for_bit() {
         let (model, corpus) = train_small(true);
-        // The snapshot serves the sampler the model trained and predicts
-        // with, so it matches it bit for bit.
+        // The snapshot serves the topic estimator the model trained and
+        // predicts with, so it matches it bit for bit.
         let snapshot = model.freeze();
-        assert_eq!(snapshot.sampler_kind(), SamplerKind::default());
+        assert_eq!(snapshot.sampler_kind(), SamplerKind::FoldIn);
         let embed = |frozen: &FrozenColumnwise, table: &Table| {
             let mut scratch = ServingScratch::new();
             frozen.run_batch(&[table], &mut scratch, false);
@@ -922,7 +874,7 @@ mod tests {
         }
         // Consuming freeze agrees too (moves the very same weights).
         let frozen = model.into_frozen();
-        assert_eq!(frozen.sampler_kind(), SamplerKind::default());
+        assert_eq!(frozen.sampler_kind(), SamplerKind::FoldIn);
         let table = &corpus.tables[0];
         assert_eq!(embed(&frozen, table), embed(&snapshot, table));
         assert!(frozen.uses_topic());
@@ -1013,11 +965,9 @@ mod tests {
         " , ",
     ];
 
-    /// A topic estimator whose vocabulary knows most of [`WORDS`], and its
-    /// served sampler.
-    fn parity_topic() -> &'static (TableIntentEstimator, TopicSampler) {
-        static TOPIC: std::sync::OnceLock<(TableIntentEstimator, TopicSampler)> =
-            std::sync::OnceLock::new();
+    /// A topic estimator whose vocabulary knows most of [`WORDS`].
+    fn parity_topic() -> &'static TableIntentEstimator {
+        static TOPIC: std::sync::OnceLock<TableIntentEstimator> = std::sync::OnceLock::new();
         TOPIC.get_or_init(|| {
             let mut corpus = default_corpus(30, 3);
             for id in 0..4 {
@@ -1027,9 +977,7 @@ mod tests {
                     .tables
                     .push(Table::unlabelled(1000 + id, vec![column]));
             }
-            let est = TableIntentEstimator::fit(&corpus, sato_topic::LdaConfig::tiny());
-            let sampler = est.build_sampler(SamplerKind::SparseAlias);
-            (est, sampler)
+            TableIntentEstimator::fit(&corpus, sato_topic::LdaConfig::tiny())
         })
     }
 
@@ -1068,7 +1016,7 @@ mod tests {
                     Table::unlabelled(id as u64, columns.collect())
                 })
                 .collect();
-            let (est, sampler) = parity_topic();
+            let est = parity_topic();
             let config = FeatureConfig::small();
             let extractor = FeatureExtractor::new(config.clone());
             let mut widths: Vec<usize> = extractor.group_dims().iter().map(|&(_, w)| w).collect();
@@ -1091,8 +1039,7 @@ mod tests {
                 let mut scratch = ServingScratch::new().with_topic_memo_capacity(64);
                 let mut oracle_ids = std::collections::HashSet::new();
                 for batch in &batches {
-                    let topic = Some((est, sampler));
-                    let filled = fill_batch_groups(&extractor, topic, &widths, batch, &mut scratch);
+                    let filled = fill_batch_groups(&extractor, Some(est), &widths, batch, &mut scratch);
                     let columns: usize = batch.iter().map(|t| t.num_columns()).sum();
                     proptest::prop_assert_eq!(filled, columns > 0);
                     let mut row = 0;
@@ -1107,7 +1054,7 @@ mod tests {
                             );
                             oracle_ids.insert(ids);
                         }
-                        let theta = est.estimate_sampled(table, sampler);
+                        let theta = est.estimate(table);
                         for column in &table.columns {
                             let want_word = reference::word_features(column, config.word_dim);
                             let want_para = reference::para_features(column, config.para_dim);

@@ -10,7 +10,7 @@ use crate::columnwise::{fill_batch_groups, ServingScratch};
 use sato_features::{ColumnFeatures, FeatureExtractor, FeatureGroup};
 use sato_nn::Matrix;
 use sato_tabular::table::{Corpus, Table};
-use sato_topic::{TableIntentEstimator, TopicSampler};
+use sato_topic::TableIntentEstimator;
 
 /// The input groups of the column-wise network, in branch order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,14 +204,13 @@ pub struct TrainingData {
 impl TrainingData {
     /// Build training data from a labelled corpus: the labelled tables run
     /// through the batched engine's fill stage in one batch. When `topic`
-    /// names an estimator, its topic vectors come from the given sampler,
-    /// which is the one the trained model then serves, so the network
-    /// trains on the topic inputs it is served. The rows are not
-    /// standardized.
+    /// names an estimator, its topic vectors are that estimator's fold-in,
+    /// which the trained model then serves, so the network trains on the
+    /// topic inputs it is served. The rows are not standardized.
     pub fn build(
         corpus: &Corpus,
         extractor: &FeatureExtractor,
-        topic: Option<(&TableIntentEstimator, &TopicSampler)>,
+        topic: Option<&TableIntentEstimator>,
     ) -> Self {
         let (table_ids, tables): (Vec<usize>, Vec<&Table>) = corpus
             .iter()
@@ -219,7 +218,7 @@ impl TrainingData {
             .filter(|(_, table)| table.is_labelled())
             .unzip();
         let mut widths: Vec<usize> = extractor.group_dims().iter().map(|&(_, w)| w).collect();
-        widths.extend(topic.map(|(est, _)| est.num_topics()));
+        widths.extend(topic.map(TableIntentEstimator::num_topics));
         let mut scratch = ServingScratch::new();
         fill_batch_groups(extractor, topic, &widths, &tables, &mut scratch);
         let mut labels = Vec::new();
@@ -266,11 +265,7 @@ mod tests {
     use super::*;
     use sato_features::FeatureConfig;
     use sato_tabular::corpus::default_corpus;
-    use sato_topic::{LdaConfig, SamplerKind};
-
-    fn sparse(intent: &TableIntentEstimator) -> TopicSampler {
-        intent.build_sampler(SamplerKind::SparseAlias)
-    }
+    use sato_topic::LdaConfig;
 
     fn small_setup() -> (Corpus, FeatureExtractor, TableIntentEstimator) {
         let corpus = default_corpus(40, 3);
@@ -316,7 +311,7 @@ mod tests {
     #[test]
     fn training_data_row_count_equals_labelled_columns() {
         let (corpus, extractor, intent) = small_setup();
-        let data = TrainingData::build(&corpus, &extractor, Some((&intent, &sparse(&intent))));
+        let data = TrainingData::build(&corpus, &extractor, Some(&intent));
         assert_eq!(data.len(), corpus.num_columns());
         assert_eq!(data.groups.len(), 5);
         assert!(data.has_topic);
@@ -335,7 +330,7 @@ mod tests {
     #[test]
     fn rows_of_one_table_share_their_topic_vector() {
         let (corpus, extractor, intent) = small_setup();
-        let data = TrainingData::build(&corpus, &extractor, Some((&intent, &sparse(&intent))));
+        let data = TrainingData::build(&corpus, &extractor, Some(&intent));
         let topic_matrix = data.groups.last().unwrap();
         // Find a table with more than one column and compare its rows.
         let mut by_table: std::collections::HashMap<usize, Vec<usize>> = Default::default();

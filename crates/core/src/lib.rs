@@ -28,18 +28,16 @@
 //!   [`ColumnwiseTrainer`] trait for pluggable single-column models) fits
 //!   weights, optimiser state and activation caches behind `&mut self`.
 //!   Its training rows come out of the batched engine's fill stage, with
-//!   topic vectors from the sampler the model will serve, and it ends in a
+//!   the topic vectors the model will serve, and it ends in a
 //!   [`FrozenColumnwise`]: the trained model predicts — and produces the
 //!   CRF's unary potentials — through the same engine as every frozen
 //!   predictor, so the network is served exactly the inputs it trained on.
 //! * **Serving** is immutable: a trained model **freezes** into a
 //!   [`SatoPredictor`] — via [`SatoModel::into_predictor`] (consuming,
 //!   zero-copy) or [`SatoModel::predictor`] (snapshot) — whose entry points
-//!   all take `&self`. Training and serving estimate table topics with the
-//!   default [`SamplerKind::SparseAlias`] sampler;
-//!   [`SatoPredictor::with_sampler`]`(SamplerKind::Dense)` switches a
-//!   predictor to the exact dense sweep, the sparse sampler's bit-exact
-//!   reference.
+//!   all take `&self`. Training and serving estimate table topics with one
+//!   deterministic estimator, the LDA fold-in of `sato_topic::lda`, which
+//!   needs no RNG, no seed and no state beyond the frozen model.
 //!
 //! `SatoPredictor` is `Send + Sync` by construction (no RNG, no caches, no
 //! interior mutability), so one frozen artifact can serve any number of
@@ -108,7 +106,7 @@ pub use model::{SatoModel, SatoVariant, TablePrediction, TrainTimings};
 pub use predictor::{ArtifactMeta, SatoPredictor};
 pub use structured::{unary_from_proba, StructuredLayer};
 
-// The topic-sampler axis is part of the serving API surface
-// ([`SatoPredictor::with_sampler`]); re-export it so serving code does not
-// need a direct `sato_topic` dependency.
+// The names the end-to-end benchmark crate gives the topic estimator
+// (`SatoPredictor::sampler_kind`, `FrozenColumnwise::sampler`); only it
+// still uses them.
 pub use sato_topic::{SamplerKind, TopicSampler};

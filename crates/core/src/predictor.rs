@@ -53,7 +53,8 @@ pub struct ArtifactMeta {
     pub content_hash: u64,
     /// The variant the source model was trained as.
     pub variant: SatoVariant,
-    /// The configured serving-time topic sampler.
+    /// The serving-time topic estimator: always the fold-in. Only the
+    /// benchmark crate still reads it.
     pub sampler: SamplerKind,
     /// Whether the artifact consumes the table topic vector.
     pub uses_topic: bool,
@@ -109,8 +110,7 @@ impl SatoPredictor {
         }
     }
 
-    /// A copy of this predictor (weights and running statistics copied)
-    /// serving the same sampler.
+    /// A copy of this predictor (weights and running statistics copied).
     pub(crate) fn snapshot(&self) -> Self {
         Self::from_parts(
             self.variant,
@@ -131,8 +131,9 @@ impl SatoPredictor {
     /// The hash is a stable *content* identity: freezing a model and loading
     /// its artifact yield the same hash (the codec is canonical and
     /// round-trip-stable), while any change to the served weights or
-    /// serving configuration — including [`Self::with_sampler`] — yields a
-    /// different one. Hot-swap observability is built on it: `sato-serve`
+    /// serving configuration yields a different one. A loaded artifact
+    /// keeps the hash of its bytes, even where `META` names a sampler of an
+    /// earlier release. Hot-swap observability is built on it: `sato-serve`
     /// tags every response with the hash of the artifact that served it.
     pub fn content_hash(&self) -> u64 {
         self.content_hash
@@ -165,39 +166,10 @@ impl SatoPredictor {
         self.columnwise.uses_topic()
     }
 
-    /// The configured topic-sampler variant (see [`Self::with_sampler`]).
+    /// The topic estimator this predictor serves: always
+    /// [`SamplerKind::FoldIn`]. Only the benchmark crate still names it.
     pub fn sampler_kind(&self) -> SamplerKind {
         self.columnwise.sampler_kind()
-    }
-
-    /// Reconfigure the serving-time topic sampler, the accuracy/speed axis
-    /// of topic estimation:
-    ///
-    /// * [`SamplerKind::SparseAlias`] (default) — `O(k_d)`-per-token
-    ///   sparse/alias sampling; statistically close to Dense but not
-    ///   bit-identical. Training computes the network's topic inputs with
-    ///   it, so a freshly trained predictor serves what its network was
-    ///   trained on; topic estimation is the largest serving stage and this
-    ///   sampler runs it about twice as fast as Dense. The per-word alias
-    ///   tables are pre-built once in training (and here, or at artifact
-    ///   load), never on the serving hot path.
-    /// * [`SamplerKind::Dense`] — the exact collapsed sweep, the bit-exact
-    ///   reference of the sparse sampler's tests and of historical
-    ///   predictions; every artifact whose `META` names `Dense` serves it.
-    ///   `predictor.with_sampler(SamplerKind::Dense)` switches to it.
-    ///
-    /// The choice is respected by every serving entry point (`predict`,
-    /// `predict_corpus`, `predict_corpus_batched`,
-    /// `predict_corpus_parallel_batched`, …) and serialized into the
-    /// artifact, so a loaded predictor reproduces the saved one bit for
-    /// bit. For variants without a topic estimator the kind is recorded but
-    /// predictions are unaffected.
-    pub fn with_sampler(mut self, kind: SamplerKind) -> Self {
-        self.columnwise = self.columnwise.with_sampler_kind(kind);
-        // The sampler is part of the serialized artifact, so the content
-        // identity changes with it.
-        self.content_hash = self.canonical_hash();
-        self
     }
 
     /// The CRF layer, if the frozen variant has one.
@@ -563,11 +535,11 @@ mod tests {
     fn frozen_predictor_matches_source_model() {
         let corpus = default_corpus(40, 3);
         let model = SatoModel::train(&corpus, tiny_config(), SatoVariant::Full);
-        // Both serve the sampler the network was trained with.
+        // Both serve the topic estimator the network was trained with.
         let by_snapshot = model.predictor();
         let model_preds: Vec<_> = corpus.iter().take(8).map(|t| model.predict(t)).collect();
         let by_move = model.into_predictor();
-        assert_eq!(by_move.sampler_kind(), SamplerKind::SparseAlias);
+        assert_eq!(by_move.sampler_kind(), SamplerKind::FoldIn);
         assert_eq!(by_snapshot.content_hash(), by_move.content_hash());
         for (i, table) in corpus.iter().take(8).enumerate() {
             assert_eq!(by_snapshot.predict(table), model_preds[i]);
@@ -844,8 +816,8 @@ mod tests {
     }
 
     /// The content hash is a stable identity — freezing and the artifact
-    /// round trip agree — and it tracks the artifact's content (a different
-    /// sampler, or differently-trained weights, hash differently).
+    /// round trip agree — and it tracks the artifact's content
+    /// (differently-trained weights hash differently).
     #[test]
     fn content_hash_is_consistent_across_load_paths_and_tracks_content() {
         let corpus = default_corpus(30, 6);
@@ -858,20 +830,10 @@ mod tests {
         let meta = predictor.artifact_meta();
         assert_eq!(meta.content_hash, frozen_hash);
         assert_eq!(meta.variant, SatoVariant::Full);
-        assert_eq!(meta.sampler, SamplerKind::SparseAlias);
+        assert_eq!(meta.sampler, SamplerKind::FoldIn);
         assert!(meta.uses_topic);
         assert!(meta.has_crf);
         assert_eq!(meta, loaded.artifact_meta());
-        // A different serving configuration is a different content identity,
-        // consistently across the round trip again.
-        let dense = loaded.with_sampler(SamplerKind::Dense);
-        assert_ne!(dense.content_hash(), frozen_hash);
-        assert_eq!(
-            dense.content_hash(),
-            SatoPredictor::from_bytes(&dense.to_bytes())
-                .unwrap()
-                .content_hash()
-        );
         // Differently-trained weights hash differently.
         let other = SatoModel::train(&corpus, tiny_config(), SatoVariant::Base).into_predictor();
         assert_ne!(other.content_hash(), frozen_hash);
@@ -932,23 +894,18 @@ mod tests {
         }
     }
 
+    /// Every predictor serves the fold-in, and a loaded artifact says so
+    /// and predicts like the saved one.
     #[test]
-    fn sampler_kind_round_trips_and_defaults_to_sparse_alias() {
+    fn sampler_kind_is_fold_in_and_round_trips() {
         let corpus = default_corpus(30, 6);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
-        assert_eq!(predictor.sampler_kind(), SamplerKind::SparseAlias);
+        assert_eq!(predictor.sampler_kind(), SamplerKind::FoldIn);
         let loaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
-        assert_eq!(loaded.sampler_kind(), SamplerKind::SparseAlias);
+        assert_eq!(loaded.sampler_kind(), SamplerKind::FoldIn);
         for table in corpus.iter().take(5) {
             assert_eq!(predictor.predict(table), loaded.predict(table));
-        }
-        let dense = predictor.with_sampler(SamplerKind::Dense);
-        assert_eq!(dense.sampler_kind(), SamplerKind::Dense);
-        let loaded = SatoPredictor::from_bytes(&dense.to_bytes()).unwrap();
-        assert_eq!(loaded.sampler_kind(), SamplerKind::Dense);
-        for table in corpus.iter().take(5) {
-            assert_eq!(dense.predict(table), loaded.predict(table));
         }
     }
 }

@@ -64,7 +64,7 @@ fn warm_embedding_extraction_allocates_nothing() {
         .collect();
 
     let mut scratch = ServingScratch::new();
-    // Warm-up: two passes size every buffer (feature scratch, topic Gibbs
+    // Warm-up: two passes size every buffer (feature scratch, topic fold-in
     // buffers, group matrices, the network ping-pong pair) for every table
     // shape in the corpus.
     for _ in 0..2 {

@@ -43,7 +43,7 @@
 //!   [`SatoPredictor::predict_corpus_batched`] would produce for each
 //!   request alone (on the artifact that served it). The integration
 //!   proptest suite (`service_serving.rs`) checks this across all model
-//!   variants, both topic samplers, arbitrary request interleavings and
+//!   variants, arbitrary request interleavings and
 //!   mid-stream hot-swaps.
 //! - **Admission control.** The queue is bounded; beyond
 //!   [`ServiceConfig::queue_depth`] pending requests, submissions fail fast

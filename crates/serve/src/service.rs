@@ -1069,7 +1069,7 @@ mod tests {
 
     /// Two distinct trained Base-variant predictors (no LDA/CRF training
     /// cost), shared across tests. Base keeps these unit tests fast; the
-    /// full variant × sampler × hot-swap matrix lives in the integration
+    /// full variant × hot-swap matrix lives in the integration
     /// proptest suite.
     fn predictors() -> &'static (SatoPredictor, SatoPredictor) {
         static PREDICTORS: OnceLock<(SatoPredictor, SatoPredictor)> = OnceLock::new();

@@ -1,8 +1,10 @@
 //! Hand-rolled `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
 //! offline serde shim. Supports exactly the type shapes this workspace
 //! declares: non-generic structs with named fields and enums with unit
-//! variants, with no `#[serde(...)]` attributes. Anything else is a
-//! compile error pointing here.
+//! variants. The one `#[serde(...)]` attribute understood is
+//! `#[serde(alias = "Name", ...)]` on a unit variant: deserializing also
+//! accepts each alias, serializing writes the variant's own name. Anything
+//! else is a compile error pointing here.
 //!
 //! No `syn`/`quote` (registry is offline); the derive input is parsed
 //! directly from the token stream and code is generated as a string.
@@ -13,8 +15,11 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Shape {
     /// Struct with named fields.
     Struct { name: String, fields: Vec<String> },
-    /// Enum with unit variants.
-    Enum { name: String, variants: Vec<String> },
+    /// Enum with unit variants, each with the aliases it also reads from.
+    Enum {
+        name: String,
+        variants: Vec<(String, Vec<String>)>,
+    },
 }
 
 fn parse_shape(input: TokenStream) -> Result<Shape, String> {
@@ -90,6 +95,9 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
         let field = loop {
             match tokens.next() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => match tokens.next() {
+                    Some(TokenTree::Group(g)) if serde_attribute(&g).is_some() => {
+                        return Err("serde shim derive does not support field attributes".into())
+                    }
                     Some(TokenTree::Group(_)) => {}
                     _ => return Err("malformed field attribute".into()),
                 },
@@ -130,17 +138,62 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
     }
 }
 
-fn parse_unit_variants(body: TokenStream) -> Result<Vec<String>, String> {
+/// The argument group of a `#[serde(...)]` attribute, given the attribute's
+/// bracket group; `None` for any other attribute (doc comments included).
+fn serde_attribute(attr: &proc_macro::Group) -> Option<proc_macro::Group> {
+    let mut inner = attr.stream().into_iter();
+    match (inner.next(), inner.next()) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args)))
+            if id.to_string() == "serde" && args.delimiter() == Delimiter::Parenthesis =>
+        {
+            Some(args)
+        }
+        _ => None,
+    }
+}
+
+/// The names of `alias = "Name", ...` in a variant's `serde(...)` arguments.
+fn parse_aliases(args: &proc_macro::Group) -> Result<Vec<String>, String> {
+    let tokens: Vec<TokenTree> = args.stream().into_iter().collect();
+    let mut aliases = Vec::new();
+    for entry in tokens.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+        match entry {
+            [] => {}
+            [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(lit)]
+                if key.to_string() == "alias" && eq.as_char() == '=' =>
+            {
+                let lit = lit.to_string();
+                match lit.strip_prefix('"').and_then(|l| l.strip_suffix('"')) {
+                    Some(name) => aliases.push(name.to_string()),
+                    None => return Err(format!("serde alias must be a string, found {lit}")),
+                }
+            }
+            _ => {
+                return Err(format!(
+                    "serde shim derive supports only `alias = \"..\"`, found `{args}`"
+                ))
+            }
+        }
+    }
+    Ok(aliases)
+}
+
+fn parse_unit_variants(body: TokenStream) -> Result<Vec<(String, Vec<String>)>, String> {
     let mut variants = Vec::new();
+    let mut aliases = Vec::new();
     let mut tokens = body.into_iter();
     loop {
         match tokens.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => match tokens.next() {
-                Some(TokenTree::Group(_)) => {}
+                Some(TokenTree::Group(g)) => {
+                    if let Some(args) = serde_attribute(&g) {
+                        aliases.extend(parse_aliases(&args)?);
+                    }
+                }
                 _ => return Err("malformed variant attribute".into()),
             },
             Some(TokenTree::Ident(id)) => {
-                let variant = id.to_string();
+                let variant = (id.to_string(), std::mem::take(&mut aliases));
                 match tokens.next() {
                     Some(TokenTree::Punct(p)) if p.as_char() == ',' => {
                         variants.push(variant);
@@ -151,7 +204,8 @@ fn parse_unit_variants(body: TokenStream) -> Result<Vec<String>, String> {
                     }
                     Some(TokenTree::Group(_)) => {
                         return Err(format!(
-                            "serde shim derive does not support data-carrying variant `{variant}`"
+                            "serde shim derive does not support data-carrying variant `{}`",
+                            variant.0
                         ))
                     }
                     Some(TokenTree::Punct(p)) if p.as_char() == '=' => {
@@ -166,7 +220,7 @@ fn parse_unit_variants(body: TokenStream) -> Result<Vec<String>, String> {
                         }
                     }
                     Some(other) => {
-                        return Err(format!("unexpected token `{other}` after `{variant}`"))
+                        return Err(format!("unexpected token `{other}` after `{}`", variant.0))
                     }
                 }
             }
@@ -181,7 +235,7 @@ fn compile_error(msg: &str) -> TokenStream {
 }
 
 /// Derives the shim `serde::Serialize` (encode to `serde::Value`).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = match parse_shape(input) {
         Ok(shape) => shape,
@@ -209,7 +263,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
-                .map(|v| format!("Self::{v} => {v:?},"))
+                .map(|(v, _)| format!("Self::{v} => {v:?},"))
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
@@ -225,7 +279,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the shim `serde::Deserialize` (decode from `serde::Value`).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let shape = match parse_shape(input) {
         Ok(shape) => shape,
@@ -249,7 +303,10 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
-                .map(|v| format!("{v:?} => ::core::result::Result::Ok(Self::{v}),"))
+                .map(|(v, aliases)| {
+                    let names: String = aliases.iter().map(|a| format!(" | {a:?}")).collect();
+                    format!("{v:?}{names} => ::core::result::Result::Ok(Self::{v}),")
+                })
                 .collect();
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\

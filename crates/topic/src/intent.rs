@@ -3,12 +3,12 @@
 //! shared by every column of the table.
 
 use crate::lda::{LdaConfig, LdaInferScratch, LdaModel};
-use crate::sampler::{SamplerKind, TopicSampler};
+use crate::sampler::TopicSampler;
 use sato_tabular::table::{Corpus, Table, TableCells};
 
 /// Reusable workspace for streaming table-topic estimation: the encoded
 /// token ids of one table, the lower-cased token buffer of the streaming
-/// encoder, and the Gibbs-inference buffers. One scratch serves any number
+/// encoder, and the fold-in buffers. One scratch serves any number
 /// of tables; warm estimation allocates nothing beyond the caller's output.
 #[derive(Debug, Clone, Default)]
 pub struct TopicScratch {
@@ -16,7 +16,7 @@ pub struct TopicScratch {
     tokens: Vec<usize>,
     /// Reusable lower-cased token buffer for the streaming encoder.
     token_buf: String,
-    /// Gibbs-inference working buffers.
+    /// Fold-in working buffers.
     infer: LdaInferScratch,
 }
 
@@ -59,9 +59,9 @@ impl TableIntentEstimator {
     ///
     /// This is the **reference path**: it materializes the table as one
     /// document string ([`Table::as_document`]), re-tokenizes it with
-    /// per-token `String`s and allocates fresh inference buffers. It is kept
-    /// as the parity oracle (and benchmark baseline) for the streaming
-    /// [`Self::estimate_with`] path, like `sato_features::reference`.
+    /// per-token `String`s and allocates fresh inference buffers. It is the
+    /// parity oracle of the streaming [`Self::estimate_with`] path, like
+    /// `sato_features::reference`.
     pub fn estimate(&self, table: &Table) -> Vec<f32> {
         self.model.infer(&table.as_document())
     }
@@ -72,64 +72,41 @@ impl TableIntentEstimator {
         corpus.iter().map(|t| self.estimate(t)).collect()
     }
 
-    /// Build a ready-to-run [`TopicSampler`] for this estimator's model
-    /// (see [`LdaModel::sampler`]); `SparseAlias` pre-builds the per-word
-    /// alias tables once, when training ends or a predictor is loaded.
-    pub fn build_sampler(&self, kind: SamplerKind) -> TopicSampler {
-        self.model.sampler(kind)
-    }
-
-    /// Estimate the topic vector of a table with an explicit sampling
-    /// strategy (allocating convenience over [`Self::estimate_cells_into`]).
-    /// With [`TopicSampler::Dense`] the output is bit-identical to
-    /// [`Self::estimate`].
-    pub fn estimate_sampled(&self, table: &Table, sampler: &TopicSampler) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.num_topics()];
-        self.estimate_cells_into(table, sampler, &mut TopicScratch::new(), &mut out);
-        out
-    }
-
     /// Streaming, allocation-lean estimate: walks the table's cell values
     /// directly (no `as_document` mega-string), encodes tokens by `&str`
-    /// lookup (no per-token `String`) and runs Gibbs inference with the
-    /// given sampling strategy in the caller's scratch. With
-    /// [`TopicSampler::Dense`] the output is **bit-identical** to
+    /// lookup (no per-token `String`) and folds them in through the
+    /// caller's scratch. The output is **bit-identical** to
     /// [`Self::estimate`].
-    pub fn estimate_with(
-        &self,
-        table: &Table,
-        sampler: &TopicSampler,
-        scratch: &mut TopicScratch,
-    ) -> Vec<f32> {
+    pub fn estimate_with(&self, table: &Table, scratch: &mut TopicScratch) -> Vec<f32> {
         let mut out = vec![0.0f32; self.num_topics()];
-        self.estimate_cells_into(table, sampler, scratch, &mut out);
+        self.estimate_cells_into(table, &TopicSampler, scratch, &mut out);
         out
     }
 
     /// [`Self::estimate_with`] over any [`TableCells`] source, writing into
     /// a caller-provided slice of length [`Self::num_topics`]: a warm call
-    /// performs zero heap allocations for either sampler (rare
-    /// exact-case-fold fallback aside). The cells of an in-memory [`Table`]
-    /// and of a decoded colstore frame visit in the identical column order,
-    /// so the two inputs produce bit-identical topic vectors.
+    /// performs zero heap allocations (rare exact-case-fold fallback
+    /// aside). The cells of an in-memory [`Table`] and of a decoded
+    /// colstore frame visit in the identical column order, so the two
+    /// inputs produce bit-identical topic vectors. The stateless
+    /// [`TopicSampler`] argument is there for the benchmark crate, which
+    /// still passes one.
     pub fn estimate_cells_into<T: TableCells + ?Sized>(
         &self,
         table: &T,
-        sampler: &TopicSampler,
+        _sampler: &TopicSampler,
         scratch: &mut TopicScratch,
         out: &mut [f32],
     ) {
         self.encode_cells(table, scratch);
         let TopicScratch { tokens, infer, .. } = scratch;
-        let seed = self.model.default_infer_seed();
-        self.model
-            .infer_tokens_into(tokens, seed, sampler, infer, out);
+        self.model.infer_tokens_into(tokens, infer, out);
     }
 
     /// The first half of [`Self::estimate_cells_into`]: encode the table's
     /// cells into the scratch's token ids and return them. The estimate is
-    /// a function of these ids alone (inference runs from a fixed seed), so
-    /// they are an exact content key for caching topic vectors.
+    /// a function of these ids alone (of their multiset, even), so they are
+    /// an exact content key for caching topic vectors.
     ///
     /// The batched engine gets the same ids from its token table, one
     /// [`Self::token_id`] lookup per distinct token of a batch; this
@@ -154,33 +131,24 @@ impl TableIntentEstimator {
         self.model.vocabulary().id(token)
     }
 
-    /// The second half of [`Self::estimate_cells_into`]: Gibbs inference
-    /// over a table's token ids (as [`Self::encode_cells`] returns them),
-    /// in the scratch's inference buffers.
-    pub fn infer_ids_into(
-        &self,
-        ids: &[usize],
-        sampler: &TopicSampler,
-        scratch: &mut TopicScratch,
-        out: &mut [f32],
-    ) {
-        let seed = self.model.default_infer_seed();
-        self.model
-            .infer_tokens_into(ids, seed, sampler, &mut scratch.infer, out);
+    /// The second half of [`Self::estimate_cells_into`]: the fold-in over
+    /// a table's token ids (as [`Self::encode_cells`] returns them), in the
+    /// scratch's inference buffers.
+    pub fn infer_ids_into(&self, ids: &[usize], scratch: &mut TopicScratch, out: &mut [f32]) {
+        self.model.infer_tokens_into(ids, &mut scratch.infer, out);
     }
 
     /// Estimate topic vectors for every table of a corpus through one shared
     /// scratch — the corpus-batched counterpart of [`Self::estimate_corpus`],
-    /// bit-identical to it under [`TopicSampler::Dense`].
+    /// bit-identical to it.
     pub fn estimate_corpus_with(
         &self,
         corpus: &Corpus,
-        sampler: &TopicSampler,
         scratch: &mut TopicScratch,
     ) -> Vec<Vec<f32>> {
         corpus
             .iter()
-            .map(|t| self.estimate_with(t, sampler, scratch))
+            .map(|t| self.estimate_with(t, scratch))
             .collect()
     }
 
@@ -231,7 +199,7 @@ mod tests {
         let mut scratch = TopicScratch::new();
         assert_eq!(
             est.estimate_corpus(&corpus),
-            est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch)
+            est.estimate_corpus_with(&corpus, &mut scratch)
         );
         // Edge cases: empty table, one-token table, OOV-only table.
         let edge_tables = [
@@ -243,47 +211,36 @@ mod tests {
         for table in &edge_tables {
             assert_eq!(
                 est.estimate(table),
-                est.estimate_with(table, &TopicSampler::Dense, &mut scratch),
+                est.estimate_with(table, &mut scratch),
                 "streaming estimate diverged on table {}",
-                table.id
-            );
-            assert_eq!(
-                est.estimate(table),
-                est.estimate_sampled(table, &TopicSampler::Dense),
-                "allocating sampled estimate diverged on table {}",
                 table.id
             );
         }
     }
 
-    /// The sparse/alias sampler produces valid, deterministic topic
-    /// vectors at the estimator level (the serving entry point).
+    /// The fold-in produces valid, deterministic topic vectors at the
+    /// serving entry point, `estimate_cells_into`, whatever table it
+    /// estimated before; tables without known tokens get the uniform
+    /// vector.
     #[test]
-    fn sparse_sampler_estimates_are_valid_and_deterministic() {
+    fn fold_in_estimates_are_valid_and_deterministic() {
         use sato_tabular::table::{Column, Table};
         let est = estimator();
-        let sampler = est.build_sampler(SamplerKind::SparseAlias);
-        assert_eq!(sampler.kind(), SamplerKind::SparseAlias);
         let mut scratch = TopicScratch::new();
+        let mut out = vec![0.0f32; est.num_topics()];
         let corpus = default_corpus(10, 31);
         for table in corpus.iter() {
-            let a = est.estimate_with(table, &sampler, &mut scratch);
-            let b = est.estimate_with(table, &sampler, &mut scratch);
-            assert_eq!(a, b, "sparse estimate not deterministic");
-            assert_eq!(a, est.estimate_sampled(table, &sampler));
-            let sum: f32 = a.iter().sum();
+            est.estimate_cells_into(table, &TopicSampler, &mut scratch, &mut out);
+            assert_eq!(out, est.estimate_with(table, &mut TopicScratch::new()));
+            let sum: f32 = out.iter().sum();
             assert!((sum - 1.0).abs() < 1e-3);
-            assert!(a.iter().all(|&x| x >= 0.0));
+            assert!(out.iter().all(|&x| x > 0.0));
         }
-        // Empty and OOV-only tables behave exactly like the dense sampler
-        // (no tokens → uniform, before any sampling happens).
+        let uniform = vec![1.0 / est.num_topics() as f32; est.num_topics()];
         let empty = Table::unlabelled(900, vec![]);
         let oov = Table::unlabelled(901, vec![Column::new(["zzzzqq", "xxyyzz"])]);
         for table in [&empty, &oov] {
-            assert_eq!(
-                est.estimate(table),
-                est.estimate_with(table, &sampler, &mut scratch)
-            );
+            assert_eq!(est.estimate_with(table, &mut scratch), uniform);
         }
     }
 

@@ -1,10 +1,11 @@
 //! # sato-topic
 //!
 //! Topic modelling substrate for the Sato reproduction: a from-scratch
-//! Latent Dirichlet Allocation implementation (collapsed Gibbs sampling),
-//! the table intent estimator that turns a table's values into a topic
-//! vector (Section 3.2 / Figure 3 of the paper), and the topic/type saliency
-//! analysis of Section 5.5.
+//! Latent Dirichlet Allocation implementation (trained by collapsed Gibbs
+//! sampling; an unseen table's topics are estimated by a deterministic EM
+//! fold-in), the table intent estimator that turns a table's values into a
+//! topic vector (Section 3.2 / Figure 3 of the paper), and the topic/type
+//! saliency analysis of Section 5.5.
 //!
 //! ```
 //! use sato_tabular::corpus::default_corpus;
@@ -28,6 +29,6 @@ pub mod vocab;
 pub use intent::{TableIntentEstimator, TopicScratch};
 pub use lda::{LdaConfig, LdaInferScratch, LdaModel};
 pub use saliency::{analyze_topics, TopicSummary, TopicTypeAnalysis};
-pub use sampler::{SamplerKind, SparseAliasTables, TopicSampler};
+pub use sampler::{SamplerKind, TopicSampler};
 pub use serialize::TopicBytesError;
 pub use vocab::Vocabulary;

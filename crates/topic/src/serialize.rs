@@ -1,7 +1,7 @@
 //! Flat binary codec for the frozen topic-model state: the [`LdaModel`]
 //! (config scalars, vocabulary, topic–word counts). Everything derived from
-//! those counts — the φ table and the samplers' per-word alias tables — is
-//! rebuilt at load, never persisted.
+//! those counts — the `f32` φ table of the fold-in — is rebuilt at load,
+//! never persisted.
 //!
 //! This produces the raw `LDAM` *section payload* of the `sato-core`
 //! predictor artifact; the section framing (magic, section table,

@@ -3,8 +3,8 @@
 //! The serving hot path relies on `LdaModel::infer_tokens_into` (and the
 //! streaming `TableIntentEstimator::estimate_cells_into` built on it) performing
 //! **zero** heap allocations once the scratch buffers are warm — no fresh
-//! `doc_topic`/`assignments`/`weights`/`theta`/`accum` per table, no `as_document`
-//! mega-string, no per-token `String`. A counting global allocator makes
+//! sorted-id, word-count or `r` buffer per table (the sort is in place), no
+//! `as_document` mega-string, no per-token `String`. A counting global allocator makes
 //! that a hard assertion rather than a code-review convention, mirroring
 //! `crates/nn/tests/alloc_free_infer.rs`.
 //!
@@ -14,8 +14,7 @@
 
 use sato_tabular::table::{Column, Table};
 use sato_topic::{
-    LdaConfig, LdaInferScratch, LdaModel, SamplerKind, TableIntentEstimator, TopicSampler,
-    TopicScratch,
+    LdaConfig, LdaInferScratch, LdaModel, TableIntentEstimator, TopicSampler, TopicScratch,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,54 +59,31 @@ fn warm_topic_inference_allocates_nothing() {
         .collect();
     let model = LdaModel::fit(&docs, 1, LdaConfig::tiny());
 
-    // Raw token-level inference: warm `infer_tokens_into` must not allocate
-    // — with either sampler. The sparse/alias sampler's tables are built
-    // once here (freeze-time in the serving pipeline), outside the counted
-    // window; its per-token sparse structures live in the scratch.
+    // Raw token-level inference: a warm `infer_tokens_into` must not
+    // allocate. The document repeats words, so the run-length count has
+    // work to do.
     let tokens = model
         .vocabulary()
-        .encode("rock jazz blues artist album city");
-    let sparse = model.sampler(SamplerKind::SparseAlias);
+        .encode("rock jazz blues artist album city rock city rock");
     let mut scratch = LdaInferScratch::new();
     let mut out = vec![0.0f32; model.num_topics()];
-    // Warm-up: the first calls size every buffer.
-    model.infer_tokens_into(&tokens, 7, &TopicSampler::Dense, &mut scratch, &mut out);
-    model.infer_tokens_into(&tokens, 7, &TopicSampler::Dense, &mut scratch, &mut out);
-    let expected = model.infer_tokens(&tokens, 7);
+    // Warm-up: the first call sizes every buffer.
+    model.infer_tokens_into(&tokens, &mut scratch, &mut out);
+    let expected = model.infer_tokens(&tokens);
     assert_eq!(out, expected, "scratch path must match the allocating path");
 
     let before = allocation_count();
     for _ in 0..20 {
-        model.infer_tokens_into(&tokens, 7, &TopicSampler::Dense, &mut scratch, &mut out);
+        model.infer_tokens_into(&tokens, &mut scratch, &mut out);
     }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
-        "warm dense LdaModel::infer_tokens_into must not allocate (got {} allocations over 20 calls)",
+        "warm LdaModel::infer_tokens_into must not allocate (got {} allocations over 20 calls)",
         after - before
     );
     assert_eq!(out, expected);
-
-    // Sparse/alias sampler: same zero-allocation contract once warm.
-    model.infer_tokens_into(&tokens, 7, &sparse, &mut scratch, &mut out);
-    model.infer_tokens_into(&tokens, 7, &sparse, &mut scratch, &mut out);
-    let sparse_expected = out.clone();
-    let before = allocation_count();
-    for _ in 0..20 {
-        model.infer_tokens_into(&tokens, 7, &sparse, &mut scratch, &mut out);
-    }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "warm sparse-alias LdaModel::infer_tokens_into must not allocate (got {} allocations over 20 calls)",
-        after - before
-    );
-    assert_eq!(
-        out, sparse_expected,
-        "sparse sampler must stay deterministic"
-    );
 
     // Same contract one level up: the streaming table estimate (visitor over
     // cell values + `&str` vocabulary lookups + scratch inference).
@@ -121,38 +97,20 @@ fn warm_topic_inference_allocates_nothing() {
     );
     let mut topic_scratch = TopicScratch::new();
     let mut theta = vec![0.0f32; estimator.num_topics()];
-    estimator.estimate_cells_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
-    estimator.estimate_cells_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+    estimator.estimate_cells_into(&table, &TopicSampler, &mut topic_scratch, &mut theta);
     let reference = estimator.estimate(&table);
     assert_eq!(theta, reference, "streaming estimate must match the oracle");
 
     let before = allocation_count();
     for _ in 0..20 {
-        estimator.estimate_cells_into(&table, &TopicSampler::Dense, &mut topic_scratch, &mut theta);
+        estimator.estimate_cells_into(&table, &TopicSampler, &mut topic_scratch, &mut theta);
     }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
-        "warm dense TableIntentEstimator::estimate_cells_into must not allocate (got {} allocations over 20 calls)",
+        "warm TableIntentEstimator::estimate_cells_into must not allocate (got {} allocations over 20 calls)",
         after - before
     );
     assert_eq!(theta, reference);
-
-    // And the estimator-level sparse path.
-    estimator.estimate_cells_into(&table, &sparse, &mut topic_scratch, &mut theta);
-    estimator.estimate_cells_into(&table, &sparse, &mut topic_scratch, &mut theta);
-    let sparse_theta = theta.clone();
-    let before = allocation_count();
-    for _ in 0..20 {
-        estimator.estimate_cells_into(&table, &sparse, &mut topic_scratch, &mut theta);
-    }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "warm sparse-alias TableIntentEstimator::estimate_cells_into must not allocate (got {} allocations over 20 calls)",
-        after - before
-    );
-    assert_eq!(theta, sparse_theta);
 }

@@ -18,7 +18,7 @@ use sato_tabular::table::{Column, Corpus, Table};
 /// Same deliberately tiny configuration as `predictor_serving.rs`: the
 /// format round-trip properties hold at any scale, so train the smallest
 /// model that exercises every section of the artifact (scalers, network,
-/// head, topic model, alias tables, CRF potentials).
+/// head, topic model, CRF potentials).
 fn tiny_config(seed: u64) -> SatoConfig {
     let mut config = SatoConfig::fast().with_seed(seed);
     config.network.epochs = 4;
@@ -41,48 +41,41 @@ fn full_predictor() -> &'static SatoPredictor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// `SATOART1` round trip for every Table-1 variant crossed with both
-    /// topic samplers: the reloaded predictor re-serializes to the exact
-    /// bytes it was loaded from and reproduces its predictions bit for
-    /// bit.
+    /// `SATOART1` round trip for every Table-1 variant: the reloaded
+    /// predictor re-serializes to the exact bytes it was loaded from and
+    /// reproduces its predictions bit for bit.
     #[test]
     fn binary_round_trip_is_bit_identical_for_all_variants(seed in 0u64..1000) {
         let corpus = default_corpus(25, seed);
         for variant in SatoVariant::ALL {
-            let mut predictor =
+            let predictor =
                 SatoModel::train(&corpus, tiny_config(seed ^ 0xb1a2), variant).into_predictor();
-            for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
-                predictor = predictor.with_sampler(kind);
-                let bytes = predictor.to_bytes();
-                let loaded = SatoPredictor::from_bytes(&bytes)
-                    .expect("artifact written by to_bytes must load");
-                prop_assert_eq!(loaded.variant(), variant);
-                prop_assert_eq!(loaded.sampler_kind(), kind);
-                // The round trip loses nothing the artifact records:
-                // bytes -> predictor -> bytes is the identity.
+            let bytes = predictor.to_bytes();
+            let loaded = SatoPredictor::from_bytes(&bytes)
+                .expect("artifact written by to_bytes must load");
+            prop_assert_eq!(loaded.variant(), variant);
+            prop_assert_eq!(loaded.sampler_kind(), SamplerKind::FoldIn);
+            // The round trip loses nothing the artifact records:
+            // bytes -> predictor -> bytes is the identity.
+            prop_assert_eq!(
+                loaded.to_bytes(),
+                bytes,
+                "binary round trip changed the artifact for {:?}",
+                variant
+            );
+            for table in corpus.iter().take(6) {
                 prop_assert_eq!(
-                    loaded.to_bytes(),
-                    bytes,
-                    "binary round trip changed the artifact for {:?}/{:?}",
-                    variant,
-                    kind
+                    predictor.predict_proba(table),
+                    loaded.predict_proba(table),
+                    "probabilities drifted through the binary artifact for {:?}",
+                    variant
                 );
-                for table in corpus.iter().take(6) {
-                    prop_assert_eq!(
-                        predictor.predict_proba(table),
-                        loaded.predict_proba(table),
-                        "probabilities drifted through the binary artifact for {:?}/{:?}",
-                        variant,
-                        kind
-                    );
-                    prop_assert_eq!(
-                        predictor.predict(table),
-                        loaded.predict(table),
-                        "decoded types drifted through the binary artifact for {:?}/{:?}",
-                        variant,
-                        kind
-                    );
-                }
+                prop_assert_eq!(
+                    predictor.predict(table),
+                    loaded.predict(table),
+                    "decoded types drifted through the binary artifact for {:?}",
+                    variant
+                );
             }
         }
     }

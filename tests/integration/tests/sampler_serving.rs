@@ -1,13 +1,12 @@
-//! Serving-level tests of the pluggable topic-sampler layer: the
-//! sparse/alias sampler must be deterministic, internally consistent
-//! across every serving entry point, quantifiably close to the dense
-//! parity oracle, and faithfully round-tripped through the predictor
-//! artifact (including artifacts that predate the sampler field, which
-//! keep serving the dense sweep while fresh predictors serve the
-//! sparse/alias default).
+//! Serving-level tests of the topic estimator, the LDA fold-in: it yields
+//! deterministic probability vectors on any table, every serving entry
+//! point agrees with every other, and an artifact whose `META` names any
+//! sampler an earlier release wrote serves it bit for bit. That a table's
+//! topics move its columns' scores only in the topic-aware variants is
+//! checked in `context_and_csv.rs`.
 
 use proptest::prelude::*;
-use sato::{SamplerKind, SatoConfig, SatoModel, SatoVariant, ServingScratch};
+use sato::{SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant, ServingScratch};
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
 use sato_topic::{LdaConfig, TableIntentEstimator, TopicSampler, TopicScratch};
@@ -70,74 +69,42 @@ fn ragged_corpus(shapes: &[Vec<usize>], salt: usize) -> Corpus {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Both samplers yield valid probability distributions (non-negative,
+    /// The fold-in yields valid probability distributions (positive,
     /// summing to one) over arbitrarily ragged corpora — zero-column
     /// tables, OOV-only documents and one-token documents included — and
-    /// the sparse/alias sampler is deterministic across repeated estimates.
+    /// the same vector from every estimate entry point, warm or fresh.
     #[test]
-    fn all_samplers_yield_valid_distributions_on_ragged_corpora(
+    fn fold_in_yields_valid_deterministic_distributions_on_ragged_corpora(
         shapes in proptest::collection::vec(
             proptest::collection::vec(0usize..5, 0..5), 1..8),
         salt in 0usize..10_000,
     ) {
         let est = estimator();
-        let sparse = est.build_sampler(SamplerKind::SparseAlias);
         let corpus = ragged_corpus(&shapes, salt);
         let mut scratch = TopicScratch::new();
+        let mut into = vec![0.0f32; est.num_topics()];
         for table in corpus.iter() {
-            for sampler in [&TopicSampler::Dense, &sparse] {
-                let theta = est.estimate_with(table, sampler, &mut scratch);
-                prop_assert_eq!(theta.len(), est.num_topics());
-                let sum: f32 = theta.iter().sum();
-                prop_assert!(
-                    (sum - 1.0).abs() < 1e-3,
-                    "{:?} sampler: theta sums to {} on table {}",
-                    sampler.kind(), sum, table.id
-                );
-                prop_assert!(theta.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
-            }
-            // Determinism under the fixed serving seed.
-            let a = est.estimate_with(table, &sparse, &mut scratch);
-            prop_assert_eq!(&a, &est.estimate_with(table, &sparse, &mut scratch));
-            prop_assert_eq!(&a, &est.estimate_sampled(table, &sparse));
+            let theta = est.estimate_with(table, &mut scratch);
+            prop_assert_eq!(theta.len(), est.num_topics());
+            let sum: f32 = theta.iter().sum();
+            prop_assert!(
+                (sum - 1.0).abs() < 1e-3,
+                "theta sums to {} on table {}",
+                sum, table.id
+            );
+            prop_assert!(theta.iter().all(|&x| x > 0.0 && x <= 1.0 + 1e-6));
+            prop_assert_eq!(&theta, &est.estimate_with(table, &mut scratch));
+            prop_assert_eq!(&theta, &est.estimate(table));
+            est.estimate_cells_into(table, &TopicSampler, &mut scratch, &mut into);
+            prop_assert_eq!(&theta, &into);
         }
     }
 }
 
-/// The approximation is quantified, not assumed: on a fixed corpus the mean
-/// L1 distance between dense and sparse/alias thetas stays under a
-/// tolerance comparable to the dense sampler's own seed-to-seed Monte-Carlo
-/// noise (both samplers draw from the same per-token conditional; only the
-/// RNG consumption pattern differs).
+/// Every serving entry point of a predictor agrees with every other — for
+/// all four variants — and repeated serves are deterministic.
 #[test]
-fn sparse_sampler_thetas_are_statistically_close_to_dense() {
-    let est = estimator();
-    let sparse = est.build_sampler(SamplerKind::SparseAlias);
-    let corpus = default_corpus(40, 77);
-    let mut scratch = TopicScratch::new();
-    let dense_thetas = est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch);
-    let sparse_thetas = est.estimate_corpus_with(&corpus, &sparse, &mut scratch);
-    let mean_l1 = dense_thetas
-        .iter()
-        .zip(&sparse_thetas)
-        .map(|(a, b)| a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f32>())
-        .sum::<f32>()
-        / corpus.len() as f32;
-    assert!(
-        mean_l1 < 0.5,
-        "sparse sampler drifted from dense: mean L1 = {mean_l1}"
-    );
-    // Sanity: the thetas genuinely differ (the sampler is not accidentally
-    // routing through the dense path).
-    assert_ne!(dense_thetas, sparse_thetas);
-}
-
-/// Both samplers are *serving modes*: every serving entry point of a
-/// `with_sampler(Dense)` or `with_sampler(SparseAlias)` predictor agrees
-/// with every other — for all four variants — and repeated serves are
-/// deterministic.
-#[test]
-fn approximate_serving_modes_are_consistent_across_entry_points() {
+fn fold_in_serving_is_consistent_across_entry_points() {
     let train = default_corpus(25, 13);
     let mut corpus = default_corpus(8, 99);
     corpus.tables.push(Table::unlabelled(800, vec![]));
@@ -149,107 +116,46 @@ fn approximate_serving_modes_are_consistent_across_entry_points() {
         vec![Column::new(["zzzzqq"]), Column::new(["qqxx", "yyzz"])],
     ));
     for variant in SatoVariant::ALL {
-        let mut predictor = SatoModel::train(&train, tiny_config(), variant).into_predictor();
-        for kind in [SamplerKind::Dense, SamplerKind::SparseAlias] {
-            predictor = predictor.with_sampler(kind);
-            assert_eq!(predictor.sampler_kind(), kind);
-            let sequential = predictor.predict_corpus(&corpus);
+        let predictor = SatoModel::train(&train, tiny_config(), variant).into_predictor();
+        assert_eq!(predictor.sampler_kind(), SamplerKind::FoldIn);
+        let sequential = predictor.predict_corpus(&corpus);
+        assert_eq!(
+            sequential,
+            predictor.predict_corpus(&corpus),
+            "variant {}: serving must be deterministic",
+            variant.name()
+        );
+        let mut scratch = ServingScratch::new();
+        let mut memo_scratch = ServingScratch::new().with_topic_memo();
+        for batch_cols in [1, 7, 1000] {
             assert_eq!(
                 sequential,
-                predictor.predict_corpus(&corpus),
-                "variant {} / {}: serving must be deterministic",
-                variant.name(),
-                kind.name()
+                predictor.predict_tables_batched(
+                    &corpus.tables,
+                    batch_cols,
+                    &mut scratch,
+                    |_, _| {}
+                ),
+                "variant {} batch_cols {batch_cols}",
+                variant.name()
             );
-            let mut scratch = ServingScratch::new();
-            let mut memo_scratch = ServingScratch::new().with_topic_memo();
-            for batch_cols in [1, 7, 1000] {
-                assert_eq!(
-                    sequential,
-                    predictor.predict_tables_batched(
-                        &corpus.tables,
-                        batch_cols,
-                        &mut scratch,
-                        |_, _| {}
-                    ),
-                    "variant {} / {} batch_cols {batch_cols}",
-                    variant.name(),
-                    kind.name()
-                );
-                assert_eq!(
-                    sequential,
-                    predictor.predict_tables_batched(
-                        &corpus.tables,
-                        batch_cols,
-                        &mut memo_scratch,
-                        |_, _| {}
-                    ),
-                    "variant {} / {} batch_cols {batch_cols} (memoised)",
-                    variant.name(),
-                    kind.name()
-                );
-            }
             assert_eq!(
                 sequential,
-                predictor.predict_corpus_parallel_batched(&corpus, 8, 3),
-                "variant {} / {} parallel batched",
-                variant.name(),
-                kind.name()
+                predictor.predict_tables_batched(
+                    &corpus.tables,
+                    batch_cols,
+                    &mut memo_scratch,
+                    |_, _| {}
+                ),
+                "variant {} batch_cols {batch_cols} (memoised)",
+                variant.name()
             );
         }
-    }
-}
-
-/// For a topic-aware variant the sampler choice actually changes the
-/// pipeline's topic inputs (it is an axis, not a no-op), while a
-/// topic-free variant is unaffected by construction.
-#[test]
-fn sampler_choice_affects_only_topic_aware_variants() {
-    let train = default_corpus(25, 13);
-    let corpus = default_corpus(10, 55);
-    // Topic-free: identical predictions under any sampler.
-    let base = SatoModel::train(&train, tiny_config(), SatoVariant::Base)
-        .into_predictor()
-        .with_sampler(SamplerKind::Dense);
-    let base_dense = base.predict_corpus(&corpus);
-    let base_sparse = base.with_sampler(SamplerKind::SparseAlias);
-    assert_eq!(base_dense, base_sparse.predict_corpus(&corpus));
-    // Topic-aware: the probability rows must differ somewhere (thetas are
-    // close but not bit-identical, and the network consumes them).
-    let full = SatoModel::train(&train, tiny_config(), SatoVariant::Full)
-        .into_predictor()
-        .with_sampler(SamplerKind::Dense);
-    let dense_probs: Vec<_> = corpus.iter().map(|t| full.predict_proba(t)).collect();
-    let full_sparse = full.with_sampler(SamplerKind::SparseAlias);
-    let sparse_probs: Vec<_> = corpus
-        .iter()
-        .map(|t| full_sparse.predict_proba(t))
-        .collect();
-    assert_ne!(
-        dense_probs, sparse_probs,
-        "sparse sampler did not change the topic inputs of a topic-aware model"
-    );
-}
-
-/// Artifact versioning: the sampler kind round-trips through the artifact
-/// for both kinds, and the loaded predictor reproduces the saved one bit
-/// for bit (alias tables rebuilt at load time). An unknown sampler name in
-/// `META` is a typed load error, checked where `META` can be edited, in
-/// `sato::artifact`'s tests.
-#[test]
-fn sampler_artifact_versioning() {
-    use sato::SatoPredictor;
-    let train = default_corpus(25, 13);
-    let mut predictor = SatoModel::train(&train, tiny_config(), SatoVariant::Full).into_predictor();
-    let corpus = default_corpus(8, 99);
-    for kind in [SamplerKind::SparseAlias, SamplerKind::Dense] {
-        predictor = predictor.with_sampler(kind);
-        let loaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
-        assert_eq!(loaded.sampler_kind(), kind);
         assert_eq!(
-            predictor.predict_corpus(&corpus),
-            loaded.predict_corpus(&corpus),
-            "{kind:?}"
+            sequential,
+            predictor.predict_corpus_parallel_batched(&corpus, 8, 3),
+            "variant {} parallel batched",
+            variant.name()
         );
     }
 }
@@ -261,14 +167,67 @@ fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Moving the default to SparseAlias leaves every legacy artifact on the
-/// dense sweep: a `SATOART1` artifact whose `META` names `Dense` loads as
-/// Dense and serves bit for bit like `.with_sampler(SamplerKind::Dense)`.
-/// Freshly frozen predictors, by contrast, serve the default, which the
-/// live model was trained and predicts with.
+/// `SATOART1` header: magic (8) + version (4) + section count (4).
+const HEADER_LEN: usize = 16;
+/// One section-table entry: id (4) + offset (8) + len (8) + checksum (8).
+const ENTRY_LEN: usize = 28;
+
+/// `artifact` rewritten with `META` naming the sampler `name`, laid out as
+/// the `SATOART1` format documents (payloads on 8-byte boundaries, each
+/// entry checksummed with FNV-1a 64).
+fn with_meta_sampler(artifact: &[u8], name: &str) -> Vec<u8> {
+    let u64_at = |at: usize| u64::from_le_bytes(artifact[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(artifact[12..16].try_into().unwrap()) as usize;
+    let sections: Vec<([u8; 4], Vec<u8>)> = (0..count)
+        .map(|i| {
+            let entry = HEADER_LEN + i * ENTRY_LEN;
+            let id: [u8; 4] = artifact[entry..entry + 4].try_into().unwrap();
+            let (offset, len) = (u64_at(entry + 4), u64_at(entry + 12));
+            let payload = artifact[offset..offset + len].to_vec();
+            if &id != b"META" {
+                return (id, payload);
+            }
+            let meta = String::from_utf8(payload).unwrap();
+            assert!(meta.contains("\"sampler\":\"FoldIn\""), "{meta}");
+            let renamed = format!("\"sampler\":\"{name}\"");
+            (
+                id,
+                meta.replacen("\"sampler\":\"FoldIn\"", &renamed, 1)
+                    .into_bytes(),
+            )
+        })
+        .collect();
+    let mut out = artifact[..HEADER_LEN].to_vec();
+    let mut offset = HEADER_LEN + count * ENTRY_LEN;
+    let mut payloads = Vec::new();
+    for (id, payload) in &sections {
+        offset = (offset + 7) & !7;
+        out.extend_from_slice(id);
+        for field in [
+            offset as u64,
+            payload.len() as u64,
+            sato_kernels::fnv1a64(payload),
+        ] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        payloads.push((offset, payload));
+        offset += payload.len();
+    }
+    for (at, payload) in payloads {
+        out.resize(at, 0);
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Every artifact serves the fold-in, whichever sampler its `META` names:
+/// `Dense` or `SparseAlias`, the Gibbs samplers of earlier releases, or
+/// `FoldIn`. Each loads, keeps the content hash of its own bytes, serves
+/// bit for bit what the predictor it was saved from serves, and saves
+/// back to the canonical artifact. An unknown sampler name in `META` is a
+/// typed load error, checked in `sato::artifact`'s tests.
 #[test]
-fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
-    use sato::SatoPredictor;
+fn artifacts_naming_any_sampler_serve_bit_identically() {
     let train = default_corpus(25, 13);
     let corpus = default_corpus(8, 99);
     let model = SatoModel::train(&train, tiny_config(), SatoVariant::Full);
@@ -279,26 +238,25 @@ fn legacy_artifacts_serve_dense_and_fresh_predictors_default_to_sparse_alias() {
         .iter()
         .map(|t| bits(&model.predict_proba(t)))
         .collect();
-
-    let snapshot = model.predictor();
-    assert_eq!(snapshot.sampler_kind(), SamplerKind::SparseAlias);
-    let fresh = model.into_predictor();
-    assert_eq!(fresh.sampler_kind(), SamplerKind::SparseAlias);
-    assert_eq!(probs(&fresh), probs(&snapshot));
-    assert_eq!(probs(&fresh), live);
-
-    let dense = fresh.with_sampler(SamplerKind::Dense);
-    let oracle = probs(&dense);
-    assert_ne!(
-        oracle, live,
-        "the default must differ from dense for this test to tell them apart"
-    );
-    let loaded = SatoPredictor::from_bytes(&dense.to_bytes()).unwrap();
-    assert_eq!(loaded.sampler_kind(), SamplerKind::Dense);
-    assert_eq!(loaded.content_hash(), dense.content_hash());
-    assert_eq!(probs(&loaded), oracle);
-    assert_eq!(
-        loaded.predict_corpus(&corpus),
-        dense.predict_corpus(&corpus)
-    );
+    let saved = model.into_predictor();
+    assert_eq!(probs(&saved), live);
+    let canonical = saved.to_bytes();
+    assert_eq!(with_meta_sampler(&canonical, "FoldIn"), canonical);
+    for name in ["Dense", "SparseAlias", "FoldIn"] {
+        let bytes = with_meta_sampler(&canonical, name);
+        let loaded = SatoPredictor::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.sampler_kind(), SamplerKind::FoldIn, "{name}");
+        assert_eq!(
+            loaded.content_hash(),
+            sato_kernels::fnv1a64(&bytes),
+            "{name}"
+        );
+        assert_eq!(probs(&loaded), live, "{name}");
+        assert_eq!(
+            loaded.predict_corpus(&corpus),
+            saved.predict_corpus(&corpus),
+            "{name}"
+        );
+        assert_eq!(loaded.to_bytes(), canonical, "{name}");
+    }
 }

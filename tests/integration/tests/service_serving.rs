@@ -3,12 +3,12 @@
 //! batch widths and mid-stream artifact hot-swaps must return responses
 //! **bit-identical** to a sequential `predict_corpus_batched` pass on
 //! whichever artifact the service says served them — for all four model
-//! variants and both topic samplers. Plus direct regressions for the
+//! variants. Plus direct regressions for the
 //! queue's failure modes: admission-control rejection, deadline expiry, and
 //! colstore submissions.
 
 use proptest::prelude::*;
-use sato::{SamplerKind, SatoConfig, SatoModel, SatoPredictor, SatoVariant, TablePrediction};
+use sato::{SatoConfig, SatoModel, SatoPredictor, SatoVariant, TablePrediction};
 use sato_serve::{RequestOptions, SatoService, ServeError, ServiceConfig};
 use sato_tabular::colstore;
 use sato_tabular::table::{Column, Corpus, Table};
@@ -60,17 +60,15 @@ fn fixtures() -> &'static [VariantFixture; 4] {
     })
 }
 
-/// Rebuild one generation of one variant, with the given serving sampler.
-fn predictor(variant_idx: usize, sampler: SamplerKind, second_generation: bool) -> SatoPredictor {
+/// Rebuild one generation of one variant.
+fn predictor(variant_idx: usize, second_generation: bool) -> SatoPredictor {
     let fixture = &fixtures()[variant_idx];
     let bytes = if second_generation {
         &fixture.generation_b
     } else {
         &fixture.generation_a
     };
-    SatoPredictor::from_bytes(bytes)
-        .expect("fixture artifact loads")
-        .with_sampler(sampler)
+    SatoPredictor::from_bytes(bytes).expect("fixture artifact loads")
 }
 
 /// Deterministic cell pool mixing in-vocabulary words, numerics, blanks and
@@ -127,7 +125,6 @@ proptest! {
     #[test]
     fn concurrent_interleavings_with_racing_hot_swap_serve_bit_identically(
         variant_idx in 0usize..4,
-        sampler_idx in 0usize..2,
         batch_cols in 1usize..48,
         shapes in proptest::collection::vec(
             proptest::collection::vec(0usize..4, 0..4), 2..8),
@@ -135,9 +132,8 @@ proptest! {
         swap_after in 0usize..8,
         memo in 0usize..2,
     ) {
-        let sampler = [SamplerKind::Dense, SamplerKind::SparseAlias][sampler_idx];
-        let a = predictor(variant_idx, sampler, false);
-        let b = predictor(variant_idx, sampler, true);
+        let a = predictor(variant_idx, false);
+        let b = predictor(variant_idx, true);
         prop_assert_ne!(a.content_hash(), b.content_hash());
 
         let requests: Vec<Vec<Table>> = shapes
@@ -147,7 +143,7 @@ proptest! {
             .collect();
 
         let service = SatoService::start(
-            predictor(variant_idx, sampler, false),
+            predictor(variant_idx, false),
             ServiceConfig {
                 batch_cols,
                 topic_memo_capacity: if memo == 1 { 32 } else { 0 },
@@ -170,7 +166,7 @@ proptest! {
                             .filter(|(r, _)| r % 2 == parity)
                             .map(|(r, tables)| {
                                 if r == swap_after {
-                                    service.swap_predictor(predictor(variant_idx, sampler, true));
+                                    service.swap_predictor(predictor(variant_idx, true));
                                 }
                                 let handle = service
                                     .submit(tables.clone(), RequestOptions::default())
@@ -202,10 +198,9 @@ proptest! {
             prop_assert_eq!(
                 &response.predictions,
                 &oracle(served_by, &requests[r], batch_cols),
-                "request {} ({} tables, {} sampler, batch {})",
+                "request {} ({} tables, batch {})",
                 r,
                 requests[r].len(),
-                sampler.name(),
                 batch_cols
             );
         }
@@ -213,7 +208,7 @@ proptest! {
     }
 }
 
-/// The full matrix, deterministically: for every variant × sampler, queued
+/// The full matrix, deterministically: for every variant, queued
 /// requests coalesced into shared micro-batches before AND after a
 /// mid-stream hot-swap reproduce each artifact's sequential batched oracle
 /// bit for bit — with the topic memo enabled, so a stale memo entry
@@ -222,79 +217,75 @@ proptest! {
 fn all_variants_and_samplers_serve_bit_identically_across_a_hot_swap() {
     let batch_cols = 7;
     for variant_idx in 0..4 {
-        for sampler in [SamplerKind::Dense, SamplerKind::SparseAlias] {
-            let a = predictor(variant_idx, sampler, false);
-            let b = predictor(variant_idx, sampler, true);
-            let requests: Vec<Vec<Table>> = (0..4)
-                .map(|r| request_tables(&[3, 1, 0, 2][..=r.min(3)], (r * 100) as u64, r))
-                .collect();
+        let a = predictor(variant_idx, false);
+        let b = predictor(variant_idx, true);
+        let requests: Vec<Vec<Table>> = (0..4)
+            .map(|r| request_tables(&[3, 1, 0, 2][..=r.min(3)], (r * 100) as u64, r))
+            .collect();
 
-            let service = SatoService::start(
-                predictor(variant_idx, sampler, false),
-                ServiceConfig {
-                    batch_cols,
-                    topic_memo_capacity: 32,
-                    ..ServiceConfig::default()
-                },
+        let service = SatoService::start(
+            predictor(variant_idx, false),
+            ServiceConfig {
+                batch_cols,
+                topic_memo_capacity: 32,
+                ..ServiceConfig::default()
+            },
+        );
+        // Phase 1: all requests queue while paused, then drain together
+        // (coalesced across requests) on generation A.
+        service.pause();
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|tables| {
+                service
+                    .submit(tables.clone(), RequestOptions::default())
+                    .expect("admitted")
+            })
+            .collect();
+        service.resume();
+        for (r, handle) in handles.into_iter().enumerate() {
+            let response = handle.wait().expect("served");
+            assert_eq!(
+                response.artifact_hash,
+                a.content_hash(),
+                "phase 1 serves on generation A"
             );
-            // Phase 1: all requests queue while paused, then drain together
-            // (coalesced across requests) on generation A.
-            service.pause();
-            let handles: Vec<_> = requests
-                .iter()
-                .map(|tables| {
-                    service
-                        .submit(tables.clone(), RequestOptions::default())
-                        .expect("admitted")
-                })
-                .collect();
-            service.resume();
-            for (r, handle) in handles.into_iter().enumerate() {
-                let response = handle.wait().expect("served");
-                assert_eq!(
-                    response.artifact_hash,
-                    a.content_hash(),
-                    "phase 1 serves on generation A"
-                );
-                assert_eq!(
-                    response.predictions,
-                    oracle(&a, &requests[r], batch_cols),
-                    "variant {variant_idx} {} phase 1 request {r}",
-                    sampler.name()
-                );
-            }
-            // Phase 2: hot-swap, then serve the *same tables* again. The
-            // worker's topic memo is warm with generation-A thetas for
-            // exactly these table ids; the artifact tag on the memo must
-            // invalidate them, or topic-aware variants would reply with
-            // generation-A topics under generation B's hash.
-            service.swap_predictor(predictor(variant_idx, sampler, true));
-            let handles: Vec<_> = requests
-                .iter()
-                .map(|tables| {
-                    service
-                        .submit(tables.clone(), RequestOptions::default())
-                        .expect("admitted")
-                })
-                .collect();
-            for (r, handle) in handles.into_iter().enumerate() {
-                let response = handle.wait().expect("served");
-                assert_eq!(
-                    response.artifact_hash,
-                    b.content_hash(),
-                    "phase 2 serves on generation B"
-                );
-                assert_eq!(
-                    response.predictions,
-                    oracle(&b, &requests[r], batch_cols),
-                    "variant {variant_idx} {} phase 2 request {r}",
-                    sampler.name()
-                );
-            }
-            let stats = service.shutdown();
-            assert_eq!(stats.swaps, 1);
-            assert_eq!(stats.completed, 2 * requests.len() as u64);
+            assert_eq!(
+                response.predictions,
+                oracle(&a, &requests[r], batch_cols),
+                "variant {variant_idx} phase 1 request {r}"
+            );
         }
+        // Phase 2: hot-swap, then serve the *same tables* again. The
+        // worker's topic memo is warm with generation-A thetas for
+        // exactly these table ids; the artifact tag on the memo must
+        // invalidate them, or topic-aware variants would reply with
+        // generation-A topics under generation B's hash.
+        service.swap_predictor(predictor(variant_idx, true));
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|tables| {
+                service
+                    .submit(tables.clone(), RequestOptions::default())
+                    .expect("admitted")
+            })
+            .collect();
+        for (r, handle) in handles.into_iter().enumerate() {
+            let response = handle.wait().expect("served");
+            assert_eq!(
+                response.artifact_hash,
+                b.content_hash(),
+                "phase 2 serves on generation B"
+            );
+            assert_eq!(
+                response.predictions,
+                oracle(&b, &requests[r], batch_cols),
+                "variant {variant_idx} phase 2 request {r}"
+            );
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.swaps, 1);
+        assert_eq!(stats.completed, 2 * requests.len() as u64);
     }
 }
 
@@ -302,15 +293,12 @@ fn all_variants_and_samplers_serve_bit_identically_across_a_hot_swap() {
 /// and served exactly like the equivalent in-memory corpus request.
 #[test]
 fn colstore_submissions_serve_bit_identically() {
-    let a = predictor(1, SamplerKind::Dense, false); // Full variant
+    let a = predictor(1, false); // Full variant
     let tables = request_tables(&[2, 3, 1], 0, 5);
     let corpus = Corpus::new(tables.clone());
     let bytes = colstore::corpus_to_bytes(&corpus);
 
-    let service = SatoService::start(
-        predictor(1, SamplerKind::Dense, false),
-        ServiceConfig::default(),
-    );
+    let service = SatoService::start(predictor(1, false), ServiceConfig::default());
     let response = service
         .submit_colstore_bytes(&bytes, RequestOptions::default())
         .expect("admitted")
@@ -332,7 +320,7 @@ fn colstore_submissions_serve_bit_identically() {
 #[test]
 fn overload_and_deadline_failure_modes() {
     let service = SatoService::start(
-        predictor(0, SamplerKind::Dense, false), // Base variant: cheapest
+        predictor(0, false), // Base variant: cheapest
         ServiceConfig {
             queue_depth: 2,
             ..ServiceConfig::default()

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sato::{SatoConfig, SatoModel, SatoVariant, ServingScratch};
 use sato_tabular::corpus::default_corpus;
 use sato_tabular::table::{Column, Corpus, Table};
-use sato_topic::{LdaConfig, TableIntentEstimator, TopicSampler, TopicScratch};
+use sato_topic::{LdaConfig, TableIntentEstimator, TopicScratch};
 use std::sync::OnceLock;
 
 fn tiny_config() -> SatoConfig {
@@ -94,13 +94,13 @@ proptest! {
         let corpus = ragged_corpus(&shapes, salt);
         let reference = est.estimate_corpus(&corpus);
         let mut scratch = TopicScratch::new();
-        let streamed = est.estimate_corpus_with(&corpus, &TopicSampler::Dense, &mut scratch);
+        let streamed = est.estimate_corpus_with(&corpus, &mut scratch);
         prop_assert_eq!(&reference, &streamed);
         // Per-table entry point agrees too, and every vector has the
         // estimator's dimensionality.
         for (table, theta) in corpus.iter().zip(&reference) {
             prop_assert_eq!(theta.len(), est.num_topics());
-            prop_assert_eq!(theta, &est.estimate_with(table, &TopicSampler::Dense, &mut scratch));
+            prop_assert_eq!(theta, &est.estimate_with(table, &mut scratch));
         }
     }
 }
@@ -118,14 +118,11 @@ fn streaming_estimate_edge_cases_match_reference() {
     let oov_only = Table::unlabelled(2, vec![Column::new(["zzzzqq", "qqxx yyzz"])]);
     for table in [&empty, &one_token, &oov_only] {
         let reference = est.estimate(table);
-        assert_eq!(
-            reference,
-            est.estimate_with(table, &TopicSampler::Dense, &mut scratch)
-        );
+        assert_eq!(reference, est.estimate_with(table, &mut scratch));
     }
     // Empty and OOV-only documents are the uniform distribution.
     for table in [&empty, &oov_only] {
-        let theta = est.estimate_with(table, &TopicSampler::Dense, &mut scratch);
+        let theta = est.estimate_with(table, &mut scratch);
         assert!(theta.iter().all(|&x| (x - 1.0 / k).abs() < 1e-6));
     }
 }
