@@ -894,14 +894,16 @@ mod tests {
         }
     }
 
-    /// Every predictor serves the fold-in, and a loaded artifact says so
-    /// and predicts like the saved one.
+    /// Every predictor serves the fold-in, the kind the legacy
+    /// `SparseAlias` default now names, and a loaded artifact says so and
+    /// predicts like the saved one.
     #[test]
-    fn sampler_kind_is_fold_in_and_round_trips() {
+    fn sampler_kind_round_trips_and_defaults_to_sparse_alias() {
         let corpus = default_corpus(30, 6);
         let predictor =
             SatoModel::train(&corpus, tiny_config(), SatoVariant::Full).into_predictor();
         assert_eq!(predictor.sampler_kind(), SamplerKind::FoldIn);
+        assert_eq!(predictor.sampler_kind(), SamplerKind::SparseAlias);
         let loaded = SatoPredictor::from_bytes(&predictor.to_bytes()).unwrap();
         assert_eq!(loaded.sampler_kind(), SamplerKind::FoldIn);
         for table in corpus.iter().take(5) {

@@ -218,12 +218,13 @@ mod tests {
         }
     }
 
-    /// The fold-in produces valid, deterministic topic vectors at the
-    /// serving entry point, `estimate_cells_into`, whatever table it
-    /// estimated before; tables without known tokens get the uniform
-    /// vector.
+    /// The fold-in, which walks only a table's distinct words (the sparse
+    /// pass that replaced the sparse/alias sampler), produces valid,
+    /// deterministic topic vectors at the serving entry point,
+    /// `estimate_cells_into`, whatever table it estimated before; tables
+    /// without known tokens get the uniform vector.
     #[test]
-    fn fold_in_estimates_are_valid_and_deterministic() {
+    fn sparse_sampler_estimates_are_valid_and_deterministic() {
         use sato_tabular::table::{Column, Table};
         let est = estimator();
         let mut scratch = TopicScratch::new();

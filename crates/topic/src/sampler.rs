@@ -85,12 +85,14 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    /// `FoldIn` writes its own name and reads back; the sampler names of
-    /// earlier artifacts read as `FoldIn`; any other name is an error that
-    /// names it.
+    /// The default kind is `FoldIn`, which the legacy `SparseAlias` name
+    /// (the default of earlier releases) now denotes. `FoldIn` writes its
+    /// own name and reads back; the sampler names of earlier artifacts read
+    /// as `FoldIn`; any other name is an error that names it.
     #[test]
-    fn kind_round_trips_through_json_and_reads_legacy_names() {
+    fn kind_round_trips_through_json_and_defaults_to_sparse_alias() {
         assert_eq!(SamplerKind::default(), SamplerKind::FoldIn);
+        assert_eq!(SamplerKind::default(), SamplerKind::SparseAlias);
         let json = serde_json::to_string(&SamplerKind::FoldIn).unwrap();
         assert_eq!(json, "\"FoldIn\"");
         for name in ["\"FoldIn\"", "\"Dense\"", "\"SparseAlias\""] {

@@ -69,12 +69,13 @@ fn ragged_corpus(shapes: &[Vec<usize>], salt: usize) -> Corpus {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The fold-in yields valid probability distributions (positive,
-    /// summing to one) over arbitrarily ragged corpora — zero-column
-    /// tables, OOV-only documents and one-token documents included — and
-    /// the same vector from every estimate entry point, warm or fresh.
+    /// All samplers an artifact can name now serve the one fold-in, and it
+    /// yields valid probability distributions (positive, summing to one)
+    /// over arbitrarily ragged corpora — zero-column tables, OOV-only
+    /// documents and one-token documents included — and the same vector
+    /// from every estimate entry point, warm or fresh.
     #[test]
-    fn fold_in_yields_valid_deterministic_distributions_on_ragged_corpora(
+    fn all_samplers_yield_valid_distributions_on_ragged_corpora(
         shapes in proptest::collection::vec(
             proptest::collection::vec(0usize..5, 0..5), 1..8),
         salt in 0usize..10_000,
@@ -101,10 +102,12 @@ proptest! {
     }
 }
 
-/// Every serving entry point of a predictor agrees with every other — for
-/// all four variants — and repeated serves are deterministic.
+/// The fold-in serves a point estimate of each table's topic posterior,
+/// the approximate serving mode every predictor uses: every serving entry
+/// point of a predictor agrees with every other — for all four variants —
+/// and repeated serves are deterministic.
 #[test]
-fn fold_in_serving_is_consistent_across_entry_points() {
+fn approximate_serving_modes_are_consistent_across_entry_points() {
     let train = default_corpus(25, 13);
     let mut corpus = default_corpus(8, 99);
     corpus.tables.push(Table::unlabelled(800, vec![]));
@@ -227,7 +230,7 @@ fn with_meta_sampler(artifact: &[u8], name: &str) -> Vec<u8> {
 /// back to the canonical artifact. An unknown sampler name in `META` is a
 /// typed load error, checked in `sato::artifact`'s tests.
 #[test]
-fn artifacts_naming_any_sampler_serve_bit_identically() {
+fn sampler_artifact_versioning() {
     let train = default_corpus(25, 13);
     let corpus = default_corpus(8, 99);
     let model = SatoModel::train(&train, tiny_config(), SatoVariant::Full);
