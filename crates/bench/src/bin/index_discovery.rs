@@ -220,6 +220,8 @@ fn main() {
 
     schema::write(&IndexBench {
         schema: INDEX_SCHEMA.to_string(),
+        commit: schema::commit(),
+        rustc: schema::rustc(),
         available_parallelism: default_threads(),
         threads: 1,
         model: "Sato (Full)".to_string(),

@@ -141,6 +141,8 @@ fn main() {
     let [base, full]: [Table2Row; 2] = rows.try_into().expect("a Base and a Full row");
     schema::write(&ServingBench {
         schema: SERVING_SCHEMA.to_string(),
+        commit: schema::commit(),
+        rustc: schema::rustc(),
         available_parallelism: default_threads(),
         corpus: ServingCorpus {
             train_tables: split.train.len(),

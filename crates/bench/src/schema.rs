@@ -25,13 +25,17 @@ pub trait BenchFile: Serialize + Deserialize {
 }
 
 /// Schema tag of [`ServingBench`].
-pub const SERVING_SCHEMA: &str = "sato-bench/serving-v8";
+pub const SERVING_SCHEMA: &str = "sato-bench/serving-v9";
 
 /// `BENCH_serving.json`, written by `table2_efficiency`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingBench {
     /// Always [`SERVING_SCHEMA`].
     pub schema: String,
+    /// The measured source: see [`commit`].
+    pub commit: String,
+    /// The toolchain that built it: see [`rustc`].
+    pub rustc: String,
     /// Logical CPUs of the machine; every figure is measured on one thread.
     pub available_parallelism: usize,
     /// The data and model configuration that produced the figures.
@@ -101,6 +105,7 @@ impl BenchFile for ServingBench {
     fn check(&self) -> Result<(), String> {
         let (t, a) = (&self.table2, &self.artifact);
         ensure(self.schema == SERVING_SCHEMA, "schema")?;
+        provenance(&self.commit, &self.rustc)?;
         ensure(t.sampler == "fold-in", "table2.sampler")?;
         ensure(t.base.train_crf_secs.is_none(), "base.train_crf_secs")?;
         counts(&[
@@ -122,13 +127,17 @@ impl BenchFile for ServingBench {
 }
 
 /// Schema tag of [`IndexBench`].
-pub const INDEX_SCHEMA: &str = "sato-bench/index-v3";
+pub const INDEX_SCHEMA: &str = "sato-bench/index-v4";
 
 /// `BENCH_index.json`, written by `index_discovery`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndexBench {
     /// Always [`INDEX_SCHEMA`].
     pub schema: String,
+    /// The measured source: see [`commit`].
+    pub commit: String,
+    /// The toolchain that built it: see [`rustc`].
+    pub rustc: String,
     /// Logical CPUs of the machine.
     pub available_parallelism: usize,
     /// Threads every figure is measured on (1).
@@ -204,6 +213,7 @@ impl BenchFile for IndexBench {
             &self.bruteforce_queries_per_s_passes,
         );
         ensure(self.schema == INDEX_SCHEMA, "schema")?;
+        provenance(&self.commit, &self.rustc)?;
         ensure(self.k == 10, "k")?;
         ensure((0.0..=1.0).contains(&self.recall_at_10), "recall_at_10")?;
         counts(&[
@@ -249,6 +259,49 @@ impl BenchFile for IndexBench {
             ),
         ])
     }
+}
+
+/// The checked-out commit of the repository (`git rev-parse HEAD`), with
+/// `-dirty` appended when tracked files differ from it; `unknown` outside
+/// a git checkout, which [`write()`] refuses.
+pub fn commit() -> String {
+    let Some(head) = run("git", &["rev-parse", "HEAD"]) else {
+        return "unknown".into();
+    };
+    let dirty = run("git", &["diff", "--quiet", "HEAD"]).is_none();
+    format!("{}{}", head.trim(), if dirty { "-dirty" } else { "" })
+}
+
+/// The first line of `rustc --version`; `unknown` when no `rustc` runs,
+/// which [`write()`] refuses.
+pub fn rustc() -> String {
+    run("rustc", &["--version"])
+        .and_then(|out| out.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// What `program` prints to stdout, run in the repository root; `None`
+/// when it cannot run or exits with a failure.
+fn run(program: &str, args: &[&str]) -> Option<String> {
+    std::process::Command::new(program)
+        .args(args)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// A bench file must name the commit and the toolchain it measured: a
+/// commit as [`commit`] prints it, and a `rustc` version line.
+fn provenance(commit: &str, rustc: &str) -> Result<(), String> {
+    let hash = commit.strip_suffix("-dirty").unwrap_or(commit);
+    ensure(
+        hash.len() == 40 && hash.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+        "commit",
+    )?;
+    ensure(rustc.starts_with("rustc ") && rustc.len() > 6, "rustc")
 }
 
 /// The median of `values` (the mean of the middle two for an even count).

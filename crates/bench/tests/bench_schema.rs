@@ -2,7 +2,7 @@
 //! `sato_bench::schema` and pass its sanity checks; broken copies of them
 //! are rejected, so the checks cannot pass vacuously.
 
-use sato_bench::schema::{parse, BenchFile, IndexBench, ServingBench};
+use sato_bench::schema::{self, parse, BenchFile, IndexBench, ServingBench};
 
 /// The committed text of `T`'s bench file at the repository root.
 fn committed<T: BenchFile>() -> String {
@@ -81,4 +81,55 @@ fn committed_index_bench_matches_its_schema_and_broken_copies_do_not() {
     let mut timing = bench;
     timing.sidecar_load_s = 0.0;
     rejects(timing, "sidecar_load_s");
+}
+
+/// Both files name the commit and the toolchain that produced them, and
+/// a bench without either, or with a malformed one, is refused.
+#[test]
+fn bench_files_record_their_commit_and_toolchain() {
+    let serving: ServingBench = parse(&committed::<ServingBench>()).unwrap();
+    let index: IndexBench = parse(&committed::<IndexBench>()).unwrap();
+    for key in ["commit", "rustc"] {
+        rejects_missing::<ServingBench>(key);
+        rejects_missing::<IndexBench>(key);
+    }
+
+    let hash = "0123456789abcdef0123456789abcdef01234567";
+    for (commit, ok) in [
+        (hash.to_string(), true),
+        (format!("{hash}-dirty"), true),
+        ("unknown".to_string(), false),
+        (String::new(), false),
+        (hash[..39].to_string(), false),
+        (hash.to_uppercase(), false),
+        (format!("{hash}-modified"), false),
+        (format!("v1.0-3-g{}", &hash[..12]), false),
+    ] {
+        let mut bench = serving.clone();
+        bench.commit = commit.clone();
+        assert_eq!(bench.check().is_ok(), ok, "commit {commit:?}");
+        if !ok {
+            rejects(bench, "commit");
+        }
+        let mut bench = index.clone();
+        bench.commit = commit.clone();
+        assert_eq!(bench.check().is_ok(), ok, "commit {commit:?}");
+    }
+    for rustc in ["unknown", "", "rustc "] {
+        let mut bench = serving.clone();
+        bench.rustc = rustc.to_string();
+        rejects(bench, "rustc");
+        let mut bench = index.clone();
+        bench.rustc = rustc.to_string();
+        rejects(bench, "rustc");
+    }
+
+    // What a producer records here passes the check, unless this source
+    // tree is not a git checkout.
+    let mut fresh = serving;
+    fresh.commit = schema::commit();
+    fresh.rustc = schema::rustc();
+    if fresh.commit != "unknown" {
+        fresh.check().unwrap();
+    }
 }

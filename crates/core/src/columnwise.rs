@@ -886,7 +886,8 @@ mod tests {
     /// the network was fitted on (the four feature groups and the topic
     /// vector) equal, bit for bit, the rows that a predictor loaded from
     /// the trained artifact computes for that table through its served
-    /// sampler, whose alias tables the load rebuilt.
+    /// topic estimator, the fold-in over the `f32` φ table the load
+    /// rebuilt from the topic–word counts.
     #[test]
     fn training_rows_equal_the_served_rows_bit_for_bit() {
         use crate::{SatoPredictor, SatoVariant};

@@ -639,11 +639,7 @@ impl HnswIndex {
             if selected.len() >= m {
                 break;
             }
-            let cv = self.vector(c.node);
-            let diverse = selected
-                .iter()
-                .all(|s| sato_kernels::squared_l2(cv, self.vector(s.node)) >= c.dist);
-            if diverse {
+            if self.is_diverse(c, selected) {
                 selected.push(c);
             } else {
                 pruned.push(c);
@@ -651,6 +647,34 @@ impl HnswIndex {
         }
         let room = m - selected.len();
         selected.extend(pruned.iter().take(room));
+    }
+
+    /// Whether `c` is at least as far from every kept neighbour as from the
+    /// query (`>=`, so a NaN distance is not diverse), four kept rows per
+    /// [`sato_kernels::squared_l2_x4`] call, then the rest one at a time.
+    /// Distances computed past the first failure are ignored, so the
+    /// answer is the one-at-a-time check's.
+    fn is_diverse(&self, c: Cand, selected: &[Cand]) -> bool {
+        let cv = self.vector(c.node);
+        let mut quads = selected.chunks_exact(4);
+        for quad in &mut quads {
+            let d = sato_kernels::squared_l2_x4(
+                cv,
+                [
+                    self.vector(quad[0].node),
+                    self.vector(quad[1].node),
+                    self.vector(quad[2].node),
+                    self.vector(quad[3].node),
+                ],
+            );
+            if !d.iter().all(|&d| d >= c.dist) {
+                return false;
+            }
+        }
+        quads
+            .remainder()
+            .iter()
+            .all(|s| self.dist_to(cv, s.node) >= c.dist)
     }
 
     /// Add the link `node → new` at `level`. A full list is re-selected
@@ -1038,5 +1062,86 @@ mod tests {
             assert_eq!(got.key, key(want.1));
             assert_eq!(got.distance, want.0);
         }
+    }
+
+    /// The one-at-a-time form of `select_neighbors`, one `squared_l2` per
+    /// kept neighbour until the first that is closer than the query. Also
+    /// returns how many candidates it pruned against four or more kept
+    /// neighbours, where the four-row check runs.
+    fn select_neighbors_oracle(
+        index: &HnswIndex,
+        candidates: &[Cand],
+        m: usize,
+    ) -> (Vec<Cand>, usize) {
+        let (mut selected, mut pruned, mut wide) = (Vec::new(), Vec::new(), 0);
+        for &c in candidates {
+            if selected.len() >= m {
+                break;
+            }
+            let cv = index.vector(c.node);
+            let diverse = selected
+                .iter()
+                .all(|s: &Cand| sato_kernels::squared_l2(cv, index.vector(s.node)) >= c.dist);
+            if diverse {
+                selected.push(c);
+            } else {
+                wide += usize::from(selected.len() >= 4);
+                pruned.push(c);
+            }
+        }
+        let room = m - selected.len();
+        selected.extend(pruned.iter().take(room));
+        (selected, wide)
+    }
+
+    /// `select_neighbors` keeps the candidates the one-at-a-time check
+    /// keeps, in the same order. The cloud is clustered, every fifth
+    /// vector repeats an earlier one (distances tie exactly, and a query
+    /// that is itself a node ties its candidates' distances to it), and
+    /// one vector holds a NaN, so every distance to it is NaN. Candidates
+    /// come nearest first, as `insert` and `link_back` pass them, and
+    /// farthest first, so the NaN row is also kept first and checked
+    /// against.
+    #[test]
+    fn selection_matches_one_at_a_time_oracle() {
+        let mut vectors = clustered_vectors(120, 12, 17);
+        for i in (5..vectors.len()).step_by(5) {
+            vectors[i] = vectors[i / 3].clone();
+        }
+        vectors[33][4] = f32::NAN;
+        let index = build(&vectors, HnswConfig::default());
+        // A NaN distance is not equal to itself, so compare bits.
+        let bits = |cands: &[Cand]| -> Vec<(u32, u32)> {
+            cands.iter().map(|c| (c.node, c.dist.to_bits())).collect()
+        };
+        let (mut selected, mut pruned) = (Vec::new(), Vec::new());
+        let mut wide = 0;
+        for q in (0..vectors.len()).step_by(3) {
+            let qv = index.vector(q as u32);
+            let mut cands: Vec<Cand> = (0..vectors.len() as u32)
+                .filter(|&node| node != q as u32)
+                .map(|node| Cand {
+                    dist: sato_kernels::squared_l2(qv, index.vector(node)),
+                    node,
+                })
+                .collect();
+            cands.sort_unstable();
+            for nearest_first in [true, false] {
+                if !nearest_first {
+                    cands.reverse();
+                }
+                for m in [1, 3, 4, 5, 8, 16, 48] {
+                    let (want, pruned_wide) = select_neighbors_oracle(&index, &cands, m);
+                    wide += pruned_wide;
+                    index.select_neighbors(cands.iter().copied(), m, &mut selected, &mut pruned);
+                    assert_eq!(
+                        bits(&selected),
+                        bits(&want),
+                        "query {q}, m {m}, nearest first: {nearest_first}"
+                    );
+                }
+            }
+        }
+        assert!(wide > 0, "no candidate was pruned by the four-row check");
     }
 }

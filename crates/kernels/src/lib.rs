@@ -25,6 +25,7 @@
 //! | [`dot`] | ULP-bounded (reassociated partial sums) |
 //! | [`squared_l2`] | ULP-bounded (reassociated partial sums) |
 //! | [`squared_l2_x4`] | bit-identical to [`squared_l2`] per lane |
+//! | [`dot_x4`] | bit-identical to [`dot`] per lane (row first) |
 //! | [`lut_histogram`] | exact (integer counts) |
 //!
 //! ¹ for NaN-free inputs; max reductions are reassociated, which is exact
@@ -45,7 +46,7 @@ pub mod reduce;
 
 pub use fnv::{fnv1a64, fnv1a64_seeded, Fnv1a};
 pub use hist::{lut_histogram, HIST_SKIP};
-pub use linalg::{add_assign, axpy, dot, scale, squared_l2, squared_l2_x4};
+pub use linalg::{add_assign, axpy, dot, dot_x4, scale, squared_l2, squared_l2_x4};
 pub use reduce::{
     exp_sum_update, log_sum_exp, log_sum_exp3, lse_finish, max_add_update, max_argmax,
     relax_max_argmax,

@@ -88,14 +88,15 @@ pub fn squared_l2(x: &[f32], y: &[f32]) -> f32 {
 /// bit-identical to `squared_l2(x, ys[r])` (same four accumulators, same
 /// final association, same in-order remainder). One `squared_l2` waits on
 /// a chain of `len / 4` dependent adds; four independent chains overlap.
-/// The ANN index scores a node's neighbours with it.
+/// The ANN index scores a node's neighbours and checks a candidate's
+/// diversity with it.
 #[inline]
 pub fn squared_l2_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
     for y in ys {
         assert_eq!(x.len(), y.len(), "squared_l2_x4 length mismatch");
     }
     let body = x.len() / 4 * 4;
-    let acc = chunk_sums_x4(&x[..body], ys.map(|y| &y[..body]));
+    let acc = chunk_sums_x4(&x[..body], ys.map(|y| &y[..body]), Term::SquaredDiff);
     let mut out = [0.0f32; 4];
     for ((o, acc), y) in out.iter_mut().zip(acc).zip(ys) {
         let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
@@ -108,13 +109,46 @@ pub fn squared_l2_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
     out
 }
 
-/// The four-lane accumulators of [`squared_l2`] for four rows, over
-/// slices whose length is a multiple of 4. Written with SSE intrinsics
-/// because the autovectorizer transposes the portable form (one row per
-/// lane), which costs a dozen shuffles per chunk.
+/// [`dot`] of four rows with one vector: lane `r` of the result is
+/// bit-identical to `dot(ys[r], x)` (same four accumulators, same final
+/// association, same in-order remainder; each product is `ys[r][i] *
+/// x[i]`, and `f32` multiplication commutes exactly). One `dot` waits on
+/// a chain of `len / 4` dependent adds; four independent chains overlap.
+/// The LDA fold-in scores four words' rows against θ with it.
+#[inline]
+pub fn dot_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
+    for y in ys {
+        assert_eq!(x.len(), y.len(), "dot_x4 length mismatch");
+    }
+    let body = x.len() / 4 * 4;
+    let acc = chunk_sums_x4(&x[..body], ys.map(|y| &y[..body]), Term::Product);
+    let mut out = [0.0f32; 4];
+    for ((o, acc), y) in out.iter_mut().zip(acc).zip(ys) {
+        let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        for (&a, &b) in y[body..].iter().zip(&x[body..]) {
+            s += a * b;
+        }
+        *o = s;
+    }
+    out
+}
+
+/// The per-element term a four-row reduction accumulates.
+#[derive(Clone, Copy)]
+enum Term {
+    /// `(x[i] - y[i])²`, of [`squared_l2`].
+    SquaredDiff,
+    /// `y[i] * x[i]`, of [`dot`] with the row first.
+    Product,
+}
+
+/// The four-lane accumulators of [`squared_l2`] or [`dot`] for four rows,
+/// over slices whose length is a multiple of 4. Written with SSE
+/// intrinsics because the autovectorizer transposes the portable form
+/// (one row per lane), which costs a dozen shuffles per chunk.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
+fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4], term: Term) -> [[f32; 4]; 4] {
     assert!(x.len() % 4 == 0 && ys.iter().all(|y| y.len() == x.len()));
     use std::arch::x86_64::{
         _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_sub_ps,
@@ -128,8 +162,15 @@ fn chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
         for i in (0..x.len()).step_by(4) {
             let q = _mm_loadu_ps(x.as_ptr().add(i));
             for (acc, y) in acc.iter_mut().zip(ys) {
-                let d = _mm_sub_ps(q, _mm_loadu_ps(y.as_ptr().add(i)));
-                *acc = _mm_add_ps(*acc, _mm_mul_ps(d, d));
+                let y = _mm_loadu_ps(y.as_ptr().add(i));
+                let t = match term {
+                    Term::SquaredDiff => {
+                        let d = _mm_sub_ps(q, y);
+                        _mm_mul_ps(d, d)
+                    }
+                    Term::Product => _mm_mul_ps(y, q),
+                };
+                *acc = _mm_add_ps(*acc, t);
             }
         }
         for (o, acc) in out.iter_mut().zip(acc) {
@@ -145,13 +186,19 @@ use portable_chunk_sums_x4 as chunk_sums_x4;
 /// Portable form of the x86_64 `chunk_sums_x4` (tested against it there).
 #[cfg(any(not(target_arch = "x86_64"), test))]
 #[inline]
-fn portable_chunk_sums_x4(x: &[f32], ys: [&[f32]; 4]) -> [[f32; 4]; 4] {
+fn portable_chunk_sums_x4(x: &[f32], ys: [&[f32]; 4], term: Term) -> [[f32; 4]; 4] {
     let mut acc = [[0.0f32; 4]; 4];
     for (i, a) in x.chunks_exact(4).enumerate() {
         for (acc, y) in acc.iter_mut().zip(ys) {
             for j in 0..4 {
-                let d = a[j] - y[i * 4 + j];
-                acc[j] += d * d;
+                let b = y[i * 4 + j];
+                acc[j] += match term {
+                    Term::SquaredDiff => {
+                        let d = a[j] - b;
+                        d * d
+                    }
+                    Term::Product => b * a[j],
+                };
             }
         }
     }
@@ -261,9 +308,49 @@ mod tests {
             }
             let body = len / 4 * 4;
             let (xb, yb) = (&x[..body], rows.map(|y| &y[..body]));
+            let term = Term::SquaredDiff;
             assert_eq!(
-                chunk_sums_x4(xb, yb).map(|lane| lane.map(f32::to_bits)),
-                portable_chunk_sums_x4(xb, yb).map(|lane| lane.map(f32::to_bits)),
+                chunk_sums_x4(xb, yb, term).map(|lane| lane.map(f32::to_bits)),
+                portable_chunk_sums_x4(xb, yb, term).map(|lane| lane.map(f32::to_bits)),
+                "len {len}"
+            );
+        }
+    }
+
+    /// `dot_x4` per lane against `dot` with the row first, and its SSE
+    /// body against the portable one, over ragged lengths with signed
+    /// zeros and subnormals among the values.
+    #[test]
+    fn dot_x4_matches_dot_bits_per_lane() {
+        let row = |k: usize| -> Vec<f32> {
+            (0..131)
+                .map(|i| match (i * (5 + 2 * k) + k) % 29 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::MIN_POSITIVE * 0.37,
+                    3 => -f32::MIN_POSITIVE * 0.81,
+                    v => (v as f32 - 15.0) * 0.173 + k as f32 * 1e-3,
+                })
+                .collect()
+        };
+        let x = row(9);
+        let ys = [row(0), row(1), row(2), row(3)];
+        for len in 0..x.len() {
+            let rows = [&ys[0][..len], &ys[1][..len], &ys[2][..len], &ys[3][..len]];
+            let got = dot_x4(&x[..len], rows);
+            for (r, y) in rows.into_iter().enumerate() {
+                assert_eq!(
+                    got[r].to_bits(),
+                    dot(y, &x[..len]).to_bits(),
+                    "len {len} lane {r}"
+                );
+            }
+            let body = len / 4 * 4;
+            let (xb, yb) = (&x[..body], rows.map(|y| &y[..body]));
+            let term = Term::Product;
+            assert_eq!(
+                chunk_sums_x4(xb, yb, term).map(|lane| lane.map(f32::to_bits)),
+                portable_chunk_sums_x4(xb, yb, term).map(|lane| lane.map(f32::to_bits)),
                 "len {len}"
             );
         }

@@ -4,7 +4,7 @@
 //!
 //! The scalar forms are the oracle. Kernels documented bit-identical are
 //! compared by bits; `dot` (reassociated) is compared with a relative
-//! bound. Dependent shapes (a `k × k` matrix for a length-`k` vector) are
+//! bound, and `dot_x4` by bits against `dot` in each lane. Dependent shapes (a `k × k` matrix for a length-`k` vector) are
 //! carved out of max-size buffers, so lengths still sweep 0, 1 and every
 //! unaligned remainder.
 
@@ -16,6 +16,20 @@ fn bits64(v: f64) -> u64 {
 
 fn bits32_vec(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `v` with the entries `special` picks replaced: `+0.0`, `-0.0`, or a
+/// subnormal of either sign (the drawn value's mantissa bits).
+fn with_specials(v: &[f32], special: &[usize]) -> Vec<f32> {
+    v.iter()
+        .zip(special)
+        .map(|(&x, &s)| match s {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(x.to_bits() & 0x807f_ffff),
+            _ => x,
+        })
+        .collect()
 }
 
 proptest! {
@@ -147,6 +161,29 @@ proptest! {
         // Reassociation over <=53 products of magnitude <=100.
         prop_assert!((got - want).abs() <= 1e-3 + 1e-5 * want.abs(),
             "dot diverged: {} vs {}", got, want);
+    }
+
+    /// Each lane of `dot_x4` is `dot` with that row first, bit for bit,
+    /// over every length up to 131 (so every ragged tail after the SSE
+    /// body) with signed zeros and subnormals mixed in.
+    #[test]
+    fn dot_x4_lanes_match_dot_bits(
+        n in 0usize..132,
+        buf in proptest::collection::vec(-10.0f32..10.0, 5 * 131),
+        special in proptest::collection::vec(0usize..12, 5 * 131),
+    ) {
+        let buf = with_specials(&buf, &special);
+        let rows: Vec<&[f32]> = buf.chunks_exact(131).map(|r| &r[..n]).collect();
+        let x = rows[4];
+        let ys = [rows[0], rows[1], rows[2], rows[3]];
+        let got = sato_kernels::dot_x4(x, ys);
+        for (lane, y) in ys.into_iter().enumerate() {
+            prop_assert_eq!(
+                got[lane].to_bits(),
+                sato_kernels::dot(y, x).to_bits(),
+                "lane {} of length {}", lane, n
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,13 @@
 //! ```
 //!
 //! θ is constant within a round, so it is factored out of the per-word
-//! sum, whose two steps are `sato_kernels::dot` and `sato_kernels::axpy`
-//! over a word's row of an `f32` copy of φ. Words are visited once each,
-//! in ascending id order, so θ depends only on the multiset of the
+//! sum, which reads each word's row of an `f32` copy of φ in two passes.
+//! The first sets `q_w = c_w / φ_w·θ`, four words per
+//! `sato_kernels::dot_x4` call (each lane is `sato_kernels::dot(φ_w, θ)`
+//! bit for bit). The second sums `r = Σ_w q_w·φ_w` in registers, 32
+//! topics at a time, which per topic is the sum one `sato_kernels::axpy`
+//! per word would leave, bit for bit. Words are visited once each, in
+//! ascending id order, so θ depends only on the multiset of the
 //! document's ids, not on the order its cells were read in.
 
 use crate::sampler::sample_discrete;
@@ -333,7 +337,12 @@ impl LdaModel {
         if tokens.is_empty() || self.config.infer_iterations == 0 {
             return;
         }
-        let LdaInferScratch { sorted, words, r } = scratch;
+        let LdaInferScratch {
+            sorted,
+            words,
+            q,
+            r,
+        } = scratch;
         sorted.clear();
         sorted.extend_from_slice(tokens);
         sorted.sort_unstable();
@@ -346,14 +355,26 @@ impl LdaModel {
             }
         }
         let alpha = self.config.alpha as f32;
+        r.clear();
+        r.resize(k, 0.0);
         for _ in 0..self.config.infer_iterations {
-            r.clear();
-            r.resize(k, 0.0);
-            for &(w, count) in words.iter() {
-                let phi = self.phi_row(w);
-                let s = sato_kernels::dot(phi, out);
-                sato_kernels::axpy(count / s, phi, r);
+            // q_w = c_w / φ_w·θ, four words' dots per call.
+            q.clear();
+            let mut quads = words.chunks_exact(4);
+            for quad in &mut quads {
+                let rows = [
+                    self.phi_row(quad[0].0),
+                    self.phi_row(quad[1].0),
+                    self.phi_row(quad[2].0),
+                    self.phi_row(quad[3].0),
+                ];
+                let s = sato_kernels::dot_x4(out, rows);
+                q.extend(quad.iter().zip(s).map(|(&(_, count), s)| count / s));
             }
+            for &(w, count) in quads.remainder() {
+                q.push(count / sato_kernels::dot(self.phi_row(w), out));
+            }
+            self.accumulate_r(words, q, r);
             let mut sum = 0.0f32;
             for (theta, &rt) in out.iter_mut().zip(r.iter()) {
                 *theta = alpha + *theta * rt;
@@ -364,7 +385,35 @@ impl LdaModel {
             }
         }
     }
+
+    /// `r = Σ_w q_w · φ_w` over `words` in order, from `+0.0`: per topic,
+    /// the sum one `axpy(q_w, φ_w, r)` per word would leave, bit for bit.
+    /// Each block of [`R_BLOCK`] topics is summed over every word in
+    /// registers and stored once, instead of loading and storing all of
+    /// `r` per word; the last `K mod 32` topics take one `axpy` per word.
+    fn accumulate_r(&self, words: &[(usize, f32)], q: &[f32], r: &mut [f32]) {
+        let blocked = r.len() / R_BLOCK * R_BLOCK;
+        for lo in (0..blocked).step_by(R_BLOCK) {
+            let mut acc = [0.0f32; R_BLOCK];
+            for (&(w, _), &qw) in words.iter().zip(q) {
+                let phi = &self.phi_row(w)[lo..lo + R_BLOCK];
+                for (a, &p) in acc.iter_mut().zip(phi) {
+                    *a += qw * p;
+                }
+            }
+            r[lo..lo + R_BLOCK].copy_from_slice(&acc);
+        }
+        let tail = &mut r[blocked..];
+        tail.fill(0.0);
+        for (&(w, _), &qw) in words.iter().zip(q) {
+            sato_kernels::axpy(qw, &self.phi_row(w)[blocked..], tail);
+        }
+    }
 }
+
+/// Topics per register block of [`LdaModel::accumulate_r`]: eight SSE
+/// registers of accumulators.
+const R_BLOCK: usize = 32;
 
 /// Caller-owned working buffers for [`LdaModel::infer_tokens_into`]. They
 /// keep their capacity between documents, so a warm estimate allocates
@@ -375,6 +424,8 @@ pub struct LdaInferScratch {
     sorted: Vec<usize>,
     /// Each distinct word id with its count, in ascending id order.
     words: Vec<(usize, f32)>,
+    /// `q_w = c_w / φ_w·θ` of one fold-in round, one per distinct word.
+    q: Vec<f32>,
     /// `r_t` of one fold-in round, one per topic.
     r: Vec<f32>,
 }
@@ -695,6 +746,44 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The fold-in as one `dot` and one `axpy` per word per round, over
+    /// the distinct words in ascending id order: the form the rounds of
+    /// `infer_tokens_into` must reproduce bit for bit.
+    fn infer_dot_axpy_oracle(model: &LdaModel, tokens: &[usize]) -> Vec<f32> {
+        let k = model.num_topics();
+        let mut theta = vec![1.0 / k as f32; k];
+        if tokens.is_empty() || model.config.infer_iterations == 0 {
+            return theta;
+        }
+        let mut sorted = tokens.to_vec();
+        sorted.sort_unstable();
+        let mut words: Vec<(usize, f32)> = Vec::new();
+        for w in sorted {
+            match words.last_mut() {
+                Some((last, count)) if *last == w => *count += 1.0,
+                _ => words.push((w, 1.0)),
+            }
+        }
+        let alpha = model.config.alpha as f32;
+        for _ in 0..model.config.infer_iterations {
+            let mut r = vec![0.0f32; k];
+            for &(w, count) in &words {
+                let phi = model.phi_row(w);
+                let s = sato_kernels::dot(phi, &theta);
+                sato_kernels::axpy(count / s, phi, &mut r);
+            }
+            let mut sum = 0.0f32;
+            for (t, &rt) in theta.iter_mut().zip(&r) {
+                *t = alpha + *t * rt;
+                sum += *t;
+            }
+            for t in theta.iter_mut() {
+                *t /= sum;
+            }
+        }
+        theta
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
         /// φ is the historical probability bit for bit, in a model rebuilt
@@ -753,6 +842,30 @@ mod tests {
             prop_assert_eq!(bits(&out), bits(&model.infer_tokens(&tokens)));
             let sum: f32 = out.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-3, "theta sums to {}", sum);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The fold-in's rounds (four dots per call, `r` summed in
+        /// registers per block of topics) give the one-`dot`-one-`axpy`
+        /// oracle's θ bit for bit: topic counts below, at, between and
+        /// above the 32-topic blocks, and distinct-word counts that leave
+        /// every remainder of the four-word groups.
+        #[test]
+        fn fold_in_matches_the_dot_axpy_oracle_bit_for_bit(
+            topics in 0usize..9,
+            rounds in 0usize..3,
+            picks in proptest::collection::vec(0usize..10_000, 0..90)
+        ) {
+            let k = [2, 3, 8, 16, 31, 32, 33, 64, 100][topics];
+            let model = synthetic_model(k, [1, 3, 10][rounds]);
+            let v = model.vocabulary().len();
+            let tokens: Vec<usize> = picks.iter().map(|&p| p % v).collect();
+            let mut scratch = LdaInferScratch::new();
+            let mut out = vec![0.0f32; k];
+            model.infer_tokens_into(&tokens, &mut scratch, &mut out);
+            prop_assert_eq!(bits(&out), bits(&infer_dot_axpy_oracle(&model, &tokens)));
         }
     }
 
