@@ -388,32 +388,50 @@ impl LdaModel {
 
     /// `r = Σ_w q_w · φ_w` over `words` in order, from `+0.0`: per topic,
     /// the sum one `axpy(q_w, φ_w, r)` per word would leave, bit for bit.
-    /// Each block of [`R_BLOCK`] topics is summed over every word in
-    /// registers and stored once, instead of loading and storing all of
-    /// `r` per word; the last `K mod 32` topics take one `axpy` per word.
+    /// Blocks of 32 topics, then one of 16 and one of 8 where they fit,
+    /// are each summed over every word in registers and stored once,
+    /// instead of loading and storing `r` per word; the last `K mod 8`
+    /// topics take one `axpy` per word.
     fn accumulate_r(&self, words: &[(usize, f32)], q: &[f32], r: &mut [f32]) {
-        let blocked = r.len() / R_BLOCK * R_BLOCK;
-        for lo in (0..blocked).step_by(R_BLOCK) {
-            let mut acc = [0.0f32; R_BLOCK];
-            for (&(w, _), &qw) in words.iter().zip(q) {
-                let phi = &self.phi_row(w)[lo..lo + R_BLOCK];
-                for (a, &p) in acc.iter_mut().zip(phi) {
-                    *a += qw * p;
-                }
-            }
-            r[lo..lo + R_BLOCK].copy_from_slice(&acc);
+        let k = r.len();
+        let mut lo = 0;
+        while lo + 32 <= k {
+            self.accumulate_block::<32>(words, q, lo, r);
+            lo += 32;
         }
-        let tail = &mut r[blocked..];
+        if lo + 16 <= k {
+            self.accumulate_block::<16>(words, q, lo, r);
+            lo += 16;
+        }
+        if lo + 8 <= k {
+            self.accumulate_block::<8>(words, q, lo, r);
+            lo += 8;
+        }
+        let tail = &mut r[lo..];
         tail.fill(0.0);
         for (&(w, _), &qw) in words.iter().zip(q) {
-            sato_kernels::axpy(qw, &self.phi_row(w)[blocked..], tail);
+            sato_kernels::axpy(qw, &self.phi_row(w)[lo..], tail);
         }
     }
-}
 
-/// Topics per register block of [`LdaModel::accumulate_r`]: eight SSE
-/// registers of accumulators.
-const R_BLOCK: usize = 32;
+    /// `r[lo..lo + N]` of [`Self::accumulate_r`], in `N / 4` SSE registers.
+    fn accumulate_block<const N: usize>(
+        &self,
+        words: &[(usize, f32)],
+        q: &[f32],
+        lo: usize,
+        r: &mut [f32],
+    ) {
+        let mut acc = [0.0f32; N];
+        for (&(w, _), &qw) in words.iter().zip(q) {
+            let phi = &self.phi_row(w)[lo..lo + N];
+            for (a, &p) in acc.iter_mut().zip(phi) {
+                *a += qw * p;
+            }
+        }
+        r[lo..lo + N].copy_from_slice(&acc);
+    }
+}
 
 /// Caller-owned working buffers for [`LdaModel::infer_tokens_into`]. They
 /// keep their capacity between documents, so a warm estimate allocates
