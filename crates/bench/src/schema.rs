@@ -262,13 +262,15 @@ impl BenchFile for IndexBench {
 }
 
 /// The checked-out commit of the repository (`git rev-parse HEAD`), with
-/// `-dirty` appended when tracked files differ from it; `unknown` outside
-/// a git checkout, which [`write()`] refuses.
+/// `-dirty` appended when tracked files other than the `BENCH_*.json`
+/// outputs differ from it; `unknown` outside a git checkout, which
+/// [`write()`] refuses.
 pub fn commit() -> String {
     let Some(head) = run("git", &["rev-parse", "HEAD"]) else {
         return "unknown".into();
     };
-    let dirty = run("git", &["diff", "--quiet", "HEAD"]).is_none();
+    let outputs = ":(exclude)BENCH_*.json";
+    let dirty = run("git", &["diff", "--quiet", "HEAD", "--", ".", outputs]).is_none();
     format!("{}{}", head.trim(), if dirty { "-dirty" } else { "" })
 }
 

@@ -435,20 +435,22 @@ impl HnswIndex {
         sato_kernels::squared_l2(query, self.vector(node))
     }
 
+    /// The vectors of the first four candidates of `quad`.
+    fn quad_vectors(&self, quad: &[Cand]) -> [&[f32]; 4] {
+        [
+            self.vector(quad[0].node),
+            self.vector(quad[1].node),
+            self.vector(quad[2].node),
+            self.vector(quad[3].node),
+        ]
+    }
+
     /// Set every candidate's distance from `query`, four rows at a time
     /// (bit-identical to [`Self::dist_to`] per candidate).
     fn score(&self, query: &[f32], cands: &mut [Cand]) {
         let mut quads = cands.chunks_exact_mut(4);
         for q in &mut quads {
-            let d = sato_kernels::squared_l2_x4(
-                query,
-                [
-                    self.vector(q[0].node),
-                    self.vector(q[1].node),
-                    self.vector(q[2].node),
-                    self.vector(q[3].node),
-                ],
-            );
+            let d = sato_kernels::squared_l2_x4(query, self.quad_vectors(q));
             for (c, d) in q.iter_mut().zip(d) {
                 c.dist = d;
             }
@@ -658,15 +660,7 @@ impl HnswIndex {
         let cv = self.vector(c.node);
         let mut quads = selected.chunks_exact(4);
         for quad in &mut quads {
-            let d = sato_kernels::squared_l2_x4(
-                cv,
-                [
-                    self.vector(quad[0].node),
-                    self.vector(quad[1].node),
-                    self.vector(quad[2].node),
-                    self.vector(quad[3].node),
-                ],
-            );
+            let d = sato_kernels::squared_l2_x4(cv, self.quad_vectors(quad));
             if !d.iter().all(|&d| d >= c.dist) {
                 return false;
             }
