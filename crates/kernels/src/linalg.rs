@@ -90,7 +90,7 @@ pub fn squared_l2(x: &[f32], y: &[f32]) -> f32 {
 /// a chain of `len / 4` dependent adds; four independent chains overlap.
 /// The ANN index scores a node's neighbours and checks a candidate's
 /// diversity with it.
-#[inline(always)]
+#[inline]
 pub fn squared_l2_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
     for y in ys {
         assert_eq!(x.len(), y.len(), "squared_l2_x4 length mismatch");
@@ -115,7 +115,7 @@ pub fn squared_l2_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
 /// x[i]`, and `f32` multiplication commutes exactly). One `dot` waits on
 /// a chain of `len / 4` dependent adds; four independent chains overlap.
 /// The LDA fold-in scores four words' rows against θ with it.
-#[inline(always)]
+#[inline]
 pub fn dot_x4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
     for y in ys {
         assert_eq!(x.len(), y.len(), "dot_x4 length mismatch");
